@@ -5,6 +5,14 @@ route weight of an edge is ``omega * lower + (1 - omega) * upper``.
 Every agent of a type takes a weight-shortest route, splitting equally
 across all tied routes, and the per-type loads add up to the edge flows
 for the period.
+
+``assign`` is the loader every run uses. It loads one origin's demand
+in a single pass over that origin's tight-edge DAG (Dial's STOCH
+loading, Transp. Res. 5:83, 1971): equal splitting over all tight routes
+factorizes per origin, so no origin-destination pair is split on its
+own. ``assign_per_pair`` splits each pair separately with
+``network._tight_split``; it is the test oracle for ``assign`` and also
+reports each pair's per-edge shares.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ __all__ = [
     "PathLoad",
     "ValidationError",
     "assign",
+    "assign_per_pair",
     "choose_action_abstract",
     "edge_weight",
 ]
@@ -49,6 +58,88 @@ def edge_weight(signal: np.ndarray, omega: float) -> np.ndarray:
     return omega * signal[:, 0] + (1.0 - omega) * signal[:, 1]
 
 
+def _checked_signal(net: Network, signal: np.ndarray,
+                    profile: PopulationProfile, types: TypeSet) -> np.ndarray:
+    signal = np.asarray(signal, dtype=float)
+    if signal.shape != (net.edge_count, 2):
+        raise ValidationError(
+            f"signal shape {signal.shape} does not match "
+            f"({net.edge_count}, 2)")
+    if len(profile.weights) != len(types):
+        raise ValidationError(
+            f"profile has {len(profile.weights)} weights for "
+            f"{len(types)} types")
+    return signal
+
+
+def assign(
+    net: Network,
+    demand: DemandTable,
+    signal: np.ndarray,
+    profile: PopulationProfile,
+    types: TypeSet,
+) -> np.ndarray:
+    """Route every agent along its weight-shortest paths; return the
+    per-edge flows.
+
+    The signal must cover every edge (shape ``(edge_count, 2)``) with
+    non-negative endpoints.  Per type and origin ``o`` this runs one
+    forward Dijkstra and keeps the edges ``(u, v)`` that are tight
+    (``dist[u] + w <= dist[v]`` within ``TIE_TOL``/``TIE_TOL_ABS``) and
+    advance the Dijkstra finalization order, the same edges
+    ``_tight_split`` keeps.  A forward pass in finalization order counts
+    the tight paths ``cf[v]`` from ``o``; a reverse pass accumulates
+    ``g[v] = share * q[o, v] / cf[v] + sum of g[w] over kept (v, w)``;
+    edge ``(u, v)`` then carries ``cf[u] * g[v]``, which is the equal
+    split of every destination's demand over its tight routes.
+    """
+    signal = _checked_signal(net, signal, profile, types)
+    by_origin: dict[int, list[tuple[int, float]]] = {}
+    for (origin, dest), flow in sorted(demand.entries.items()):
+        by_origin.setdefault(origin, []).append((dest, flow))
+
+    srcs, dsts = net.srcs.tolist(), net.dsts.tolist()
+    slack = 1.0 + TIE_TOL
+    flows = [0.0] * net.edge_count
+    for omega, share in zip(types.omegas, profile.weights):
+        weights = edge_weight(signal, omega)
+        w = weights.tolist()
+        for origin, dests in by_origin.items():
+            dist_a, order_a = dijkstra(net, weights, origin)
+            dist, order = dist_a.tolist(), order_a.tolist()
+            finalized = [0] * (max(order) + 1)
+            for node, rank in enumerate(order):
+                if rank >= 0:
+                    finalized[rank] = node
+            for dest, _ in dests:
+                if order[dest] < 0:
+                    raise NoPathError(
+                        f"destination {dest} unreachable from {origin}")
+
+            # Forward pass: keep the tight edges that advance the
+            # finalization order and count the kept paths from origin.
+            count = [0.0] * (net.node_count + 1)
+            count[origin] = 1.0
+            kept = []
+            for u in finalized:
+                du, rank, cu = dist[u], order[u], count[u]
+                for v, eid in net._out[u]:
+                    if (order[v] > rank
+                            and du + w[eid] <= dist[v] * slack + TIE_TOL_ABS):
+                        count[v] += cu
+                        kept.append(eid)
+
+            # Reverse pass: agents bound for v or beyond, per path into v.
+            onward = [0.0] * (net.node_count + 1)
+            for dest, flow in dests:
+                onward[dest] = share * flow / count[dest]
+            for eid in reversed(kept):
+                onward[srcs[eid]] += onward[dsts[eid]]
+            for eid in kept:
+                flows[eid] += count[srcs[eid]] * onward[dsts[eid]]
+    return np.array(flows)
+
+
 class PathLoad(NamedTuple):
     """Agents of one type on one origin-destination pair."""
 
@@ -61,7 +152,7 @@ class PathLoad(NamedTuple):
 
 @dataclass
 class FlowState:
-    """Result of loading one period's demand onto the network.
+    """Result of loading one period's demand pair by pair.
 
     ``group_shares[g]`` holds the per-edge share vector of group ``g``
     (one group per type and origin-destination pair, in ``path_loads``
@@ -75,29 +166,22 @@ class FlowState:
     group_shares: np.ndarray
 
 
-def assign(
+def assign_per_pair(
     net: Network,
     demand: DemandTable,
     signal: np.ndarray,
     profile: PopulationProfile,
     types: TypeSet,
-    demand_scale: float = 1.0,
 ) -> FlowState:
-    """Route every agent along its weight-shortest paths.
+    """Test oracle for ``assign``: split every origin-destination pair
+    on its own.
 
-    The signal must cover every edge (shape ``(edge_count, 2)``) with
-    non-negative endpoints.  ``demand_scale`` multiplies all demands.
+    For each type and pair this intersects a forward and a backward
+    Dijkstra and splits the pair's demand with ``_tight_split``, the
+    work ``assign`` factorizes per origin.  No run calls it; the tests
+    use it to check ``assign`` and to read per-pair loads and shares.
     """
-    signal = np.asarray(signal, dtype=float)
-    if signal.shape != (net.edge_count, 2):
-        raise ValidationError(
-            f"signal shape {signal.shape} does not match "
-            f"({net.edge_count}, 2)")
-    if len(profile.weights) != len(types):
-        raise ValidationError(
-            f"profile has {len(profile.weights)} weights for "
-            f"{len(types)} types")
-
+    signal = _checked_signal(net, signal, profile, types)
     pairs = sorted(demand.entries)
     origins = sorted({o for o, _ in pairs})
     dests = sorted({d for _, d in pairs})
@@ -112,8 +196,7 @@ def assign(
         backward = {d: dijkstra(net, weights, d, reverse=True)[0]
                     for d in dests}
         for origin, dest in pairs:
-            agents = weight_share * demand.entries[(origin, dest)] \
-                * demand_scale
+            agents = weight_share * demand.entries[(origin, dest)]
             dist_f, order_f = forward[origin]
             _, shares, _, _, _ = _tight_split(
                 net, weights, dist_f, order_f, backward[dest],

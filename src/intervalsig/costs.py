@@ -1,4 +1,4 @@
-"""Travel-time curves, capacity excess, and social-cost aggregation.
+"""Travel-time curves, capacity excess, and abstract social cost.
 
 Network edges use the BPR volume-delay curve F(1+B(x/chi)^p), optionally
 with the load/capacity ratio clamped at 1 ("capped"). The abstract model
@@ -108,32 +108,18 @@ def linear_cost_fn(total_agents: int, offset: float = 0.0) -> AbstractCostFn:
 
 
 def social_cost_abstract(counts, costs, total_agents: float) -> float:
-    """Population-weighted cost: sum over actions of (n_m/N) c_m(n_m)."""
+    """Population-weighted cost: sum over actions of (n_m/N) c_m, where
+    ``costs`` holds each action's cost c_m(n_m), already evaluated."""
     counts = np.asarray(counts, dtype=float)
     if total_agents <= 0:
         raise ValidationError("total agent count must be positive")
     if len(counts) != len(costs):
-        raise ValidationError("one count per cost function required")
+        raise ValidationError("one count per cost required")
     if abs(counts.sum() - total_agents) > 1e-9 * max(1.0, abs(total_agents)):
         raise ValidationError(
             f"counts sum to {counts.sum()}, expected {total_agents}")
-    return float(sum((n / total_agents) * fn(n)
-                     for n, fn in zip(counts, costs)))
-
-
-def social_cost_network(flows, per_path_costs) -> float:
-    """Total travel time: sum over routes of (route cost x agents on it).
-
-    ``flows`` is accepted for symmetry with the per-edge representation
-    (the two aggregations agree when route costs are edge sums) and is not
-    otherwise used.
-    """
-    total = 0.0
-    for cost, agents in per_path_costs:
-        if agents < 0:
-            raise ValidationError("agents on a route must be >= 0")
-        total += cost * agents
-    return total
+    return float(sum((n / total_agents) * cost
+                     for n, cost in zip(counts, costs)))
 
 
 def time_averaged_cost(series) -> float:

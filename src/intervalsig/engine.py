@@ -15,15 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import (
-    edge_costs,
-    minimize_scalar_on_interval,
-    social_cost_network,
-    total_excess,
-)
+from .costs import edge_costs, minimize_scalar_on_interval, total_excess
 from .instances import load_instance
-from .network import DemandTable, Network, ValidationError, parse_network, \
-    parse_trips
+from .network import (
+    DemandTable,
+    Network,
+    ValidationError,
+    parse_network,
+    parse_trips,
+    require_reachable,
+)
 from .population import (
     derived_rng,
     sample_profile,
@@ -118,8 +119,13 @@ class PeriodRecord:
 
 
 def run(config: RunConfig) -> list[PeriodRecord]:
-    """Simulate ``config.horizon`` periods; deterministic given the seed."""
+    """Simulate ``config.horizon`` periods; deterministic given the seed.
+
+    Raises ``NoPathError`` before the first period when some
+    origin-destination pair has no route.
+    """
     net, demand = config.load()
+    require_reachable(net, demand)
     types = uniform_type_set(config.type_count)
     renewal = uniform_perturbation(config.type_count, config.epsilon)
     history = CostHistory(net.edge_count,
@@ -130,19 +136,15 @@ def run(config: RunConfig) -> list[PeriodRecord]:
     for t in range(1, config.horizon + 1):
         profile = sample_profile(renewal, pop_rng)
         signal = emit_signal(history, config.scheme, net.edge_count)
-        state = assign(net, demand, signal, profile, types)
-        costs = edge_costs(net, state.edge_flows, capped=config.capped)
+        flows = assign(net, demand, signal, profile, types)
+        costs = edge_costs(net, flows, capped=config.capped)
         history.record_period(costs)
-        realized = state.group_shares @ costs
-        agents = [load.agents for load in state.path_loads]
-        social = social_cost_network(state.edge_flows,
-                                     list(zip(realized, agents)))
         records.append(PeriodRecord(
             t=t,
-            flows=state.edge_flows,
+            flows=flows,
             costs=costs,
-            social_cost=social,
-            total_excess=total_excess(net, state.edge_flows),
+            social_cost=float(flows @ costs),
+            total_excess=total_excess(net, flows),
             weights=np.array(profile.weights),
             signal=signal,
         ))

@@ -1,6 +1,11 @@
 """Road-network and demand data model, TNTP text ingestion, and the
 shortest-path machinery used to split demand over minimum-weight routes.
 
+``dijkstra`` serves the per-origin loader in ``assignment``.
+``_tight_split`` and ``shortest_path_dag`` split one origin-destination
+pair on its own; they back the per-pair test oracle
+``assignment.assign_per_pair`` and no run calls them.
+
 Node ids are 1-based as in TNTP files. Edges keep their file order; that
 order indexes every per-edge array in the rest of the package.
 """
@@ -8,7 +13,9 @@ order indexes every per-edge array in the rest of the package.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,6 +249,30 @@ def demand_to_tntp(table: DemandTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def require_reachable(net: Network, demand: DemandTable) -> None:
+    """Raise ``NoPathError`` naming the first origin-destination pair
+    (in sorted order) that no route connects, found by breadth-first
+    search over the edges; nodes outside the network reach nothing."""
+    by_origin: dict[int, list[int]] = {}
+    for origin, dest in sorted(demand.entries):
+        by_origin.setdefault(origin, []).append(dest)
+    for origin, dests in by_origin.items():
+        seen = set()
+        queue = deque()
+        if 1 <= origin <= net.node_count:
+            seen.add(origin)
+            queue.append(origin)
+        while queue:
+            for v, _ in net._out[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        for dest in dests:
+            if dest not in seen:
+                raise NoPathError(
+                    f"destination {dest} unreachable from origin {origin}")
+
+
 # Tolerances for calling two route costs "tied": relative plus a small
 # absolute slack so exact-zero distances still admit ties.
 TIE_TOL = 1e-9
@@ -259,8 +290,9 @@ def dijkstra(net: Network, weights: np.ndarray, source: int,
     node id as seen from the source.
     """
     adj = net._in if reverse else net._out
-    dist = np.full(net.node_count + 1, np.inf)
-    order = np.full(net.node_count + 1, -1, dtype=np.int64)
+    w = np.asarray(weights, dtype=float).tolist()
+    dist = [math.inf] * (net.node_count + 1)
+    order = [-1] * (net.node_count + 1)
     dist[source] = 0.0
     heap = [(0.0, source)]
     counter = 0
@@ -271,11 +303,11 @@ def dijkstra(net: Network, weights: np.ndarray, source: int,
         order[u] = counter
         counter += 1
         for v, eid in adj[u]:
-            nd = d + weights[eid]
+            nd = d + w[eid]
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return dist, order
+    return np.array(dist), np.array(order, dtype=np.int64)
 
 
 def _tight_split(net: Network, weights: np.ndarray,

@@ -6,18 +6,27 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalsig.assignment import (
-    FlowState,
     ValidationError,
     assign,
+    assign_per_pair,
     choose_action_abstract,
     edge_weight,
 )
-from intervalsig.network import NoPathError, parse_network, parse_trips
+from intervalsig.network import (
+    DemandTable,
+    NoPathError,
+    parse_network,
+    parse_trips,
+)
+from intervalsig.costs import edge_costs
+from intervalsig.engine import RunConfig, run
+from intervalsig.instances import load_instance
 from intervalsig.population import (
     PopulationProfile,
     TypeSet,
     uniform_type_set,
 )
+from intervalsig.signaling import extreme_scheme
 
 from .test_network import DIAMOND_NET, DIAMOND_TRIPS
 
@@ -55,28 +64,30 @@ class TestEdgeWeight:
 class TestAssign:
     def test_warm_up_signal_splits_equally(self):
         net = diamond()
-        state = assign(net, diamond_demand(), np.zeros((5, 2)), FLAT,
+        flows = assign(net, diamond_demand(), np.zeros((5, 2)), FLAT,
                        FIVE_TYPES)
-        assert state.edge_flows == pytest.approx([30.0, 15.0, 15.0, 15.0, 15.0])
+        assert flows == pytest.approx([30.0, 15.0, 15.0, 15.0, 15.0])
 
     def test_lopsided_signal_routes_everyone_one_way(self):
         net = diamond()
         sig = interval_signal(
             [[0.0, 0.0], [1.0, 1.0], [5.0, 9.0], [0.0, 0.0], [0.0, 0.0]])
-        state = assign(net, diamond_demand(), sig, FLAT, FIVE_TYPES)
-        assert state.edge_flows == pytest.approx([30.0, 30.0, 0.0, 30.0, 0.0])
+        flows = assign(net, diamond_demand(), sig, FLAT, FIVE_TYPES)
+        assert flows == pytest.approx([30.0, 30.0, 0.0, 30.0, 0.0])
 
     def test_zero_demand_zero_flows(self):
         net = diamond()
         empty = parse_trips("Origin 1\n")
-        state = assign(net, empty, np.zeros((5, 2)), FLAT, FIVE_TYPES)
-        assert state.edge_flows == pytest.approx([0.0] * 5)
+        flows = assign(net, empty, np.zeros((5, 2)), FLAT, FIVE_TYPES)
+        assert flows == pytest.approx([0.0] * 5)
+        state = assign_per_pair(net, empty, np.zeros((5, 2)), FLAT,
+                                FIVE_TYPES)
         assert state.path_loads == []
 
     def test_path_loads_cover_demand_by_type(self):
         net = diamond()
-        state = assign(net, diamond_demand(), np.zeros((5, 2)), FLAT,
-                       FIVE_TYPES)
+        state = assign_per_pair(net, diamond_demand(), np.zeros((5, 2)),
+                                FLAT, FIVE_TYPES)
         assert len(state.path_loads) == 5
         for load in state.path_loads:
             assert (load.origin, load.dest) == (1, 5)
@@ -89,7 +100,7 @@ class TestAssign:
         net = diamond()
         sig = interval_signal(
             [[6.0, 6.0], [2.0, 4.0], [2.0, 4.0], [1.0, 1.0], [1.0, 1.0]])
-        state = assign(net, diamond_demand(), sig, FLAT, FIVE_TYPES)
+        state = assign_per_pair(net, diamond_demand(), sig, FLAT, FIVE_TYPES)
         by_omega = {load.omega: load.cost for load in state.path_loads}
         assert by_omega[0.0] == pytest.approx(11.0)   # 6 + 4 + 1
         assert by_omega[1.0] == pytest.approx(9.0)    # 6 + 2 + 1
@@ -99,9 +110,10 @@ class TestAssign:
         net = diamond()
         base = assign(net, diamond_demand(), np.zeros((5, 2)), FLAT,
                       FIVE_TYPES)
-        doubled = assign(net, diamond_demand(), np.zeros((5, 2)), FLAT,
-                         FIVE_TYPES, demand_scale=2.0)
-        assert doubled.edge_flows == pytest.approx(2 * base.edge_flows)
+        twice = DemandTable({pair: 2.0 * flow for pair, flow
+                             in diamond_demand().entries.items()})
+        doubled = assign(net, twice, np.zeros((5, 2)), FLAT, FIVE_TYPES)
+        assert doubled == pytest.approx(2 * base)
 
     def test_unreachable_pair_is_identified(self):
         net = parse_network("1 2 5 0 1 1 1 0 0 1 ;\n4 3 5 0 1 1 1 0 0 1 ;\n")
@@ -118,7 +130,7 @@ class TestAssign:
         net = diamond()
         sig = interval_signal(
             [[1.0, 2.0], [0.5, 3.0], [0.5, 2.5], [0.0, 1.0], [0.2, 0.8]])
-        state = assign(net, diamond_demand(), sig, FLAT, FIVE_TYPES)
+        state = assign_per_pair(net, diamond_demand(), sig, FLAT, FIVE_TYPES)
         agents = np.array([load.agents for load in state.path_loads])
         rebuilt = agents @ state.group_shares
         assert rebuilt == pytest.approx(state.edge_flows)
@@ -154,16 +166,17 @@ class TestConservationProperties:
         net = parse_network(MULTI_OD_NET)
         demand = parse_trips(MULTI_OD_TRIPS)
         sig = random_interval_signal(data.draw, len(net.edges))
-        state = assign(net, demand, sig, FLAT, FIVE_TYPES)
+        flows = assign(net, demand, sig, FLAT, FIVE_TYPES)
         balance = np.zeros(net.node_count + 1)
         for e in net.edges:
-            balance[e.src] -= state.edge_flows[e.id]
-            balance[e.dst] += state.edge_flows[e.id]
+            balance[e.src] -= flows[e.id]
+            balance[e.dst] += flows[e.id]
         expected = np.zeros(net.node_count + 1)
         for (o, d), flow in demand.entries.items():
             expected[o] -= flow
             expected[d] += flow
         assert balance == pytest.approx(expected, abs=1e-9)
+        state = assign_per_pair(net, demand, sig, FLAT, FIVE_TYPES)
         total_loaded = sum(l.agents for l in state.path_loads)
         assert total_loaded == pytest.approx(demand.total)
 
@@ -176,7 +189,7 @@ class TestConservationProperties:
         scale = data.draw(st.floats(0.01, 100, allow_nan=False))
         a = assign(net, demand, sig, FLAT, FIVE_TYPES)
         b = assign(net, demand, sig * scale, FLAT, FIVE_TYPES)
-        assert b.edge_flows == pytest.approx(a.edge_flows, abs=1e-9)
+        assert b == pytest.approx(a, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -189,7 +202,7 @@ class TestConservationProperties:
         shift = data.draw(st.floats(0, 50, allow_nan=False))
         a = assign(net, demand, sig, FLAT, FIVE_TYPES)
         b = assign(net, demand, sig + shift, FLAT, FIVE_TYPES)
-        assert b.edge_flows == pytest.approx(a.edge_flows, abs=1e-9)
+        assert b == pytest.approx(a, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -203,7 +216,93 @@ class TestConservationProperties:
         raised[4] += bump   # second route's closing edge
         before = assign(net, demand, sig, FLAT, FIVE_TYPES)
         after = assign(net, demand, raised, FLAT, FIVE_TYPES)
-        assert after.edge_flows[2] <= before.edge_flows[2] + 1e-9
+        assert after[2] <= before[2] + 1e-9
+
+
+def oracle_flows(net, demand, signal, profile, types):
+    """Edge flows rebuilt from the per-pair oracle's groups."""
+    state = assign_per_pair(net, demand, signal, profile, types)
+    agents = np.array([load.agents for load in state.path_loads])
+    return agents @ state.group_shares
+
+
+@st.composite
+def small_cases(draw):
+    """A random network with a spine 1 -> 2 -> ... -> n, so every pair
+    (i, j) with i < j is connected, extra random edges (parallel and
+    backward ones included, which close cycles), random demand on
+    forward pairs, a random type mix and one of three signal kinds:
+    all zero (the warm-up signal), small integers (exact ties and
+    zero-weight plateaus, where Dijkstra's finalization order decides
+    which edges are kept), or continuous."""
+    n = draw(st.integers(2, 7))
+    extra = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, n)),
+                          max_size=12))
+    links = [(i, i + 1) for i in range(1, n)] + \
+        [(u, v) for u, v in extra if u != v]
+    links = draw(st.permutations(links))
+    net = parse_network("".join(f"{u} {v} 10 0 1 1 2 0 0 1 ;\n"
+                                for u, v in links))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(1, n - 1), st.integers(1, n - 1))
+        .map(lambda p: (min(p), max(p) + 1)), min_size=1, max_size=8))
+    demand = DemandTable({pair: float(draw(st.integers(1, 50)))
+                          for pair in pairs})
+    mix = np.array(draw(st.lists(st.integers(0, 4), min_size=5,
+                                 max_size=5)), dtype=float) + 0.5
+    profile = PopulationProfile(tuple(mix / mix.sum()))
+    kind = draw(st.sampled_from(["zero", "integer", "continuous"]))
+    m = len(links)
+    if kind == "zero":
+        signal = np.zeros((m, 2))
+    elif kind == "integer":
+        lows = draw(st.lists(st.integers(0, 3), min_size=m, max_size=m))
+        spans = draw(st.lists(st.integers(0, 2), min_size=m, max_size=m))
+        signal = np.column_stack([lows, np.add(lows, spans)]).astype(float)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        lows = rng.uniform(0.0, 10.0, m)
+        signal = np.column_stack([lows, lows + rng.uniform(0.0, 5.0, m)])
+    return net, demand, signal, profile
+
+
+class TestAgainstPerPairOracle:
+    """``assign`` loads per origin; the per-pair oracle splits each pair
+    on its own.  Both must give the same edge flows to rel 1e-12."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_cases())
+    def test_random_networks_match_oracle(self, case):
+        net, demand, signal, profile = case
+        np.testing.assert_allclose(
+            assign(net, demand, signal, profile, FIVE_TYPES),
+            oracle_flows(net, demand, signal, profile, FIVE_TYPES),
+            rtol=1e-12, atol=0.0)
+
+    def test_zero_signal_on_sioux_falls_matches_oracle(self):
+        net, demand = load_instance("sioux-falls")
+        signal = np.zeros((net.edge_count, 2))
+        np.testing.assert_allclose(
+            assign(net, demand, signal, FLAT, FIVE_TYPES),
+            oracle_flows(net, demand, signal, FLAT, FIVE_TYPES),
+            rtol=1e-12, atol=0.0)
+
+    def test_pinned_sioux_falls_trajectory_matches_oracle(self):
+        records = run(RunConfig(scheme=extreme_scheme(20), horizon=30,
+                                seed=0, instance="sioux-falls"))
+        net, demand = load_instance("sioux-falls")
+        for rec in records:
+            profile = PopulationProfile(tuple(rec.weights))
+            state = assign_per_pair(net, demand, rec.signal, profile,
+                                    FIVE_TYPES)
+            agents = np.array([load.agents for load in state.path_loads])
+            flows = agents @ state.group_shares
+            np.testing.assert_allclose(rec.flows, flows, rtol=1e-12,
+                                       atol=0.0)
+            costs = edge_costs(net, flows, capped=True)
+            social = float(agents @ (state.group_shares @ costs))
+            assert rec.social_cost == pytest.approx(social, rel=1e-12,
+                                                    abs=0.0)
 
 
 class TestChooseActionAbstract:

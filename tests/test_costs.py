@@ -18,10 +18,11 @@ from intervalsig.costs import (
     minimize_two_action_cost,
     polynomial_cost_fn,
     social_cost_abstract,
-    social_cost_network,
     time_averaged_cost,
 )
+from intervalsig.engine import RunConfig, run
 from intervalsig.network import parse_network
+from intervalsig.signaling import now_scheme
 
 from .test_network import DIAMOND_NET
 
@@ -140,46 +141,70 @@ class TestAbstractCostFn:
                 assert v == pytest.approx(fn(float(n)))
 
 
+def evaluated(counts, fns):
+    """Each action's cost at its count, as ``social_cost_abstract``
+    takes them."""
+    return [fn(n) for n, fn in zip(counts, fns)]
+
+
 class TestSocialCostAbstract:
     def test_even_split(self):
-        got = social_cost_abstract((1, 1), [CURVE_A, CURVE_B], 2)
+        got = social_cost_abstract(
+            (1, 1), evaluated((1, 1), [CURVE_A, CURVE_B]), 2)
         assert got == pytest.approx(9.1)
 
     def test_all_on_first(self):
-        got = social_cost_abstract((2, 0), [CURVE_A, CURVE_B], 2)
+        got = social_cost_abstract(
+            (2, 0), evaluated((2, 0), [CURVE_A, CURVE_B]), 2)
         assert got == pytest.approx(117.2)
 
     def test_single_action(self):
         fn = linear_cost_fn(4)
-        assert social_cost_abstract((4,), [fn], 4) == pytest.approx(fn(4))
+        assert social_cost_abstract((4,), evaluated((4,), [fn]), 4) == \
+            pytest.approx(fn(4))
 
     def test_count_sum_validated(self):
         with pytest.raises(ValidationError):
-            social_cost_abstract((1, 2), [CURVE_A, CURVE_B], 2)
+            social_cost_abstract(
+                (1, 2), evaluated((1, 2), [CURVE_A, CURVE_B]), 2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, 2, allow_nan=False))
     def test_permutation_invariant_with_equal_costs(self, x):
         fns = [CURVE_A, CURVE_A]
-        a = social_cost_abstract((x, 2 - x), fns, 2)
-        b = social_cost_abstract((2 - x, x), fns, 2)
+        a = social_cost_abstract((x, 2 - x), evaluated((x, 2 - x), fns), 2)
+        b = social_cost_abstract((2 - x, x), evaluated((2 - x, x), fns), 2)
         assert a == pytest.approx(b)
+
+
+# A link with B = 0 costs its free-flow time, here 9, at any load.
+FLAT_LINK = "1 2 10 0 9 0 1 0 0 1 ;\n"
+
+
+def period_social_cost(net_text: str, trips_text: str) -> float:
+    """Social cost that ``run`` reports for one period: route cost times
+    agents, summed over routes (``flows @ costs``)."""
+    record, = run(RunConfig(scheme=now_scheme(), horizon=1, seed=0,
+                            net_text=net_text, trips_text=trips_text))
+    return record.social_cost
 
 
 class TestSocialCostNetwork:
     def test_single_path(self):
-        assert social_cost_network(None, [(9.0, 30.0)]) == pytest.approx(270.0)
+        assert period_social_cost(FLAT_LINK, "Origin 1\n2 : 30;\n") == \
+            pytest.approx(270.0)
 
     def test_two_paths(self):
-        got = social_cost_network(None, [(9.0, 15.0), (9.0, 15.0)])
+        # two parallel links, 15 agents each
+        got = period_social_cost(FLAT_LINK * 2, "Origin 1\n2 : 30;\n")
         assert got == pytest.approx(270.0)
 
     def test_no_demand(self):
-        assert social_cost_network(None, []) == 0.0
+        assert period_social_cost(FLAT_LINK, "Origin 1\n") == 0.0
 
     def test_negative_load_rejected(self):
         with pytest.raises(ValidationError):
-            social_cost_network(None, [(9.0, -1.0)])
+            period_social_cost(FLAT_LINK, "Origin 1\n2 : -1;\n")
 
 
 class TestTimeAveragedCost:

@@ -7,6 +7,7 @@ import io
 import numpy as np
 import pytest
 
+from intervalsig import engine
 from intervalsig.costs import edge_costs
 from intervalsig.engine import (
     PeriodRecord,
@@ -20,7 +21,7 @@ from intervalsig.engine import (
     write_csv,
 )
 from intervalsig.instances import diamond_net_text, diamond_trips_text
-from intervalsig.network import parse_network
+from intervalsig.network import NoPathError, parse_network
 from intervalsig.signaling import (
     extreme_scheme,
     mean_scheme,
@@ -126,6 +127,25 @@ class TestRunBasics:
         assert len(rec.flows) == 76
         assert rec.total_excess >= 0.0
         assert rec.social_cost > 0.0
+
+
+    def test_social_cost_is_flows_dot_costs(self):
+        records = run(diamond_config(horizon=40, scheme=extreme_scheme(5)))
+        for rec in records:
+            assert rec.social_cost == float(rec.flows @ rec.costs)
+
+    def test_unreachable_pair_fails_before_first_period(self, monkeypatch):
+        # two components, 1 -> 2 and 3 -> 4; origin 1 also wants node 4
+        simulated = []
+        monkeypatch.setattr(engine, "assign",
+                            lambda *args: simulated.append(args))
+        config = diamond_config(
+            net_text="1 2 5 0 1 1 1 0 0 1 ;\n3 4 5 0 1 1 1 0 0 1 ;\n",
+            trips_text="Origin 1\n2 : 5; 4 : 3;\nOrigin 3\n4 : 2;\n")
+        with pytest.raises(NoPathError,
+                           match="destination 4 unreachable from origin 1"):
+            run(config)
+        assert simulated == []
 
 
 class TestConfigValidation:

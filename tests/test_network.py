@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalsig.network import (
+    DemandTable,
     NoPathError,
     ParseError,
     ValidationError,
@@ -14,6 +15,7 @@ from intervalsig.network import (
     network_to_tntp,
     parse_network,
     parse_trips,
+    require_reachable,
     shortest_path_dag,
 )
 
@@ -216,6 +218,25 @@ class TestSerialization:
         again = parse_network(network_to_tntp(net))
         assert again.edges == net.edges
         assert again.node_count == net.node_count
+
+
+class TestRequireReachable:
+    def test_connected_instances_pass(self):
+        require_reachable(parse_network(DIAMOND_NET),
+                          parse_trips(DIAMOND_TRIPS))
+
+    def test_edges_are_followed_forwards_only(self):
+        net = parse_network(DIAMOND_NET)
+        with pytest.raises(NoPathError,
+                           match="destination 1 unreachable from origin 5"):
+            require_reachable(net, DemandTable({(1, 5): 3.0, (5, 1): 2.0}))
+
+    def test_node_outside_network_is_unreachable(self):
+        net = parse_network(DIAMOND_NET)
+        with pytest.raises(NoPathError, match="destination 9"):
+            require_reachable(net, DemandTable({(1, 9): 5.0}))
+        with pytest.raises(NoPathError, match="origin 9"):
+            require_reachable(net, DemandTable({(9, 1): 5.0}))
 
 
 class TestShortestPathDag:
