@@ -19,7 +19,6 @@ from .abstract_model import (
 )
 from .engine import (
     PeriodRecord,
-    ReferenceCosts,
     RunConfig,
     Summary,
     diamond_sue_oracle,
@@ -43,7 +42,6 @@ __all__ = [
     "AbstractConfig",
     "FlappingSpec",
     "PeriodRecord",
-    "ReferenceCosts",
     "RunConfig",
     "Scheme",
     "Summary",

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import edge_weight
+from .assignment import edge_weight, pick_among_ties
 from .costs import (
     AbstractCostFn,
     ValidationError,
@@ -31,7 +31,13 @@ from .population import (
     finite_support,
     sample_profile,
 )
-from .signaling import CostHistory, Scheme, full_extreme_scheme
+from .signaling import (
+    CostHistory,
+    Scheme,
+    emit_signal,
+    extreme_scheme,
+    full_extreme_scheme,
+)
 
 __all__ = [
     "AbstractConfig",
@@ -114,58 +120,32 @@ class AbstractRecord:
 
 
 def new_state(config: AbstractConfig) -> AbstractState:
-    return AbstractState(
-        t=1,
-        signal=config.initial_signal.copy(),
-        history=CostHistory(config.action_count,
-                            window=config.scheme.history_window()),
-    )
+    history = CostHistory(config.action_count,
+                          window=config.scheme.history_window())
+    signal = emit_signal(history, config.scheme, config.action_count,
+                         config.initial_signal)
+    return AbstractState(t=1, signal=signal, history=history)
 
 
-def _pick_among_ties(weights: np.ndarray, u: float) -> int:
-    """Index of a minimal entry, the tie chosen by the uniform draw."""
-    ties = np.flatnonzero(weights == weights.min())
-    return int(ties[min(int(u * len(ties)), len(ties) - 1)])
+def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
+          tie_uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One period's counts and realized costs, each ``(..., M)``.
 
-
-def _windowed_envelope(history: CostHistory, window: int,
-                       initial_signal: np.ndarray) -> np.ndarray:
-    """Min/max over the recent window; the initial signal participates
-    as a pseudo-observation until the window fills with real costs."""
-    m_count = history.m_count
-    signal = np.empty((m_count, 2))
-    for m in range(m_count):
-        if history.count(m) == 0:
-            signal[m] = initial_signal[m]
-            continue
-        lo, hi = history.window_extremes(m, window)
-        if history.count(m) < window:
-            lo = min(lo, initial_signal[m, 0])
-            hi = max(hi, initial_signal[m, 1])
-        signal[m] = (lo, hi)
-    return signal
-
-
-def _next_signal(state: AbstractState, config: AbstractConfig,
-                 costs: np.ndarray) -> np.ndarray:
-    scheme = config.scheme
-    if scheme.kind == "now":
-        return np.column_stack([costs, costs])
-    if scheme.kind == "mean":
-        means = np.array([state.history.running_mean(m)
-                          for m in range(config.action_count)])
-        return np.column_stack([means, means])
-    if scheme.kind == "full_extreme":
-        return np.column_stack([np.minimum(state.signal[:, 0], costs),
-                                np.maximum(state.signal[:, 1], costs)])
-    signal = _windowed_envelope(state.history, scheme.window,
-                                config.initial_signal)
-    if scheme.kind == "subinterval" and scheme.shrink != 1.0:
-        mid = signal.mean(axis=1)
-        half = scheme.shrink * (signal[:, 1] - signal[:, 0]) / 2.0
-        signal[:, 0] = mid - half
-        signal[:, 1] = mid + half
-    return signal
+    Every type piles its share of the agents onto the weight-minimal
+    action that its uniform picks among ties.  Leading axes of
+    ``signal`` ``(..., M, 2)``, ``shares`` and ``tie_uniforms`` (both
+    ``(..., types)``) are batch axes: ``step_abstract`` passes none,
+    ``convergence_check`` one per trajectory.
+    """
+    actions = np.arange(config.action_count)
+    counts = np.zeros(signal.shape[:-1])
+    for j, omega in enumerate(config.types.omegas):
+        choice = pick_among_ties(edge_weight(signal, omega),
+                                 tie_uniforms[..., j])
+        agents = shares[..., j] * config.agent_count
+        counts += (choice[..., None] == actions) * agents[..., None]
+    costs = np.array([fn(counts[..., m]) for m, fn in enumerate(config.costs)])
+    return counts, np.moveaxis(costs, 0, -1)
 
 
 def step_abstract(state: AbstractState, config: AbstractConfig,
@@ -182,18 +162,13 @@ def step_abstract(state: AbstractState, config: AbstractConfig,
     if len(tie_uniforms) != len(config.types):
         raise ValidationError("need one tie-break uniform per type")
 
-    counts = np.zeros(config.action_count)
-    for omega, share, u in zip(config.types.omegas, profile.weights,
-                               tie_uniforms):
-        weights = edge_weight(state.signal, omega)
-        counts[_pick_among_ties(weights, u)] += share * config.agent_count
-
-    costs = np.array([fn(counts[m]) for m, fn in enumerate(config.costs)])
+    counts, costs = _play(config, state.signal, np.array(profile.weights),
+                          np.asarray(tie_uniforms))
     social = social_cost_abstract(counts, costs, config.agent_count)
     state.history.record_period(costs)
-    record = AbstractRecord(state.t, counts, costs, social,
-                            state.signal.copy())
-    state.signal = _next_signal(state, config, costs)
+    record = AbstractRecord(state.t, counts, costs, social, state.signal)
+    state.signal = emit_signal(state.history, config.scheme,
+                               config.action_count, config.initial_signal)
     state.t += 1
     return record
 
@@ -303,11 +278,12 @@ def flapping_demo(spec: FlappingSpec, horizon: int,
     # orbit is asserted every period.
     root = (spec.gap_target + 1.0) ** (1.0 / n)
     initial = np.array([[1.0, root], [1.0, root]])
+    envelope = extreme_scheme(2)
     history = CostHistory(2, window=2)
     counts = np.array([n // 2, n - n // 2], dtype=float)
     interval_records = []
     for t in range(1, horizon + 1):
-        signal = _windowed_envelope(history, 2, initial)
+        signal = emit_signal(history, envelope, 2, initial)
         if not np.allclose(signal[0], signal[1], rtol=0.0, atol=1e-12):
             raise AssertionError(
                 f"interval arm lost its tie at t={t}: {signal!r}")
@@ -409,55 +385,38 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     if trajectories < 1 or horizon < 1:
         raise ValidationError("trajectories and horizon must be >= 1")
 
-    init_a = np.asarray(initial_signals[0], dtype=float)
-    init_b = np.asarray(initial_signals[1], dtype=float)
-    m = config.action_count
-    n_types = len(config.types)
-    omegas = np.array(config.types.omegas)
+    k, m = trajectories, config.action_count
     atom_weights = np.array([p.weights for p, _ in config.renewal.atoms])
     atom_probs = np.cumsum([d for _, d in config.renewal.atoms])
-
-    k = trajectories
-    lo = {"a": np.tile(init_a[:, 0], (k, 1)), "b": np.tile(init_b[:, 0],
-                                                           (k, 1))}
-    hi = {"a": np.tile(init_a[:, 1], (k, 1)), "b": np.tile(init_b[:, 1],
-                                                           (k, 1))}
-    counts = {"a": np.zeros((k, m)), "b": np.zeros((k, m))}
+    # Each arm is one history over k * m resources, one per trajectory
+    # and action, so the arms' signals follow the one signal rule.
+    initials = [np.tile(np.asarray(init, dtype=float), (k, 1))
+                for init in initial_signals]
+    histories = [CostHistory(k * m, window=config.scheme.history_window())
+                 for _ in initials]
+    signals = [init.reshape(k, m, 2) for init in initials]
+    counts = [np.zeros((k, m)) for _ in initials]
 
     def pair_distance() -> float:
-        return float(np.abs(lo["a"][0] - lo["b"][0]).sum()
-                     + np.abs(hi["a"][0] - hi["b"][0]).sum())
+        gap = np.abs(signals[0][0] - signals[1][0])
+        return float(gap[:, 0].sum() + gap[:, 1].sum())
 
     rng = derived_rng(seed, "convergence")
     distances = [pair_distance()]
-    rows = np.arange(k)
     for _ in range(horizon):
         atom_idx = np.searchsorted(atom_probs, rng.random(k), side="right")
         atom_idx = np.minimum(atom_idx, len(atom_probs) - 1)
-        shares = atom_weights[atom_idx]            # (k, n_types)
-        tie_u = rng.random((k, n_types))
-        for arm in ("a", "b"):
-            new_counts = np.zeros((k, m))
-            for j in range(n_types):
-                w = omegas[j] * lo[arm] + (1.0 - omegas[j]) * hi[arm]
-                wmin = w.min(axis=1, keepdims=True)
-                mask = w == wmin
-                n_ties = mask.sum(axis=1)
-                pick = np.minimum((tie_u[:, j] * n_ties).astype(int),
-                                  n_ties - 1)
-                choice = (np.cumsum(mask, axis=1)
-                          > pick[:, None]).argmax(axis=1)
-                new_counts[rows, choice] += (shares[:, j]
-                                             * config.agent_count)
-            costs = np.column_stack(
-                [config.costs[a](new_counts[:, a]) for a in range(m)])
-            lo[arm] = np.minimum(lo[arm], costs)
-            hi[arm] = np.maximum(hi[arm], costs)
-            counts[arm] = new_counts
+        shares = atom_weights[atom_idx]            # (k, types)
+        tie_u = rng.random((k, len(config.types)))
+        for arm, history in enumerate(histories):
+            counts[arm], costs = _play(config, signals[arm], shares, tie_u)
+            history.record_period(costs.ravel())
+            signals[arm] = emit_signal(history, config.scheme, k * m,
+                                       initials[arm]).reshape(k, m, 2)
         distances.append(pair_distance())
 
-    sample_a = counts["a"][:, 0] / config.agent_count
-    sample_b = counts["b"][:, 0] / config.agent_count
+    sample_a = counts[0][:, 0] / config.agent_count
+    sample_b = counts[1][:, 0] / config.agent_count
     ks = ks_2samp(sample_a, sample_b)
     return ConvergenceReport(np.array(distances), float(ks.statistic),
                              float(ks.pvalue), sample_a, sample_b)

@@ -40,26 +40,42 @@ __all__ = [
     "ValidationError",
     "assign",
     "assign_per_pair",
-    "choose_action_abstract",
     "edge_weight",
+    "pick_among_ties",
 ]
 
 
 def edge_weight(signal: np.ndarray, omega: float) -> np.ndarray:
-    """Collapse an ``(n, 2)`` interval signal to scalar weights.
+    """Collapse a ``(..., n, 2)`` interval signal to ``(..., n)`` scalar
+    weights.
 
     ``omega = 1`` trusts the lower endpoints, ``omega = 0`` the upper
     ones, and values in between interpolate linearly.
     """
     signal = np.asarray(signal, dtype=float)
-    if signal.ndim != 2 or signal.shape[1] != 2:
+    if signal.ndim < 2 or signal.shape[-1] != 2:
         raise ValidationError(
-            f"signal must have shape (n, 2), got {signal.shape}")
-    return omega * signal[:, 0] + (1.0 - omega) * signal[:, 1]
+            f"signal must have shape (..., n, 2), got {signal.shape}")
+    return omega * signal[..., 0] + (1.0 - omega) * signal[..., 1]
 
 
-def _checked_signal(net: Network, signal: np.ndarray,
+def pick_among_ties(weights: np.ndarray, u) -> np.ndarray:
+    """Index of a minimal entry along the last axis, per row.
+
+    Among a row's ``n_ties`` minimal entries the ``int(u * n_ties)``-th
+    is returned (clamped to the last), so a uniform ``u`` picks a tie
+    uniformly and a unique minimizer is returned whatever ``u`` is.
+    """
+    ties = weights == weights.min(axis=-1, keepdims=True)
+    n_ties = ties.sum(axis=-1)
+    pick = np.minimum((np.asarray(u) * n_ties).astype(int), n_ties - 1)
+    return (np.cumsum(ties, axis=-1) > pick[..., None]).argmax(axis=-1)
+
+
+def _checked_signal(net: Network, demand: DemandTable, signal: np.ndarray,
                     profile: PopulationProfile, types: TypeSet) -> np.ndarray:
+    """The signal as an array, once it, the profile and every demand
+    pair are checked against the network and the type set."""
     signal = np.asarray(signal, dtype=float)
     if signal.shape != (net.edge_count, 2):
         raise ValidationError(
@@ -69,6 +85,11 @@ def _checked_signal(net: Network, signal: np.ndarray,
         raise ValidationError(
             f"profile has {len(profile.weights)} weights for "
             f"{len(types)} types")
+    for origin, dest in demand.entries:
+        if not (1 <= origin <= net.node_count and 1 <= dest <= net.node_count):
+            raise ValidationError(
+                f"demand pair ({origin}, {dest}) has a node outside "
+                f"1..{net.node_count}")
     return signal
 
 
@@ -93,7 +114,7 @@ def assign(
     edge ``(u, v)`` then carries ``cf[u] * g[v]``, which is the equal
     split of every destination's demand over its tight routes.
     """
-    signal = _checked_signal(net, signal, profile, types)
+    signal = _checked_signal(net, demand, signal, profile, types)
     by_origin: dict[int, list[tuple[int, float]]] = {}
     for (origin, dest), flow in sorted(demand.entries.items()):
         by_origin.setdefault(origin, []).append((dest, flow))
@@ -181,7 +202,7 @@ def assign_per_pair(
     work ``assign`` factorizes per origin.  No run calls it; the tests
     use it to check ``assign`` and to read per-pair loads and shares.
     """
-    signal = _checked_signal(net, signal, profile, types)
+    signal = _checked_signal(net, demand, signal, profile, types)
     pairs = sorted(demand.entries)
     origins = sorted({o for o, _ in pairs})
     dests = sorted({d for _, d in pairs})
@@ -209,17 +230,3 @@ def assign_per_pair(
     group_shares = (np.array(share_rows) if share_rows
                     else np.empty((0, net.edge_count)))
     return FlowState(edge_flows, path_loads, group_shares)
-
-
-def choose_action_abstract(
-    signal: np.ndarray, omega: float, rng: np.random.Generator
-) -> int:
-    """Pick a weight-minimal action, uniformly at random among ties.
-
-    A unique minimizer is returned without consulting ``rng``.
-    """
-    weights = edge_weight(signal, omega)
-    ties = np.flatnonzero(weights == weights.min())
-    if len(ties) == 1:
-        return int(ties[0])
-    return int(ties[rng.integers(len(ties))])

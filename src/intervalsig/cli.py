@@ -244,8 +244,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, ValidationError, NoPathError, KeyError,
-            OSError) as exc:
+    except (ParseError, ValidationError, NoPathError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

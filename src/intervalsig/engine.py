@@ -36,7 +36,6 @@ from .assignment import assign
 
 __all__ = [
     "PeriodRecord",
-    "ReferenceCosts",
     "RunConfig",
     "Summary",
     "ValidationError",
@@ -46,15 +45,6 @@ __all__ = [
     "summarize",
     "write_csv",
 ]
-
-
-@dataclass(frozen=True)
-class ReferenceCosts:
-    """Externally supplied benchmark values a run is compared against."""
-
-    capped_cost: float | None = None
-    uncapped_cost: float | None = None
-    excess: float | None = None
 
 
 @dataclass(frozen=True)
@@ -77,7 +67,6 @@ class RunConfig:
     trips_text: str | None = None
     type_count: int = 5
     epsilon: float = 0.15
-    reference: ReferenceCosts | None = None
 
     def __post_init__(self):
         if self.horizon < 1:

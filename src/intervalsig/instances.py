@@ -9,7 +9,13 @@ from __future__ import annotations
 
 import importlib.resources
 
-from .network import DemandTable, Network, parse_network, parse_trips
+from .network import (
+    DemandTable,
+    Network,
+    ValidationError,
+    parse_network,
+    parse_trips,
+)
 
 __all__ = [
     "diamond_net_text",
@@ -72,10 +78,8 @@ _INSTANCES = {
 
 def load_instance(name: str) -> tuple[Network, DemandTable]:
     """Parse a named built-in instance into a network and demand table."""
-    try:
-        net_fn, trips_fn = _INSTANCES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown instance {name!r}; available: "
-            f"{sorted(_INSTANCES)}") from None
+    if name not in _INSTANCES:
+        raise ValidationError(
+            f"unknown instance {name!r}; available: {sorted(_INSTANCES)}")
+    net_fn, trips_fn = _INSTANCES[name]
     return parse_network(net_fn()), parse_trips(trips_fn())

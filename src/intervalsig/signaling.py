@@ -1,15 +1,13 @@
 """Per-resource cost histories and the signal each scheme emits from them.
 
 A signal is an (M, 2) float array of per-resource (u_lo, u_hi) intervals;
-scalar schemes emit degenerate intervals with u_lo = u_hi. Until enough
-full periods are recorded, schemes emit the warm-up signal (0, 0): one
-period suffices for scalar schemes, interval schemes need two.
+scalar schemes emit degenerate intervals with u_lo = u_hi. ``emit_signal``
+is the one signal rule of both the network and the abstract model; the
+two differ only in warm-up (see its docstring).
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,104 +81,97 @@ def scheme_from_name(name: str, window: int | None = None,
 
 
 class CostHistory:
-    """Bounded recent-cost deques plus running aggregates per resource."""
+    """The last ``window`` periods' costs of every resource, in a ring
+    buffer, plus running sum, min and max over all recorded periods."""
 
-    def __init__(self, m_count: int, window: int | None = None):
+    def __init__(self, m_count: int, window: int = 1):
         if m_count < 1:
             raise ValidationError("history needs at least one resource")
+        if window < 1:
+            raise ValidationError("history window must be at least 1")
         self.m_count = m_count
         self.window = window
-        self._recent = [deque(maxlen=window) for _ in range(m_count)]
-        self._count = [0] * m_count
-        self._sum = [0.0] * m_count
-        self._min = [math.inf] * m_count
-        self._max = [-math.inf] * m_count
-
-    def record(self, m: int, cost: float) -> None:
-        if not math.isfinite(cost) or cost < 0:
-            raise ValidationError(f"cost must be finite and >= 0, got {cost}")
-        self._recent[m].append(float(cost))
-        self._count[m] += 1
-        self._sum[m] += cost
-        self._min[m] = min(self._min[m], cost)
-        self._max[m] = max(self._max[m], cost)
+        self._recent = np.empty((window, m_count))
+        self._periods = 0
+        self._sum = np.zeros(m_count)
+        self._min = np.full(m_count, np.inf)
+        self._max = np.full(m_count, -np.inf)
 
     def record_period(self, costs) -> None:
         """Record one period's cost for every resource at once."""
-        costs = list(costs)
-        if len(costs) != self.m_count:
+        costs = np.asarray(costs, dtype=float)
+        if costs.shape != (self.m_count,):
             raise ValidationError(
-                f"expected {self.m_count} costs, got {len(costs)}")
-        for m, cost in enumerate(costs):
-            self.record(m, cost)
-
-    def recent(self, m: int):
-        return self._recent[m]
-
-    def count(self, m: int) -> int:
-        return self._count[m]
+                f"expected {self.m_count} costs, got shape {costs.shape}")
+        # NaN fails the first comparison, infinities one of the two.
+        if not (np.minimum.reduce(costs) >= 0.0
+                and np.maximum.reduce(costs) < np.inf):
+            bad = costs[~(np.isfinite(costs) & (costs >= 0.0))][0]
+            raise ValidationError(f"cost must be finite and >= 0, got {bad}")
+        self._recent[self._periods % self.window] = costs
+        self._periods += 1
+        self._sum += costs
+        np.minimum(self._min, costs, out=self._min)
+        np.maximum(self._max, costs, out=self._max)
 
     def full_periods(self) -> int:
-        """Periods for which every resource has a recorded cost."""
-        return min(self._count)
+        """Periods recorded so far."""
+        return self._periods
 
-    def running_min(self, m: int) -> float:
-        return self._min[m]
-
-    def running_max(self, m: int) -> float:
-        return self._max[m]
-
-    def running_mean(self, m: int) -> float:
-        return self._sum[m] / self._count[m]
-
-    def window_extremes(self, m: int, r: int) -> tuple[float, float]:
-        """Min and max over the min(r, recorded) most recent costs of m."""
-        recent = self._recent[m]
-        take = min(r, len(recent))
-        tail = list(recent)[len(recent) - take:]
-        return min(tail), max(tail)
+    def window_extremes(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-resource min and max over the min(r, recorded) most recent
+        periods."""
+        filled = min(self._periods, self.window)
+        if r >= filled:
+            rows = self._recent[:filled]
+        else:
+            rows = self._recent[(self._periods - 1 - np.arange(r))
+                                % self.window]
+        return rows.min(axis=0), rows.max(axis=0)
 
 
-def emit_signal(history: CostHistory, scheme: Scheme,
-                m_count: int) -> np.ndarray:
-    """Signal for the coming period from what the history holds so far."""
+def emit_signal(history: CostHistory, scheme: Scheme, m_count: int,
+                initial: np.ndarray | None = None) -> np.ndarray:
+    """Signal for the coming period from what the history holds so far.
+
+    Without ``initial`` the warm-up signal is zero: scalar schemes wait
+    for one recorded period, interval schemes for two.  With it,
+    ``initial`` is the signal before any cost is recorded and stays in
+    the envelope as a pseudo-observation: under ``extreme`` and
+    ``subinterval`` until ``window`` costs are recorded, under
+    ``full_extreme`` for good.  ``now`` and ``mean`` read recorded
+    costs only.
+    """
     if m_count != history.m_count:
         raise ValidationError(
             f"history covers {history.m_count} resources, asked for {m_count}")
-    signal = np.zeros((m_count, 2))
+    if scheme.history_window() > history.window:
+        raise ValidationError(
+            f"{scheme.label()} needs {scheme.history_window()} periods of "
+            f"history, which keeps {history.window}")
+    periods = history.full_periods()
+    if initial is not None and periods == 0:
+        return np.array(initial, dtype=float)
+    scalar = scheme.kind in ("now", "mean")
+    if initial is None and periods < (1 if scalar else 2):
+        return np.zeros((m_count, 2))
     if scheme.kind == "now":
-        for m in range(m_count):
-            if history.count(m) >= 1:
-                signal[m] = history.recent(m)[-1]
-        return signal
-    if scheme.kind == "mean":
-        for m in range(m_count):
-            if history.count(m) >= 1:
-                signal[m] = history.running_mean(m)
-        return signal
-    if history.full_periods() < 2:
-        return signal
-    if scheme.kind == "full_extreme":
-        for m in range(m_count):
-            signal[m] = (history.running_min(m), history.running_max(m))
-        return signal
-    for m in range(m_count):
-        signal[m] = history.window_extremes(m, scheme.window)
+        lo = hi = history._recent[(periods - 1) % history.window]
+    elif scheme.kind == "mean":
+        lo = hi = history._sum / periods
+    elif scheme.kind == "full_extreme":
+        lo, hi = history._min, history._max
+    else:
+        lo, hi = history.window_extremes(scheme.window)
+    if initial is not None and (scheme.kind == "full_extreme" or (
+            not scalar and periods < scheme.window)):
+        lo = np.minimum(lo, initial[:, 0])
+        hi = np.maximum(hi, initial[:, 1])
+    signal = np.empty((m_count, 2))
+    signal[:, 0], signal[:, 1] = lo, hi
     if scheme.kind == "subinterval" and scheme.shrink != 1.0:
         mid = signal.mean(axis=1)
         half = scheme.shrink * (signal[:, 1] - signal[:, 0]) / 2.0
         signal[:, 0] = mid - half
         signal[:, 1] = mid + half
     return signal
-
-
-def validate_subinterval(signal: np.ndarray, history: CostHistory,
-                         r: int) -> bool:
-    """True iff every interval sits inside the r-window min/max envelope."""
-    tol = 1e-12
-    for m in range(history.m_count):
-        lo, hi = history.window_extremes(m, r)
-        slack = tol * max(1.0, abs(lo), abs(hi))
-        if not (lo - slack <= signal[m, 0] <= signal[m, 1] <= hi + slack):
-            return False
-    return True

@@ -3,6 +3,7 @@ running-envelope signal recursion, the two-arm flapping construction, and
 the coupled-trajectory convergence check."""
 
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -25,6 +26,7 @@ from intervalsig.costs import linear_cost_fn, polynomial_cost_fn
 from intervalsig.population import (
     PopulationProfile,
     TypeSet,
+    derived_rng,
     finite_support,
 )
 from intervalsig.signaling import (
@@ -282,6 +284,62 @@ class TestConvergenceCheck:
         assert np.array_equal(a.distance_series, b.distance_series)
         assert a.ks_statistic == b.ks_statistic
         assert np.array_equal(a.sample_a, b.sample_a)
+
+
+class TestConvergenceCheckAgainstStepAbstract:
+    """``convergence_check`` replayed trajectory by trajectory through
+    ``step_abstract``, with its draws taken from the same stream in the
+    same order: each period's atom uniforms, then its tie uniforms."""
+
+    TRAJECTORIES, HORIZON, SEED = 12, 60, 4
+
+    def replay(self, config, inits):
+        k, seed = self.TRAJECTORIES, self.SEED
+        atoms = config.renewal.atoms
+        atom_probs = np.cumsum([d for _, d in atoms])
+        rng = derived_rng(seed, "convergence")
+        draws = []
+        for _ in range(self.HORIZON):
+            picks = np.searchsorted(atom_probs, rng.random(k), side="right")
+            ties = rng.random((k, len(config.types)))
+            draws.append((np.minimum(picks, len(atoms) - 1), ties))
+        samples, first_signals = [], []
+        for init in inits:
+            arm = dataclasses.replace(config, initial_signal=init)
+            states = [new_state(arm) for _ in range(k)]
+            signals = [states[0].signal]
+            for picks, ties in draws:
+                records = [step_abstract(state, arm, atoms[pick][0], tie)
+                           for state, pick, tie in zip(states, picks, ties)]
+                signals.append(states[0].signal)
+            samples.append(np.array([rec.counts[0] for rec in records])
+                           / config.agent_count)
+            first_signals.append(signals)
+        distances = [float(np.abs(a[:, 0] - b[:, 0]).sum()
+                           + np.abs(a[:, 1] - b[:, 1]).sum())
+                     for a, b in zip(*first_signals)]
+        return samples, np.array(distances)
+
+    @pytest.mark.parametrize("action_count", [3, 8])
+    def test_replay_is_exact(self, action_count):
+        config, inits = convergence_demo_config(action_count=action_count)
+        report = convergence_check(config, trajectories=self.TRAJECTORIES,
+                                   horizon=self.HORIZON,
+                                   initial_signals=inits, seed=self.SEED)
+        (sample_a, sample_b), distances = self.replay(config, inits)
+        assert np.array_equal(report.sample_a, sample_a)
+        assert np.array_equal(report.sample_b, sample_b)
+        assert np.array_equal(report.distance_series, distances)
+
+    def test_eight_actions_do_not_collapse(self):
+        # unlike two actions, where every trajectory ends on action 0,
+        # the distance stays at 0.2 and the end shares vary
+        config, inits = convergence_demo_config(action_count=8)
+        report = convergence_check(config, trajectories=self.TRAJECTORIES,
+                                   horizon=self.HORIZON,
+                                   initial_signals=inits, seed=self.SEED)
+        assert report.distance_series[-1] == pytest.approx(0.2)
+        assert len(set(report.sample_a)) > 1
 
 
 class TestAbstractCsv:

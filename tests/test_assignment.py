@@ -9,8 +9,8 @@ from intervalsig.assignment import (
     ValidationError,
     assign,
     assign_per_pair,
-    choose_action_abstract,
     edge_weight,
+    pick_among_ties,
 )
 from intervalsig.network import (
     DemandTable,
@@ -59,6 +59,15 @@ class TestEdgeWeight:
 
     def test_midpoint_reader(self):
         assert edge_weight(self.SIG, 0.5) == pytest.approx([2.0, 2.0, 2.0])
+
+    def test_leading_axes_are_batch_axes(self):
+        batch = np.stack([self.SIG, self.SIG[::-1]])
+        assert edge_weight(batch, 0.0).tolist() == [[3.0, 2.0, 4.0],
+                                                   [4.0, 2.0, 3.0]]
+
+    def test_flat_signal_rejected(self):
+        with pytest.raises(ValidationError):
+            edge_weight(np.zeros(4), 0.5)
 
 
 class TestAssign:
@@ -120,6 +129,14 @@ class TestAssign:
         demand = parse_trips("Origin 1\n3 : 4;\n")
         with pytest.raises(NoPathError, match="3"):
             assign(net, demand, np.zeros((2, 2)), FLAT, FIVE_TYPES)
+
+    @pytest.mark.parametrize("loader", [assign, assign_per_pair])
+    @pytest.mark.parametrize("pair", [(1, 9), (0, 5)])
+    def test_demand_node_outside_network_rejected(self, loader, pair):
+        demand = DemandTable({pair: 5.0})
+        with pytest.raises(ValidationError,
+                           match=rf"\({pair[0]}, {pair[1]}\)"):
+            loader(diamond(), demand, np.zeros((5, 2)), FLAT, FIVE_TYPES)
 
     def test_profile_must_match_type_set(self):
         with pytest.raises(ValidationError):
@@ -306,25 +323,30 @@ class TestAgainstPerPairOracle:
 
 
 class TestChooseActionAbstract:
+    """An abstract agent's choice: ``pick_among_ties`` over the weights
+    its type reads from the signal."""
+
     SIG = interval_signal([[1.0, 3.0], [2.0, 2.0]])
 
     def test_pessimist_picks_tighter_upper_bound(self):
-        rng = np.random.default_rng(0)
-        assert choose_action_abstract(self.SIG, 0.0, rng) == 1
+        assert pick_among_ties(edge_weight(self.SIG, 0.0), 0.3) == 1
 
     def test_optimist_picks_lower_lower_bound(self):
-        rng = np.random.default_rng(0)
-        assert choose_action_abstract(self.SIG, 1.0, rng) == 0
+        assert pick_among_ties(edge_weight(self.SIG, 1.0), 0.3) == 0
 
     def test_singleton_argmin_ignores_rng_state(self):
-        picks = {choose_action_abstract(self.SIG, 0.0,
-                                        np.random.default_rng(s))
-                 for s in range(50)}
+        picks = {int(pick_among_ties(edge_weight(self.SIG, 0.0), u))
+                 for u in np.random.default_rng(0).random(50)}
         assert picks == {1}
 
     def test_tie_breaks_uniformly(self):
         sig = interval_signal([[2.0, 4.0], [2.0, 4.0]])
-        rng = np.random.default_rng(31)
-        picks = np.array([choose_action_abstract(sig, 0.5, rng)
-                          for _ in range(10_000)])
+        u = np.random.default_rng(31).random(10_000)
+        picks = pick_among_ties(np.tile(edge_weight(sig, 0.5), (10_000, 1)),
+                                u)
         assert abs(picks.mean() - 0.5) <= 0.02
+
+    def test_picks_the_draws_share_of_the_ties(self):
+        weights = np.array([[3.0, 1.0, 2.0, 1.0, 1.0]] * 4)
+        picks = pick_among_ties(weights, np.array([0.0, 0.34, 0.9, 1.0]))
+        assert picks.tolist() == [1, 3, 4, 4]

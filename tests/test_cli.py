@@ -89,6 +89,14 @@ class TestRun:
         assert code != 0
         assert capsys.readouterr().err != ""
 
+    def test_unknown_instance_is_a_user_error(self, tmp_path, capsys):
+        code = main(["run", "--instance", "nowhere", "--scheme", "now",
+                     "--horizon", "2", "--seed", "0",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: unknown instance 'nowhere'; available: ")
+
     def test_net_without_trips_rejected(self, diamond_files, tmp_path,
                                         capsys):
         net, _ = diamond_files

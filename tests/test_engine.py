@@ -11,7 +11,6 @@ from intervalsig import engine
 from intervalsig.costs import edge_costs
 from intervalsig.engine import (
     PeriodRecord,
-    ReferenceCosts,
     RunConfig,
     ValidationError,
     diamond_sue_oracle,
@@ -280,8 +279,3 @@ class TestDiamondOracle:
             f = np.array([30.0, upper, lower, upper, lower])
             assert f @ edge_costs(net, f, capped=False) > \
                 oracle["uncapped_cost"]
-
-    def test_reference_costs_container(self):
-        ref = ReferenceCosts(capped_cost=322.307, excess=15.985)
-        assert ref.uncapped_cost is None
-        assert ref.capped_cost == pytest.approx(322.307)

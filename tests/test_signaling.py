@@ -16,47 +16,61 @@ from intervalsig.signaling import (
     now_scheme,
     scheme_from_name,
     subinterval_scheme,
-    validate_subinterval,
 )
 
 
-def history_of(costs, m_count=1, window=None):
+def history_of(costs, m_count=1, window=10):
     h = CostHistory(m_count, window=window)
     for c in costs:
-        for m in range(m_count):
-            h.record(m, c)
+        h.record_period([c] * m_count)
     return h
+
+
+def validate_subinterval(signal, history, r):
+    """True iff every interval sits inside the r-window min/max envelope."""
+    lo, hi = history.window_extremes(r)
+    slack = 1e-12 * np.maximum(1.0, np.maximum(abs(lo), abs(hi)))
+    return bool(np.all((lo - slack <= signal[:, 0])
+                       & (signal[:, 0] <= signal[:, 1])
+                       & (signal[:, 1] <= hi + slack)))
 
 
 class TestRecord:
     def test_first_record_sets_aggregates(self):
-        h = CostHistory(1, window=4)
-        h.record(0, 4.0)
-        assert list(h.recent(0)) == [4.0]
-        assert h.running_min(0) == h.running_max(0) == 4.0
-        assert h.running_mean(0) == 4.0
+        h = history_of([4.0], window=4)
+        assert h.full_periods() == 1
+        assert h.window_extremes(4) == (pytest.approx([4.0]),
+                                        pytest.approx([4.0]))
+        assert emit_signal(h, now_scheme(), 1)[0] == pytest.approx(
+            (4.0, 4.0))
+        assert emit_signal(h, mean_scheme(), 1)[0] == pytest.approx(
+            (4.0, 4.0))
 
     def test_window_eviction(self):
-        h = CostHistory(1, window=2)
-        h.record(0, 4.0)
-        h.record(0, 7.0)
-        h.record(0, 5.0)
-        assert list(h.recent(0)) == [7.0, 5.0]
+        h = history_of([4.0, 7.0, 5.0], window=2)
+        assert h.window_extremes(2) == (pytest.approx([5.0]),
+                                        pytest.approx([7.0]))
         # running aggregates still cover the full stream
-        assert h.running_min(0) == 4.0
-        assert h.running_max(0) == 7.0
+        assert emit_signal(h, full_extreme_scheme(), 1)[0] == pytest.approx(
+            (4.0, 7.0))
+
+    def test_period_width_checked(self):
+        h = CostHistory(2)
+        with pytest.raises(ValidationError):
+            h.record_period([1.0, 2.0, 3.0])
 
     def test_negative_cost_rejected(self):
         h = CostHistory(1)
         with pytest.raises(ValidationError):
-            h.record(0, -1.0)
+            h.record_period([-1.0])
 
     def test_non_finite_cost_rejected(self):
-        h = CostHistory(1)
+        h = CostHistory(2)
         with pytest.raises(ValidationError):
-            h.record(0, math.inf)
+            h.record_period([1.0, math.inf])
         with pytest.raises(ValidationError):
-            h.record(0, math.nan)
+            h.record_period([math.nan, 1.0])
+        assert h.full_periods() == 0
 
 
 class TestEmitSignal:
@@ -90,19 +104,9 @@ class TestEmitSignal:
     def test_scalar_warm_up_needs_one_period(self):
         h = CostHistory(2)
         assert emit_signal(h, now_scheme(), 2)[1] == pytest.approx((0.0, 0.0))
-        h.record(0, 5.0)
-        h.record(1, 3.0)
+        h.record_period([5.0, 3.0])
         assert emit_signal(h, now_scheme(), 2)[1] == pytest.approx((3.0, 3.0))
         assert emit_signal(h, mean_scheme(), 2)[0] == pytest.approx((5.0, 5.0))
-
-    def test_interval_warm_up_counts_full_periods(self):
-        # one action observed twice, the other never: not 2 full periods
-        h = CostHistory(2)
-        h.record(0, 5.0)
-        h.record(0, 6.0)
-        sig = emit_signal(h, extreme_scheme(3), 2)
-        assert sig[0] == pytest.approx((0.0, 0.0))
-        assert sig[1] == pytest.approx((0.0, 0.0))
 
     def test_subinterval_shrinks_about_midpoint(self):
         h = history_of([4.0, 7.0, 5.0])
@@ -125,6 +129,52 @@ class TestEmitSignal:
         with pytest.raises(ValidationError):
             emit_signal(h, now_scheme(), 3)
 
+    def test_window_longer_than_history_rejected(self):
+        # a history keeping two periods cannot answer a 5-window
+        # envelope: over 1, 9, 5 it is [1, 9], not the [5, 9] it holds
+        h = history_of([1.0, 9.0, 5.0], window=2)
+        with pytest.raises(ValidationError):
+            emit_signal(h, extreme_scheme(5), 1)
+        with pytest.raises(ValidationError):
+            emit_signal(h, subinterval_scheme(3, 0.5), 1)
+        assert emit_signal(h, extreme_scheme(2), 1)[0] == pytest.approx(
+            (5.0, 9.0))
+
+
+class TestInitialSignal:
+    INIT = np.array([[2.0, 6.0]])
+
+    def test_is_the_signal_before_any_cost(self):
+        for scheme in (now_scheme(), mean_scheme(), extreme_scheme(3),
+                       full_extreme_scheme(), subinterval_scheme(3, 0.5)):
+            h = CostHistory(1, window=scheme.history_window())
+            assert np.array_equal(emit_signal(h, scheme, 1, self.INIT),
+                                  self.INIT)
+
+    def test_scalar_schemes_read_real_costs_only(self):
+        h = history_of([9.0, 1.0])
+        assert emit_signal(h, now_scheme(), 1, self.INIT)[0] == \
+            pytest.approx((1.0, 1.0))
+        assert emit_signal(h, mean_scheme(), 1, self.INIT)[0] == \
+            pytest.approx((5.0, 5.0))
+
+    def test_window_holds_initial_until_full(self):
+        h = CostHistory(1, window=3)
+        h.record_period([4.0])
+        sig = emit_signal(h, extreme_scheme(3), 1, self.INIT)
+        assert sig[0] == pytest.approx((2.0, 6.0))
+        h.record_period([5.0])
+        h.record_period([4.5])
+        sig = emit_signal(h, extreme_scheme(3), 1, self.INIT)
+        assert sig[0] == pytest.approx((4.0, 5.0))
+        sig = emit_signal(h, subinterval_scheme(3, 0.5), 1, self.INIT)
+        assert sig[0] == pytest.approx((4.25, 4.75))
+
+    def test_full_envelope_keeps_initial(self):
+        h = history_of([4.0] * 20)
+        sig = emit_signal(h, full_extreme_scheme(), 1, self.INIT)
+        assert sig[0] == pytest.approx((2.0, 6.0))
+
 
 class TestValidateSubinterval:
     def test_extreme_output_is_nested(self):
@@ -140,7 +190,7 @@ class TestValidateSubinterval:
     def test_inflated_upper_bound_fails(self):
         h = history_of([4.0, 7.0, 5.0])
         sig = emit_signal(h, extreme_scheme(2), 1).copy()
-        sig[0, 1] = h.running_max(0) + 1.0
+        sig[0, 1] = emit_signal(h, full_extreme_scheme(), 1)[0, 1] + 1.0
         sig[0, 0] = 0.0
         assert not validate_subinterval(sig, h, 2)
 
@@ -208,7 +258,7 @@ class TestSchemeProperties:
         h = CostHistory(1)
         prev_lo, prev_hi = math.inf, -math.inf
         for i, c in enumerate(costs):
-            h.record(0, c)
+            h.record_period([c])
             if i >= 1:
                 sig = emit_signal(h, full_extreme_scheme(), 1)
                 assert sig[0, 0] <= prev_lo or prev_lo is math.inf
