@@ -1,0 +1,194 @@
+#!/usr/bin/env python3
+"""Dump pinned simulation outputs as raw bytes, one file per output.
+
+    PYTHONPATH=src python3 scripts/dump_outputs.py OUT_DIR [--only NAME ...]
+
+The outputs are those a change that must keep every trajectory is
+compared on: the diamond ``run`` under all five schemes, a 50-period
+Sioux Falls run, ``run_abstract`` under all five schemes (plus one
+config mixing every cost kind), ``flapping_demo`` at J = 7 with N = 3
+and 101 and at J = 0.5 with N = 29, and ``convergence_check`` at
+M = 2, 3 and 8.  Floats are written as raw float64 bytes (``.bin``) and
+runs that have a CSV form also as CSV.
+
+The package is imported from ``PYTHONPATH``, so dumping two checkouts
+into two directories and running ``diff -r`` between them shows whether
+their outputs are byte-identical.  ``--only`` writes the named outputs
+alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from intervalsig import (
+    AbstractConfig,
+    FlappingSpec,
+    RunConfig,
+    convergence_check,
+    convergence_demo_config,
+    flapping_demo,
+    run,
+    run_abstract,
+)
+from intervalsig.abstract_model import records_to_abstract_csv
+from intervalsig.costs import (
+    flapping_cost_fn,
+    linear_cost_fn,
+    polynomial_cost_fn,
+)
+from intervalsig.engine import records_to_csv
+from intervalsig.population import uniform_perturbation, uniform_type_set
+from intervalsig.signaling import (
+    extreme_scheme,
+    full_extreme_scheme,
+    mean_scheme,
+    now_scheme,
+    subinterval_scheme,
+)
+
+
+def _raw(*arrays) -> bytes:
+    return b"".join(np.ascontiguousarray(a, dtype=np.float64).tobytes()
+                    for a in arrays)
+
+
+def _schemes(window: int) -> list:
+    return [now_scheme(), mean_scheme(), extreme_scheme(window),
+            full_extreme_scheme(), subinterval_scheme(window, 0.5)]
+
+
+def _network_run(out: Path, stem: str, config: RunConfig) -> None:
+    records = run(config)
+    (out / f"{stem}.csv").write_text(records_to_csv(records))
+    (out / f"{stem}.bin").write_bytes(b"".join(
+        _raw([r.t, r.social_cost, r.total_excess], r.weights, r.flows,
+             r.costs, r.signal) for r in records))
+
+
+def _abstract_records(records) -> bytes:
+    return b"".join(_raw([r.t, r.social_cost], r.counts, r.costs, r.signal)
+                    for r in records)
+
+
+# run_abstract: 30 actions, 500 agents, five types, 120 periods.
+ACTIONS, AGENTS, PERIODS, WINDOW = 30, 500, 120, 7
+
+
+def _quadratic_costs():
+    rng = np.random.default_rng(0)
+    coeffs = np.column_stack([
+        rng.uniform(1.0, 2.0, ACTIONS),
+        rng.uniform(0.5, 1.5, ACTIONS) / AGENTS,
+        rng.uniform(0.0, 1.0, ACTIONS) / AGENTS ** 2])
+    return [polynomial_cost_fn(c) for c in coeffs]
+
+
+def _mixed_costs():
+    """Every kind, polynomial degrees 0 to 3, interleaved."""
+    rng = np.random.default_rng(1)
+    fns = []
+    for m in range(ACTIONS):
+        if m % 6 == 4:
+            fns.append(linear_cost_fn(AGENTS, offset=rng.uniform(0.0, 1.0)))
+        elif m % 6 == 5:
+            fns.append(flapping_cost_fn(rng.uniform(1.0, 5.0), AGENTS + 1))
+        else:
+            degree = m % 4
+            coeffs = (rng.uniform(0.0, 1.0, degree + 1)
+                      / AGENTS ** np.arange(degree + 1))
+            coeffs[0] += 1.0
+            fns.append(polynomial_cost_fn(coeffs))
+    return fns
+
+
+def _abstract_run(out: Path, stem: str, costs, scheme) -> None:
+    idle = np.array([fn(0.0) for fn in costs])
+    full = np.array([fn(float(AGENTS)) for fn in costs])
+    initial = np.column_stack([np.minimum(idle, full),
+                               np.maximum(idle, full)])
+    config = AbstractConfig(
+        agent_count=AGENTS, action_count=ACTIONS, costs=costs, scheme=scheme,
+        renewal=uniform_perturbation(5, 0.15), initial_signal=initial,
+        seed=0, types=uniform_type_set(5))
+    records = run_abstract(config, PERIODS)
+    (out / f"{stem}.csv").write_text(records_to_abstract_csv(records))
+    (out / f"{stem}.bin").write_bytes(_abstract_records(records))
+
+
+def _flapping(out: Path, stem: str, j: float, n: int) -> None:
+    report = flapping_demo(FlappingSpec(gap_target=j, agent_count=n),
+                           horizon=40, seed=0)
+    (out / f"{stem}.bin").write_bytes(
+        _abstract_records(report.scalar_records)
+        + _abstract_records(report.interval_records)
+        + _raw(report.scalar_costs, report.interval_costs,
+               [report.gap, report.gap_lower_bound]))
+
+
+def _convergence(out: Path, m: int) -> None:
+    config, initials = convergence_demo_config(agent_count=20,
+                                               action_count=m)
+    report = convergence_check(config, trajectories=300, horizon=120,
+                               initial_signals=initials, seed=0)
+    (out / f"convergence-m{m}.bin").write_bytes(
+        _raw(report.distance_series, report.sample_a, report.sample_b,
+             [report.ks_statistic, report.ks_pvalue]))
+
+
+def _outputs() -> dict:
+    outputs = {}
+    for scheme in _schemes(5):
+        outputs[f"diamond-{scheme.label()}"] = (
+            lambda out, s=scheme: _network_run(
+                out, f"diamond-{s.label()}",
+                RunConfig(scheme=s, horizon=300, seed=0,
+                          instance="diamond")))
+    outputs["sioux-falls-extreme-r20"] = lambda out: _network_run(
+        out, "sioux-falls-extreme-r20",
+        RunConfig(scheme=extreme_scheme(20), horizon=50, seed=0,
+                  instance="sioux-falls"))
+    for scheme in _schemes(WINDOW):
+        outputs[f"abstract-{scheme.label()}"] = (
+            lambda out, s=scheme: _abstract_run(
+                out, f"abstract-{s.label()}", _quadratic_costs(), s))
+    outputs["abstract-mixed-extreme-r7"] = lambda out: _abstract_run(
+        out, "abstract-mixed-extreme-r7", _mixed_costs(),
+        extreme_scheme(WINDOW))
+    # J = 0.5, N = 29: numpy's array power and C's pow differ in the last
+    # bit of this interval-arm cost on CPUs with AVX-512.
+    for j, n in ((7.0, 3), (7.0, 101), (0.5, 29)):
+        stem = f"flapping-j{j:g}-n{n}"
+        outputs[stem] = lambda out, s=stem, j=j, n=n: _flapping(out, s, j, n)
+    for m in (2, 3, 8):
+        outputs[f"convergence-m{m}"] = lambda out, m=m: _convergence(out, m)
+    return outputs
+
+
+OUTPUTS = _outputs()
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir")
+    parser.add_argument("--only", nargs="+", metavar="NAME")
+    args = parser.parse_args(argv)
+    names = args.only or list(OUTPUTS)
+    unknown = [name for name in names if name not in OUTPUTS]
+    if unknown:
+        parser.error(f"unknown outputs {unknown}; "
+                     f"choose from {list(OUTPUTS)}")
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in names:
+        OUTPUTS[name](out)
+    print(f"wrote {len(names)} outputs to {args.out_dir}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,8 +3,9 @@
 
 Writes one CSV per scheme plus summary.csv into results/diamond/ and
 prints one summary line per scheme.  The regret column is measured
-against the capped cost 325.636 of the diamond's reference point (the
-split minimizing its uncapped social cost; see ``intervalsig sue-oracle``).
+against the capped cost 325.636 of the diamond's reference point, its
+system optimum (the split minimizing its uncapped social cost; see
+``intervalsig system-optimum``).
 
 Pass CLI arguments to override the defaults entirely, e.g.
 

@@ -21,7 +21,7 @@ from .engine import (
     PeriodRecord,
     RunConfig,
     Summary,
-    diamond_sue_oracle,
+    diamond_system_optimum,
     run,
     summarize,
     write_csv,
@@ -47,7 +47,7 @@ __all__ = [
     "Summary",
     "convergence_check",
     "convergence_demo_config",
-    "diamond_sue_oracle",
+    "diamond_system_optimum",
     "extreme_scheme",
     "flapping_demo",
     "full_extreme_scheme",

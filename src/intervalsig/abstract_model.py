@@ -2,7 +2,10 @@
 
 Agents of each risk type read the published per-action interval through
 their endpoint weight, pile their whole mass onto a minimizing action
-(uniformly among ties), and realized costs feed the next signal. Includes
+(uniformly among ties), and realized costs feed the next signal. A
+period is a few whole-array operations: one tie-pick over all types'
+weights, then the config's cost table, built once from its cost
+functions, prices every action's count. Includes
 the coupled-trajectory convergence check (two runs driven by identical
 draws from different initial signals) and the two-arm flapping
 construction whose scalar arm oscillates while its interval arm holds a
@@ -18,6 +21,7 @@ import numpy as np
 from .assignment import edge_weight, pick_among_ties
 from .costs import (
     AbstractCostFn,
+    CostTable,
     ValidationError,
     flapping_cost_fn,
     linear_cost_fn,
@@ -60,7 +64,11 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class AbstractConfig:
-    """One abstract-model scenario: population, actions, costs, scheme."""
+    """One abstract-model scenario: population, actions, costs, scheme.
+
+    ``cost_table`` is derived from ``costs`` at construction: it prices
+    all actions' counts in one pass, as every period of the model does.
+    """
 
     agent_count: int
     action_count: int
@@ -70,6 +78,7 @@ class AbstractConfig:
     initial_signal: np.ndarray
     seed: int
     types: TypeSet = TypeSet((0.5,))
+    cost_table: CostTable = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.agent_count < 1:
@@ -97,6 +106,7 @@ class AbstractConfig:
                 if len(profile.weights) != len(self.types):
                     raise ValidationError(
                         "renewal atom width != type set size")
+        object.__setattr__(self, "cost_table", CostTable(self.costs))
 
 
 @dataclass
@@ -135,17 +145,21 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     action that its uniform picks among ties.  Leading axes of
     ``signal`` ``(..., M, 2)``, ``shares`` and ``tie_uniforms`` (both
     ``(..., types)``) are batch axes: ``step_abstract`` passes none,
-    ``convergence_check`` one per trajectory.
+    ``convergence_check`` one per trajectory.  All types' weights form
+    one ``(..., types, M)`` array and are tie-picked together; the
+    types' loads are then added in type order, so each count is the same
+    sum as type-by-type loading, and the cost table prices all actions.
     """
-    actions = np.arange(config.action_count)
+    omegas = np.array(config.types.omegas)[:, None]
+    weights = edge_weight(signal[..., None, :, :], omegas)
+    choice = pick_among_ties(weights, tie_uniforms)        # (..., types)
+    agents = shares * config.agent_count
+    loads = ((choice[..., None] == np.arange(config.action_count))
+             * agents[..., None])                          # (..., types, M)
     counts = np.zeros(signal.shape[:-1])
-    for j, omega in enumerate(config.types.omegas):
-        choice = pick_among_ties(edge_weight(signal, omega),
-                                 tie_uniforms[..., j])
-        agents = shares[..., j] * config.agent_count
-        counts += (choice[..., None] == actions) * agents[..., None]
-    costs = np.array([fn(counts[..., m]) for m, fn in enumerate(config.costs)])
-    return counts, np.moveaxis(costs, 0, -1)
+    for j in range(len(omegas)):
+        counts += loads[..., j, :]
+    return counts, config.cost_table(counts)
 
 
 def step_abstract(state: AbstractState, config: AbstractConfig,
@@ -274,8 +288,9 @@ def flapping_demo(spec: FlappingSpec, horizon: int,
 
     # Interval arm: the construction premises the near-even split, which
     # a single atomic type cannot reach on its own; the counts are seeded
-    # and alternated directly, while the signal tie that sustains the
-    # orbit is asserted every period.
+    # and alternated directly and priced by the scalar arm's cost table,
+    # while the signal tie that sustains the orbit is asserted every
+    # period.
     root = (spec.gap_target + 1.0) ** (1.0 / n)
     initial = np.array([[1.0, root], [1.0, root]])
     envelope = extreme_scheme(2)
@@ -287,7 +302,7 @@ def flapping_demo(spec: FlappingSpec, horizon: int,
         if not np.allclose(signal[0], signal[1], rtol=0.0, atol=1e-12):
             raise AssertionError(
                 f"interval arm lost its tie at t={t}: {signal!r}")
-        costs = np.array([fn(c) for c in counts])
+        costs = scalar_config.cost_table(counts)
         social = social_cost_abstract(counts, costs, n)
         history.record_period(costs)
         interval_records.append(

@@ -3,8 +3,8 @@
 Subcommands: ``run`` (one simulation to CSV), ``sweep`` (scheme
 comparison grid), ``flapping-demo`` (two-arm oscillation-vs-split
 construction), ``convergence-check`` (coupled-trajectory contraction),
-``gen-diamond`` (write the built-in instance), ``sue-oracle`` (print the
-diamond reference point).
+``gen-diamond`` (write the built-in instance), ``system-optimum`` (print
+the diamond's system optimum, its reference point).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .abstract_model import (
 from .costs import ValidationError
 from .engine import (
     RunConfig,
-    diamond_sue_oracle,
+    diamond_system_optimum,
     run,
     summarize,
     write_csv,
@@ -103,8 +103,9 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="write the diamond instance files")
     p_gen.add_argument("--dir", required=True)
 
-    subs.add_parser("sue-oracle",
-                    help="print the diamond reference point")
+    subs.add_parser("system-optimum",
+                    help="print the diamond's system optimum "
+                         "(its reference point)")
     return parser
 
 
@@ -220,8 +221,8 @@ def _cmd_gen_diamond(args) -> int:
     return 0
 
 
-def _cmd_sue_oracle(_args) -> int:
-    for key, value in diamond_sue_oracle().items():
+def _cmd_system_optimum(_args) -> int:
+    for key, value in diamond_system_optimum().items():
         print(f"{key}={_FMT % value}")
     return 0
 
@@ -232,7 +233,7 @@ _COMMANDS = {
     "flapping-demo": _cmd_flapping,
     "convergence-check": _cmd_convergence,
     "gen-diamond": _cmd_gen_diamond,
-    "sue-oracle": _cmd_sue_oracle,
+    "system-optimum": _cmd_system_optimum,
 }
 
 

@@ -2,7 +2,10 @@
 
 Network edges use the BPR volume-delay curve F(1+B(x/chi)^p), optionally
 with the load/capacity ratio clamped at 1 ("capped"). The abstract model
-uses small scalar cost functions evaluated on action counts.
+prices action counts with small cost functions (``AbstractCostFn``);
+``CostTable`` evaluates a whole list of them on ``(..., M)`` counts in a
+few array operations, with each action's arithmetic identical to its own
+``AbstractCostFn`` call.
 """
 
 from __future__ import annotations
@@ -32,32 +35,60 @@ def excess(edge: Edge, flow: float) -> float:
     return max(flow - edge.capacity, 0.0)
 
 
-def _edge_arrays(net: Network):
-    cached = getattr(net, "_cost_arrays", None)
-    if cached is None:
-        cached = (
-            np.array([e.capacity for e in net.edges]),
-            np.array([e.free_flow for e in net.edges]),
-            np.array([e.b_coeff for e in net.edges]),
-            np.array([e.power for e in net.edges]),
-        )
-        net._cost_arrays = cached
-    return cached
-
-
 def edge_costs(net: Network, flows: np.ndarray, capped: bool) -> np.ndarray:
     """Vectorized BPR times for all edges at once (file order)."""
-    caps, ffts, bs, ps = _edge_arrays(net)
-    ratio = flows / caps
+    ratio = flows / net.capacities
     if capped:
         ratio = np.minimum(ratio, 1.0)
-    return ffts * (1.0 + bs * ratio ** ps)
+    return net.free_flows * (1.0 + net.b_coeffs * ratio ** net.powers)
 
 
 def total_excess(net: Network, flows: np.ndarray) -> float:
     """Sum of per-edge capacity excess."""
-    caps, _, _, _ = _edge_arrays(net)
-    return float(np.maximum(flows - caps, 0.0).sum())
+    return float(np.maximum(flows - net.capacities, 0.0).sum())
+
+
+# Each kind's formula, written once.  ``params`` holds the kind's
+# parameters in ``AbstractCostFn.params`` order, each either a scalar
+# (one function) or an ``(M,)`` vector that broadcasts against ``(..., M)``
+# counts (``CostTable``); the arithmetic per element is the same.
+
+def _polynomial(params, n):
+    """Horner over ascending coefficients, highest first."""
+    out = np.zeros_like(n)
+    for coeff in reversed(params):
+        out = out * n + coeff
+    return out
+
+
+# numpy's array power may take a vectorized routine (on CPUs with
+# AVX-512) that differs from C's pow in the last bit on some inputs,
+# while numpy's scalar power calls pow.  Taking the scalar power element
+# by element gives a flapping cost the same bits whatever the shape of
+# the counts.
+_scalar_power = np.frompyfunc(lambda b, x: np.float64(b) ** np.float64(x),
+                              2, 1)
+
+
+def _flapping(params, n):
+    """1 below the majority threshold of N, then (J+1)^((2n-N)/N)."""
+    j, total = params
+    exponent = (2.0 * n - total) / total
+    return np.where(n < (total + 1) / 2.0,
+                    1.0,
+                    np.asarray(_scalar_power(j + 1.0, exponent), dtype=float))
+
+
+def _linear_over_n(params, n):
+    """n/N + offset."""
+    total, offset = params
+    return n / total + offset
+
+
+_FORMULAS = {"polynomial": _polynomial, "flapping": _flapping,
+             "linear_over_N": _linear_over_n}
+# Parameter count per kind; None means any (polynomial coefficients).
+_ARITY = {"polynomial": None, "flapping": 2, "linear_over_N": 2}
 
 
 @dataclass(frozen=True)
@@ -67,29 +98,84 @@ class AbstractCostFn:
     kinds: ``polynomial`` (ascending coefficients over n), ``flapping``
     (params (J, N): 1 below the majority threshold, then
     (J+1)^((2n-N)/N)), ``linear_over_N`` (params (N, offset): n/N+offset).
+    An unknown kind, a wrong parameter count or a non-finite parameter is
+    a ``ValidationError`` at construction.
     """
 
     kind: str
     params: tuple
 
+    def __post_init__(self):
+        if self.kind not in _FORMULAS:
+            raise ValidationError(
+                f"unknown cost kind {self.kind!r}; "
+                f"expected one of {sorted(_FORMULAS)}")
+        try:
+            values = np.array(self.params, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"{self.kind} cost parameters must be numbers: "
+                f"{self.params!r}") from exc
+        arity = _ARITY[self.kind]
+        if values.ndim != 1 or (arity is not None and len(values) != arity):
+            raise ValidationError(
+                f"{self.kind} cost takes "
+                f"{'a flat sequence of' if arity is None else arity} "
+                f"parameters, got {self.params!r}")
+        if not np.all(np.isfinite(values)):
+            raise ValidationError(
+                f"{self.kind} cost parameters must be finite: "
+                f"{self.params!r}")
+
     def __call__(self, n):
-        n = np.asarray(n, dtype=float)
-        if self.kind == "polynomial":
-            out = np.zeros_like(n)
-            for coeff in reversed(self.params):
-                out = out * n + coeff
-        elif self.kind == "flapping":
-            j, total = self.params
-            out = np.where(n < (total + 1) / 2.0,
-                           1.0,
-                           (j + 1.0) ** ((2.0 * n - total) / total))
-        elif self.kind == "linear_over_N":
-            total, offset = self.params
-            out = n / total + offset
-        else:
-            raise ValidationError(f"unknown cost kind {self.kind!r}")
+        out = _FORMULAS[self.kind](self.params, np.asarray(n, dtype=float))
         if out.ndim == 0:
             return float(out)
+        return out
+
+
+class CostTable:
+    """Every action's cost function, evaluated in one pass.
+
+    Built once from a list of ``M`` cost functions; calling it maps
+    ``(..., M)`` counts to ``(..., M)`` costs.  Actions are grouped by
+    kind, each group's parameters stacked into ``(M_kind,)`` vectors and
+    run through the kind's formula once; polynomial coefficients form
+    an ``(M_kind, degree+1)`` matrix zero-padded at the high end, so a
+    lower-degree action's Horner steps first yield exact zeros and then
+    match its own call step for step.  Every entry equals the action's
+    ``AbstractCostFn`` call bit for bit.
+    """
+
+    def __init__(self, fns):
+        self.action_count = len(fns)
+        by_kind: dict[str, list[int]] = {}
+        for m, fn in enumerate(fns):
+            by_kind.setdefault(fn.kind, []).append(m)
+        self._groups = []
+        for kind, members in by_kind.items():
+            if kind == "polynomial":
+                width = max(len(fns[m].params) for m in members)
+                matrix = np.zeros((len(members), width))
+                for row, m in enumerate(members):
+                    matrix[row, :len(fns[m].params)] = fns[m].params
+            else:
+                matrix = np.array([fns[m].params for m in members],
+                                  dtype=float)
+            # one contiguous (M_kind,) vector per parameter
+            params = list(np.ascontiguousarray(matrix.T))
+            self._groups.append((_FORMULAS[kind], params,
+                                 np.array(members, dtype=np.int64)))
+
+    def __call__(self, counts) -> np.ndarray:
+        counts = np.asarray(counts, dtype=float)
+        if counts.ndim < 1 or counts.shape[-1] != self.action_count:
+            raise ValidationError(
+                f"counts must have shape (..., {self.action_count}), "
+                f"got {counts.shape}")
+        out = np.empty(counts.shape)
+        for formula, params, members in self._groups:
+            out[..., members] = formula(params, counts[..., members])
         return out
 
 

@@ -39,7 +39,7 @@ __all__ = [
     "RunConfig",
     "Summary",
     "ValidationError",
-    "diamond_sue_oracle",
+    "diamond_system_optimum",
     "records_to_csv",
     "run",
     "summarize",
@@ -207,8 +207,8 @@ def write_csv(records: list[PeriodRecord], path: str | Path) -> None:
     Path(path).write_text(records_to_csv(records))
 
 
-def diamond_sue_oracle() -> dict[str, float]:
-    """Reference point for the diamond instance.
+def diamond_system_optimum() -> dict[str, float]:
+    """Reference point for the diamond instance: its system optimum.
 
     Puts ``15(2-x)`` agents on the upper middle link 2-3 and ``15x`` on
     the lower middle link 2-4, and minimizes the diamond network's own

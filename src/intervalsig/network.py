@@ -58,6 +58,11 @@ class Network:
     _in: list[list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
     srcs: np.ndarray = field(init=False, repr=False, compare=False)
     dsts: np.ndarray = field(init=False, repr=False, compare=False)
+    # per-edge BPR parameters as arrays, for the vectorized edge costs
+    capacities: np.ndarray = field(init=False, repr=False, compare=False)
+    free_flows: np.ndarray = field(init=False, repr=False, compare=False)
+    b_coeffs: np.ndarray = field(init=False, repr=False, compare=False)
+    powers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         out = [[] for _ in range(self.node_count + 1)]
@@ -69,6 +74,10 @@ class Network:
         self._in = inc
         self.srcs = np.array([e.src for e in self.edges], dtype=np.int64)
         self.dsts = np.array([e.dst for e in self.edges], dtype=np.int64)
+        self.capacities = np.array([e.capacity for e in self.edges])
+        self.free_flows = np.array([e.free_flow for e in self.edges])
+        self.b_coeffs = np.array([e.b_coeff for e in self.edges])
+        self.powers = np.array([e.power for e in self.edges])
 
     @property
     def edge_count(self) -> int:

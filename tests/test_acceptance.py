@@ -28,7 +28,7 @@ from intervalsig.costs import (
     minimize_two_action_cost,
     polynomial_cost_fn,
 )
-from intervalsig.engine import RunConfig, diamond_sue_oracle, run, summarize
+from intervalsig.engine import RunConfig, diamond_system_optimum, run, summarize
 from intervalsig.network import (
     DemandTable,
     Edge,
@@ -128,7 +128,7 @@ DIAMOND_REFERENCE = {"uncapped_cost": 358.509, "capped_cost": 325.636,
 def test_a1_diamond_reference_point():
     """Diamond one-dimensional oracle lands on the reference triple."""
     start = time.perf_counter()
-    oracle = diamond_sue_oracle()
+    oracle = diamond_system_optimum()
     elapsed = time.perf_counter() - start
     derived = _diamond_reference_triple()
     clauses = []

@@ -350,3 +350,22 @@ class TestChooseActionAbstract:
         weights = np.array([[3.0, 1.0, 2.0, 1.0, 1.0]] * 4)
         picks = pick_among_ties(weights, np.array([0.0, 0.34, 0.9, 1.0]))
         assert picks.tolist() == [1, 3, 4, 4]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_types_match_per_row_loop(self, seed):
+        # (k, T, M) weights drawn from three values, so most rows tie;
+        # u includes both ends of [0, 1].
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(0, 3, (40, 5, 6)).astype(float)
+        weights[0] = 1.0                       # every entry of a row ties
+        u = rng.random((40, 5))
+        u[1], u[2] = 0.0, 1.0
+        picks = pick_among_ties(weights, u)
+        assert picks.shape == (40, 5)
+        for i in range(40):
+            for j in range(5):
+                row = weights[i, j]
+                ties = np.flatnonzero(row == row.min())
+                want = ties[min(int(u[i, j] * len(ties)), len(ties) - 1)]
+                assert picks[i, j] == want
+                assert pick_among_ties(row, u[i, j]) == want

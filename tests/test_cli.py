@@ -170,9 +170,9 @@ class TestConvergenceCheck:
         assert "initial_distance=" in out
 
 
-class TestSueOracle:
+class TestSystemOptimum:
     def test_prints_reference_values(self, capsys):
-        assert main(["sue-oracle"]) == 0
+        assert main(["system-optimum"]) == 0
         out = capsys.readouterr().out
         assert "capped_cost" in out
         assert "excess" in out
@@ -186,4 +186,4 @@ class TestUsageErrors:
         assert main([]) != 0
 
     def test_unknown_flag(self, capsys):
-        assert main(["sue-oracle", "--bogus"]) != 0
+        assert main(["system-optimum", "--bogus"]) != 0

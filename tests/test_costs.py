@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from intervalsig.costs import (
     AbstractCostFn,
+    CostTable,
     ValidationError,
     bpr_time,
     bpr_time_capped,
@@ -139,6 +140,107 @@ class TestAbstractCostFn:
             assert vec.shape == ns.shape
             for n, v in zip(ns, vec):
                 assert v == pytest.approx(fn(float(n)))
+
+
+class TestAbstractCostFnValidation:
+    def test_unknown_kind(self):
+        with pytest.raises(ValidationError, match="unknown cost kind"):
+            AbstractCostFn("cubic", ())
+
+    @pytest.mark.parametrize("kind", ["flapping", "linear_over_N"])
+    @pytest.mark.parametrize("params", [(), (7.0,), (7.0, 3, 1.0)])
+    def test_two_parameter_kinds_need_two(self, kind, params):
+        with pytest.raises(ValidationError, match="takes 2 parameters"):
+            AbstractCostFn(kind, params)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("polynomial", (1.0, math.nan)),
+        ("polynomial", (math.inf,)),
+        ("flapping", (math.inf, 3)),
+        ("flapping", (7.0, math.nan)),
+        ("linear_over_N", (10, -math.inf)),
+    ])
+    def test_non_finite_parameters(self, kind, params):
+        with pytest.raises(ValidationError, match="finite"):
+            AbstractCostFn(kind, params)
+
+    def test_non_numeric_parameters(self):
+        with pytest.raises(ValidationError, match="numbers"):
+            AbstractCostFn("polynomial", ("one",))
+
+    def test_constructors_check_too(self):
+        with pytest.raises(ValidationError):
+            polynomial_cost_fn([1.0, math.nan])
+        with pytest.raises(ValidationError):
+            linear_cost_fn(10, offset=math.inf)
+
+    def test_constant_polynomials_allowed(self):
+        assert AbstractCostFn("polynomial", ())(3.0) == 0.0
+        assert polynomial_cost_fn([2.5])(3.0) == 2.5
+
+
+_COEFF = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def cost_fn(draw, degree=None):
+    kind = "polynomial" if degree is not None else draw(
+        st.sampled_from(["polynomial", "flapping", "linear_over_N"]))
+    if kind == "flapping":
+        return flapping_cost_fn(draw(st.floats(0.01, 20.0)),
+                                draw(st.integers(20, 2000)))
+    if kind == "linear_over_N":
+        return linear_cost_fn(draw(st.integers(1, 2000)), draw(_COEFF))
+    if degree is None:
+        degree = draw(st.integers(0, 5))
+    return polynomial_cost_fn(draw(st.lists(_COEFF, min_size=degree + 1,
+                                            max_size=degree + 1)))
+
+
+@st.composite
+def cost_table_case(draw):
+    """A mixed list of cost functions that always holds polynomials of
+    degrees 0 to 5, and counts of shape (M,) or (k, M) with zeros."""
+    fns = [draw(cost_fn(degree=d)) for d in range(6)]
+    fns += draw(st.lists(cost_fn(), max_size=6))
+    fns = draw(st.permutations(fns))
+    batch = draw(st.sampled_from([(), (1,), (3,)]))
+    count = st.one_of(st.just(0.0), st.integers(0, 2000).map(float),
+                      st.floats(0.0, 2000.0))
+    size = int(np.prod(batch, dtype=int)) * len(fns)
+    counts = np.array(draw(st.lists(count, min_size=size, max_size=size)),
+                      dtype=float).reshape(batch + (len(fns),))
+    return fns, counts
+
+
+class TestCostTable:
+    @settings(max_examples=100, deadline=None)
+    @given(cost_table_case())
+    def test_bitwise_equal_to_each_actions_call(self, case):
+        fns, counts = case
+        got = CostTable(fns)(counts)
+        want = np.array([fn(float(n)) for row in counts.reshape(-1, len(fns))
+                         for n, fn in zip(row, fns)]).reshape(counts.shape)
+        assert got.shape == counts.shape
+        assert got.tobytes() == want.tobytes()
+        for m, fn in enumerate(fns):          # one call per action column
+            column = np.asarray(fn(counts[..., m]), dtype=float)
+            assert column.tobytes() == got[..., m].tobytes()
+
+    def test_padded_degrees_and_zero_counts(self):
+        fns = [polynomial_cost_fn([1.0 + d] * (d + 1)) for d in range(6)]
+        fns.append(flapping_cost_fn(7.0, 3))
+        fns.append(linear_cost_fn(4, offset=0.5))
+        counts = np.array([[0.0] * 8, [2.0] * 8])
+        got = CostTable(fns)(counts)
+        assert got[0].tolist() == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1.0, 0.5]
+        assert got[1].tolist() == [fn(2.0) for fn in fns]
+
+    def test_counts_must_cover_every_action(self):
+        table = CostTable([linear_cost_fn(4)] * 3)
+        for bad in (np.zeros(2), np.zeros((4, 2)), np.float64(1.0)):
+            with pytest.raises(ValidationError, match="shape"):
+                table(bad)
 
 
 def evaluated(counts, fns):

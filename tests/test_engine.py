@@ -13,7 +13,7 @@ from intervalsig.engine import (
     PeriodRecord,
     RunConfig,
     ValidationError,
-    diamond_sue_oracle,
+    diamond_system_optimum,
     records_to_csv,
     run,
     summarize,
@@ -263,7 +263,7 @@ class TestDiamondOracle:
         # leaves 20.20086 agents on the upper link.  The feeder links'
         # slight load dependence moves the network argmin ~3e-7 higher,
         # which the capped cost's slope turns into ~4e-5.
-        oracle = diamond_sue_oracle()
+        oracle = diamond_system_optimum()
         assert oracle["split"] == pytest.approx(0.65327604, abs=1e-6)
         assert oracle["uncapped_cost"] == pytest.approx(358.50941, abs=1e-5)
         assert oracle["capped_cost"] == pytest.approx(325.63593, abs=1e-4)
@@ -273,7 +273,7 @@ class TestDiamondOracle:
         # the oracle must minimize the instance's own social cost: no
         # split of the middle links priced with edge_costs does better
         net = parse_network(diamond_net_text())
-        oracle = diamond_sue_oracle()
+        oracle = diamond_system_optimum()
         for x in (0.0, 0.2677013, 0.5, 0.64, 0.66, 0.8, 1.0, 1.5, 2.0):
             upper, lower = 15.0 * (2.0 - x), 15.0 * x
             f = np.array([30.0, upper, lower, upper, lower])

@@ -61,6 +61,13 @@ class TestParseNetwork:
         assert e.power == 2.0
         assert (e.speed, e.toll, e.link_type) == (0.0, 0.0, 1.0)
 
+    def test_edge_parameter_arrays_follow_file_order(self):
+        net = diamond()
+        assert net.capacities.tolist() == [e.capacity for e in net.edges]
+        assert net.free_flows.tolist() == [e.free_flow for e in net.edges]
+        assert net.b_coeffs.tolist() == [e.b_coeff for e in net.edges]
+        assert net.powers.tolist() == [e.power for e in net.edges]
+
     def test_diamond_shape(self):
         net = diamond()
         assert len(net.edges) == 5
