@@ -10,15 +10,13 @@ for the period.
 in a single pass over that origin's tight-edge DAG (Dial's STOCH
 loading, Transp. Res. 5:83, 1971): equal splitting over all tight routes
 factorizes per origin, so no origin-destination pair is split on its
-own. ``assign_per_pair`` splits each pair separately with
-``network._tight_split``; it is the test oracle for ``assign`` and also
-reports each pair's per-edge shares.
+own. The DAG keeps an edge when it lies on a weight-shortest route from
+the origin, within the tie tolerance, and leads to a node that Dijkstra
+finalized later; the second condition breaks zero-weight cycles while
+keeping every shortest-path tree edge.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,17 +27,13 @@ from .network import (
     TIE_TOL,
     TIE_TOL_ABS,
     ValidationError,
-    _tight_split,
     dijkstra,
 )
 from .population import PopulationProfile, TypeSet
 
 __all__ = [
-    "FlowState",
-    "PathLoad",
     "ValidationError",
     "assign",
-    "assign_per_pair",
     "edge_weight",
     "pick_among_ties",
 ]
@@ -113,9 +107,11 @@ def assign(
     non-negative endpoints.  Per type and origin ``o`` this runs one
     forward Dijkstra and keeps the edges ``(u, v)`` that are tight
     (``dist[u] + w <= dist[v]`` within ``TIE_TOL``/``TIE_TOL_ABS``) and
-    advance the Dijkstra finalization order, the same edges
-    ``_tight_split`` keeps.  A forward pass in finalization order counts
-    the tight paths ``cf[v]`` from ``o``; a reverse pass accumulates
+    advance the Dijkstra finalization order: the edges of the
+    weight-shortest routes from ``o``, less those pointing back in
+    finalization order, which breaks zero-weight cycles.  A forward pass
+    in finalization order counts the tight paths ``cf[v]`` from ``o``; a
+    reverse pass accumulates
     ``g[v] = share * q[o, v] / cf[v] + sum of g[w] over kept (v, w)``;
     edge ``(u, v)`` then carries ``cf[u] * g[v]``, which is the equal
     split of every destination's demand over its tight routes.
@@ -165,74 +161,3 @@ def assign(
             for eid in kept:
                 flows[eid] += count[srcs[eid]] * onward[dsts[eid]]
     return np.array(flows)
-
-
-class PathLoad(NamedTuple):
-    """Agents of one type on one origin-destination pair."""
-
-    origin: int
-    dest: int
-    omega: float
-    cost: float      # weight-shortest distance as this type perceives it
-    agents: float
-
-
-@dataclass
-class FlowState:
-    """Result of loading one period's demand pair by pair.
-
-    ``group_shares[g]`` holds the per-edge share vector of group ``g``
-    (one group per type and origin-destination pair, in ``path_loads``
-    order), so ``agents @ group_shares`` reproduces ``edge_flows`` and
-    ``group_shares @ realized_edge_costs`` yields each group's realized
-    route cost.
-    """
-
-    edge_flows: np.ndarray
-    path_loads: list[PathLoad]
-    group_shares: np.ndarray
-
-
-def assign_per_pair(
-    net: Network,
-    demand: DemandTable,
-    signal: np.ndarray,
-    profile: PopulationProfile,
-    types: TypeSet,
-) -> FlowState:
-    """Test oracle for ``assign``: split every origin-destination pair
-    on its own.
-
-    For each type and pair this intersects a forward and a backward
-    Dijkstra and splits the pair's demand with ``_tight_split``, the
-    work ``assign`` factorizes per origin.  No run calls it; the tests
-    use it to check ``assign`` and to read per-pair loads and shares.
-    """
-    signal = _checked_signal(net, demand, signal, profile, types)
-    pairs = sorted(demand.entries)
-    origins = sorted({o for o, _ in pairs})
-    dests = sorted({d for _, d in pairs})
-
-    edge_flows = np.zeros(net.edge_count)
-    path_loads: list[PathLoad] = []
-    share_rows: list[np.ndarray] = []
-
-    for omega, weight_share in zip(types.omegas, profile.weights):
-        weights = edge_weight(signal, omega)
-        forward = {o: dijkstra(net, weights, o) for o in origins}
-        backward = {d: dijkstra(net, weights, d, reverse=True)[0]
-                    for d in dests}
-        for origin, dest in pairs:
-            agents = weight_share * demand.entries[(origin, dest)]
-            dist_f, order_f = forward[origin]
-            _, shares, _, _, _ = _tight_split(
-                net, weights, dist_f, order_f, backward[dest],
-                origin, dest, TIE_TOL, TIE_TOL_ABS)
-            edge_flows += agents * shares
-            path_loads.append(
-                PathLoad(origin, dest, omega, float(dist_f[dest]), agents))
-            share_rows.append(shares)
-
-    group_shares = (np.array(share_rows) if share_rows
-                    else np.empty((0, net.edge_count)))
-    return FlowState(edge_flows, path_loads, group_shares)

@@ -15,24 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Edge, Network, ValidationError
-
-
-def bpr_time(edge: Edge, flow: float) -> float:
-    """F(1 + B (x/chi)^p); 0^0 is taken as 1 so power-0 edges cost F(1+B)."""
-    ratio = flow / edge.capacity
-    return edge.free_flow * (1.0 + edge.b_coeff * ratio ** edge.power)
-
-
-def bpr_time_capped(edge: Edge, flow: float) -> float:
-    """BPR time with the load/capacity ratio clamped at 1."""
-    ratio = min(flow / edge.capacity, 1.0)
-    return edge.free_flow * (1.0 + edge.b_coeff * ratio ** edge.power)
-
-
-def excess(edge: Edge, flow: float) -> float:
-    """Agents above capacity: max(flow - capacity, 0)."""
-    return max(flow - edge.capacity, 0.0)
+from .network import Network, ValidationError
 
 
 def edge_costs(net: Network, flows: np.ndarray, capped: bool) -> np.ndarray:
@@ -195,7 +178,10 @@ def linear_cost_fn(total_agents: int, offset: float = 0.0) -> AbstractCostFn:
 
 def social_cost_abstract(counts, costs, total_agents: float) -> float:
     """Population-weighted cost: sum over actions of (n_m/N) c_m, where
-    ``costs`` holds each action's cost c_m(n_m), already evaluated."""
+    ``costs`` holds each action's cost c_m(n_m), already evaluated.
+
+    The terms are summed with ``math.fsum``, so the result is their
+    correctly rounded sum whatever their order and Python version."""
     counts = np.asarray(counts, dtype=float)
     if total_agents <= 0:
         raise ValidationError("total agent count must be positive")
@@ -204,16 +190,7 @@ def social_cost_abstract(counts, costs, total_agents: float) -> float:
     if abs(counts.sum() - total_agents) > 1e-9 * max(1.0, abs(total_agents)):
         raise ValidationError(
             f"counts sum to {counts.sum()}, expected {total_agents}")
-    return float(sum((n / total_agents) * cost
-                     for n, cost in zip(counts, costs)))
-
-
-def time_averaged_cost(series) -> float:
-    """Arithmetic mean of a nonempty per-period cost series."""
-    series = list(series)
-    if not series:
-        raise ValidationError("cannot average an empty cost series")
-    return float(np.mean(series))
+    return math.fsum((counts / total_agents) * np.asarray(costs, dtype=float))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

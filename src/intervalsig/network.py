@@ -1,10 +1,9 @@
 """Road-network and demand data model, TNTP text ingestion, and the
-shortest-path machinery used to split demand over minimum-weight routes.
+shortest paths that demand is split over.
 
-``dijkstra`` serves the per-origin loader in ``assignment``.
-``_tight_split`` and ``shortest_path_dag`` split one origin-destination
-pair on its own; they back the per-pair test oracle
-``assignment.assign_per_pair`` and no run calls them.
+``dijkstra`` gives the per-origin loader in ``assignment`` the distances
+and the finalization order it selects tight edges by; ``TIE_TOL`` and
+``TIE_TOL_ABS`` say when two route costs count as tied.
 
 Node ids are 1-based as in TNTP files. Edges keep their file order; that
 order indexes every per-edge array in the rest of the package.
@@ -288,17 +287,16 @@ TIE_TOL = 1e-9
 TIE_TOL_ABS = 1e-12
 
 
-def dijkstra(net: Network, weights: np.ndarray, source: int,
-             reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def dijkstra(net: Network, weights: np.ndarray,
+             source: int) -> tuple[np.ndarray, np.ndarray]:
     """Single-source shortest distances over nonnegative edge weights.
 
     Returns (dist, finalization_order); unreached nodes keep dist=inf and
-    order=-1. With reverse=True edges are traversed backwards (distances
-    TO `source`). The heap is keyed by (dist, node id), so the
-    finalization order is deterministic and breaks distance plateaus by
-    node id as seen from the source.
+    order=-1. The heap is keyed by (dist, node id), so the finalization
+    order is deterministic and breaks distance plateaus by node id as
+    seen from the source.
     """
-    adj = net._in if reverse else net._out
+    adj = net._out
     w = np.asarray(weights, dtype=float).tolist()
     dist = [math.inf] * (net.node_count + 1)
     order = [-1] * (net.node_count + 1)
@@ -317,85 +315,3 @@ def dijkstra(net: Network, weights: np.ndarray, source: int,
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     return np.array(dist), np.array(order, dtype=np.int64)
-
-
-def _tight_split(net: Network, weights: np.ndarray,
-                 dist_f: np.ndarray, order_f: np.ndarray,
-                 dist_b: np.ndarray, origin: int, dest: int,
-                 tie_tol: float, tie_tol_abs: float):
-    """Tight-edge selection and equal-split path counting.
-
-    An edge (u,v) is tight when it lies on some minimum-weight origin->dest
-    route within tolerance. Zero-weight cycles are broken by keeping only
-    edges that advance the origin's Dijkstra finalization order, which
-    preserves connectivity (shortest-tree edges always advance it).
-    Returns (tight edge ids, per-edge demand share, count_from, count_to,
-    total path count).
-    """
-    best = dist_f[dest]
-    if not np.isfinite(best):
-        raise NoPathError(f"destination {dest} unreachable from {origin}")
-    du = dist_f[net.srcs]
-    dv = dist_f[net.dsts]
-    bv = dist_b[net.dsts]
-    local = du + weights <= dv * (1.0 + tie_tol) + tie_tol_abs
-    through = du + weights + bv <= best * (1.0 + tie_tol) + tie_tol_abs
-    forwardness = order_f[net.srcs] < order_f[net.dsts]
-    reached = order_f[net.srcs] >= 0
-    kept = np.flatnonzero(local & through & forwardness & reached)
-
-    count_from = np.zeros(net.node_count + 1)
-    count_to = np.zeros(net.node_count + 1)
-    count_from[origin] = 1.0
-    count_to[dest] = 1.0
-    by_src_order = kept[np.argsort(order_f[net.srcs[kept]], kind="stable")]
-    for eid in by_src_order:
-        count_from[net.dsts[eid]] += count_from[net.srcs[eid]]
-    for eid in by_src_order[::-1]:
-        count_to[net.srcs[eid]] += count_to[net.dsts[eid]]
-    total = count_from[dest]
-    if total <= 0:
-        raise NoPathError(
-            f"no acyclic tight path {origin}->{dest} (internal)")
-
-    shares = np.zeros(net.edge_count)
-    shares[kept] = (count_from[net.srcs[kept]] *
-                    count_to[net.dsts[kept]]) / total
-    tight = [int(e) for e in kept if shares[e] > 0.0]
-    return tight, shares, count_from, count_to, float(total)
-
-
-@dataclass
-class TightDag:
-    """Shortest-route bundle for one (origin, dest) pair under one weight
-    vector: distances, the surviving tight edges, and path counts that
-    realize an exact equal split over every counted route."""
-    origin: int
-    dest: int
-    dist: np.ndarray
-    tight_edges: list[int]
-    path_count_from: np.ndarray
-    path_count_to: np.ndarray
-    total_paths: float
-    shares: np.ndarray = field(repr=False)
-
-    def edge_share(self, edge_id: int) -> float:
-        """Fraction of the pair's demand crossing the given edge."""
-        return float(self.shares[edge_id])
-
-
-def shortest_path_dag(net: Network, weights: np.ndarray, origin: int,
-                      dest: int, tie_tol: float = TIE_TOL,
-                      tie_tol_abs: float = TIE_TOL_ABS) -> TightDag:
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (net.edge_count,):
-        raise ValidationError(
-            f"expected {net.edge_count} weights, got {weights.shape}")
-    if np.any(weights < 0):
-        raise ValidationError("edge weights must be nonnegative")
-    dist_f, order_f = dijkstra(net, weights, origin)
-    dist_b, _ = dijkstra(net, weights, dest, reverse=True)
-    tight, shares, cf, ct, total = _tight_split(
-        net, weights, dist_f, order_f, dist_b, origin, dest,
-        tie_tol, tie_tol_abs)
-    return TightDag(origin, dest, dist_f, tight, cf, ct, total, shares)

@@ -1,0 +1,217 @@
+"""Per-pair reference loader: the oracle that ``assign`` is checked against.
+
+Every traveller type splits each origin-destination pair's demand
+equally over that pair's weight-shortest routes.  ``assign`` factorizes
+this per origin in one pass over the origin's tight-edge DAG; the code
+here does it the direct way, one pair at a time, by intersecting a
+forward Dijkstra from the origin with a reverse Dijkstra into the
+destination.
+
+It keeps its own frozen copy of the heapq Dijkstra, with adjacency lists
+built here from ``net.edges``, so that a change to ``network.dijkstra``
+is never on both sides of a comparison.  From the package it takes only
+the model's tie policy (``TIE_TOL``, ``TIE_TOL_ABS``), the type-weight
+rule ``edge_weight``, the input checks, its data types and its errors.
+"""
+
+from __future__ import annotations
+
+import heapq
+import math
+from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
+
+from intervalsig.assignment import _checked_signal, edge_weight
+from intervalsig.network import (
+    TIE_TOL,
+    TIE_TOL_ABS,
+    DemandTable,
+    Network,
+    NoPathError,
+    ValidationError,
+)
+from intervalsig.population import PopulationProfile, TypeSet
+
+
+def dijkstra(net: Network, weights: np.ndarray, source: int,
+             reverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Single-source shortest distances over nonnegative edge weights.
+
+    Returns (dist, finalization_order); unreached nodes keep dist=inf and
+    order=-1.  With reverse=True edges are traversed backwards (distances
+    TO ``source``).  The heap is keyed by (dist, node id), so the
+    finalization order breaks distance plateaus by node id.
+    """
+    adj = [[] for _ in range(net.node_count + 1)]
+    for e in net.edges:
+        if reverse:
+            adj[e.dst].append((e.src, e.id))
+        else:
+            adj[e.src].append((e.dst, e.id))
+    w = np.asarray(weights, dtype=float).tolist()
+    dist = [math.inf] * (net.node_count + 1)
+    order = [-1] * (net.node_count + 1)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    counter = 0
+    while heap:
+        d, u = heapq.heappop(heap)
+        if order[u] >= 0:
+            continue
+        order[u] = counter
+        counter += 1
+        for v, eid in adj[u]:
+            nd = d + w[eid]
+            if nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return np.array(dist), np.array(order, dtype=np.int64)
+
+
+@dataclass
+class TightDag:
+    """Shortest-route bundle for one (origin, dest) pair under one weight
+    vector: distances, the surviving tight edges, and path counts that
+    realize an exact equal split over every counted route."""
+    origin: int
+    dest: int
+    dist: np.ndarray
+    tight_edges: list[int]
+    path_count_from: np.ndarray
+    path_count_to: np.ndarray
+    total_paths: float
+    shares: np.ndarray = field(repr=False)
+
+    def edge_share(self, edge_id: int) -> float:
+        """Fraction of the pair's demand crossing the given edge."""
+        return float(self.shares[edge_id])
+
+
+def tight_dag(net: Network, weights: np.ndarray,
+              forward: tuple[np.ndarray, np.ndarray], dist_b: np.ndarray,
+              origin: int, dest: int) -> TightDag:
+    """Tight-edge selection and equal-split path counting for one pair,
+    given the origin's forward Dijkstra (dist, order) and the
+    destination's reverse distances.
+
+    An edge (u,v) is tight when it lies on some minimum-weight origin->dest
+    route within tolerance.  Zero-weight cycles are broken by keeping only
+    edges that advance the origin's Dijkstra finalization order, which
+    preserves connectivity (shortest-tree edges always advance it).
+    """
+    dist_f, order_f = forward
+    best = dist_f[dest]
+    if not np.isfinite(best):
+        raise NoPathError(f"destination {dest} unreachable from {origin}")
+    du = dist_f[net.srcs]
+    dv = dist_f[net.dsts]
+    bv = dist_b[net.dsts]
+    local = du + weights <= dv * (1.0 + TIE_TOL) + TIE_TOL_ABS
+    through = du + weights + bv <= best * (1.0 + TIE_TOL) + TIE_TOL_ABS
+    forwardness = order_f[net.srcs] < order_f[net.dsts]
+    reached = order_f[net.srcs] >= 0
+    kept = np.flatnonzero(local & through & forwardness & reached)
+
+    count_from = np.zeros(net.node_count + 1)
+    count_to = np.zeros(net.node_count + 1)
+    count_from[origin] = 1.0
+    count_to[dest] = 1.0
+    by_src_order = kept[np.argsort(order_f[net.srcs[kept]], kind="stable")]
+    for eid in by_src_order:
+        count_from[net.dsts[eid]] += count_from[net.srcs[eid]]
+    for eid in by_src_order[::-1]:
+        count_to[net.srcs[eid]] += count_to[net.dsts[eid]]
+    total = count_from[dest]
+    if total <= 0:
+        raise NoPathError(
+            f"no acyclic tight path {origin}->{dest} (internal)")
+
+    shares = np.zeros(net.edge_count)
+    shares[kept] = (count_from[net.srcs[kept]] *
+                    count_to[net.dsts[kept]]) / total
+    tight = [int(e) for e in kept if shares[e] > 0.0]
+    return TightDag(origin, dest, dist_f, tight, count_from, count_to,
+                    float(total), shares)
+
+
+def shortest_path_dag(net: Network, weights: np.ndarray, origin: int,
+                      dest: int) -> TightDag:
+    """``tight_dag`` for one pair, running both Dijkstras itself."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (net.edge_count,):
+        raise ValidationError(
+            f"expected {net.edge_count} weights, got {weights.shape}")
+    if np.any(weights < 0):
+        raise ValidationError("edge weights must be nonnegative")
+    dist_b, _ = dijkstra(net, weights, dest, reverse=True)
+    return tight_dag(net, weights, dijkstra(net, weights, origin), dist_b,
+                     origin, dest)
+
+
+class PathLoad(NamedTuple):
+    """Agents of one type on one origin-destination pair."""
+
+    origin: int
+    dest: int
+    omega: float
+    cost: float      # weight-shortest distance as this type perceives it
+    agents: float
+
+
+@dataclass
+class FlowState:
+    """Result of loading one period's demand pair by pair.
+
+    ``group_shares[g]`` holds the per-edge share vector of group ``g``
+    (one group per type and origin-destination pair, in ``path_loads``
+    order), so ``agents @ group_shares`` reproduces ``edge_flows`` and
+    ``group_shares @ realized_edge_costs`` yields each group's realized
+    route cost.
+    """
+
+    edge_flows: np.ndarray
+    path_loads: list[PathLoad]
+    group_shares: np.ndarray
+
+
+def assign_per_pair(
+    net: Network,
+    demand: DemandTable,
+    signal: np.ndarray,
+    profile: PopulationProfile,
+    types: TypeSet,
+) -> FlowState:
+    """Split every origin-destination pair on its own, per type.
+
+    Takes the same inputs and applies the same input checks as
+    ``assign``; each pair's demand is split with ``tight_dag``, using one
+    forward Dijkstra per origin and one reverse Dijkstra per destination.
+    """
+    signal = _checked_signal(net, demand, signal, profile, types)
+    pairs = sorted(demand.entries)
+    origins = sorted({o for o, _ in pairs})
+    dests = sorted({d for _, d in pairs})
+
+    edge_flows = np.zeros(net.edge_count)
+    path_loads: list[PathLoad] = []
+    share_rows: list[np.ndarray] = []
+
+    for omega, weight_share in zip(types.omegas, profile.weights):
+        weights = edge_weight(signal, omega)
+        forward = {o: dijkstra(net, weights, o) for o in origins}
+        backward = {d: dijkstra(net, weights, d, reverse=True)[0]
+                    for d in dests}
+        for origin, dest in pairs:
+            agents = weight_share * demand.entries[(origin, dest)]
+            dag = tight_dag(net, weights, forward[origin], backward[dest],
+                            origin, dest)
+            edge_flows += agents * dag.shares
+            path_loads.append(
+                PathLoad(origin, dest, omega, float(dag.dist[dest]), agents))
+            share_rows.append(dag.shares)
+
+    group_shares = (np.array(share_rows) if share_rows
+                    else np.empty((0, net.edge_count)))
+    return FlowState(edge_flows, path_loads, group_shares)

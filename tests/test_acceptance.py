@@ -50,8 +50,9 @@ from intervalsig.signaling import (
     full_extreme_scheme,
     now_scheme,
 )
-from intervalsig.assignment import assign_per_pair
 from intervalsig.instances import load_instance
+
+from .oracle import assign_per_pair
 
 MULTI_OD_NET = """\
 <END OF METADATA>

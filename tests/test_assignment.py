@@ -8,13 +8,13 @@ from hypothesis import given, settings, strategies as st
 from intervalsig.assignment import (
     ValidationError,
     assign,
-    assign_per_pair,
     edge_weight,
     pick_among_ties,
 )
 from intervalsig.network import (
     DemandTable,
     NoPathError,
+    dijkstra,
     parse_network,
     parse_trips,
 )
@@ -28,6 +28,7 @@ from intervalsig.population import (
 )
 from intervalsig.signaling import extreme_scheme
 
+from .oracle import assign_per_pair, dijkstra as frozen_dijkstra
 from .test_network import DIAMOND_NET, DIAMOND_TRIPS
 
 FIVE_TYPES = uniform_type_set(5)
@@ -320,6 +321,35 @@ class TestAgainstPerPairOracle:
             social = float(agents @ (state.group_shares @ costs))
             assert rec.social_cost == pytest.approx(social, rel=1e-12,
                                                     abs=0.0)
+
+
+class TestDijkstraMatchesFrozenCopy:
+    """``network.dijkstra`` returns the oracle's frozen copy's distances
+    and finalization order bit for bit, from every source: the loader
+    selects tight edges by both, so a faster Dijkstra must keep them."""
+
+    @staticmethod
+    def assert_same(net, weights):
+        for source in range(1, net.node_count + 1):
+            dist, order = dijkstra(net, weights, source)
+            want_dist, want_order = frozen_dijkstra(net, weights, source)
+            assert dist.tobytes() == want_dist.tobytes()
+            assert order.dtype == want_order.dtype
+            assert order.tobytes() == want_order.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_cases())
+    def test_random_networks(self, case):
+        net, _, signal, _ = case
+        for omega in FIVE_TYPES.omegas:
+            self.assert_same(net, edge_weight(signal, omega))
+
+    def test_sioux_falls_zero_and_random_weights(self):
+        net, _ = load_instance("sioux-falls")
+        self.assert_same(net, np.zeros(net.edge_count))
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            self.assert_same(net, rng.uniform(0.0, 10.0, net.edge_count))
 
 
 class TestChooseActionAbstract:

@@ -1,5 +1,6 @@
 """Per-edge travel times, capacity excess, and social-cost aggregation."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,25 +11,40 @@ from intervalsig.costs import (
     AbstractCostFn,
     CostTable,
     ValidationError,
-    bpr_time,
-    bpr_time_capped,
     edge_costs,
-    excess,
     flapping_cost_fn,
     linear_cost_fn,
     minimize_two_action_cost,
     polynomial_cost_fn,
     social_cost_abstract,
-    time_averaged_cost,
+    total_excess,
 )
 from intervalsig.engine import RunConfig, run
-from intervalsig.network import parse_network
+from intervalsig.network import Network, parse_network
 from intervalsig.signaling import now_scheme
 
 from .test_network import DIAMOND_NET
 
-EDGE_23 = parse_network("2 3 15 0 2 1 2 0 0 1 ;\n").edges[0]
-EDGE_24 = parse_network("2 4 15 0 2 10 6 0 0 1 ;\n").edges[0]
+# One-edge networks: a mild link and a steep one (B = 10, p = 6).
+NET_23 = parse_network("2 3 15 0 2 1 2 0 0 1 ;\n")
+NET_24 = parse_network("2 4 15 0 2 10 6 0 0 1 ;\n")
+EDGE_23 = NET_23.edges[0]
+EDGE_24 = NET_24.edges[0]
+
+
+def bpr_time(net, flow):
+    """Uncapped BPR time of a one-edge network's edge at ``flow``."""
+    return float(edge_costs(net, np.array([flow]), capped=False)[0])
+
+
+def bpr_time_capped(net, flow):
+    """Capped BPR time of a one-edge network's edge at ``flow``."""
+    return float(edge_costs(net, np.array([flow]), capped=True)[0])
+
+
+def excess(net, flow):
+    """Capacity excess of a one-edge network's edge at ``flow``."""
+    return total_excess(net, np.array([flow]))
 
 # Two convex single-variable response curves with an interior optimum
 # around 0.85 when two agents split between them.
@@ -38,81 +54,84 @@ CURVE_B = polynomial_cost_fn([5.0, 0.0, 4.0])               # 5(1+0.8y^2)
 
 class TestBprTime:
     def test_free_flow(self):
-        assert bpr_time(EDGE_23, 0.0) == 2.0
+        assert bpr_time(NET_23, 0.0) == 2.0
 
     def test_at_capacity(self):
-        assert bpr_time(EDGE_23, 15.0) == pytest.approx(4.0)
+        assert bpr_time(NET_23, 15.0) == pytest.approx(4.0)
 
     def test_heavy_overload(self):
-        assert bpr_time(EDGE_24, 30.0) == pytest.approx(1282.0)
+        assert bpr_time(NET_24, 30.0) == pytest.approx(1282.0)
 
     def test_power_zero_is_constant(self):
-        e = parse_network("1 2 15 0 2 0.5 0 0 0 1 ;\n").edges[0]
-        assert bpr_time(e, 0.0) == pytest.approx(3.0)
-        assert bpr_time(e, 99.0) == pytest.approx(3.0)
+        net = parse_network("1 2 15 0 2 0.5 0 0 0 1 ;\n")
+        assert bpr_time(net, 0.0) == pytest.approx(3.0)
+        assert bpr_time(net, 99.0) == pytest.approx(3.0)
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0, 1e4), st.floats(0, 1e4))
     def test_nondecreasing_in_flow(self, a, b):
         lo, hi = sorted((a, b))
-        assert bpr_time(EDGE_24, lo) <= bpr_time(EDGE_24, hi)
+        assert bpr_time(NET_24, lo) <= bpr_time(NET_24, hi)
 
 
 class TestBprTimeCapped:
     def test_clamped_at_capacity_ratio(self):
-        assert bpr_time_capped(EDGE_23, 30.0) == pytest.approx(4.0)
+        assert bpr_time_capped(NET_23, 30.0) == pytest.approx(4.0)
 
     def test_below_capacity_matches_uncapped(self):
         expected = 2 * (1 + (10 / 15) ** 2)
-        assert bpr_time_capped(EDGE_23, 10.0) == pytest.approx(expected)
-        assert bpr_time_capped(EDGE_23, 10.0) == bpr_time(EDGE_23, 10.0)
+        assert bpr_time_capped(NET_23, 10.0) == pytest.approx(expected)
+        assert bpr_time_capped(NET_23, 10.0) == bpr_time(NET_23, 10.0)
 
     def test_free_flow(self):
-        assert bpr_time_capped(EDGE_24, 0.0) == 2.0
+        assert bpr_time_capped(NET_24, 0.0) == 2.0
 
     def test_constant_above_capacity(self):
-        assert bpr_time_capped(EDGE_24, 16.0) == bpr_time_capped(EDGE_24, 400.0)
+        assert bpr_time_capped(NET_24, 16.0) == bpr_time_capped(NET_24, 400.0)
 
     @settings(max_examples=150, deadline=None)
     @given(st.floats(0, 1e5, allow_nan=False))
     def test_capped_never_exceeds_uncapped(self, flow):
-        assert bpr_time_capped(EDGE_24, flow) <= bpr_time(EDGE_24, flow) + 1e-12
+        assert bpr_time_capped(NET_24, flow) <= bpr_time(NET_24, flow) + 1e-12
         if flow <= EDGE_24.capacity:
-            assert bpr_time_capped(EDGE_24, flow) == pytest.approx(
-                bpr_time(EDGE_24, flow))
+            assert bpr_time_capped(NET_24, flow) == pytest.approx(
+                bpr_time(NET_24, flow))
 
     def test_capped_bounds(self):
         for flow in (0.0, 7.5, 15.0, 300.0):
-            c = bpr_time_capped(EDGE_24, flow)
+            c = bpr_time_capped(NET_24, flow)
             assert EDGE_24.free_flow <= c
             assert c <= EDGE_24.free_flow * (1 + EDGE_24.b_coeff) + 1e-12
 
 
 class TestEdgeCostsVector:
     def test_matches_scalar_functions(self):
+        """Each diamond edge costs the same in the whole network as in a
+        network of its own."""
         net = parse_network(DIAMOND_NET)
         flows = np.array([30.0, 20.0, 10.0, 20.0, 10.0])
         capped = edge_costs(net, flows, capped=True)
         uncapped = edge_costs(net, flows, capped=False)
         for i, e in enumerate(net.edges):
-            assert capped[i] == pytest.approx(bpr_time_capped(e, flows[i]))
-            assert uncapped[i] == pytest.approx(bpr_time(e, flows[i]))
+            alone = Network(net.node_count, [dataclasses.replace(e, id=0)])
+            assert capped[i] == pytest.approx(bpr_time_capped(alone, flows[i]))
+            assert uncapped[i] == pytest.approx(bpr_time(alone, flows[i]))
 
 
 class TestExcess:
     def test_under_capacity(self):
-        assert excess(EDGE_23, 10.0) == 0.0
+        assert excess(NET_23, 10.0) == 0.0
 
     def test_over_capacity(self):
-        assert excess(EDGE_23, 30.0) == 15.0
+        assert excess(NET_23, 30.0) == 15.0
 
     def test_boundary(self):
-        assert excess(EDGE_23, 15.0) == 0.0
+        assert excess(NET_23, 15.0) == 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(0, 1e4, allow_nan=False))
     def test_positive_iff_above_capacity(self, flow):
-        assert (excess(EDGE_23, flow) > 0) == (flow > EDGE_23.capacity)
+        assert (excess(NET_23, flow) > 0) == (flow > EDGE_23.capacity)
 
 
 class TestAbstractCostFn:
@@ -278,6 +297,14 @@ class TestSocialCostAbstract:
         b = social_cost_abstract((2 - x, x), evaluated((2 - x, x), fns), 2)
         assert a == pytest.approx(b)
 
+    def test_sum_is_correctly_rounded(self):
+        # The terms are 1, 1e-16 and 1e-16 exactly; adding them left to
+        # right rounds back to 1.0 twice, while their exact sum is nearer
+        # to the next float up.
+        costs = [4.0, 4e-16, 4e-16, 0.0]
+        got = social_cost_abstract((1, 1, 1, 1), costs, 4)
+        assert got == math.fsum([1.0, 1e-16, 1e-16]) == 1.0000000000000002
+
 
 # A link with B = 0 costs its free-flow time, here 9, at any load.
 FLAT_LINK = "1 2 10 0 9 0 1 0 0 1 ;\n"
@@ -307,21 +334,6 @@ class TestSocialCostNetwork:
     def test_negative_load_rejected(self):
         with pytest.raises(ValidationError):
             period_social_cost(FLAT_LINK, "Origin 1\n2 : -1;\n")
-
-
-class TestTimeAveragedCost:
-    def test_singleton(self):
-        assert time_averaged_cost([10.0]) == 10.0
-
-    def test_mean(self):
-        assert time_averaged_cost([1.0, 2.0, 3.0]) == pytest.approx(2.0)
-
-    def test_constant_series(self):
-        assert time_averaged_cost([7.5] * 40) == pytest.approx(7.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            time_averaged_cost([])
 
 
 class TestTwoActionMinimizer:

@@ -16,8 +16,9 @@ from intervalsig.network import (
     parse_network,
     parse_trips,
     require_reachable,
-    shortest_path_dag,
 )
+
+from .oracle import shortest_path_dag
 
 DIAMOND_NET = """\
 <NUMBER OF ZONES> 5
