@@ -41,6 +41,9 @@ def all_or_nothing(net, demand, costs):
     for (o, d), q in demand.entries.items():
         if q > 0:
             by_origin.setdefault(o, []).append((d, q))
+    in_edges = [[] for _ in range(net.node_count + 1)]
+    for e in net.edges:
+        in_edges[e.dst].append((e.src, e.id))
     flows = np.zeros(net.edge_count)
     shortest_total = 0.0
     for origin, dests in sorted(by_origin.items()):
@@ -52,7 +55,7 @@ def all_or_nothing(net, demand, costs):
             if v == origin or order[v] < 0:
                 continue
             parent_edge[v] = min(
-                net._in[v],
+                in_edges[v],
                 key=lambda ue: (dist[ue[0]] + costs[ue[1]], order[ue[0]]))[1]
         load = np.zeros(net.node_count + 1)
         for dest, q in dests:

@@ -38,6 +38,7 @@ from .population import (
 from .signaling import (
     CostHistory,
     Scheme,
+    checked_initial_signal,
     emit_signal,
     extreme_scheme,
     full_extreme_scheme,
@@ -46,16 +47,13 @@ from .signaling import (
 __all__ = [
     "AbstractConfig",
     "AbstractRecord",
-    "AbstractState",
     "ConvergenceReport",
     "FlappingReport",
     "FlappingSpec",
     "ValidationError",
     "convergence_check",
     "convergence_demo_config",
-    "flapping_cost",
     "flapping_demo",
-    "new_state",
     "records_to_abstract_csv",
     "run_abstract",
     "step_abstract",
@@ -89,15 +87,8 @@ class AbstractConfig:
             raise ValidationError(
                 f"{len(self.costs)} cost functions for "
                 f"{self.action_count} actions")
-        signal = np.asarray(self.initial_signal, dtype=float)
-        if signal.shape != (self.action_count, 2):
-            raise ValidationError(
-                f"initial signal shape {signal.shape} != "
-                f"({self.action_count}, 2)")
-        if np.any(signal[:, 0] > signal[:, 1]):
-            raise ValidationError(
-                "initial signal must satisfy lower <= upper per action")
-        object.__setattr__(self, "initial_signal", signal)
+        object.__setattr__(self, "initial_signal", checked_initial_signal(
+            self.initial_signal, self.action_count))
         if (self.renewal.kind == "uniform_perturbation"
                 and self.renewal.type_count != len(self.types)):
             raise ValidationError("renewal type count != type set size")
@@ -110,15 +101,6 @@ class AbstractConfig:
 
 
 @dataclass
-class AbstractState:
-    """Evolving per-run state: current signal plus the cost history."""
-
-    t: int
-    signal: np.ndarray
-    history: CostHistory
-
-
-@dataclass
 class AbstractRecord:
     """One period: the signal agents saw, their counts, realized costs."""
 
@@ -127,14 +109,6 @@ class AbstractRecord:
     costs: np.ndarray
     social_cost: float
     signal: np.ndarray = field(repr=False)
-
-
-def new_state(config: AbstractConfig) -> AbstractState:
-    history = CostHistory(config.action_count,
-                          window=config.scheme.history_window())
-    signal = emit_signal(history, config.scheme, config.action_count,
-                         config.initial_signal)
-    return AbstractState(t=1, signal=signal, history=history)
 
 
 def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
@@ -162,28 +136,29 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     return counts, config.cost_table(counts)
 
 
-def step_abstract(state: AbstractState, config: AbstractConfig,
+def step_abstract(history: CostHistory, config: AbstractConfig,
                   profile: PopulationProfile,
                   tie_uniforms: np.ndarray) -> AbstractRecord:
-    """Advance one period under explicit randomness.
+    """Play period ``history.periods + 1`` and record its costs.
 
-    The profile and one uniform per type are passed in (rather than an
-    rng) so coupled trajectories can share draws exactly; a type's
-    uniform is consumed only if that type actually ties.
+    ``history`` is the run's ``CostHistory(config.action_count,
+    config.scheme, config.initial_signal)``; the period's signal is
+    emitted from it.  The profile and one uniform per type are passed in
+    rather than an rng, so a caller can replay given draws; a type's
+    uniform decides only if that type ties.
     """
     if len(profile.weights) != len(config.types):
         raise ValidationError("profile width != type set size")
     if len(tie_uniforms) != len(config.types):
         raise ValidationError("need one tie-break uniform per type")
 
-    counts, costs = _play(config, state.signal, np.array(profile.weights),
+    signal = emit_signal(history)
+    counts, costs = _play(config, signal, np.array(profile.weights),
                           np.asarray(tie_uniforms))
     social = social_cost_abstract(counts, costs, config.agent_count)
-    state.history.record_period(costs)
-    record = AbstractRecord(state.t, counts, costs, social, state.signal)
-    state.signal = emit_signal(state.history, config.scheme,
-                               config.action_count, config.initial_signal)
-    state.t += 1
+    record = AbstractRecord(history.periods + 1, counts, costs, social,
+                            signal)
+    history.record_period(costs)
     return record
 
 
@@ -191,13 +166,14 @@ def run_abstract(config: AbstractConfig, horizon: int) -> list[AbstractRecord]:
     """Simulate ``horizon`` periods; deterministic given ``config.seed``."""
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
-    state = new_state(config)
+    history = CostHistory(config.action_count, config.scheme,
+                          config.initial_signal)
     pop_rng = derived_rng(config.seed, "population")
     tie_rng = derived_rng(config.seed, "tie-break")
     records = []
     for _ in range(horizon):
         profile = sample_profile(config.renewal, pop_rng)
-        records.append(step_abstract(state, config, profile,
+        records.append(step_abstract(history, config, profile,
                                      tie_rng.random(len(config.types))))
     return records
 
@@ -240,12 +216,6 @@ class FlappingSpec:
             raise ValidationError("agent count must be odd and >= 3")
 
 
-def flapping_cost(spec: FlappingSpec) -> AbstractCostFn:
-    """Piecewise cost used by both actions: flat at 1 below the majority
-    threshold, then exponential in the share above it."""
-    return flapping_cost_fn(spec.gap_target, spec.agent_count)
-
-
 @dataclass
 class FlappingReport:
     scalar_records: list[AbstractRecord]
@@ -272,7 +242,7 @@ def flapping_demo(spec: FlappingSpec, horizon: int,
     if horizon < 1:
         raise ValidationError("horizon must be >= 1")
     n = spec.agent_count
-    fn = flapping_cost(spec)
+    fn = flapping_cost_fn(spec.gap_target, spec.agent_count)
 
     scalar_config = AbstractConfig(
         agent_count=n,
@@ -293,12 +263,11 @@ def flapping_demo(spec: FlappingSpec, horizon: int,
     # period.
     root = (spec.gap_target + 1.0) ** (1.0 / n)
     initial = np.array([[1.0, root], [1.0, root]])
-    envelope = extreme_scheme(2)
-    history = CostHistory(2, window=2)
+    history = CostHistory(2, extreme_scheme(2), initial)
     counts = np.array([n // 2, n - n // 2], dtype=float)
     interval_records = []
     for t in range(1, horizon + 1):
-        signal = emit_signal(history, envelope, 2, initial)
+        signal = emit_signal(history)
         if not np.allclose(signal[0], signal[1], rtol=0.0, atol=1e-12):
             raise AssertionError(
                 f"interval arm lost its tie at t={t}: {signal!r}")
@@ -389,7 +358,8 @@ def convergence_check(config: AbstractConfig, trajectories: int,
 
     Returns the L1 distance series of the first pair and the two-sample
     Kolmogorov-Smirnov statistic between the end-of-horizon first-action
-    shares of the two arms across all pairs.
+    shares of the two arms across all pairs.  Exactly two initial
+    signals are taken, each checked like ``AbstractConfig``'s.
     """
     if config.scheme.kind != "full_extreme":
         raise ValidationError(
@@ -399,36 +369,37 @@ def convergence_check(config: AbstractConfig, trajectories: int,
             "the convergence check needs a finite-support renewal")
     if trajectories < 1 or horizon < 1:
         raise ValidationError("trajectories and horizon must be >= 1")
+    if len(initial_signals) != 2:
+        raise ValidationError(
+            f"the convergence check needs two initial signals, got "
+            f"{len(initial_signals)}")
 
     k, m = trajectories, config.action_count
     atom_weights = np.array([p.weights for p, _ in config.renewal.atoms])
     atom_probs = np.cumsum([d for _, d in config.renewal.atoms])
     # Each arm is one history over k * m resources, one per trajectory
     # and action, so the arms' signals follow the one signal rule.
-    initials = [np.tile(np.asarray(init, dtype=float), (k, 1))
-                for init in initial_signals]
-    histories = [CostHistory(k * m, window=config.scheme.history_window())
-                 for _ in initials]
-    signals = [init.reshape(k, m, 2) for init in initials]
-    counts = [np.zeros((k, m)) for _ in initials]
-
-    def pair_distance() -> float:
-        gap = np.abs(signals[0][0] - signals[1][0])
-        return float(gap[:, 0].sum() + gap[:, 1].sum())
+    histories = [CostHistory(k * m, config.scheme,
+                             np.tile(checked_initial_signal(init, m), (k, 1)))
+                 for init in initial_signals]
 
     rng = derived_rng(seed, "convergence")
-    distances = [pair_distance()]
-    for _ in range(horizon):
+    distances = []
+    for t in range(horizon + 1):
+        signals = [emit_signal(h).reshape(k, m, 2) for h in histories]
+        gap = np.abs(signals[0][0] - signals[1][0])
+        distances.append(float(gap[:, 0].sum() + gap[:, 1].sum()))
+        if t == horizon:
+            break
         atom_idx = np.searchsorted(atom_probs, rng.random(k), side="right")
         atom_idx = np.minimum(atom_idx, len(atom_probs) - 1)
         shares = atom_weights[atom_idx]            # (k, types)
         tie_u = rng.random((k, len(config.types)))
-        for arm, history in enumerate(histories):
-            counts[arm], costs = _play(config, signals[arm], shares, tie_u)
+        counts = []
+        for signal, history in zip(signals, histories):
+            arm_counts, costs = _play(config, signal, shares, tie_u)
             history.record_period(costs.ravel())
-            signals[arm] = emit_signal(history, config.scheme, k * m,
-                                       initials[arm]).reshape(k, m, 2)
-        distances.append(pair_distance())
+            counts.append(arm_counts)
 
     sample_a = counts[0][:, 0] / config.agent_count
     sample_b = counts[1][:, 0] / config.agent_count

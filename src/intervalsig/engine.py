@@ -52,8 +52,7 @@ class RunConfig:
     """Everything needed to reproduce one simulation run.
 
     The problem instance comes from exactly one source: a built-in
-    ``instance`` name, a pair of TNTP file paths, or a pair of TNTP
-    strings.
+    ``instance`` name or a pair of TNTP file paths.
     """
 
     scheme: Scheme
@@ -63,8 +62,6 @@ class RunConfig:
     instance: str | None = None
     net_path: str | Path | None = None
     trips_path: str | Path | None = None
-    net_text: str | None = None
-    trips_text: str | None = None
     type_count: int = 5
     epsilon: float = 0.15
 
@@ -73,25 +70,19 @@ class RunConfig:
             raise ValidationError("horizon must be >= 1")
         if self.epsilon < 0:
             raise ValidationError("epsilon must be >= 0")
-        sources = [self.instance is not None,
-                   self.net_path is not None or self.trips_path is not None,
-                   self.net_text is not None or self.trips_text is not None]
-        if sum(sources) != 1:
+        paths = self.net_path is not None or self.trips_path is not None
+        if (self.instance is not None) == paths:
             raise ValidationError(
-                "specify exactly one instance source: a built-in name, "
-                "a pair of file paths, or a pair of TNTP strings")
-        if sources[1] and (self.net_path is None or self.trips_path is None):
+                "specify exactly one instance source: a built-in name "
+                "or a pair of file paths")
+        if paths and (self.net_path is None or self.trips_path is None):
             raise ValidationError("both net_path and trips_path are needed")
-        if sources[2] and (self.net_text is None or self.trips_text is None):
-            raise ValidationError("both net_text and trips_text are needed")
 
     def load(self) -> tuple[Network, DemandTable]:
         if self.instance is not None:
             return load_instance(self.instance)
-        if self.net_path is not None:
-            return (parse_network(Path(self.net_path).read_text()),
-                    parse_trips(Path(self.trips_path).read_text()))
-        return parse_network(self.net_text), parse_trips(self.trips_text)
+        return (parse_network(Path(self.net_path).read_text()),
+                parse_trips(Path(self.trips_path).read_text()))
 
 
 @dataclass
@@ -117,14 +108,13 @@ def run(config: RunConfig) -> list[PeriodRecord]:
     require_reachable(net, demand)
     types = uniform_type_set(config.type_count)
     renewal = uniform_perturbation(config.type_count, config.epsilon)
-    history = CostHistory(net.edge_count,
-                          window=config.scheme.history_window())
+    history = CostHistory(net.edge_count, config.scheme)
     pop_rng = derived_rng(config.seed, "population")
 
     records: list[PeriodRecord] = []
     for t in range(1, config.horizon + 1):
         profile = sample_profile(renewal, pop_rng)
-        signal = emit_signal(history, config.scheme, net.edge_count)
+        signal = emit_signal(history)
         flows = assign(net, demand, signal, profile, types)
         costs = edge_costs(net, flows, capped=config.capped)
         history.record_period(costs)

@@ -54,7 +54,6 @@ class Network:
     metadata: dict[str, str] = field(default_factory=dict, compare=False)
     # derived adjacency, built once; excluded from equality
     _out: list[list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
-    _in: list[list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
     srcs: np.ndarray = field(init=False, repr=False, compare=False)
     dsts: np.ndarray = field(init=False, repr=False, compare=False)
     # per-edge BPR parameters as arrays, for the vectorized edge costs
@@ -65,12 +64,9 @@ class Network:
 
     def __post_init__(self):
         out = [[] for _ in range(self.node_count + 1)]
-        inc = [[] for _ in range(self.node_count + 1)]
         for e in self.edges:
             out[e.src].append((e.dst, e.id))
-            inc[e.dst].append((e.src, e.id))
         self._out = out
-        self._in = inc
         self.srcs = np.array([e.src for e in self.edges], dtype=np.int64)
         self.dsts = np.array([e.dst for e in self.edges], dtype=np.int64)
         self.capacities = np.array([e.capacity for e in self.edges])

@@ -1,9 +1,11 @@
 """Per-resource cost histories and the signal each scheme emits from them.
 
 A signal is an (M, 2) float array of per-resource (u_lo, u_hi) intervals;
-scalar schemes emit degenerate intervals with u_lo = u_hi. ``emit_signal``
-is the one signal rule of both the network and the abstract model; the
-two differ only in warm-up (see its docstring).
+scalar schemes emit degenerate intervals with u_lo = u_hi. A run's
+``CostHistory`` is built once with its scheme and optional initial
+signal, and ``emit_signal`` reads everything from it: it is the one
+signal rule of both the network and the abstract model, which differ
+only in warm-up (see its docstring).
 """
 
 from __future__ import annotations
@@ -30,15 +32,11 @@ class Scheme:
             if self.window is None or self.window < 1:
                 raise ValidationError(
                     f"{self.kind} needs a window of at least 1")
+        elif self.window is not None:
+            raise ValidationError(f"{self.kind} takes no window")
         if self.kind == "subinterval":
             if self.shrink is None or not 0.0 <= self.shrink <= 1.0:
                 raise ValidationError("shrink factor must lie in [0, 1]")
-
-    def history_window(self) -> int:
-        """How many recent costs the history must retain for this scheme."""
-        if self.kind in ("extreme", "subinterval"):
-            return self.window
-        return 1
 
     def label(self) -> str:
         name = self.kind.replace("_", "-")
@@ -80,22 +78,44 @@ def scheme_from_name(name: str, window: int | None = None,
     return Scheme(kind)
 
 
-class CostHistory:
-    """The last ``window`` periods' costs of every resource, in a ring
-    buffer, plus running sum, min and max over all recorded periods."""
+def checked_initial_signal(signal, m_count: int) -> np.ndarray:
+    """``signal`` as a fresh float array, checked to be ``m_count``
+    intervals with lower <= upper."""
+    signal = np.array(signal, dtype=float)
+    if signal.shape != (m_count, 2):
+        raise ValidationError(
+            f"initial signal shape {signal.shape} != ({m_count}, 2)")
+    if not np.all(signal[:, 0] <= signal[:, 1]):
+        raise ValidationError(
+            "initial signal must satisfy lower <= upper per resource")
+    return signal
 
-    def __init__(self, m_count: int, window: int = 1):
+
+class CostHistory:
+    """What one run's signal rule reads: its scheme, its optional initial
+    signal, the last ``scheme.window`` periods' costs of every resource
+    in a ring buffer (the last one for schemes without a window), and
+    running sum, min and max over all recorded periods."""
+
+    def __init__(self, m_count: int, scheme: Scheme,
+                 initial: np.ndarray | None = None):
         if m_count < 1:
             raise ValidationError("history needs at least one resource")
-        if window < 1:
-            raise ValidationError("history window must be at least 1")
         self.m_count = m_count
-        self.window = window
-        self._recent = np.empty((window, m_count))
+        self.scheme = scheme
+        self.initial = (None if initial is None
+                        else checked_initial_signal(initial, m_count))
+        self.window = scheme.window or 1
+        self._recent = np.empty((self.window, m_count))
         self._periods = 0
         self._sum = np.zeros(m_count)
         self._min = np.full(m_count, np.inf)
         self._max = np.full(m_count, -np.inf)
+
+    @property
+    def periods(self) -> int:
+        """Periods recorded so far."""
+        return self._periods
 
     def record_period(self, costs) -> None:
         """Record one period's cost for every resource at once."""
@@ -114,47 +134,30 @@ class CostHistory:
         np.minimum(self._min, costs, out=self._min)
         np.maximum(self._max, costs, out=self._max)
 
-    def full_periods(self) -> int:
-        """Periods recorded so far."""
-        return self._periods
-
-    def window_extremes(self, r: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-resource min and max over the min(r, recorded) most recent
-        periods."""
-        filled = min(self._periods, self.window)
-        if r >= filled:
-            rows = self._recent[:filled]
-        else:
-            rows = self._recent[(self._periods - 1 - np.arange(r))
-                                % self.window]
+    def window_extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-resource min and max over the min(window, recorded) most
+        recent periods."""
+        rows = self._recent[:min(self._periods, self.window)]
         return rows.min(axis=0), rows.max(axis=0)
 
 
-def emit_signal(history: CostHistory, scheme: Scheme, m_count: int,
-                initial: np.ndarray | None = None) -> np.ndarray:
+def emit_signal(history: CostHistory) -> np.ndarray:
     """Signal for the coming period from what the history holds so far.
 
-    Without ``initial`` the warm-up signal is zero: scalar schemes wait
-    for one recorded period, interval schemes for two.  With it,
-    ``initial`` is the signal before any cost is recorded and stays in
-    the envelope as a pseudo-observation: under ``extreme`` and
+    Without an initial signal the warm-up signal is zero: scalar schemes
+    wait for one recorded period, interval schemes for two.  With one,
+    it is the signal before any cost is recorded and stays in the
+    envelope as a pseudo-observation: under ``extreme`` and
     ``subinterval`` until ``window`` costs are recorded, under
     ``full_extreme`` for good.  ``now`` and ``mean`` read recorded
     costs only.
     """
-    if m_count != history.m_count:
-        raise ValidationError(
-            f"history covers {history.m_count} resources, asked for {m_count}")
-    if scheme.history_window() > history.window:
-        raise ValidationError(
-            f"{scheme.label()} needs {scheme.history_window()} periods of "
-            f"history, which keeps {history.window}")
-    periods = history.full_periods()
+    scheme, initial, periods = history.scheme, history.initial, history.periods
     if initial is not None and periods == 0:
-        return np.array(initial, dtype=float)
+        return initial.copy()
     scalar = scheme.kind in ("now", "mean")
     if initial is None and periods < (1 if scalar else 2):
-        return np.zeros((m_count, 2))
+        return np.zeros((history.m_count, 2))
     if scheme.kind == "now":
         lo = hi = history._recent[(periods - 1) % history.window]
     elif scheme.kind == "mean":
@@ -162,12 +165,12 @@ def emit_signal(history: CostHistory, scheme: Scheme, m_count: int,
     elif scheme.kind == "full_extreme":
         lo, hi = history._min, history._max
     else:
-        lo, hi = history.window_extremes(scheme.window)
+        lo, hi = history.window_extremes()
     if initial is not None and (scheme.kind == "full_extreme" or (
             not scalar and periods < scheme.window)):
         lo = np.minimum(lo, initial[:, 0])
         hi = np.maximum(hi, initial[:, 1])
-    signal = np.empty((m_count, 2))
+    signal = np.empty((history.m_count, 2))
     signal[:, 0], signal[:, 1] = lo, hi
     if scheme.kind == "subinterval" and scheme.shrink != 1.0:
         mid = signal.mean(axis=1)

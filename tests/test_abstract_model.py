@@ -9,20 +9,23 @@ import io
 import numpy as np
 import pytest
 
+from intervalsig import abstract_model
 from intervalsig.abstract_model import (
     AbstractConfig,
     FlappingSpec,
     ValidationError,
     convergence_check,
     convergence_demo_config,
-    flapping_cost,
     flapping_demo,
-    new_state,
     records_to_abstract_csv,
     run_abstract,
     step_abstract,
 )
-from intervalsig.costs import linear_cost_fn, polynomial_cost_fn
+from intervalsig.costs import (
+    flapping_cost_fn,
+    linear_cost_fn,
+    polynomial_cost_fn,
+)
 from intervalsig.population import (
     PopulationProfile,
     TypeSet,
@@ -30,6 +33,8 @@ from intervalsig.population import (
     finite_support,
 )
 from intervalsig.signaling import (
+    CostHistory,
+    emit_signal,
     extreme_scheme,
     full_extreme_scheme,
     mean_scheme,
@@ -53,6 +58,12 @@ def two_action_config(**overrides):
     )
     base.update(overrides)
     return AbstractConfig(**base)
+
+
+def fresh_history(config):
+    """The history ``run_abstract`` starts ``config`` from."""
+    return CostHistory(config.action_count, config.scheme,
+                       config.initial_signal)
 
 
 class TestConfigValidation:
@@ -87,20 +98,22 @@ class TestStepAbstract:
             costs=[linear_cost_fn(10), linear_cost_fn(10)],
             types=TypeSet((0.0,)),
         )
-        state = new_state(config)
-        rec = step_abstract(state, config, PopulationProfile((1.0,)),
+        history = fresh_history(config)
+        rec = step_abstract(history, config, PopulationProfile((1.0,)),
                             np.array([0.7]))
+        assert rec.t == 1 and history.periods == 1
         assert rec.counts == pytest.approx([10.0, 0.0])
         assert rec.costs == pytest.approx([1.0, 0.0])
-        assert state.signal[0] == pytest.approx([0.2, 1.0])
-        assert state.signal[1] == pytest.approx([0.0, 0.8])
+        signal = emit_signal(history)
+        assert signal[0] == pytest.approx([0.2, 1.0])
+        assert signal[1] == pytest.approx([0.0, 0.8])
 
     def test_counts_always_sum_to_agent_count(self):
         config = two_action_config()
-        state = new_state(config)
+        history = fresh_history(config)
         rng = np.random.default_rng(3)
         for _ in range(30):
-            rec = step_abstract(state, config, PopulationProfile((1.0,)),
+            rec = step_abstract(history, config, PopulationProfile((1.0,)),
                                 rng.random(1))
             assert rec.counts.sum() == pytest.approx(10.0, abs=1e-9)
 
@@ -112,9 +125,8 @@ class TestStepAbstract:
         firsts = []
         rng = np.random.default_rng(11)
         for _ in range(4000):
-            state = new_state(config)
-            rec = step_abstract(state, config, PopulationProfile((1.0,)),
-                                rng.random(1))
+            rec = step_abstract(fresh_history(config), config,
+                                PopulationProfile((1.0,)), rng.random(1))
             assert sorted(rec.counts) == pytest.approx([0.0, 10.0])
             firsts.append(rec.counts[0])
         assert abs(np.mean(firsts) - 5.0) <= 0.25   # expected N/2 under ties
@@ -124,10 +136,10 @@ class TestStepAbstract:
             costs=[polynomial_cost_fn([4.0]), polynomial_cost_fn([4.0])],
             initial_signal=np.array([[4.0, 4.0], [4.0, 4.0]]),
         )
-        state = new_state(config)
-        step_abstract(state, config, PopulationProfile((1.0,)),
+        history = fresh_history(config)
+        step_abstract(history, config, PopulationProfile((1.0,)),
                       np.array([0.2]))
-        assert state.signal == pytest.approx(np.full((2, 2), 4.0))
+        assert emit_signal(history) == pytest.approx(np.full((2, 2), 4.0))
 
     def test_envelope_monotone_along_trajectory(self):
         config = two_action_config(
@@ -203,7 +215,7 @@ class TestFlappingSpec:
             FlappingSpec(gap_target=0.0, agent_count=3)
 
     def test_cost_fn_matches_piecewise_form(self):
-        fn = flapping_cost(FlappingSpec(gap_target=7.0, agent_count=3))
+        fn = flapping_cost_fn(7.0, 3)
         assert fn(1) == pytest.approx(1.0)
         assert fn(2) == pytest.approx(2.0)      # 8^(1/3)
         assert fn(3) == pytest.approx(8.0)
@@ -286,6 +298,35 @@ class TestConvergenceCheck:
         assert np.array_equal(a.sample_a, b.sample_a)
 
 
+class TestConvergenceCheckValidation:
+    """Malformed initial signals fail before the first period is played."""
+
+    @staticmethod
+    def arms(case):
+        # three actions, so that a transposed (2, M) signal has the wrong
+        # shape rather than a square one
+        _, (a, b) = convergence_demo_config(action_count=3)
+        return {
+            "inverted": (a, b[:, ::-1]),
+            "three_arms": (a, b, a),
+            "one_arm": (a,),
+            "transposed": (a, b.T),
+            "one_action_short": (a[:-1], b),
+        }[case]
+
+    @pytest.mark.parametrize("case", ["inverted", "three_arms", "one_arm",
+                                      "transposed", "one_action_short"])
+    def test_rejected_before_period_one(self, case, monkeypatch):
+        config, _ = convergence_demo_config(action_count=3)
+        played, play = [], abstract_model._play
+        monkeypatch.setattr(abstract_model, "_play",
+                            lambda *args: played.append(1) or play(*args))
+        with pytest.raises(ValidationError):
+            convergence_check(config, trajectories=4, horizon=3,
+                              initial_signals=self.arms(case), seed=0)
+        assert played == []
+
+
 class TestConvergenceCheckAgainstStepAbstract:
     """``convergence_check`` replayed trajectory by trajectory through
     ``step_abstract``, with its draws taken from the same stream in the
@@ -306,12 +347,14 @@ class TestConvergenceCheckAgainstStepAbstract:
         samples, first_signals = [], []
         for init in inits:
             arm = dataclasses.replace(config, initial_signal=init)
-            states = [new_state(arm) for _ in range(k)]
-            signals = [states[0].signal]
+            histories = [fresh_history(arm) for _ in range(k)]
+            signals = []
             for picks, ties in draws:
-                records = [step_abstract(state, arm, atoms[pick][0], tie)
-                           for state, pick, tie in zip(states, picks, ties)]
-                signals.append(states[0].signal)
+                records = [step_abstract(history, arm, atoms[pick][0], tie)
+                           for history, pick, tie
+                           in zip(histories, picks, ties)]
+                signals.append(records[0].signal)
+            signals.append(emit_signal(histories[0]))
             samples.append(np.array([rec.counts[0] for rec in records])
                            / config.agent_count)
             first_signals.append(signals)

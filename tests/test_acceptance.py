@@ -415,23 +415,26 @@ def test_a9_property_suites():
     for _ in range(200):
         r = int(rng.integers(1, 6))
         m_count = int(rng.integers(1, 4))
-        window_hist = CostHistory(m_count, window=r)
-        now_hist = CostHistory(m_count, window=1)
+        # each clause compares two histories fed identical costs
+        window_hist = CostHistory(m_count, extreme_scheme(r))
+        full_hist = CostHistory(m_count, full_extreme_scheme())
+        one_hist = CostHistory(m_count, extreme_scheme(1))
+        now_hist = CostHistory(m_count, now_scheme())
+        hists = (window_hist, full_hist, one_hist, now_hist)
         for t in range(25):
             costs = rng.uniform(0.0, 10.0, m_count)
-            window_hist.record_period(costs)
-            now_hist.record_period(costs)
-            if window_hist.full_periods() >= 2:
-                sig_r = emit_signal(window_hist, extreme_scheme(r), m_count)
-                sig_full = emit_signal(window_hist, full_extreme_scheme(),
-                                       m_count)
+            for hist in hists:
+                hist.record_period(costs)
+            if window_hist.periods >= 2:
+                sig_r = emit_signal(window_hist)
+                sig_full = emit_signal(full_hist)
                 checked_nest += 1
                 nested += bool(
                     np.all(sig_full[:, 0] <= sig_r[:, 0] + 1e-12)
                     and np.all(sig_r[:, 1] <= sig_full[:, 1] + 1e-12))
-            if now_hist.full_periods() >= 2:
-                sig_one = emit_signal(now_hist, extreme_scheme(1), m_count)
-                sig_now = emit_signal(now_hist, now_scheme(), m_count)
+            if now_hist.periods >= 2:
+                sig_one = emit_signal(one_hist)
+                sig_now = emit_signal(now_hist)
                 checked_eq += 1
                 equivalent += bool(np.array_equal(sig_one, sig_now))
     clauses.append(("window_nested_in_full",

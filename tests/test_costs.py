@@ -310,28 +310,35 @@ class TestSocialCostAbstract:
 FLAT_LINK = "1 2 10 0 9 0 1 0 0 1 ;\n"
 
 
-def period_social_cost(net_text: str, trips_text: str) -> float:
-    """Social cost that ``run`` reports for one period: route cost times
-    agents, summed over routes (``flows @ costs``)."""
-    record, = run(RunConfig(scheme=now_scheme(), horizon=1, seed=0,
-                            net_text=net_text, trips_text=trips_text))
-    return record.social_cost
+@pytest.fixture
+def period_social_cost(tmp_path):
+    """Social cost that ``run`` reports for one period of the instance in
+    two TNTP texts: route cost times agents, summed over routes
+    (``flows @ costs``)."""
+    def social_cost(net_text: str, trips_text: str) -> float:
+        net_path, trips_path = tmp_path / "net.txt", tmp_path / "trips.txt"
+        net_path.write_text(net_text)
+        trips_path.write_text(trips_text)
+        record, = run(RunConfig(scheme=now_scheme(), horizon=1, seed=0,
+                                net_path=net_path, trips_path=trips_path))
+        return record.social_cost
+    return social_cost
 
 
 class TestSocialCostNetwork:
-    def test_single_path(self):
+    def test_single_path(self, period_social_cost):
         assert period_social_cost(FLAT_LINK, "Origin 1\n2 : 30;\n") == \
             pytest.approx(270.0)
 
-    def test_two_paths(self):
+    def test_two_paths(self, period_social_cost):
         # two parallel links, 15 agents each
         got = period_social_cost(FLAT_LINK * 2, "Origin 1\n2 : 30;\n")
         assert got == pytest.approx(270.0)
 
-    def test_no_demand(self):
+    def test_no_demand(self, period_social_cost):
         assert period_social_cost(FLAT_LINK, "Origin 1\n") == 0.0
 
-    def test_negative_load_rejected(self):
+    def test_negative_load_rejected(self, period_social_cost):
         with pytest.raises(ValidationError):
             period_social_cost(FLAT_LINK, "Origin 1\n2 : -1;\n")
 

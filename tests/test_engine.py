@@ -19,7 +19,7 @@ from intervalsig.engine import (
     summarize,
     write_csv,
 )
-from intervalsig.instances import diamond_net_text, diamond_trips_text
+from intervalsig.instances import diamond_net_text
 from intervalsig.network import NoPathError, parse_network
 from intervalsig.signaling import (
     extreme_scheme,
@@ -30,7 +30,7 @@ from intervalsig.signaling import (
 
 def diamond_config(**overrides):
     base = dict(scheme=now_scheme(), horizon=4, seed=0, capped=True,
-                net_text=diamond_net_text(), trips_text=diamond_trips_text())
+                instance="diamond")
     base.update(overrides)
     return RunConfig(**base)
 
@@ -133,14 +133,17 @@ class TestRunBasics:
         for rec in records:
             assert rec.social_cost == float(rec.flows @ rec.costs)
 
-    def test_unreachable_pair_fails_before_first_period(self, monkeypatch):
+    def test_unreachable_pair_fails_before_first_period(self, monkeypatch,
+                                                        tmp_path):
         # two components, 1 -> 2 and 3 -> 4; origin 1 also wants node 4
         simulated = []
         monkeypatch.setattr(engine, "assign",
                             lambda *args: simulated.append(args))
-        config = diamond_config(
-            net_text="1 2 5 0 1 1 1 0 0 1 ;\n3 4 5 0 1 1 1 0 0 1 ;\n",
-            trips_text="Origin 1\n2 : 5; 4 : 3;\nOrigin 3\n4 : 2;\n")
+        net_path, trips_path = tmp_path / "net.txt", tmp_path / "trips.txt"
+        net_path.write_text("1 2 5 0 1 1 1 0 0 1 ;\n3 4 5 0 1 1 1 0 0 1 ;\n")
+        trips_path.write_text("Origin 1\n2 : 5; 4 : 3;\nOrigin 3\n4 : 2;\n")
+        config = diamond_config(instance=None, net_path=net_path,
+                                trips_path=trips_path)
         with pytest.raises(NoPathError,
                            match="destination 4 unreachable from origin 1"):
             run(config)
@@ -158,14 +161,14 @@ class TestConfigValidation:
 
     def test_exactly_one_source(self):
         with pytest.raises(ValidationError):
-            diamond_config(instance="diamond")
+            diamond_config(net_path="net.txt", trips_path="trips.txt")
         with pytest.raises(ValidationError):
             RunConfig(scheme=now_scheme(), horizon=1, seed=0, capped=True)
 
-    def test_text_source_needs_both_parts(self):
+    def test_path_source_needs_both_parts(self):
         with pytest.raises(ValidationError):
             RunConfig(scheme=now_scheme(), horizon=1, seed=0, capped=True,
-                      net_text=diamond_net_text())
+                      net_path="net.txt")
 
 
 def fake_records(social_costs, excesses=None):

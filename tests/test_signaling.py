@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from intervalsig.signaling import (
     CostHistory,
+    Scheme,
     ValidationError,
     emit_signal,
     extreme_scheme,
@@ -19,17 +20,24 @@ from intervalsig.signaling import (
 )
 
 
-def history_of(costs, m_count=1, window=10):
-    h = CostHistory(m_count, window=window)
+def history_of(costs, scheme, initial=None):
+    """A one-resource history under ``scheme`` that has recorded ``costs``."""
+    h = CostHistory(1, scheme, initial)
     for c in costs:
-        h.record_period([c] * m_count)
+        h.record_period([c])
     return h
 
 
-def validate_subinterval(signal, history, r):
-    """True iff every interval sits inside the r-window min/max envelope."""
-    lo, hi = history.window_extremes(r)
-    slack = 1e-12 * np.maximum(1.0, np.maximum(abs(lo), abs(hi)))
+def signal_of(costs, scheme, initial=None):
+    return emit_signal(history_of(costs, scheme, initial))
+
+
+def validate_subinterval(signal, costs, r):
+    """True iff every interval sits inside the min/max envelope of the
+    last ``r`` entries of the one-resource cost list ``costs``."""
+    recent = np.asarray(costs[-r:], dtype=float)
+    lo, hi = recent.min(), recent.max()
+    slack = 1e-12 * max(1.0, abs(lo), abs(hi))
     return bool(np.all((lo - slack <= signal[:, 0])
                        & (signal[:, 0] <= signal[:, 1])
                        & (signal[:, 1] <= hi + slack)))
@@ -37,108 +45,84 @@ def validate_subinterval(signal, history, r):
 
 class TestRecord:
     def test_first_record_sets_aggregates(self):
-        h = history_of([4.0], window=4)
-        assert h.full_periods() == 1
-        assert h.window_extremes(4) == (pytest.approx([4.0]),
-                                        pytest.approx([4.0]))
-        assert emit_signal(h, now_scheme(), 1)[0] == pytest.approx(
-            (4.0, 4.0))
-        assert emit_signal(h, mean_scheme(), 1)[0] == pytest.approx(
+        h = history_of([4.0], extreme_scheme(4))
+        assert h.periods == 1
+        assert h.window_extremes() == (pytest.approx([4.0]),
+                                       pytest.approx([4.0]))
+        assert signal_of([4.0], now_scheme())[0] == pytest.approx((4.0, 4.0))
+        assert signal_of([4.0], mean_scheme())[0] == pytest.approx(
             (4.0, 4.0))
 
     def test_window_eviction(self):
-        h = history_of([4.0, 7.0, 5.0], window=2)
-        assert h.window_extremes(2) == (pytest.approx([5.0]),
-                                        pytest.approx([7.0]))
+        h = history_of([4.0, 7.0, 5.0], extreme_scheme(2))
+        assert h.window_extremes() == (pytest.approx([5.0]),
+                                       pytest.approx([7.0]))
         # running aggregates still cover the full stream
-        assert emit_signal(h, full_extreme_scheme(), 1)[0] == pytest.approx(
-            (4.0, 7.0))
+        assert signal_of([4.0, 7.0, 5.0], full_extreme_scheme())[0] == \
+            pytest.approx((4.0, 7.0))
 
     def test_period_width_checked(self):
-        h = CostHistory(2)
+        h = CostHistory(2, now_scheme())
         with pytest.raises(ValidationError):
             h.record_period([1.0, 2.0, 3.0])
 
     def test_negative_cost_rejected(self):
-        h = CostHistory(1)
+        h = CostHistory(1, now_scheme())
         with pytest.raises(ValidationError):
             h.record_period([-1.0])
 
     def test_non_finite_cost_rejected(self):
-        h = CostHistory(2)
+        h = CostHistory(2, now_scheme())
         with pytest.raises(ValidationError):
             h.record_period([1.0, math.inf])
         with pytest.raises(ValidationError):
             h.record_period([math.nan, 1.0])
-        assert h.full_periods() == 0
+        assert h.periods == 0
 
 
 class TestEmitSignal:
     def test_windowed_extremes_use_most_recent(self):
-        h = history_of([4.0, 7.0, 5.0])
-        sig = emit_signal(h, extreme_scheme(2), 1)
+        sig = signal_of([4.0, 7.0, 5.0], extreme_scheme(2))
         assert sig[0] == pytest.approx((5.0, 7.0))
 
     def test_full_extremes_use_everything(self):
-        h = history_of([4.0, 7.0, 5.0])
-        sig = emit_signal(h, full_extreme_scheme(), 1)
+        sig = signal_of([4.0, 7.0, 5.0], full_extreme_scheme())
         assert sig[0] == pytest.approx((4.0, 7.0))
 
     def test_mean_is_scalar(self):
-        h = history_of([2.0, 4.0])
-        sig = emit_signal(h, mean_scheme(), 1)
+        sig = signal_of([2.0, 4.0], mean_scheme())
         assert sig[0] == pytest.approx((3.0, 3.0))
 
     def test_now_is_most_recent(self):
-        h = history_of([4.0, 7.0, 5.0])
-        sig = emit_signal(h, now_scheme(), 1)
+        sig = signal_of([4.0, 7.0, 5.0], now_scheme())
         assert sig[0] == pytest.approx((5.0, 5.0))
 
     def test_interval_warm_up_needs_two_periods(self):
-        h = history_of([9.0])
         for scheme in (extreme_scheme(5), full_extreme_scheme(),
                        subinterval_scheme(5, 0.5)):
-            sig = emit_signal(h, scheme, 1)
+            sig = signal_of([9.0], scheme)
             assert sig[0] == pytest.approx((0.0, 0.0))
 
     def test_scalar_warm_up_needs_one_period(self):
-        h = CostHistory(2)
-        assert emit_signal(h, now_scheme(), 2)[1] == pytest.approx((0.0, 0.0))
-        h.record_period([5.0, 3.0])
-        assert emit_signal(h, now_scheme(), 2)[1] == pytest.approx((3.0, 3.0))
-        assert emit_signal(h, mean_scheme(), 2)[0] == pytest.approx((5.0, 5.0))
+        now, mean = CostHistory(2, now_scheme()), CostHistory(2, mean_scheme())
+        assert emit_signal(now)[1] == pytest.approx((0.0, 0.0))
+        now.record_period([5.0, 3.0])
+        mean.record_period([5.0, 3.0])
+        assert emit_signal(now)[1] == pytest.approx((3.0, 3.0))
+        assert emit_signal(mean)[0] == pytest.approx((5.0, 5.0))
 
     def test_subinterval_shrinks_about_midpoint(self):
-        h = history_of([4.0, 7.0, 5.0])
-        sig = emit_signal(h, subinterval_scheme(2, 0.5), 1)
+        sig = signal_of([4.0, 7.0, 5.0], subinterval_scheme(2, 0.5))
         assert sig[0] == pytest.approx((5.5, 6.5))
 
     def test_subinterval_alpha_one_is_extreme(self):
-        h = history_of([4.0, 7.0, 5.0])
-        a = emit_signal(h, subinterval_scheme(2, 1.0), 1)
-        b = emit_signal(h, extreme_scheme(2), 1)
+        a = signal_of([4.0, 7.0, 5.0], subinterval_scheme(2, 1.0))
+        b = signal_of([4.0, 7.0, 5.0], extreme_scheme(2))
         assert np.array_equal(a, b)
 
     def test_subinterval_alpha_zero_is_midpoint(self):
-        h = history_of([4.0, 7.0, 5.0])
-        sig = emit_signal(h, subinterval_scheme(2, 0.0), 1)
+        sig = signal_of([4.0, 7.0, 5.0], subinterval_scheme(2, 0.0))
         assert sig[0] == pytest.approx((6.0, 6.0))
-
-    def test_width_mismatch_rejected(self):
-        h = CostHistory(2)
-        with pytest.raises(ValidationError):
-            emit_signal(h, now_scheme(), 3)
-
-    def test_window_longer_than_history_rejected(self):
-        # a history keeping two periods cannot answer a 5-window
-        # envelope: over 1, 9, 5 it is [1, 9], not the [5, 9] it holds
-        h = history_of([1.0, 9.0, 5.0], window=2)
-        with pytest.raises(ValidationError):
-            emit_signal(h, extreme_scheme(5), 1)
-        with pytest.raises(ValidationError):
-            emit_signal(h, subinterval_scheme(3, 0.5), 1)
-        assert emit_signal(h, extreme_scheme(2), 1)[0] == pytest.approx(
-            (5.0, 9.0))
 
 
 class TestInitialSignal:
@@ -147,52 +131,68 @@ class TestInitialSignal:
     def test_is_the_signal_before_any_cost(self):
         for scheme in (now_scheme(), mean_scheme(), extreme_scheme(3),
                        full_extreme_scheme(), subinterval_scheme(3, 0.5)):
-            h = CostHistory(1, window=scheme.history_window())
-            assert np.array_equal(emit_signal(h, scheme, 1, self.INIT),
+            assert np.array_equal(signal_of([], scheme, self.INIT),
                                   self.INIT)
 
     def test_scalar_schemes_read_real_costs_only(self):
-        h = history_of([9.0, 1.0])
-        assert emit_signal(h, now_scheme(), 1, self.INIT)[0] == \
+        assert signal_of([9.0, 1.0], now_scheme(), self.INIT)[0] == \
             pytest.approx((1.0, 1.0))
-        assert emit_signal(h, mean_scheme(), 1, self.INIT)[0] == \
+        assert signal_of([9.0, 1.0], mean_scheme(), self.INIT)[0] == \
             pytest.approx((5.0, 5.0))
 
     def test_window_holds_initial_until_full(self):
-        h = CostHistory(1, window=3)
-        h.record_period([4.0])
-        sig = emit_signal(h, extreme_scheme(3), 1, self.INIT)
+        sig = signal_of([4.0], extreme_scheme(3), self.INIT)
         assert sig[0] == pytest.approx((2.0, 6.0))
-        h.record_period([5.0])
-        h.record_period([4.5])
-        sig = emit_signal(h, extreme_scheme(3), 1, self.INIT)
+        sig = signal_of([4.0, 5.0, 4.5], extreme_scheme(3), self.INIT)
         assert sig[0] == pytest.approx((4.0, 5.0))
-        sig = emit_signal(h, subinterval_scheme(3, 0.5), 1, self.INIT)
+        sig = signal_of([4.0, 5.0, 4.5], subinterval_scheme(3, 0.5),
+                        self.INIT)
         assert sig[0] == pytest.approx((4.25, 4.75))
 
     def test_full_envelope_keeps_initial(self):
-        h = history_of([4.0] * 20)
-        sig = emit_signal(h, full_extreme_scheme(), 1, self.INIT)
+        sig = signal_of([4.0] * 20, full_extreme_scheme(), self.INIT)
         assert sig[0] == pytest.approx((2.0, 6.0))
+
+    def test_is_copied_at_construction(self):
+        init = self.INIT.copy()
+        h = CostHistory(1, extreme_scheme(3), init)
+        init[0] = (0.0, 99.0)
+        assert np.array_equal(emit_signal(h), self.INIT)
+
+    def test_wrong_shape_rejected(self):
+        for shape in ((2, 2), (1, 3), (2,)):
+            with pytest.raises(ValidationError, match="shape"):
+                CostHistory(1, extreme_scheme(3), np.zeros(shape))
+
+    def test_inverted_rejected(self):
+        # a NaN endpoint is no more ordered than an inverted pair
+        for bad in ((6.0, 2.0), (math.nan, 2.0)):
+            with pytest.raises(ValidationError, match="lower <= upper"):
+                CostHistory(2, full_extreme_scheme(),
+                            np.array([(1.0, 2.0), bad]))
 
 
 class TestValidateSubinterval:
+    COSTS = [4.0, 7.0, 5.0]
+
     def test_extreme_output_is_nested(self):
-        h = history_of([4.0, 7.0, 5.0])
-        sig = emit_signal(h, extreme_scheme(2), 1)
-        assert validate_subinterval(sig, h, 2)
+        sig = signal_of(self.COSTS, extreme_scheme(2))
+        assert validate_subinterval(sig, self.COSTS, 2)
 
     def test_shrunk_output_is_nested(self):
-        h = history_of([4.0, 7.0, 5.0])
-        sig = emit_signal(h, subinterval_scheme(2, 0.5), 1)
-        assert validate_subinterval(sig, h, 2)
+        sig = signal_of(self.COSTS, subinterval_scheme(2, 0.5))
+        assert validate_subinterval(sig, self.COSTS, 2)
 
     def test_inflated_upper_bound_fails(self):
-        h = history_of([4.0, 7.0, 5.0])
-        sig = emit_signal(h, extreme_scheme(2), 1).copy()
-        sig[0, 1] = emit_signal(h, full_extreme_scheme(), 1)[0, 1] + 1.0
+        sig = signal_of(self.COSTS, extreme_scheme(2)).copy()
+        sig[0, 1] = signal_of(self.COSTS, full_extreme_scheme())[0, 1] + 1.0
         sig[0, 0] = 0.0
-        assert not validate_subinterval(sig, h, 2)
+        assert not validate_subinterval(sig, self.COSTS, 2)
+
+    def test_full_envelope_is_not_in_a_shorter_window(self):
+        sig = signal_of(self.COSTS, full_extreme_scheme())
+        assert validate_subinterval(sig, self.COSTS, 3)
+        assert not validate_subinterval(sig, self.COSTS, 2)
 
 
 class TestSchemeFamily:
@@ -212,6 +212,13 @@ class TestSchemeFamily:
         with pytest.raises(ValidationError):
             scheme_from_name("histogram")
 
+    def test_window_only_on_windowed_kinds(self):
+        # the history keeps ``window`` periods, so a window on a kind
+        # that reads none would size it for nothing
+        for kind in ("now", "mean", "full_extreme"):
+            with pytest.raises(ValidationError, match="takes no window"):
+                Scheme(kind, window=3)
+
     def test_extreme_requires_window_argument(self):
         with pytest.raises(ValidationError):
             scheme_from_name("extreme")
@@ -225,42 +232,38 @@ class TestSchemeProperties:
     @settings(max_examples=100, deadline=None)
     @given(costs_stream, st.integers(1, 10))
     def test_windowed_nested_in_full(self, costs, r):
-        h = history_of(costs)
-        windowed = emit_signal(h, extreme_scheme(r), 1)
-        full = emit_signal(h, full_extreme_scheme(), 1)
+        windowed = signal_of(costs, extreme_scheme(r))
+        full = signal_of(costs, full_extreme_scheme())
         assert full[0, 0] <= windowed[0, 0] <= windowed[0, 1] <= full[0, 1]
 
     @settings(max_examples=100, deadline=None)
     @given(costs_stream)
     def test_window_of_one_equals_now_after_warm_up(self, costs):
-        h = history_of(costs)
-        assert np.array_equal(emit_signal(h, extreme_scheme(1), 1),
-                              emit_signal(h, now_scheme(), 1))
+        assert np.array_equal(signal_of(costs, extreme_scheme(1)),
+                              signal_of(costs, now_scheme()))
 
     def test_window_of_one_differs_from_now_during_warm_up(self):
-        h = history_of([5.0])
-        assert emit_signal(h, now_scheme(), 1)[0] == pytest.approx((5.0, 5.0))
-        assert emit_signal(h, extreme_scheme(1), 1)[0] == pytest.approx(
+        assert signal_of([5.0], now_scheme())[0] == pytest.approx((5.0, 5.0))
+        assert signal_of([5.0], extreme_scheme(1))[0] == pytest.approx(
             (0.0, 0.0))
 
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, 100, allow_nan=False), st.integers(2, 20))
     def test_constant_stream_collapses_every_scheme(self, c, n):
-        h = history_of([c] * n)
         for scheme in (now_scheme(), mean_scheme(), extreme_scheme(3),
                        full_extreme_scheme(), subinterval_scheme(3, 0.5)):
-            sig = emit_signal(h, scheme, 1)
+            sig = signal_of([c] * n, scheme)
             assert sig[0] == pytest.approx((c, c))
 
     @settings(max_examples=100, deadline=None)
     @given(costs_stream)
     def test_full_envelope_is_monotone(self, costs):
-        h = CostHistory(1)
+        h = CostHistory(1, full_extreme_scheme())
         prev_lo, prev_hi = math.inf, -math.inf
         for i, c in enumerate(costs):
             h.record_period([c])
             if i >= 1:
-                sig = emit_signal(h, full_extreme_scheme(), 1)
+                sig = emit_signal(h)
                 assert sig[0, 0] <= prev_lo or prev_lo is math.inf
                 assert sig[0, 1] >= prev_hi or prev_hi is -math.inf
                 prev_lo, prev_hi = sig[0, 0], sig[0, 1]
@@ -268,7 +271,6 @@ class TestSchemeProperties:
     @settings(max_examples=100, deadline=None)
     @given(costs_stream, st.integers(1, 8), st.floats(0, 1))
     def test_emitted_intervals_always_validate(self, costs, r, alpha):
-        h = history_of(costs)
-        sig = emit_signal(h, subinterval_scheme(r, alpha), 1)
-        assert validate_subinterval(sig, h, r)
+        sig = signal_of(costs, subinterval_scheme(r, alpha))
+        assert validate_subinterval(sig, costs, r)
         assert sig[0, 0] <= sig[0, 1]
