@@ -4,8 +4,9 @@
     PYTHONPATH=src python3 scripts/dump_outputs.py OUT_DIR [--only NAME ...]
 
 The outputs are those a change that must keep every trajectory is
-compared on: the diamond ``run`` under all five schemes, a 50-period
-Sioux Falls run, ``run_abstract`` under all five schemes (plus one
+compared on: the diamond ``run`` under all five schemes, 50-period
+Sioux Falls runs under ``extreme`` r = 20, ``now`` and ``mean``,
+``run_abstract`` under all five schemes (plus one
 config mixing every cost kind), ``flapping_demo`` at J = 7 with N = 3
 and 101 and at J = 0.5 with N = 29, and ``convergence_check`` at
 M = 2, 3 and 8.  Floats are written as raw float64 bytes (``.bin``) and
@@ -148,10 +149,15 @@ def _outputs() -> dict:
                 out, f"diamond-{s.label()}",
                 RunConfig(scheme=s, horizon=300, seed=0,
                           instance="diamond")))
-    outputs["sioux-falls-extreme-r20"] = lambda out: _network_run(
-        out, "sioux-falls-extreme-r20",
-        RunConfig(scheme=extreme_scheme(20), horizon=50, seed=0,
-                  instance="sioux-falls"))
+    # Under extreme r = 20 the signal often equals the previous period's,
+    # so the loader reuses that period's DAGs; under now it returns to
+    # earlier signals but never to the previous one, and under mean it
+    # never repeats.
+    for scheme in (extreme_scheme(20), now_scheme(), mean_scheme()):
+        stem = f"sioux-falls-{scheme.label()}"
+        outputs[stem] = lambda out, s=scheme, stem=stem: _network_run(
+            out, stem, RunConfig(scheme=s, horizon=50, seed=0,
+                                 instance="sioux-falls"))
     for scheme in _schemes(WINDOW):
         outputs[f"abstract-{scheme.label()}"] = (
             lambda out, s=scheme: _abstract_run(

@@ -5,12 +5,18 @@ comparison grid), ``flapping-demo`` (two-arm oscillation-vs-split
 construction), ``convergence-check`` (coupled-trajectory contraction),
 ``gen-diamond`` (write the built-in instance), ``system-optimum`` (print
 the diamond's system optimum, its reference point).
+
+Exit codes: 0 on success, 1 on a user error (malformed or out-of-domain
+input, an unreachable pair, a file that cannot be read or written), 2 on
+a usage error (argparse), and ``EXIT_INTERNAL`` (70) on any other
+exception, after its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 from pathlib import Path
 
 from .abstract_model import (
@@ -34,6 +40,9 @@ from .signaling import extreme_scheme, mean_scheme, now_scheme, \
     scheme_from_name
 
 _FMT = "%.17g"
+# Exit code of an unexpected exception (sysexits.h EX_SOFTWARE); user
+# errors exit 1 and usage errors 2.
+EXIT_INTERNAL = 70
 
 
 def _add_instance_flags(sub: argparse.ArgumentParser) -> None:
@@ -248,6 +257,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, ValidationError, NoPathError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -23,7 +23,6 @@ from .network import (
     ValidationError,
     parse_network,
     parse_trips,
-    require_reachable,
 )
 from .population import (
     derived_rng,
@@ -32,7 +31,7 @@ from .population import (
     uniform_type_set,
 )
 from .signaling import CostHistory, Scheme, emit_signal
-from .assignment import assign
+from .assignment import LoadPlan, assign
 
 __all__ = [
     "PeriodRecord",
@@ -105,8 +104,8 @@ def run(config: RunConfig) -> list[PeriodRecord]:
     origin-destination pair has no route.
     """
     net, demand = config.load()
-    require_reachable(net, demand)
     types = uniform_type_set(config.type_count)
+    plan = LoadPlan(net, demand, types)
     renewal = uniform_perturbation(config.type_count, config.epsilon)
     history = CostHistory(net.edge_count, config.scheme)
     pop_rng = derived_rng(config.seed, "population")
@@ -115,7 +114,7 @@ def run(config: RunConfig) -> list[PeriodRecord]:
     for t in range(1, config.horizon + 1):
         profile = sample_profile(renewal, pop_rng)
         signal = emit_signal(history)
-        flows = assign(net, demand, signal, profile, types)
+        flows = assign(plan, signal, profile)
         costs = edge_costs(net, flows, capped=config.capped)
         history.record_period(costs)
         records.append(PeriodRecord(

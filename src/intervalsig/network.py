@@ -1,8 +1,11 @@
 """Road-network and demand data model, TNTP text ingestion, and the
 shortest paths that demand is split over.
 
-``dijkstra`` gives the per-origin loader in ``assignment`` the distances
-and the finalization order it selects tight edges by; ``TIE_TOL`` and
+``dijkstra`` gives the per-row reference loader in ``assignment`` the
+distances and the finalization order it selects tight edges by; that
+loader serves rows with a distance plateau and plans too small to batch,
+and ``scripts/sioux_falls_reference.py`` calls ``dijkstra`` too.  The
+batched loader finds its distances without it.  ``TIE_TOL`` and
 ``TIE_TOL_ABS`` say when two route costs count as tied.
 
 Node ids are 1-based as in TNTP files. Edges keep their file order; that

@@ -37,6 +37,8 @@ class Scheme:
         if self.kind == "subinterval":
             if self.shrink is None or not 0.0 <= self.shrink <= 1.0:
                 raise ValidationError("shrink factor must lie in [0, 1]")
+        elif self.shrink is not None:
+            raise ValidationError(f"{self.kind} takes no shrink factor")
 
     def label(self) -> str:
         name = self.kind.replace("_", "-")
@@ -69,13 +71,13 @@ def subinterval_scheme(window: int, shrink: float) -> Scheme:
 
 def scheme_from_name(name: str, window: int | None = None,
                      shrink: float | None = None) -> Scheme:
+    """The scheme a CLI name stands for (``-`` for ``_``), built with the
+    window and shrink given, so a kind that reads neither refuses them;
+    ``subinterval`` without a shrink keeps the whole envelope."""
     kind = name.replace("-", "_")
-    if kind == "subinterval":
-        return Scheme(kind, window=window,
-                      shrink=1.0 if shrink is None else shrink)
-    if kind == "extreme":
-        return Scheme(kind, window=window)
-    return Scheme(kind)
+    if kind == "subinterval" and shrink is None:
+        shrink = 1.0
+    return Scheme(kind, window=window, shrink=shrink)
 
 
 def checked_initial_signal(signal, m_count: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from intervalsig.assignment import _checked_signal, edge_weight
+from intervalsig.assignment import LoadPlan, _checked_signal, edge_weight
 from intervalsig.network import (
     TIE_TOL,
     TIE_TOL_ABS,
@@ -185,11 +185,11 @@ def assign_per_pair(
 ) -> FlowState:
     """Split every origin-destination pair on its own, per type.
 
-    Takes the same inputs and applies the same input checks as
-    ``assign``; each pair's demand is split with ``tight_dag``, using one
+    Takes the inputs of ``LoadPlan`` and ``assign`` together and applies
+    the same input checks; each pair's demand is split with ``tight_dag``, using one
     forward Dijkstra per origin and one reverse Dijkstra per destination.
     """
-    signal = _checked_signal(net, demand, signal, profile, types)
+    signal = _checked_signal(LoadPlan(net, demand, types), signal, profile)
     pairs = sorted(demand.entries)
     origins = sorted({o for o, _ in pairs})
     dests = sorted({d for _, d in pairs})

@@ -1,12 +1,20 @@
 """Signal-to-flow mapping: per-type route weights, demand loading, and
 the randomized action choice of the abstract model."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from intervalsig.assignment import (
+    BATCH_CROSSOVER,
+    LoadPlan,
     ValidationError,
+    _load_batched,
+    _distances,
+    _load_per_row,
+    _tight_dags,
     assign,
     edge_weight,
     pick_among_ties,
@@ -74,22 +82,25 @@ class TestEdgeWeight:
 class TestAssign:
     def test_warm_up_signal_splits_equally(self):
         net = diamond()
-        flows = assign(net, diamond_demand(), np.zeros((5, 2)), FLAT,
-                       FIVE_TYPES)
+        flows = assign(LoadPlan(net, diamond_demand(), FIVE_TYPES),
+                       np.zeros((5, 2)), FLAT)
         assert flows == pytest.approx([30.0, 15.0, 15.0, 15.0, 15.0])
 
     def test_lopsided_signal_routes_everyone_one_way(self):
         net = diamond()
         sig = interval_signal(
             [[0.0, 0.0], [1.0, 1.0], [5.0, 9.0], [0.0, 0.0], [0.0, 0.0]])
-        flows = assign(net, diamond_demand(), sig, FLAT, FIVE_TYPES)
+        flows = assign(LoadPlan(net, diamond_demand(), FIVE_TYPES), sig,
+                       FLAT)
         assert flows == pytest.approx([30.0, 30.0, 0.0, 30.0, 0.0])
 
     def test_zero_demand_zero_flows(self):
         net = diamond()
         empty = parse_trips("Origin 1\n")
-        flows = assign(net, empty, np.zeros((5, 2)), FLAT, FIVE_TYPES)
-        assert flows == pytest.approx([0.0] * 5)
+        plan = LoadPlan(net, empty, FIVE_TYPES)
+        assert plan.row_count == 0
+        flows = assign(plan, np.zeros((5, 2)), FLAT)
+        assert flows.tobytes() == np.zeros(5).tobytes()
         state = assign_per_pair(net, empty, np.zeros((5, 2)), FLAT,
                                 FIVE_TYPES)
         assert state.path_loads == []
@@ -118,20 +129,22 @@ class TestAssign:
 
     def test_demand_scale_multiplies_flows(self):
         net = diamond()
-        base = assign(net, diamond_demand(), np.zeros((5, 2)), FLAT,
-                      FIVE_TYPES)
+        base = assign(LoadPlan(net, diamond_demand(), FIVE_TYPES),
+                      np.zeros((5, 2)), FLAT)
         twice = DemandTable({pair: 2.0 * flow for pair, flow
                              in diamond_demand().entries.items()})
-        doubled = assign(net, twice, np.zeros((5, 2)), FLAT, FIVE_TYPES)
+        doubled = assign(LoadPlan(net, twice, FIVE_TYPES), np.zeros((5, 2)),
+                         FLAT)
         assert doubled == pytest.approx(2 * base)
 
     def test_unreachable_pair_is_identified(self):
+        # the plan checks every pair once, before any signal is loaded
         net = parse_network("1 2 5 0 1 1 1 0 0 1 ;\n4 3 5 0 1 1 1 0 0 1 ;\n")
         demand = parse_trips("Origin 1\n3 : 4;\n")
         with pytest.raises(NoPathError, match="3"):
-            assign(net, demand, np.zeros((2, 2)), FLAT, FIVE_TYPES)
+            LoadPlan(net, demand, FIVE_TYPES)
 
-    @pytest.mark.parametrize("loader", [assign, assign_per_pair])
+    @pytest.mark.parametrize("loader", [assign_per_pair])
     @pytest.mark.parametrize("pair", [(1, 9), (0, 5)])
     def test_demand_node_outside_network_rejected(self, loader, pair):
         demand = DemandTable({pair: 5.0})
@@ -141,8 +154,13 @@ class TestAssign:
 
     def test_profile_must_match_type_set(self):
         with pytest.raises(ValidationError):
-            assign(diamond(), diamond_demand(), np.zeros((5, 2)),
-                   PopulationProfile((0.5, 0.5)), FIVE_TYPES)
+            assign(LoadPlan(diamond(), diamond_demand(), FIVE_TYPES),
+                   np.zeros((5, 2)), PopulationProfile((0.5, 0.5)))
+
+    def test_signal_must_cover_every_edge(self):
+        with pytest.raises(ValidationError, match=r"\(4, 2\)"):
+            assign(LoadPlan(diamond(), diamond_demand(), FIVE_TYPES),
+                   np.zeros((4, 2)), FLAT)
 
     def test_group_shares_reproduce_edge_flows(self):
         net = diamond()
@@ -184,7 +202,7 @@ class TestConservationProperties:
         net = parse_network(MULTI_OD_NET)
         demand = parse_trips(MULTI_OD_TRIPS)
         sig = random_interval_signal(data.draw, len(net.edges))
-        flows = assign(net, demand, sig, FLAT, FIVE_TYPES)
+        flows = assign(LoadPlan(net, demand, FIVE_TYPES), sig, FLAT)
         balance = np.zeros(net.node_count + 1)
         for e in net.edges:
             balance[e.src] -= flows[e.id]
@@ -205,8 +223,9 @@ class TestConservationProperties:
         demand = diamond_demand()
         sig = random_interval_signal(data.draw, 5)
         scale = data.draw(st.floats(0.01, 100, allow_nan=False))
-        a = assign(net, demand, sig, FLAT, FIVE_TYPES)
-        b = assign(net, demand, sig * scale, FLAT, FIVE_TYPES)
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        a = assign(plan, sig, FLAT)
+        b = assign(plan, sig * scale, FLAT)
         assert b == pytest.approx(a, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -218,8 +237,9 @@ class TestConservationProperties:
         demand = diamond_demand()
         sig = random_interval_signal(data.draw, 5)
         shift = data.draw(st.floats(0, 50, allow_nan=False))
-        a = assign(net, demand, sig, FLAT, FIVE_TYPES)
-        b = assign(net, demand, sig + shift, FLAT, FIVE_TYPES)
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        a = assign(plan, sig, FLAT)
+        b = assign(plan, sig + shift, FLAT)
         assert b == pytest.approx(a, abs=1e-9)
 
     @settings(max_examples=60, deadline=None)
@@ -232,8 +252,9 @@ class TestConservationProperties:
         raised = sig.copy()
         raised[2] += bump   # second route's middle edge
         raised[4] += bump   # second route's closing edge
-        before = assign(net, demand, sig, FLAT, FIVE_TYPES)
-        after = assign(net, demand, raised, FLAT, FIVE_TYPES)
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        before = assign(plan, sig, FLAT)
+        after = assign(plan, raised, FLAT)
         assert after[2] <= before[2] + 1e-9
 
 
@@ -293,7 +314,7 @@ class TestAgainstPerPairOracle:
     def test_random_networks_match_oracle(self, case):
         net, demand, signal, profile = case
         np.testing.assert_allclose(
-            assign(net, demand, signal, profile, FIVE_TYPES),
+            assign(LoadPlan(net, demand, FIVE_TYPES), signal, profile),
             oracle_flows(net, demand, signal, profile, FIVE_TYPES),
             rtol=1e-12, atol=0.0)
 
@@ -301,7 +322,7 @@ class TestAgainstPerPairOracle:
         net, demand = load_instance("sioux-falls")
         signal = np.zeros((net.edge_count, 2))
         np.testing.assert_allclose(
-            assign(net, demand, signal, FLAT, FIVE_TYPES),
+            assign(LoadPlan(net, demand, FIVE_TYPES), signal, FLAT),
             oracle_flows(net, demand, signal, FLAT, FIVE_TYPES),
             rtol=1e-12, atol=0.0)
 
@@ -321,6 +342,156 @@ class TestAgainstPerPairOracle:
             social = float(agents @ (state.group_shares @ costs))
             assert rec.social_cost == pytest.approx(social, rel=1e-12,
                                                     abs=0.0)
+
+
+class TestLoadPlan:
+    @pytest.mark.parametrize("pair", [(1, 9), (0, 5)])
+    def test_demand_node_outside_network_rejected(self, pair):
+        with pytest.raises(ValidationError,
+                           match=rf"\({pair[0]}, {pair[1]}\)"):
+            LoadPlan(diamond(), DemandTable({pair: 5.0}), FIVE_TYPES)
+
+    def test_rows_are_types_times_origins(self):
+        net, demand = load_instance("sioux-falls")
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        assert plan.row_count == 5 * 24
+        assert list(plan.by_origin) == list(range(1, 25))
+
+    def test_batches_from_the_crossover(self):
+        # the diamond has 5 rows x 5 edges, Sioux Falls 120 x 76
+        assert 25 < BATCH_CROSSOVER <= 120 * 76
+        assert not LoadPlan(diamond(), diamond_demand(), FIVE_TYPES).batched
+        net, demand = load_instance("sioux-falls")
+        assert LoadPlan(net, demand, FIVE_TYPES).batched
+
+
+def assert_distances_match_frozen_dijkstra(plan, signal):
+    layout = plan._layout
+    weights = np.array([edge_weight(signal, omega)
+                        for omega in plan.types.omegas])
+    dist = _distances(layout, weights.T[:, layout.row_type])
+    origins = list(plan.by_origin)
+    for row in range(plan.row_count):
+        kind, at = divmod(row, len(origins))
+        want, _ = frozen_dijkstra(plan.net, weights[kind], origins[at])
+        assert dist[:, row].tobytes() == want.tobytes()
+
+
+def sequential_sum(rows):
+    total = rows[0].tolist()
+    for row in rows[1:]:
+        total = [a + b for a, b in zip(total, row.tolist())]
+    return np.array(total)
+
+
+class TestBatchedMatchesPerRow:
+    """``_load_batched`` gives the per-row loop's flows bit for bit.  The
+    crossover sends small networks to the per-row loop, so these tests
+    call both loaders directly."""
+
+    def test_random_networks(self):
+        # each draw also checks the batched distances against the frozen
+        # Dijkstra (see TestRelaxationMatchesFrozenDijkstra)
+        rows = {"batched": 0, "plateau": 0}
+
+        @settings(max_examples=1000, deadline=None)
+        @given(small_cases())
+        def check(case):
+            net, demand, signal, profile = case
+            plan = LoadPlan(net, demand, FIVE_TYPES)
+            assert_distances_match_frozen_dijkstra(plan, signal)
+            want = _load_per_row(plan, signal, profile)
+            got = _load_batched(plan, signal, profile)
+            assert got.tobytes() == want.tobytes()
+            plateau = len(plan._memo.plateau_rows)
+            rows["plateau"] += plateau
+            rows["batched"] += plan.row_count - plateau
+
+        check()
+        assert rows["batched"] > 0 and rows["plateau"] > 0
+
+    def test_pinned_sioux_falls_trajectory(self):
+        # periods 1 and 2 read the zero warm-up signal, whose rows are
+        # all plateau rows; later signals repeat now and then
+        records = run(RunConfig(scheme=extreme_scheme(20), horizon=30,
+                                seed=0, instance="sioux-falls"))
+        net, demand = load_instance("sioux-falls")
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        for rec in records:
+            profile = PopulationProfile(tuple(rec.weights))
+            want = _load_per_row(plan, rec.signal, profile)
+            assert rec.flows.tobytes() == want.tobytes()
+            assert rec.flows.flags.owndata
+
+    def test_memo_hit_matches_fresh_plan(self):
+        records = run(RunConfig(scheme=extreme_scheme(20), horizon=12,
+                                seed=3, instance="sioux-falls"))
+        net, demand = load_instance("sioux-falls")
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        other = PopulationProfile((0.1, 0.3, 0.2, 0.25, 0.15))
+        for rec in records[2:]:
+            assign(plan, rec.signal, FLAT)
+            dags = plan._memo
+            again = assign(plan, rec.signal.copy(), other)
+            assert plan._memo is dags
+            fresh = assign(LoadPlan(net, demand, FIVE_TYPES), rec.signal,
+                           other)
+            assert again.tobytes() == fresh.tobytes()
+
+    def test_changed_signal_is_not_a_hit(self):
+        net, demand = load_instance("sioux-falls")
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        signal = np.tile(net.free_flows[:, None], 2)
+        assign(plan, signal, FLAT)
+        dags = plan._memo
+        signal[7, 1] = np.nextafter(signal[7, 1], np.inf)
+        flows = assign(plan, signal, FLAT)
+        assert plan._memo is not dags
+        assert flows.tobytes() == _load_per_row(plan, signal, FLAT).tobytes()
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_negative_or_nonfinite_weights_load_per_row(self, bad):
+        net, demand = load_instance("sioux-falls")
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        signal = np.tile(net.free_flows[:, None], 2)
+        signal[3] = bad
+        with np.errstate(invalid="ignore"):     # 0 * inf reads nan
+            assert _tight_dags(plan, signal, b"") is None
+
+    def test_axis0_sum_adds_rows_in_order(self):
+        # the onward pass and the flows rely on it: a pairwise or
+        # reordered sum of these columns gives other bits
+        rng = np.random.default_rng(5)
+        terms = rng.uniform(0.0, 1.0, (120, 9)) * 10.0 ** rng.integers(
+            -8, 9, (120, 9))
+        terms[0] = 1.0
+        terms[1:40, 0] = 1e-16
+        want = sequential_sum(terms).tobytes()
+        assert terms.sum(axis=0).tobytes() == want
+        out = np.zeros(10)
+        terms.sum(axis=0, out=out[:9])
+        assert out[:9].tobytes() == want
+        # the first column is order-sensitive: in order, each 1e-16 is
+        # lost against the leading 1.0
+        assert sequential_sum(terms[:40])[0] == 1.0
+        assert math.fsum(terms[:40, 0]) > 1.0
+
+
+class TestRelaxationMatchesFrozenDijkstra:
+    """The batched loader's min-plus distances are the frozen heapq
+    Dijkstra's, bit for bit, on every row; on random networks
+    ``TestBatchedMatchesPerRow.test_random_networks`` checks this too."""
+
+    def test_sioux_falls(self):
+        net, demand = load_instance("sioux-falls")
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        rng = np.random.default_rng(11)
+        assert_distances_match_frozen_dijkstra(
+            plan, np.zeros((net.edge_count, 2)))
+        for _ in range(3):
+            lows = rng.uniform(0.0, 10.0, net.edge_count)
+            assert_distances_match_frozen_dijkstra(plan, np.column_stack(
+                [lows, lows + rng.uniform(0.0, 5.0, net.edge_count)]))
 
 
 class TestDijkstraMatchesFrozenCopy:

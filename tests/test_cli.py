@@ -5,6 +5,7 @@ import csv
 
 import pytest
 
+from intervalsig import cli
 from intervalsig.cli import main
 from intervalsig.network import parse_network, parse_trips
 
@@ -80,6 +81,20 @@ class TestRun:
                      "--out", str(tmp_path / "x.csv")])
         assert code != 0
         assert "window" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--scheme", "now", "--r", "20"], "error: now takes no window"),
+        (["--scheme", "extreme", "--r", "5", "--alpha", "0.5"],
+         "error: extreme takes no shrink factor"),
+    ], ids=["now-with-r", "extreme-with-alpha"])
+    def test_misplaced_window_or_alpha_rejected(self, tmp_path, capsys,
+                                                flags, message):
+        out = tmp_path / "x.csv"
+        code = main(["run", "--instance", "diamond", "--horizon", "2",
+                     "--seed", "0", "--out", str(out)] + flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
 
     def test_missing_instance_file_fails_cleanly(self, tmp_path, capsys):
         code = main(["run", "--net", str(tmp_path / "no.txt"),
@@ -187,3 +202,25 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert main(["system-optimum", "--bogus"]) != 0
+
+
+class TestExitCodes:
+    def test_user_errors_exit_1(self, tmp_path, capsys):
+        code = main(["run", "--instance", "diamond", "--scheme", "extreme",
+                     "--horizon", "2", "--seed", "0",
+                     "--out", str(tmp_path / "x.csv")])
+        assert code == 1
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_internal_error_prints_traceback_and_own_code(self, monkeypatch,
+                                                          capsys):
+        def broken(_args):
+            raise KeyError("no such column")
+
+        monkeypatch.setitem(cli._COMMANDS, "system-optimum", broken)
+        code = main(["system-optimum"])
+        assert code == cli.EXIT_INTERNAL
+        assert code not in (0, 1, 2)    # 2 is argparse's usage error
+        err = capsys.readouterr().err
+        assert "Traceback" in err
+        assert "KeyError: 'no such column'" in err

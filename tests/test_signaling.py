@@ -219,6 +219,24 @@ class TestSchemeFamily:
             with pytest.raises(ValidationError, match="takes no window"):
                 Scheme(kind, window=3)
 
+    def test_shrink_only_on_subinterval(self):
+        # only subinterval reads the shrink factor; elsewhere it would be
+        # dropped without a word
+        for kind, window in (("extreme", 3), ("now", None), ("mean", None),
+                             ("full_extreme", None)):
+            with pytest.raises(ValidationError,
+                               match="takes no shrink factor"):
+                Scheme(kind, window=window, shrink=0.5)
+
+    def test_names_pass_window_and_shrink_through(self):
+        with pytest.raises(ValidationError, match="now takes no window"):
+            scheme_from_name("now", window=20)
+        with pytest.raises(ValidationError,
+                           match="extreme takes no shrink factor"):
+            scheme_from_name("extreme", window=5, shrink=0.5)
+        assert scheme_from_name("subinterval", window=4) == \
+            subinterval_scheme(4, 1.0)
+
     def test_extreme_requires_window_argument(self):
         with pytest.raises(ValidationError):
             scheme_from_name("extreme")
