@@ -4,12 +4,13 @@
     PYTHONPATH=src python3 scripts/dump_outputs.py OUT_DIR [--only NAME ...]
 
 The outputs are those a change that must keep every trajectory is
-compared on: the diamond ``run`` under all five schemes, 50-period
-Sioux Falls runs under ``extreme`` r = 20, ``now`` and ``mean``,
-``run_abstract`` under all five schemes (plus one
-config mixing every cost kind), ``flapping_demo`` at J = 7 with N = 3
-and 101 and at J = 0.5 with N = 29, and ``convergence_check`` at
-M = 2, 3 and 8.  Floats are written as raw float64 bytes (``.bin``) and
+compared on: the diamond ``run`` under all five schemes, a 500-period
+diamond ``run`` under ``now`` at seed 1 (a benchmark sweep cell),
+50-period Sioux Falls runs under ``extreme`` r = 20, ``now`` and
+``mean``, ``run_abstract`` under all five schemes (plus one config
+mixing every cost kind), ``flapping_demo`` at J = 7 with N = 3 and 101
+and at J = 0.5 with N = 29, and ``convergence_check`` at M = 2, 3 and
+8.  Floats are written as raw float64 bytes (``.bin``) and
 runs that have a CSV form also as CSV.
 
 The package is imported from ``PYTHONPATH``, so dumping two checkouts
@@ -149,6 +150,12 @@ def _outputs() -> dict:
                 out, f"diamond-{s.label()}",
                 RunConfig(scheme=s, horizon=300, seed=0,
                           instance="diamond")))
+    # Under now the diamond's signal keeps returning to a few earlier
+    # values, so almost every row's DAG comes from the plan's cache.
+    outputs["diamond-now-seed1"] = lambda out: _network_run(
+        out, "diamond-now-seed1",
+        RunConfig(scheme=now_scheme(), horizon=500, seed=1,
+                  instance="diamond"))
     # Under extreme r = 20 the signal often equals the previous period's,
     # so the loader reuses that period's DAGs; under now it returns to
     # earlier signals but never to the previous one, and under mean it

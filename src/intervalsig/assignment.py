@@ -19,12 +19,21 @@ condition breaks zero-weight cycles while keeping every shortest-path
 tree edge.
 
 Two loaders give the same bytes.  ``_load_origin`` is the reference: one
-heapq Dijkstra and two Python passes per row.  ``_load_batched`` loads
-all rows of a period in whole-array passes and remembers the last
-signal's DAGs, which under r-window signals often return unchanged; a
-row with a distance plateau takes its DAG from the reference's forward
-pass (``_row_dag``).  A plan batches when its rows times edges reach
-``BATCH_CROSSOVER``.
+heapq Dijkstra and a forward pass per row build its DAG (``_row_dag``),
+and a reverse pass loads it.  ``_load_batched`` loads all rows of a
+period in whole-array passes and remembers the last signal's DAGs, which
+under r-window signals often return unchanged; a row with a distance
+plateau takes its DAG from ``_row_dag``.  A plan batches when its rows
+times edges reach ``BATCH_CROSSOVER``.
+
+Each plan caches the DAGs that ``_row_dag`` builds, keyed by the row's
+weight vector (its bytes) and then by origin, and drops the oldest
+weight vector once it holds ``ROW_DAG_CACHE`` of them.  A DAG is a pure
+function of the weights, the origin and the network, so a hit gives the
+bytes a rebuild would.  Hits are common: scalar signals (``now``,
+``mean``, the zero warm-up) give every type the same weights, and a
+window min/max signal returns to earlier values whenever no extreme
+enters or leaves the window.
 """
 
 from __future__ import annotations
@@ -39,7 +48,6 @@ from .network import (
     Network,
     TIE_TOL,
     TIE_TOL_ABS,
-    NoPathError,
     ValidationError,
     dijkstra,
     require_reachable,
@@ -49,6 +57,7 @@ from .population import PopulationProfile, TypeSet
 __all__ = [
     "BATCH_CROSSOVER",
     "LoadPlan",
+    "ROW_DAG_CACHE",
     "ValidationError",
     "assign",
     "edge_weight",
@@ -65,6 +74,9 @@ __all__ = [
 # from 600 (640 against 519 us) and on Sioux Falls (120 rows x 76
 # edges: 5.8 against 1.6 ms).
 BATCH_CROSSOVER = 400
+
+# Weight vectors whose row DAGs a plan keeps, oldest dropped first.
+ROW_DAG_CACHE = 64
 
 
 def edge_weight(signal: np.ndarray, omega: float) -> np.ndarray:
@@ -122,6 +134,7 @@ class LoadPlan:
         require_reachable(net, demand)
         self.net = net
         self.types = types
+        self.omegas = np.array(types.omegas)[:, None]   # one row per type
         self.by_origin: dict[int, list[tuple[int, float]]] = {}
         for (origin, dest), flow in sorted(demand.entries.items()):
             self.by_origin.setdefault(origin, []).append((dest, flow))
@@ -129,6 +142,8 @@ class LoadPlan:
         self.batched = self.row_count * net.edge_count >= BATCH_CROSSOVER
         self.srcs, self.dsts = net.srcs.tolist(), net.dsts.tolist()
         self._memo: _Dags | None = None
+        # weight bytes -> origin -> ``_row_dag``'s (kept, count, order)
+        self._row_dags: dict[bytes, dict[int, _RowDag]] = {}
 
     @cached_property
     def _layout(self) -> _Layout:
@@ -184,6 +199,9 @@ def _edge_table(lists: list[list[int]], pad: int) -> np.ndarray:
     return table
 
 
+_RowDag = tuple[list[int], list[float], list[int]]
+
+
 @dataclass
 class _Dags:
     """One signal's tight-edge DAGs over all rows, as what the onward
@@ -208,6 +226,12 @@ def _checked_signal(plan: LoadPlan, signal: np.ndarray,
         raise ValidationError(
             f"signal shape {signal.shape} does not match "
             f"({plan.net.edge_count}, 2)")
+    # NaN fails the first comparison, infinities one of the two.
+    if not (np.minimum.reduce(signal, axis=None) >= 0.0
+            and np.maximum.reduce(signal, axis=None) < np.inf):
+        bad = signal[~(np.isfinite(signal) & (signal >= 0.0))][0]
+        raise ValidationError(
+            f"signal endpoints must be finite and >= 0, got {bad}")
     if len(profile.weights) != len(plan.types):
         raise ValidationError(
             f"profile has {len(profile.weights)} weights for "
@@ -221,7 +245,8 @@ def assign(plan: LoadPlan, signal: np.ndarray,
     per-edge flows.
 
     The signal must cover every edge (shape ``(edge_count, 2)``) with
-    non-negative endpoints.  Per row the loader keeps the edges
+    finite, non-negative endpoints; anything else is a
+    ``ValidationError``.  Per row the loader keeps the edges
     ``(u, v)`` that are tight (``dist[u] + w <= dist[v]`` within
     ``TIE_TOL``/``TIE_TOL_ABS``) and advance the Dijkstra finalization
     order, counts the kept paths ``cf[v]`` from the origin, accumulates
@@ -240,27 +265,39 @@ def _load_per_row(plan: LoadPlan, signal: np.ndarray,
                   profile: PopulationProfile) -> np.ndarray:
     """``assign`` by ``_load_origin`` alone, row after row."""
     flows = [0.0] * plan.net.edge_count
-    for omega, share in zip(plan.types.omegas, profile.weights):
-        weights = edge_weight(signal, omega)
-        w = weights.tolist()
+    weights = edge_weight(signal[None], plan.omegas)
+    for row_weights, share in zip(weights, profile.weights):
         for origin, dests in plan.by_origin.items():
-            _load_origin(plan, weights, w, origin, dests, share, flows)
+            _load_origin(plan, _row_dag(plan, row_weights, origin), dests,
+                         share, flows)
     return np.array(flows)
 
 
-def _row_dag(plan: LoadPlan, weights: np.ndarray, w: list[float],
-             origin: int) -> tuple[list[int], list[float], list[int]]:
-    """One row's tight-edge DAG by the reference rule.
+def _row_dag(plan: LoadPlan, weights: np.ndarray, origin: int) -> _RowDag:
+    """One row's tight-edge DAG by the reference rule, from the plan's
+    cache when it holds these weights' DAG for ``origin``.
 
     One forward Dijkstra gives distances and the finalization order; a
     forward pass in that order keeps the tight edges that advance it and
     counts the kept paths from ``origin``.  Returns the kept edges (in
     finalization order of their tails, file order within a tail), the
-    path counts and the finalization order (-1 where unreached).
+    path counts and the finalization order (-1 where unreached).  The
+    cache shares these lists: callers only read them.
     """
+    key = weights.tobytes()
+    cache = plan._row_dags
+    by_origin = cache.get(key)
+    if by_origin is None:
+        if len(cache) >= ROW_DAG_CACHE:
+            del cache[next(iter(cache))]
+        by_origin = cache[key] = {}
+    dag = by_origin.get(origin)
+    if dag is not None:
+        return dag
+
     net = plan.net
     dist_a, order_a = dijkstra(net, weights, origin)
-    dist, order = dist_a.tolist(), order_a.tolist()
+    dist, order, w = dist_a.tolist(), order_a.tolist(), weights.tolist()
     finalized = [0] * (max(order) + 1)
     for node, rank in enumerate(order):
         if rank >= 0:
@@ -276,22 +313,20 @@ def _row_dag(plan: LoadPlan, weights: np.ndarray, w: list[float],
                     and du + w[eid] <= dist[v] * slack + TIE_TOL_ABS):
                 count[v] += cu
                 kept.append(eid)
-    return kept, count, order
+    dag = by_origin[origin] = (kept, count, order)
+    return dag
 
 
-def _load_origin(plan: LoadPlan, weights: np.ndarray, w: list[float],
-                 origin: int, dests: list[tuple[int, float]], share: float,
+def _load_origin(plan: LoadPlan, dag: _RowDag,
+                 dests: list[tuple[int, float]], share: float,
                  flows: list[float]) -> None:
     """Add one row's edge loads to ``flows``: the exact reference.
 
-    ``_row_dag`` gives the row's DAG; a reverse pass over its kept edges
-    accumulates the onward loads.
+    A reverse pass over the kept edges of the row's DAG accumulates the
+    onward loads.  The plan checked every destination reachable, and
+    finite weights reach whatever a route reaches.
     """
-    kept, count, order = _row_dag(plan, weights, w, origin)
-    for dest, _ in dests:
-        if order[dest] < 0:
-            raise NoPathError(f"destination {dest} unreachable from {origin}")
-
+    kept, count, _ = dag
     # Reverse pass: agents bound for v or beyond, per path into v.
     srcs, dsts = plan.srcs, plan.dsts
     onward = [0.0] * (plan.net.node_count + 1)
@@ -317,15 +352,12 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     order.  After as many sweeps as the longest kept route has edges,
     every load is final.  Each row's edge loads are
     ``count[tail] * onward[head]`` and the flows their axis-0 sum, row
-    by row.  Signals with a negative or non-finite weight load per row.
+    by row.
     """
     key = signal.tobytes()
     dags = plan._memo
     if dags is None or dags.key != key:
-        dags = _tight_dags(plan, signal, key)
-        if dags is None:
-            return _load_per_row(plan, signal, profile)
-        plan._memo = dags
+        dags = plan._memo = _tight_dags(plan, signal, key)
     layout = plan._layout
     rows, edges = plan.row_count, plan.net.edge_count
     size = (plan.net.node_count + 1) * rows
@@ -345,10 +377,8 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     return loads.reshape(rows, edges).sum(axis=0)
 
 
-def _tight_dags(plan: LoadPlan, signal: np.ndarray,
-                key: bytes) -> _Dags | None:
-    """Every row's tight-edge DAG under ``signal``, or None when a
-    weight is negative or not finite.
+def _tight_dags(plan: LoadPlan, signal: np.ndarray, key: bytes) -> _Dags:
+    """Every row's tight-edge DAG under ``signal``.
 
     Distances come from min-plus relaxation to a fixed point: like the
     heapq Dijkstra's, each is the minimum over routes of their
@@ -363,10 +393,7 @@ def _tight_dags(plan: LoadPlan, signal: np.ndarray,
     """
     net, layout = plan.net, plan._layout
     rows = plan.row_count
-    weights = np.array([edge_weight(signal, omega)
-                        for omega in plan.types.omegas])
-    if not (np.isfinite(weights).all() and (weights >= 0.0).all()):
-        return None
+    weights = edge_weight(signal[None], plan.omegas)
     by_edge = weights.T[:, layout.row_type]                 # (edges, rows)
 
     dist = _distances(layout, by_edge)
@@ -379,11 +406,9 @@ def _tight_dags(plan: LoadPlan, signal: np.ndarray,
                      np.zeros((1, rows), dtype=bool), axis=0)
     plateau_rows = np.flatnonzero(plateau).tolist()
     origins = list(plan.by_origin)
-    lists = weights.tolist() if plateau_rows else []
     for row in plateau_rows:
         kind, at = divmod(row, len(origins))
-        kept[_row_dag(plan, weights[kind], lists[kind], origins[at])[0],
-             row] = True
+        kept[_row_dag(plan, weights[kind], origins[at])[0], row] = True
 
     count, depth = layout.start, 0
     kept_into = kept[layout.into]

@@ -115,7 +115,10 @@ def sample_profile(process: RenewalProcess,
 
 def derived_rng(seed: int, label: str, *indices: int) -> np.random.Generator:
     """Named substream of the master seed; stable across runs and
-    platforms (the label enters the seed sequence as its CRC-32)."""
+    platforms (the label enters the seed sequence as its CRC-32).  A
+    negative seed is a ``ValidationError``."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     tag = zlib.crc32(label.encode("utf-8"))
     return np.random.default_rng(
         np.random.SeedSequence([int(seed), tag, *indices]))

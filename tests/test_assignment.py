@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from intervalsig import assignment
 from intervalsig.assignment import (
     BATCH_CROSSOVER,
+    ROW_DAG_CACHE,
     LoadPlan,
     ValidationError,
     _load_batched,
     _distances,
     _load_per_row,
-    _tight_dags,
     assign,
     edge_weight,
     pick_among_ties,
@@ -34,7 +35,7 @@ from intervalsig.population import (
     TypeSet,
     uniform_type_set,
 )
-from intervalsig.signaling import extreme_scheme
+from intervalsig.signaling import extreme_scheme, mean_scheme, now_scheme
 
 from .oracle import assign_per_pair, dijkstra as frozen_dijkstra
 from .test_network import DIAMOND_NET, DIAMOND_TRIPS
@@ -161,6 +162,19 @@ class TestAssign:
         with pytest.raises(ValidationError, match=r"\(4, 2\)"):
             assign(LoadPlan(diamond(), diamond_demand(), FIVE_TYPES),
                    np.zeros((4, 2)), FLAT)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
+    def test_negative_or_nonfinite_signal_rejected(self, bad):
+        # on a batched plan and on a per-row one, before any DAG is built
+        for instance, batched in (("sioux-falls", True), ("diamond", False)):
+            net, demand = load_instance(instance)
+            plan = LoadPlan(net, demand, FIVE_TYPES)
+            assert plan.batched is batched
+            signal = np.tile(net.free_flows[:, None], 2)
+            signal[3, 1] = bad
+            with pytest.raises(ValidationError, match="finite and >= 0"):
+                assign(plan, signal, FLAT)
+            assert plan._memo is None and plan._row_dags == {}
 
     def test_group_shares_reproduce_edge_flows(self):
         net = diamond()
@@ -387,7 +401,8 @@ def sequential_sum(rows):
 class TestBatchedMatchesPerRow:
     """``_load_batched`` gives the per-row loop's flows bit for bit.  The
     crossover sends small networks to the per-row loop, so these tests
-    call both loaders directly."""
+    call both loaders directly, each on its own plan: the reference never
+    reads a DAG that the batched side cached."""
 
     def test_random_networks(self):
         # each draw also checks the batched distances against the frozen
@@ -400,7 +415,8 @@ class TestBatchedMatchesPerRow:
             net, demand, signal, profile = case
             plan = LoadPlan(net, demand, FIVE_TYPES)
             assert_distances_match_frozen_dijkstra(plan, signal)
-            want = _load_per_row(plan, signal, profile)
+            want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES), signal,
+                                 profile)
             got = _load_batched(plan, signal, profile)
             assert got.tobytes() == want.tobytes()
             plateau = len(plan._memo.plateau_rows)
@@ -447,16 +463,8 @@ class TestBatchedMatchesPerRow:
         signal[7, 1] = np.nextafter(signal[7, 1], np.inf)
         flows = assign(plan, signal, FLAT)
         assert plan._memo is not dags
-        assert flows.tobytes() == _load_per_row(plan, signal, FLAT).tobytes()
-
-    @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
-    def test_negative_or_nonfinite_weights_load_per_row(self, bad):
-        net, demand = load_instance("sioux-falls")
-        plan = LoadPlan(net, demand, FIVE_TYPES)
-        signal = np.tile(net.free_flows[:, None], 2)
-        signal[3] = bad
-        with np.errstate(invalid="ignore"):     # 0 * inf reads nan
-            assert _tight_dags(plan, signal, b"") is None
+        want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES), signal, FLAT)
+        assert flows.tobytes() == want.tobytes()
 
     def test_axis0_sum_adds_rows_in_order(self):
         # the onward pass and the flows rely on it: a pairwise or
@@ -475,6 +483,78 @@ class TestBatchedMatchesPerRow:
         # lost against the leading 1.0
         assert sequential_sum(terms[:40])[0] == 1.0
         assert math.fsum(terms[:40, 0]) > 1.0
+
+
+def row_dag_snapshot(plan):
+    """Copies of every cached row DAG's lists, by weight bytes and origin."""
+    return {key: {origin: tuple(list(part) for part in dag)
+                  for origin, dag in by_origin.items()}
+            for key, by_origin in plan._row_dags.items()}
+
+
+class TestRowDagCache:
+    """The per-row loader builds each (weight vector, origin) DAG once
+    and then reads it from the plan's cache, with the bytes a fresh plan
+    gives."""
+
+    def test_one_dijkstra_per_distinct_signal(self, monkeypatch):
+        # under now every type reads the same weights, and the diamond
+        # has one origin
+        calls = []
+        original = assignment.dijkstra
+
+        def counted(net, weights, source):
+            calls.append(weights.tobytes())
+            return original(net, weights, source)
+
+        monkeypatch.setattr(assignment, "dijkstra", counted)
+        records = run(RunConfig(scheme=now_scheme(), horizon=5, seed=0,
+                                instance="diamond"))
+        signals = {rec.signal.tobytes() for rec in records}
+        assert len(calls) == len(set(calls)) == len(signals) < 5
+
+    @pytest.mark.parametrize("scheme", [
+        now_scheme(), mean_scheme(), extreme_scheme(5), extreme_scheme(10),
+        extreme_scheme(20)], ids=lambda scheme: scheme.label())
+    def test_cached_run_matches_fresh_plan_per_period(self, scheme):
+        records = run(RunConfig(scheme=scheme, horizon=300, seed=0,
+                                instance="diamond"))
+        net, demand = load_instance("diamond")
+        for rec in records:
+            fresh = assign(LoadPlan(net, demand, FIVE_TYPES), rec.signal,
+                           PopulationProfile(tuple(rec.weights)))
+            assert rec.flows.tobytes() == fresh.tobytes()
+
+    def test_bounded_and_first_in_first_out(self):
+        plan = LoadPlan(diamond(), diamond_demand(), FIVE_TYPES)
+        rng = np.random.default_rng(2)
+        keys = []
+        for _ in range(ROW_DAG_CACHE // 5 + 4):
+            lows = rng.uniform(0.0, 10.0, 5)
+            signal = np.column_stack([lows, lows + rng.uniform(1.0, 5.0, 5)])
+            assign(plan, signal, FLAT)
+            keys += [edge_weight(signal, omega).tobytes()
+                     for omega in FIVE_TYPES.omegas]
+            assert len(plan._row_dags) <= ROW_DAG_CACHE
+        assert len(set(keys)) == len(keys) > ROW_DAG_CACHE
+        assert list(plan._row_dags) == keys[-ROW_DAG_CACHE:]
+
+    def test_loading_leaves_cached_dags_unchanged(self):
+        plan = LoadPlan(diamond(), diamond_demand(), FIVE_TYPES)
+        signal = interval_signal(
+            [[1.0, 2.0], [0.5, 3.0], [0.5, 2.5], [0.0, 1.0], [0.2, 0.8]])
+        first = assign(plan, signal, FLAT)
+        dags = {key: dict(by_origin)
+                for key, by_origin in plan._row_dags.items()}
+        before = row_dag_snapshot(plan)
+        other = PopulationProfile((0.1, 0.3, 0.2, 0.25, 0.15))
+        assign(plan, signal, other)
+        again = assign(plan, signal, FLAT)
+        assert again.tobytes() == first.tobytes()
+        assert row_dag_snapshot(plan) == before
+        for key, by_origin in plan._row_dags.items():
+            for origin, dag in by_origin.items():
+                assert dag is dags[key][origin]
 
 
 class TestRelaxationMatchesFrozenDijkstra:

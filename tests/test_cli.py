@@ -212,6 +212,20 @@ class TestExitCodes:
         assert code == 1
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--instance", "diamond", "--scheme", "now", "--horizon", "3"],
+        ["convergence-check", "--trajectories", "4", "--horizon", "3"],
+    ], ids=["run", "convergence-check"])
+    def test_negative_seed_is_a_user_error(self, tmp_path, capsys, command):
+        out = tmp_path / "x.csv"
+        extra = ["--out", str(out)] if command[0] == "run" else []
+        code = main(command + ["--seed", "-1"] + extra)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be >= 0, got -1")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_internal_error_prints_traceback_and_own_code(self, monkeypatch,
                                                           capsys):
         def broken(_args):

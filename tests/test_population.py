@@ -162,3 +162,7 @@ class TestDeterminism:
         a = derived_rng(42, "trajectory", 0)
         b = derived_rng(42, "trajectory", 1)
         assert a.random() != b.random()
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            derived_rng(-1, "population")
