@@ -15,8 +15,9 @@ runs that have a CSV form also as CSV.
 
 The package is imported from ``PYTHONPATH``, so dumping two checkouts
 into two directories and running ``diff -r`` between them shows whether
-their outputs are byte-identical.  ``--only`` writes the named outputs
-alone.
+their outputs are byte-identical; ``scripts/compare_outputs.py`` counts
+the entries that differ and bounds them.  ``--only`` writes the named
+outputs alone.
 """
 
 from __future__ import annotations
@@ -172,8 +173,9 @@ def _outputs() -> dict:
     outputs["abstract-mixed-extreme-r7"] = lambda out: _abstract_run(
         out, "abstract-mixed-extreme-r7", _mixed_costs(),
         extreme_scheme(WINDOW))
-    # J = 0.5, N = 29: numpy's array power and C's pow differ in the last
-    # bit of this interval-arm cost on CPUs with AVX-512.
+    # J = 0.5, N = 29: numpy's array power would differ from C's pow,
+    # which the flapping kind takes, in the last bit of this interval-arm
+    # cost on CPUs with AVX-512.
     for j, n in ((7.0, 3), (7.0, 101), (0.5, 29)):
         stem = f"flapping-j{j:g}-n{n}"
         outputs[stem] = lambda out, s=stem, j=j, n=n: _flapping(out, s, j, n)

@@ -25,7 +25,7 @@ method from this start.
 
 import numpy as np
 
-from intervalsig.costs import edge_costs, total_excess
+from intervalsig.costs import edge_costs, social_cost_network, total_excess
 from intervalsig.instances import load_instance
 from intervalsig.network import dijkstra
 
@@ -97,7 +97,7 @@ def frank_wolfe(net, demand, capped, gap_tol, max_iter):
     while True:
         costs = edge_costs(net, flows, capped)
         target, shortest_total = all_or_nothing(net, demand, costs)
-        total = float(flows @ costs)
+        total = social_cost_network(flows, costs)
         gap = (total - shortest_total) / total
         if gap <= gap_tol or steps == max_iter:
             return flows, gap, steps
@@ -111,7 +111,8 @@ def main():
     for label, capped in (("capped", True), ("uncapped", False)):
         flows, gap, iterations = frank_wolfe(net, demand, capped, GAP,
                                              MAX_ITER)
-        capped_cost = float(flows @ edge_costs(net, flows, capped=True))
+        capped_cost = social_cost_network(
+            flows, edge_costs(net, flows, capped=True))
         print(f"{label}_equilibrium capped_cost={capped_cost:.3f} "
               f"excess={total_excess(net, flows):.3f} "
               f"relative_gap={gap:.3e} iterations={iterations}")

@@ -1,4 +1,4 @@
-"""Travel-time curves, capacity excess, and abstract social cost.
+"""Travel-time curves, capacity excess, and both models' social cost.
 
 Network edges use the BPR volume-delay curve F(1+B(x/chi)^p), optionally
 with the load/capacity ratio clamped at 1 ("capped"). The abstract model
@@ -6,6 +6,11 @@ prices action counts with small cost functions (``AbstractCostFn``);
 ``CostTable`` evaluates a whole list of them on ``(..., M)`` counts in a
 few array operations, with each action's arithmetic identical to its own
 ``AbstractCostFn`` call.
+
+Two numeric choices are made here once for both models, so the bytes a
+seed produces depend on the C library and not on the CPU: every power
+is C's ``pow``, taken element by element (``_pow``), and every social
+cost is a ``math.fsum`` of its terms.
 """
 
 from __future__ import annotations
@@ -18,17 +23,49 @@ import numpy as np
 from .network import Network, ValidationError
 
 
+def _c_pow(base: float, exponent: float) -> float:
+    """C's ``pow``, with an overflow giving inf as numpy's power does."""
+    try:
+        return math.pow(base, exponent)
+    except OverflowError:
+        return math.inf
+
+
+# numpy's array power may take a vectorized routine (on CPUs with
+# AVX-512) that differs from C's pow in the last bit on some inputs.
+# Calling pow element by element gives every power the same bits
+# whatever the CPU and the shape of the operands.
+_pow_ufunc = np.frompyfunc(_c_pow, 2, 1)
+
+
+def _pow(base, exponent) -> np.ndarray:
+    """Element-wise C ``pow`` of two broadcastable float arrays."""
+    return np.asarray(_pow_ufunc(base, exponent), dtype=float)
+
+
 def edge_costs(net: Network, flows: np.ndarray, capped: bool) -> np.ndarray:
-    """Vectorized BPR times for all edges at once (file order)."""
+    """BPR times for all edges at once (file order)."""
     ratio = flows / net.capacities
     if capped:
         ratio = np.minimum(ratio, 1.0)
-    return net.free_flows * (1.0 + net.b_coeffs * ratio ** net.powers)
+    return net.free_flows * (1.0 + net.b_coeffs * _pow(ratio, net.powers))
 
 
 def total_excess(net: Network, flows: np.ndarray) -> float:
     """Sum of per-edge capacity excess."""
     return float(np.maximum(flows - net.capacities, 0.0).sum())
+
+
+def _fsum_of_products(a, b) -> float:
+    """Correctly rounded sum of the element-wise products ``a * b``,
+    whatever their order, the BLAS build, the CPU and Python version."""
+    return math.fsum(np.multiply(a, b).tolist())
+
+
+def social_cost_network(flows, costs) -> float:
+    """Total travel time: sum over edges of flow times cost, already
+    evaluated (``costs``), summed as ``social_cost_abstract`` sums."""
+    return _fsum_of_products(flows, costs)
 
 
 # Each kind's formula, written once.  ``params`` holds the kind's
@@ -44,22 +81,11 @@ def _polynomial(params, n):
     return out
 
 
-# numpy's array power may take a vectorized routine (on CPUs with
-# AVX-512) that differs from C's pow in the last bit on some inputs,
-# while numpy's scalar power calls pow.  Taking the scalar power element
-# by element gives a flapping cost the same bits whatever the shape of
-# the counts.
-_scalar_power = np.frompyfunc(lambda b, x: np.float64(b) ** np.float64(x),
-                              2, 1)
-
-
 def _flapping(params, n):
     """1 below the majority threshold of N, then (J+1)^((2n-N)/N)."""
     j, total = params
     exponent = (2.0 * n - total) / total
-    return np.where(n < (total + 1) / 2.0,
-                    1.0,
-                    np.asarray(_scalar_power(j + 1.0, exponent), dtype=float))
+    return np.where(n < (total + 1) / 2.0, 1.0, _pow(j + 1.0, exponent))
 
 
 def _linear_over_n(params, n):
@@ -72,6 +98,8 @@ _FORMULAS = {"polynomial": _polynomial, "flapping": _flapping,
              "linear_over_N": _linear_over_n}
 # Parameter count per kind; None means any (polynomial coefficients).
 _ARITY = {"polynomial": None, "flapping": 2, "linear_over_N": 2}
+# Position of the agent count N among each kind's parameters.
+_AGENT_COUNT_AT = {"flapping": 1, "linear_over_N": 0}
 
 
 @dataclass(frozen=True)
@@ -81,8 +109,9 @@ class AbstractCostFn:
     kinds: ``polynomial`` (ascending coefficients over n), ``flapping``
     (params (J, N): 1 below the majority threshold, then
     (J+1)^((2n-N)/N)), ``linear_over_N`` (params (N, offset): n/N+offset).
-    An unknown kind, a wrong parameter count or a non-finite parameter is
-    a ``ValidationError`` at construction.
+    An unknown kind, a wrong parameter count, a non-finite parameter, an
+    agent count N below 1 or a flapping magnitude J not above 0 is a
+    ``ValidationError`` at construction.
     """
 
     kind: str
@@ -109,6 +138,13 @@ class AbstractCostFn:
             raise ValidationError(
                 f"{self.kind} cost parameters must be finite: "
                 f"{self.params!r}")
+        if self.kind in _AGENT_COUNT_AT \
+                and values[_AGENT_COUNT_AT[self.kind]] < 1:
+            raise ValidationError(
+                f"{self.kind} cost needs an agent count N >= 1: "
+                f"{self.params!r}")
+        if self.kind == "flapping" and values[0] <= 0:
+            raise ValidationError("flapping magnitude must be > 0")
 
     def __call__(self, n):
         out = _FORMULAS[self.kind](self.params, np.asarray(n, dtype=float))
@@ -167,8 +203,6 @@ def polynomial_cost_fn(coefficients) -> AbstractCostFn:
 
 
 def flapping_cost_fn(j: float, total_agents: int) -> AbstractCostFn:
-    if j <= 0:
-        raise ValidationError("flapping magnitude must be > 0")
     return AbstractCostFn("flapping", (float(j), int(total_agents)))
 
 
@@ -190,7 +224,7 @@ def social_cost_abstract(counts, costs, total_agents: float) -> float:
     if abs(counts.sum() - total_agents) > 1e-9 * max(1.0, abs(total_agents)):
         raise ValidationError(
             f"counts sum to {counts.sum()}, expected {total_agents}")
-    return math.fsum((counts / total_agents) * np.asarray(costs, dtype=float))
+    return _fsum_of_products(counts / total_agents, costs)
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -15,7 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .costs import edge_costs, minimize_scalar_on_interval, total_excess
+from .costs import (
+    edge_costs,
+    minimize_scalar_on_interval,
+    social_cost_network,
+    total_excess,
+)
 from .instances import load_instance
 from .network import (
     DemandTable,
@@ -121,7 +126,7 @@ def run(config: RunConfig) -> list[PeriodRecord]:
             t=t,
             flows=flows,
             costs=costs,
-            social_cost=float(flows @ costs),
+            social_cost=social_cost_network(flows, costs),
             total_excess=total_excess(net, flows),
             weights=np.array(profile.weights),
             signal=signal,
@@ -217,13 +222,15 @@ def diamond_system_optimum() -> dict[str, float]:
 
     def uncapped_cost(x: float) -> float:
         flows = flows_at(x)
-        return float(flows @ edge_costs(net, flows, capped=False))
+        return social_cost_network(flows,
+                                   edge_costs(net, flows, capped=False))
 
     split, minimum = minimize_scalar_on_interval(uncapped_cost, 0.0, 2.0)
     flows = flows_at(split)
     return {
         "split": split,
         "uncapped_cost": minimum,
-        "capped_cost": float(flows @ edge_costs(net, flows, capped=True)),
+        "capped_cost": social_cost_network(
+            flows, edge_costs(net, flows, capped=True)),
         "excess": total_excess(net, flows),
     }

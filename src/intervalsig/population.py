@@ -7,6 +7,7 @@ remainder), or a profile is drawn from a finite set of atoms.
 
 from __future__ import annotations
 
+import operator
 import zlib
 from dataclasses import dataclass
 
@@ -60,30 +61,64 @@ class PopulationProfile:
 
 @dataclass(frozen=True)
 class RenewalProcess:
+    """How the population profile is redrawn each period.
+
+    ``uniform_perturbation`` reads ``type_count`` and ``epsilon`` (each
+    of the first K-1 shares jittered within ``epsilon`` of 1/K);
+    ``finite_support`` reads ``atoms``, a sequence of (profile,
+    probability) pairs.  An unknown kind, a missing field, a field of
+    the other kind or a value out of range is a ``ValidationError`` at
+    construction.
+    """
+
     kind: str  # "uniform_perturbation" | "finite_support"
     type_count: int | None = None
     epsilon: float | None = None
     atoms: tuple[tuple[PopulationProfile, float], ...] | None = None
 
+    def __post_init__(self):
+        if self.kind == "uniform_perturbation":
+            if self.atoms is not None:
+                raise ValidationError(
+                    "uniform_perturbation takes no atoms")
+            if self.type_count is None or self.epsilon is None:
+                raise ValidationError(
+                    "uniform_perturbation needs a type count and an epsilon")
+            if self.type_count < 1:
+                raise ValidationError("need at least one type")
+            if not 0.0 <= self.epsilon < 1.0 / self.type_count:
+                raise ValidationError(
+                    f"epsilon must lie in [0, 1/{self.type_count}), "
+                    f"got {self.epsilon}")
+            object.__setattr__(self, "epsilon", float(self.epsilon))
+        elif self.kind == "finite_support":
+            if self.type_count is not None or self.epsilon is not None:
+                raise ValidationError(
+                    "finite_support takes no type count or epsilon")
+            if self.atoms is None:
+                raise ValidationError("finite_support needs atoms")
+            atoms = tuple((profile, float(d)) for profile, d in self.atoms)
+            if not atoms:
+                raise ValidationError(
+                    "finite support needs at least one atom")
+            if any(not 0.0 < d <= 1.0 for _, d in atoms):
+                raise ValidationError(
+                    "atom probabilities must lie in (0, 1]")
+            if abs(sum(d for _, d in atoms) - 1.0) > 1e-12:
+                raise ValidationError("atom probabilities must sum to 1")
+            object.__setattr__(self, "atoms", atoms)
+        else:
+            raise ValidationError(
+                f"unknown renewal kind {self.kind!r}; expected "
+                "'uniform_perturbation' or 'finite_support'")
+
 
 def uniform_perturbation(type_count: int, epsilon: float) -> RenewalProcess:
-    if type_count < 1:
-        raise ValidationError("need at least one type")
-    if not 0.0 <= epsilon < 1.0 / type_count:
-        raise ValidationError(
-            f"epsilon must lie in [0, 1/{type_count}), got {epsilon}")
     return RenewalProcess("uniform_perturbation", type_count=type_count,
-                          epsilon=float(epsilon))
+                          epsilon=epsilon)
 
 
 def finite_support(atoms) -> RenewalProcess:
-    atoms = tuple((profile, float(d)) for profile, d in atoms)
-    if not atoms:
-        raise ValidationError("finite support needs at least one atom")
-    if any(not 0.0 < d <= 1.0 for _, d in atoms):
-        raise ValidationError("atom probabilities must lie in (0, 1]")
-    if abs(sum(d for _, d in atoms) - 1.0) > 1e-12:
-        raise ValidationError("atom probabilities must sum to 1")
     return RenewalProcess("finite_support", atoms=atoms)
 
 
@@ -115,10 +150,17 @@ def sample_profile(process: RenewalProcess,
 
 def derived_rng(seed: int, label: str, *indices: int) -> np.random.Generator:
     """Named substream of the master seed; stable across runs and
-    platforms (the label enters the seed sequence as its CRC-32).  A
-    negative seed is a ``ValidationError``."""
+    platforms (the label enters the seed sequence as its CRC-32).  The
+    seed must be a non-negative integer (a numpy integer will do); a
+    float, even a whole one, or a negative seed is a
+    ``ValidationError``, never truncated."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValidationError(
+            f"seed must be an integer, got {seed!r}") from None
     if seed < 0:
         raise ValidationError(f"seed must be >= 0, got {seed}")
     tag = zlib.crc32(label.encode("utf-8"))
     return np.random.default_rng(
-        np.random.SeedSequence([int(seed), tag, *indices]))
+        np.random.SeedSequence([seed, tag, *indices]))

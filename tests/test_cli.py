@@ -226,6 +226,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_cost_is_a_user_error(self, tmp_path, capsys):
+        # uncapped, 30 agents on capacity 0.001 at power 300: the BPR
+        # power overflows, and the cost history refuses the inf cost
+        net, trips = tmp_path / "net.txt", tmp_path / "trips.txt"
+        net.write_text("1 2 0.001 0 9 1 300 0 0 1 ;\n")
+        trips.write_text("Origin 1\n2 : 30;\n")
+        out = tmp_path / "x.csv"
+        code = main(["run", "--net", str(net), "--trips", str(trips),
+                     "--scheme", "now", "--horizon", "2", "--seed", "0",
+                     "--uncapped", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_internal_error_prints_traceback_and_own_code(self, monkeypatch,
                                                           capsys):
         def broken(_args):

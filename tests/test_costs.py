@@ -20,7 +20,7 @@ from intervalsig.costs import (
     total_excess,
 )
 from intervalsig.engine import RunConfig, run
-from intervalsig.network import Network, parse_network
+from intervalsig.network import Edge, Network, parse_network
 from intervalsig.signaling import now_scheme
 
 from .test_network import DIAMOND_NET
@@ -118,6 +118,46 @@ class TestEdgeCostsVector:
             assert uncapped[i] == pytest.approx(bpr_time(alone, flows[i]))
 
 
+class TestCPower:
+    """Every power is C's ``pow`` taken element by element, so the bits
+    do not depend on whether numpy's array power is vectorized."""
+
+    # At p = 4 and 6 numpy's AVX-512 array power differs from pow in
+    # the last bit on about 5% of such bases.
+    BASES = np.random.default_rng(0).uniform(0.0, 2.0, 2000)
+
+    def test_edge_costs_take_c_pow(self):
+        powers = [4.0, 6.0, 1.0, 2.5] * (len(self.BASES) // 4)
+        net = Network(2, [
+            Edge(id=i, src=1, dst=2, capacity=1.0, length=0.0,
+                 free_flow=1.0, b_coeff=1.0, power=p)
+            for i, p in enumerate(powers)])
+        got = edge_costs(net, self.BASES, capped=False)
+        expected = [1.0 + math.pow(b, p)
+                    for b, p in zip(self.BASES.tolist(), powers)]
+        assert got.tolist() == expected
+
+    def test_flapping_takes_c_pow(self):
+        total = 29
+        counts = np.arange(total + 1, dtype=float)
+        for j in self.BASES[:200].tolist():
+            expected = [1.0 if n < (total + 1) / 2.0
+                        else math.pow(j + 1.0, (2.0 * n - total) / total)
+                        for n in counts.tolist()]
+            fn = flapping_cost_fn(j, total)
+            assert fn(counts).tolist() == expected
+            assert CostTable([fn])(counts[:, None])[:, 0].tolist() == \
+                expected
+
+    def test_overflow_gives_inf(self):
+        # (30 / 0.001)^300 is beyond the largest float
+        net = parse_network("1 2 0.001 0 9 1 300 0 0 1 ;\n")
+        assert edge_costs(net, np.array([30.0]), capped=False).tolist() \
+            == [math.inf]
+        assert edge_costs(net, np.array([30.0]), capped=True).tolist() \
+            == [18.0]
+
+
 class TestExcess:
     def test_under_capacity(self):
         assert excess(NET_23, 10.0) == 0.0
@@ -192,6 +232,19 @@ class TestAbstractCostFnValidation:
             polynomial_cost_fn([1.0, math.nan])
         with pytest.raises(ValidationError):
             linear_cost_fn(10, offset=math.inf)
+
+    @pytest.mark.parametrize("kind, params", [
+        ("flapping", (-3.0, 5)),
+        ("flapping", (0.0, 5)),
+        ("flapping", (2.0, 0)),
+        ("flapping", (2.0, -4)),
+        ("linear_over_N", (0, 1.0)),
+        ("linear_over_N", (-2, 1.0)),
+    ])
+    def test_out_of_range_parameters(self, kind, params):
+        # each of these evaluated to NaN or inf at n = 4 or 0
+        with pytest.raises(ValidationError):
+            AbstractCostFn(kind, params)
 
     def test_constant_polynomials_allowed(self):
         assert AbstractCostFn("polynomial", ())(3.0) == 0.0
@@ -314,7 +367,7 @@ FLAT_LINK = "1 2 10 0 9 0 1 0 0 1 ;\n"
 def period_social_cost(tmp_path):
     """Social cost that ``run`` reports for one period of the instance in
     two TNTP texts: route cost times agents, summed over routes
-    (``flows @ costs``)."""
+    (``social_cost_network``, a ``math.fsum`` of flow times cost)."""
     def social_cost(net_text: str, trips_text: str) -> float:
         net_path, trips_path = tmp_path / "net.txt", tmp_path / "trips.txt"
         net_path.write_text(net_text)

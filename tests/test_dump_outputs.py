@@ -1,11 +1,16 @@
-"""scripts/dump_outputs.py writes the same bytes on every run."""
+"""scripts/dump_outputs.py writes the same bytes on every run, and
+scripts/compare_outputs.py counts and bounds the entries two dumps
+differ in."""
 
+import csv
 import importlib.util
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "dump_outputs.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # One output of each sort: network CSV and bytes, an abstract run over
 # every cost kind, the flapping construction and the convergence check.
@@ -13,12 +18,17 @@ SUBSET = ["diamond-extreme-r5", "abstract-mixed-extreme-r7",
           "flapping-j7-n3", "convergence-m3"]
 
 
-@pytest.fixture(scope="module")
-def dump_outputs():
-    spec = importlib.util.spec_from_file_location("dump_outputs", SCRIPT)
+def _load_script(name):
+    spec = importlib.util.spec_from_file_location(name,
+                                                  SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="module")
+def dump_outputs():
+    return _load_script("dump_outputs")
 
 
 def test_two_dumps_are_identical(dump_outputs, tmp_path, capsys):
@@ -43,3 +53,95 @@ def test_unknown_output_is_a_usage_error(dump_outputs, tmp_path, capsys):
     assert exit_info.value.code == 2
     assert "nowhere" in capsys.readouterr().err
     assert not tmp_path.joinpath("nowhere.bin").exists()
+
+
+@pytest.fixture(scope="module")
+def compare_outputs():
+    return _load_script("compare_outputs")
+
+
+@pytest.fixture(scope="module")
+def one_dump(dump_outputs, tmp_path_factory):
+    """A network run (CSV and bytes) and a flapping run (bytes only)."""
+    out = tmp_path_factory.mktemp("dump")
+    dump_outputs.main([str(out), "--only", "diamond-now", "flapping-j7-n3"])
+    return out
+
+
+@pytest.fixture
+def two_dumps(one_dump, tmp_path):
+    a, b = tmp_path / "a", tmp_path / "b"
+    shutil.copytree(one_dump, a)
+    shutil.copytree(one_dump, b)
+    return a, b
+
+
+def _scale_csv_cell(path, row, column, change):
+    rows = list(csv.reader(path.open()))
+    col = rows[0].index(column)
+    rows[row][col] = "%.17g" % change(float(rows[row][col]))
+    with path.open("w", newline="") as f:
+        csv.writer(f, lineterminator="\n").writerows(rows)
+
+
+def _compare(compare_outputs, a, b, capsys):
+    code = compare_outputs.main([str(a), str(b)])
+    return code, capsys.readouterr().out
+
+
+class TestCompareOutputs:
+    def test_identical_dumps(self, compare_outputs, two_dumps, capsys):
+        code, out = _compare(compare_outputs, *two_dumps, capsys)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[:-1] == [
+            "diamond-now.bin: identical", "diamond-now.csv: identical",
+            "flapping-j7-n3.bin: identical"]
+        assert " differ" not in out
+
+    def test_one_ulp_is_counted_and_within_bound(self, compare_outputs,
+                                                 two_dumps, capsys):
+        a, b = two_dumps
+        _scale_csv_cell(b / "diamond-now.csv", 3, "cost_e2",
+                        lambda v: np.nextafter(v, np.inf))
+        code, out = _compare(compare_outputs, a, b, capsys)
+        assert code == 0
+        assert "  cost_*        1 of 1500 differ, max rel " in out
+        assert "  flow_*        0 of 1500 differ, max rel 0" in out
+        assert "diamond-now.bin: identical" in out
+
+    def test_one_ulp_in_raw_bytes_is_counted(self, compare_outputs,
+                                             two_dumps, capsys):
+        a, b = two_dumps
+        path = b / "flapping-j7-n3.bin"
+        values = np.frombuffer(path.read_bytes(), dtype=np.float64).copy()
+        values[5] = np.nextafter(values[5], np.inf)
+        path.write_bytes(values.tobytes())
+        code, out = _compare(compare_outputs, a, b, capsys)
+        assert code == 0
+        assert f"  float64       1 of {len(values)} differ" in out
+
+    @pytest.mark.parametrize("name", ["diamond-now.csv",
+                                      "flapping-j7-n3.bin"])
+    def test_change_beyond_bound_fails(self, compare_outputs, two_dumps,
+                                       capsys, name):
+        a, b = two_dumps
+        path = b / name
+        if name.endswith(".csv"):
+            _scale_csv_cell(path, 7, "social_cost", lambda v: v * (1 + 1e-6))
+        else:
+            values = np.frombuffer(path.read_bytes(), dtype=np.float64)
+            path.write_bytes((values * (1 + 1e-6)).tobytes())
+        code, out = _compare(compare_outputs, a, b, capsys)
+        assert code == 1
+        assert "NOT within" in out
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_missing_file_fails(self, compare_outputs, two_dumps, capsys,
+                                side):
+        a, b = two_dumps
+        ((a if side == "a" else b) / "flapping-j7-n3.bin").unlink()
+        code, out = _compare(compare_outputs, a, b, capsys)
+        assert code == 1
+        other = "B" if side == "a" else "A"
+        assert f"flapping-j7-n3.bin: only in {other}" in out

@@ -3,6 +3,7 @@ CSV emission, and the diamond closed-form reference point."""
 
 import csv
 import io
+import math
 
 import numpy as np
 import pytest
@@ -128,10 +129,16 @@ class TestRunBasics:
         assert rec.social_cost > 0.0
 
 
-    def test_social_cost_is_flows_dot_costs(self):
+    def test_social_cost_is_fsum_of_flows_times_costs(self):
+        # the correctly rounded sum, not BLAS's dot product, whose last
+        # bit depends on the kernel the CPU picks
         records = run(diamond_config(horizon=40, scheme=extreme_scheme(5)))
         for rec in records:
-            assert rec.social_cost == float(rec.flows @ rec.costs)
+            assert rec.social_cost == math.fsum(rec.flows * rec.costs)
+
+    def test_non_integral_seed_rejected(self):
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run(diamond_config(horizon=2, seed=1.7))
 
     def test_unreachable_pair_fails_before_first_period(self, monkeypatch,
                                                         tmp_path):

@@ -7,6 +7,7 @@ from scipy import stats
 
 from intervalsig.population import (
     PopulationProfile,
+    RenewalProcess,
     TypeSet,
     ValidationError,
     derived_rng,
@@ -72,6 +73,32 @@ class TestRenewalValidation:
         with pytest.raises(ValidationError):
             finite_support([(eta, 0.0), (eta, 1.0)])
         finite_support([(eta, 1.0)])
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(kind="bogus", type_count=3, epsilon=0.1),
+        dict(kind="uniform_perturbation"),
+        dict(kind="uniform_perturbation", type_count=3),
+        dict(kind="uniform_perturbation", epsilon=0.1),
+        dict(kind="finite_support"),
+        dict(kind="uniform_perturbation", type_count=1, epsilon=0.0,
+             atoms=((PopulationProfile((1.0,)), 1.0),)),
+        dict(kind="finite_support", type_count=1,
+             atoms=((PopulationProfile((1.0,)), 1.0),)),
+        dict(kind="finite_support", epsilon=0.0,
+             atoms=((PopulationProfile((1.0,)), 1.0),)),
+    ], ids=["unknown_kind", "perturbation_bare", "no_epsilon",
+            "no_type_count", "support_bare", "perturbation_with_atoms",
+            "support_with_type_count", "support_with_epsilon"])
+    def test_checked_at_construction(self, kwargs):
+        with pytest.raises(ValidationError):
+            RenewalProcess(**kwargs)
+
+    def test_direct_construction_equals_factory(self):
+        eta = PopulationProfile((1.0,))
+        assert RenewalProcess("uniform_perturbation", type_count=5,
+                              epsilon=0.15) == uniform_perturbation(5, 0.15)
+        assert RenewalProcess("finite_support", atoms=[(eta, 1)]) == \
+            finite_support([(eta, 1.0)])
 
 
 class TestSampleProfile:
@@ -166,3 +193,15 @@ class TestDeterminism:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0"):
             derived_rng(-1, "population")
+
+    @pytest.mark.parametrize("seed", [1.7, 1.0, np.float64(1.0), "1", None],
+                             ids=["1.7", "float", "numpy_float", "str",
+                                  "None"])
+    def test_non_integral_seed_rejected(self, seed):
+        # 1.7 used to run seed 1's stream
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            derived_rng(seed, "population")
+
+    def test_numpy_integer_seed_is_that_seed(self):
+        assert derived_rng(np.int64(7), "population").random() == \
+            derived_rng(7, "population").random()
