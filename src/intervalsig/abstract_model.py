@@ -27,6 +27,7 @@ from .costs import (
     linear_cost_fn,
     social_cost_abstract,
 )
+from .engine import table_csv
 from .population import (
     PopulationProfile,
     RenewalProcess,
@@ -179,22 +180,19 @@ def run_abstract(config: AbstractConfig, horizon: int) -> list[AbstractRecord]:
 
 
 def records_to_abstract_csv(records: list[AbstractRecord]) -> str:
+    """One ``table_csv`` row per period: t, then per action the counts
+    and the signal's lower and upper endpoints, then the social cost."""
     if not records:
         raise ValidationError("cannot serialize an empty run")
     m = len(records[0].counts)
     header = (["t"]
-              + [f"n_{i}" for i in range(1, m + 1)]
-              + [f"ulo_{i}" for i in range(1, m + 1)]
-              + [f"uhi_{i}" for i in range(1, m + 1)]
+              + [f"{block}_{i}" for block in ("n", "ulo", "uhi")
+                 for i in range(1, m + 1)]
               + ["social_cost"])
-    lines = [",".join(header)]
-    for rec in records:
-        cells = [str(rec.t)]
-        for block in (rec.counts, rec.signal[:, 0], rec.signal[:, 1]):
-            cells.extend("%.17g" % v for v in block)
-        cells.append("%.17g" % rec.social_cost)
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return table_csv(header, (
+        np.concatenate(([rec.t], rec.counts, rec.signal.T.ravel(),
+                        [rec.social_cost]))
+        for rec in records))
 
 
 # ---------------------------------------------------------------------------

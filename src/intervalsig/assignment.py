@@ -50,6 +50,7 @@ from .network import (
     TIE_TOL_ABS,
     ValidationError,
     dijkstra,
+    require_finite_nonneg,
     require_reachable,
 )
 from .population import PopulationProfile, TypeSet
@@ -226,12 +227,7 @@ def _checked_signal(plan: LoadPlan, signal: np.ndarray,
         raise ValidationError(
             f"signal shape {signal.shape} does not match "
             f"({plan.net.edge_count}, 2)")
-    # NaN fails the first comparison, infinities one of the two.
-    if not (np.minimum.reduce(signal, axis=None) >= 0.0
-            and np.maximum.reduce(signal, axis=None) < np.inf):
-        bad = signal[~(np.isfinite(signal) & (signal >= 0.0))][0]
-        raise ValidationError(
-            f"signal endpoints must be finite and >= 0, got {bad}")
+    require_finite_nonneg(signal, "signal endpoints")
     if len(profile.weights) != len(plan.types):
         raise ValidationError(
             f"profile has {len(profile.weights)} weights for "

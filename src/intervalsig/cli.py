@@ -28,6 +28,7 @@ from .abstract_model import (
 )
 from .costs import ValidationError
 from .engine import (
+    _FLOAT_FMT as _FMT,
     RunConfig,
     diamond_system_optimum,
     run,
@@ -39,7 +40,6 @@ from .network import NoPathError, ParseError
 from .signaling import extreme_scheme, mean_scheme, now_scheme, \
     scheme_from_name
 
-_FMT = "%.17g"
 # Exit code of an unexpected exception (sysexits.h EX_SOFTWARE); user
 # errors exit 1 and usage errors 2.
 EXIT_INTERNAL = 70

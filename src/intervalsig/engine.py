@@ -8,8 +8,6 @@ and log flows, costs, social cost, and capacity excess.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -47,6 +45,7 @@ __all__ = [
     "records_to_csv",
     "run",
     "summarize",
+    "table_csv",
     "write_csv",
 ]
 
@@ -170,31 +169,32 @@ def summarize(records: list[PeriodRecord],
 _FLOAT_FMT = "%.17g"
 
 
+def table_csv(header: list[str], rows) -> str:
+    """``header``, then one line per row of ``rows`` (float arrays as wide
+    as the header) in 17 significant digits, so parsing the text back
+    reproduces every value; whole numbers such as ``t`` print as ints."""
+    line = ",".join([_FLOAT_FMT] * len(header))
+    return "\n".join([",".join(header)]
+                     + [line % tuple(row.tolist()) for row in rows]) + "\n"
+
+
 def records_to_csv(records: list[PeriodRecord]) -> str:
-    """Render one row per period; floats carry 17 significant digits so
-    parsing the file back reproduces them exactly."""
+    """One ``table_csv`` row per period: t, social cost, total excess,
+    the type weights, then per edge the flows, costs and the signal's
+    lower and upper endpoints."""
     if not records:
         raise ValidationError("cannot serialize an empty run")
     k = len(records[0].weights)
     e = len(records[0].flows)
     header = (["t", "social_cost", "total_excess"]
               + [f"w_omega_{i}" for i in range(1, k + 1)]
-              + [f"flow_e{i}" for i in range(1, e + 1)]
-              + [f"cost_e{i}" for i in range(1, e + 1)]
-              + [f"ulo_e{i}" for i in range(1, e + 1)]
-              + [f"uhi_e{i}" for i in range(1, e + 1)])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for rec in records:
-        row = [str(rec.t)]
-        row.extend(_FLOAT_FMT % v for v in (rec.social_cost,
-                                            rec.total_excess))
-        for block in (rec.weights, rec.flows, rec.costs,
-                      rec.signal[:, 0], rec.signal[:, 1]):
-            row.extend(_FLOAT_FMT % v for v in block)
-        writer.writerow(row)
-    return buf.getvalue()
+              + [f"{block}_e{i}" for block in ("flow", "cost", "ulo", "uhi")
+                 for i in range(1, e + 1)])
+    return table_csv(header, (
+        np.concatenate(([rec.t, rec.social_cost, rec.total_excess],
+                        rec.weights, rec.flows, rec.costs,
+                        rec.signal.T.ravel()))
+        for rec in records))
 
 
 def write_csv(records: list[PeriodRecord], path: str | Path) -> None:

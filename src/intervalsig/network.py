@@ -92,9 +92,44 @@ class DemandTable:
         self.total = float(sum(self.entries.values()))
 
 
+def require_finite_nonneg(values: np.ndarray, what: str) -> None:
+    """Raise ``ValidationError`` (``what must be finite and >= 0``) on
+    the first NaN, infinite or negative entry of ``values``."""
+    # NaN fails the first comparison, infinities one of the two.
+    if not (np.minimum.reduce(values, axis=None) >= 0.0
+            and np.maximum.reduce(values, axis=None) < np.inf):
+        bad = values[~(np.isfinite(values) & (values >= 0.0))][0]
+        raise ValidationError(f"{what} must be finite and >= 0, got {bad}")
+
+
+def _number(token: str, no: int, what: str, integral: bool = False):
+    """``token`` as a finite float, or as an int when ``integral``.
+
+    Every number of a TNTP text is read here: text that is no number is
+    a ``ParseError``, a non-finite or (when ``integral``) fractional
+    number a ``ValidationError``, each naming line ``no`` and ``what``.
+    """
+    token = token.strip()
+    try:
+        value = float(token)
+    except ValueError:
+        raise ParseError(
+            f"line {no}: {what} {token!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValidationError(f"line {no}: {what} must be finite, got {token}")
+    if not integral:
+        return value
+    if not value.is_integer():
+        raise ValidationError(
+            f"line {no}: {what} must be an integer, got {token}")
+    return int(value)
+
+
 def _split_metadata(text: str):
-    """Return (metadata dict, list of (line_no, line) for the body)."""
+    """Return (metadata dict, the line number of each metadata key, list
+    of (line_no, line) for the body)."""
     meta: dict[str, str] = {}
+    meta_lines: dict[str, int] = {}
     body: list[tuple[int, str]] = []
     lines = text.splitlines()
     in_meta = False
@@ -116,12 +151,13 @@ def _split_metadata(text: str):
                 raise ParseError(f"line {no}: metadata after <END OF METADATA>")
             in_meta = True
             meta[key.upper()] = value
+            meta_lines[key.upper()] = no
             continue
         if in_meta and not meta_closed:
             raise ParseError(
                 f"line {no}: data row before <END OF METADATA>")
         body.append((no, line))
-    return meta, body
+    return meta, meta_lines, body
 
 
 def parse_network(text: str) -> Network:
@@ -129,7 +165,7 @@ def parse_network(text: str) -> Network:
     edge row per line with at least 10 whitespace-separated fields
     (from, to, capacity, length, free-flow time, B, power, speed, toll,
     type) terminated by ``;``."""
-    meta, body = _split_metadata(text)
+    meta, meta_lines, body = _split_metadata(text)
     edges: list[Edge] = []
     max_node = 0
     for no, line in body:
@@ -143,12 +179,12 @@ def parse_network(text: str) -> Network:
         if len(tokens) < 10:
             raise ParseError(
                 f"line {no}: expected >= 10 fields, got {len(tokens)}")
-        try:
-            vals = [float(tok) for tok in tokens[:10]]
-        except ValueError as err:
-            raise ParseError(f"line {no}: non-numeric field ({err})") from None
-        src, dst = int(vals[0]), int(vals[1])
-        cap, length, fft, b, p, speed, toll, ltype = vals[2:10]
+        src = _number(tokens[0], no, "init node", integral=True)
+        dst = _number(tokens[1], no, "term node", integral=True)
+        cap, length, fft, b, p, speed, toll, ltype = (
+            _number(tok, no, name) for tok, name in zip(tokens[2:10], (
+                "capacity", "length", "free-flow time", "B", "power",
+                "speed limit", "toll", "type")))
         if src < 1 or dst < 1:
             raise ValidationError(f"line {no}: node ids must be >= 1")
         if src == dst:
@@ -161,7 +197,11 @@ def parse_network(text: str) -> Network:
         edges.append(Edge(len(edges), src, dst, cap, length, fft, b, p,
                           speed, toll, ltype))
         max_node = max(max_node, src, dst)
-    meta_nodes = int(float(meta.get("NUMBER OF NODES", 0)))
+    meta_nodes = 0
+    if "NUMBER OF NODES" in meta:
+        meta_nodes = _number(meta["NUMBER OF NODES"],
+                             meta_lines["NUMBER OF NODES"],
+                             "<NUMBER OF NODES>", integral=True)
     return Network(max(max_node, meta_nodes), edges, meta)
 
 
@@ -169,7 +209,7 @@ def parse_trips(text: str) -> DemandTable:
     """Parse TNTP trips format: metadata, then ``Origin <o>`` blocks of
     ``dest : flow;`` entries. Zero-flow entries are dropped; a total
     differing from the ``<TOTAL OD FLOW>`` metadata only warns."""
-    meta, body = _split_metadata(text)
+    meta, meta_lines, body = _split_metadata(text)
     entries: dict[tuple[int, int], float] = {}
     origin: int | None = None
     for no, line in body:
@@ -177,11 +217,7 @@ def parse_trips(text: str) -> DemandTable:
             parts = line.split()
             if len(parts) < 2:
                 raise ParseError(f"line {no}: Origin without node id")
-            try:
-                origin = int(float(parts[1]))
-            except ValueError:
-                raise ParseError(
-                    f"line {no}: Origin id {parts[1]!r} not numeric") from None
+            origin = _number(parts[1], no, "Origin id", integral=True)
             continue
         for chunk in line.split(";"):
             chunk = chunk.strip()
@@ -192,11 +228,8 @@ def parse_trips(text: str) -> DemandTable:
             if ":" not in chunk:
                 raise ParseError(f"line {no}: expected 'dest : flow'")
             dest_s, flow_s = chunk.split(":", 1)
-            try:
-                dest = int(float(dest_s))
-                flow = float(flow_s)
-            except ValueError as err:
-                raise ParseError(f"line {no}: non-numeric entry ({err})") from None
+            dest = _number(dest_s, no, "destination", integral=True)
+            flow = _number(flow_s, no, "demand")
             if flow < 0:
                 raise ValidationError(f"line {no}: negative demand {flow}")
             if flow == 0:
@@ -206,9 +239,9 @@ def parse_trips(text: str) -> DemandTable:
                     f"line {no}: nonzero self-demand at node {origin}")
             entries[(origin, dest)] = entries.get((origin, dest), 0.0) + flow
     table = DemandTable(entries, meta)
-    stated = meta.get("TOTAL OD FLOW")
-    if stated is not None:
-        stated_val = float(stated)
+    if "TOTAL OD FLOW" in meta:
+        stated_val = _number(meta["TOTAL OD FLOW"],
+                             meta_lines["TOTAL OD FLOW"], "<TOTAL OD FLOW>")
         if abs(table.total - stated_val) > 1e-6 * max(1.0, abs(stated_val)):
             warnings.warn(
                 f"trips total {table.total} differs from metadata "

@@ -10,11 +10,12 @@ only in warm-up (see its docstring).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ValidationError
+from .network import ValidationError, require_finite_nonneg
 
 _KINDS = ("now", "mean", "extreme", "full_extreme", "subinterval")
 
@@ -29,9 +30,16 @@ class Scheme:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown scheme kind {self.kind!r}")
         if self.kind in ("extreme", "subinterval"):
-            if self.window is None or self.window < 1:
+            # None or a float window, even a whole one, is refused (as 0),
+            # never truncated.
+            try:
+                window = operator.index(self.window)
+            except TypeError:
+                window = 0
+            if window < 1:
                 raise ValidationError(
-                    f"{self.kind} needs a window of at least 1")
+                    f"{self.kind} needs an integer window of at least 1, "
+                    f"got {self.window!r}")
         elif self.window is not None:
             raise ValidationError(f"{self.kind} takes no window")
         if self.kind == "subinterval":
@@ -125,11 +133,7 @@ class CostHistory:
         if costs.shape != (self.m_count,):
             raise ValidationError(
                 f"expected {self.m_count} costs, got shape {costs.shape}")
-        # NaN fails the first comparison, infinities one of the two.
-        if not (np.minimum.reduce(costs) >= 0.0
-                and np.maximum.reduce(costs) < np.inf):
-            bad = costs[~(np.isfinite(costs) & (costs >= 0.0))][0]
-            raise ValidationError(f"cost must be finite and >= 0, got {bad}")
+        require_finite_nonneg(costs, "cost")
         self._recent[self._periods % self.window] = costs
         self._periods += 1
         self._sum += costs
@@ -138,7 +142,9 @@ class CostHistory:
 
     def window_extremes(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-resource min and max over the min(window, recorded) most
-        recent periods."""
+        recent periods; there must be at least one."""
+        if self._periods == 0:
+            raise ValidationError("no period recorded yet")
         rows = self._recent[:min(self._periods, self.window)]
         return rows.min(axis=0), rows.max(axis=0)
 

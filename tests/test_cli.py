@@ -243,6 +243,42 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name, old, new, message", [
+        ("net.txt", "<NUMBER OF NODES> 5", "<NUMBER OF NODES> five",
+         "line 2: <NUMBER OF NODES> 'five' is not a number"),
+        ("trips.txt", "<TOTAL OD FLOW> 30", "<TOTAL OD FLOW> lots",
+         "line 2: <TOTAL OD FLOW> 'lots' is not a number"),
+        ("net.txt", "\n2 3 15", "\n2.7 3 15",
+         "line 9: init node must be an integer, got 2.7"),
+        ("trips.txt", "Origin 1", "Origin 1.5",
+         "line 5: Origin id must be an integer, got 1.5"),
+        ("trips.txt", "5 : 30.0;", "5.5 : 30.0;",
+         "line 6: destination must be an integer, got 5.5"),
+        ("net.txt", "2 4 15 ", "2 4 nan ",
+         "line 10: capacity must be finite, got nan"),
+        ("trips.txt", "5 : 30.0;", "5 : nan;",
+         "line 6: demand must be finite, got nan"),
+    ], ids=["word-node-count", "word-total-flow", "fractional-node",
+            "fractional-origin", "fractional-destination", "nan-capacity",
+            "nan-demand"])
+    def test_bad_number_in_instance_is_a_user_error(
+            self, diamond_files, tmp_path, capsys, name, old, new, message):
+        # every number of a TNTP text is read strictly: no traceback, no
+        # truncated id, no NaN left for period 1 to trip over
+        path = tmp_path / name
+        assert old in path.read_text()
+        path.write_text(path.read_text().replace(old, new, 1))
+        net, trips = diamond_files
+        out = tmp_path / "x.csv"
+        code = main(["run", "--net", str(net), "--trips", str(trips),
+                     "--scheme", "now", "--horizon", "2", "--seed", "0",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_internal_error_prints_traceback_and_own_code(self, monkeypatch,
                                                           capsys):
         def broken(_args):

@@ -61,6 +61,11 @@ class TestRecord:
         assert signal_of([4.0, 7.0, 5.0], full_extreme_scheme())[0] == \
             pytest.approx((4.0, 7.0))
 
+    def test_window_extremes_need_a_recorded_period(self):
+        h = CostHistory(2, extreme_scheme(3))
+        with pytest.raises(ValidationError, match="no period recorded yet"):
+            h.window_extremes()
+
     def test_period_width_checked(self):
         h = CostHistory(2, now_scheme())
         with pytest.raises(ValidationError):
@@ -236,6 +241,20 @@ class TestSchemeFamily:
             scheme_from_name("extreme", window=5, shrink=0.5)
         assert scheme_from_name("subinterval", window=4) == \
             subinterval_scheme(4, 1.0)
+
+    @pytest.mark.parametrize("window", [2.5, 3.0])
+    def test_float_window_rejected_at_construction(self, window):
+        # refused like a float seed, never truncated or left for the
+        # history to trip over
+        for kind, shrink in (("extreme", None), ("subinterval", 0.5)):
+            with pytest.raises(ValidationError,
+                               match=f"integer window .*got {window}"):
+                Scheme(kind, window=window, shrink=shrink)
+
+    def test_numpy_integer_window_accepted(self):
+        scheme = extreme_scheme(np.int64(4))
+        assert scheme.label() == "extreme-r4"
+        assert CostHistory(1, scheme).window == 4
 
     def test_extreme_requires_window_argument(self):
         with pytest.raises(ValidationError):
