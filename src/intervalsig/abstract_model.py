@@ -14,6 +14,7 @@ near-even split.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,7 @@ from .costs import (
     social_cost_abstract,
 )
 from .engine import table_csv
+from .network import require_int
 from .population import (
     PopulationProfile,
     RenewalProcess,
@@ -114,27 +116,39 @@ class AbstractRecord:
 
 def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
           tie_uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One period's counts and realized costs, each ``(..., M)``.
+    """One period's counts and realized costs, each ``(M, ...)``.
 
     Every type piles its share of the agents onto the weight-minimal
-    action that its uniform picks among ties.  Leading axes of
-    ``signal`` ``(..., M, 2)``, ``shares`` and ``tie_uniforms`` (both
-    ``(..., types)``) are batch axes: ``step_abstract`` passes none,
-    ``convergence_check`` one per trajectory.  All types' weights form
-    one ``(..., types, M)`` array and are tie-picked together; the
-    types' loads are then added in type order, so each count is the same
-    sum as type-by-type loading, and the cost table prices all actions.
+    action that its uniform picks among ties.  The axes between the
+    action axis of ``signal`` ``(M, ..., 2)`` and its endpoint axis, and
+    the trailing axes of ``shares`` and ``tie_uniforms`` (both
+    ``(types, ...)``), are batch axes: ``step_abstract`` passes none,
+    ``convergence_check`` one column per trajectory and arm.  All types'
+    weights form one action-major ``(M, types, ...)`` array, tie-picked
+    together through a ``(types, ..., M)`` view of the same memory, so
+    every array keeps the batch axis innermost; the types' loads are
+    then added in type order, so each count is the same sum as
+    type-by-type loading, and the cost table prices all actions.
     """
-    omegas = np.array(config.types.omegas)[:, None]
-    weights = edge_weight(signal[..., None, :, :], omegas)
-    choice = pick_among_ties(weights, tie_uniforms)        # (..., types)
-    agents = shares * config.agent_count
-    loads = ((choice[..., None] == np.arange(config.action_count))
-             * agents[..., None])                          # (..., types, M)
-    counts = np.zeros(signal.shape[:-1])
-    for j in range(len(omegas)):
-        counts += loads[..., j, :]
-    return counts, config.cost_table(counts)
+    batch = signal.shape[1:-1]
+    b = len(batch)
+    omegas = np.reshape(config.types.omegas, (-1,) + (1,) * b)
+    weights = edge_weight(signal[:, None], omegas)     # (M, types, ...)
+    # ``transpose`` moves the action axis last (and below, back first)
+    # as a view; ``np.moveaxis`` costs several times more per call,
+    # which shows on ``run_abstract``'s short periods
+    choice = pick_among_ties(weights.transpose(*range(1, b + 2), 0),
+                             tie_uniforms)             # (types, ...)
+    # each type's load goes to bin (action, column); ``bincount`` adds a
+    # bin's loads in type order to a running sum from 0.0
+    columns = math.prod(batch)
+    bins = choice * columns + np.arange(columns).reshape(batch)
+    counts = np.bincount(
+        bins.ravel(), weights=(shares * config.agent_count).ravel(),
+        minlength=config.action_count * columns).reshape(
+            (config.action_count,) + batch)
+    costs = config.cost_table(counts.transpose(*range(1, b + 1), 0))
+    return counts, costs.transpose(b, *range(b))
 
 
 def step_abstract(history: CostHistory, config: AbstractConfig,
@@ -165,8 +179,7 @@ def step_abstract(history: CostHistory, config: AbstractConfig,
 
 def run_abstract(config: AbstractConfig, horizon: int) -> list[AbstractRecord]:
     """Simulate ``horizon`` periods; deterministic given ``config.seed``."""
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
+    horizon = require_int(horizon, "horizon", 1)
     history = CostHistory(config.action_count, config.scheme,
                           config.initial_signal)
     pop_rng = derived_rng(config.seed, "population")
@@ -210,7 +223,7 @@ class FlappingSpec:
     def __post_init__(self):
         if self.gap_target <= 0:
             raise ValidationError("gap target must be > 0")
-        if self.agent_count < 3 or self.agent_count % 2 == 0:
+        if require_int(self.agent_count, "agent count", 3) % 2 == 0:
             raise ValidationError("agent count must be odd and >= 3")
 
 
@@ -237,8 +250,7 @@ def flapping_demo(spec: FlappingSpec, horizon: int,
     cost. The gap between the two steady per-period costs approaches
     ``gap_target`` from below as the population grows.
     """
-    if horizon < 1:
-        raise ValidationError("horizon must be >= 1")
+    horizon = require_int(horizon, "horizon", 1)
     n = spec.agent_count
     fn = flapping_cost_fn(spec.gap_target, spec.agent_count)
 
@@ -358,6 +370,12 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     Kolmogorov-Smirnov statistic between the end-of-horizon first-action
     shares of the two arms across all pairs.  Exactly two initial
     signals are taken, each checked like ``AbstractConfig``'s.
+
+    Both arms run as one batch of ``2 * trajectories`` columns, arm
+    ``a``'s trajectories first: one history over actions x arms x
+    trajectories resources, action-major, so each period is one
+    ``emit_signal`` and one ``_play`` with the trajectory axis innermost,
+    each period's draws shared by the two arms.
     """
     if config.scheme.kind != "full_extreme":
         raise ValidationError(
@@ -365,42 +383,39 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     if config.renewal.kind != "finite_support":
         raise ValidationError(
             "the convergence check needs a finite-support renewal")
-    if trajectories < 1 or horizon < 1:
-        raise ValidationError("trajectories and horizon must be >= 1")
+    k = require_int(trajectories, "trajectories", 1)
+    horizon = require_int(horizon, "horizon", 1)
     if len(initial_signals) != 2:
         raise ValidationError(
             f"the convergence check needs two initial signals, got "
             f"{len(initial_signals)}")
 
-    k, m = trajectories, config.action_count
+    m = config.action_count
+    arms = np.stack([checked_initial_signal(init, m)
+                     for init in initial_signals], axis=1)    # (M, 2, 2)
+    history = CostHistory(2 * k * m, config.scheme,
+                          np.repeat(arms, k, axis=1).reshape(-1, 2))
     atom_weights = np.array([p.weights for p, _ in config.renewal.atoms])
     atom_probs = np.cumsum([d for _, d in config.renewal.atoms])
-    # Each arm is one history over k * m resources, one per trajectory
-    # and action, so the arms' signals follow the one signal rule.
-    histories = [CostHistory(k * m, config.scheme,
-                             np.tile(checked_initial_signal(init, m), (k, 1)))
-                 for init in initial_signals]
 
     rng = derived_rng(seed, "convergence")
     distances = []
     for t in range(horizon + 1):
-        signals = [emit_signal(h).reshape(k, m, 2) for h in histories]
-        gap = np.abs(signals[0][0] - signals[1][0])
+        signal = emit_signal(history).reshape(m, 2 * k, 2)
+        gap = np.abs(signal[:, 0] - signal[:, k])
         distances.append(float(gap[:, 0].sum() + gap[:, 1].sum()))
         if t == horizon:
             break
         atom_idx = np.searchsorted(atom_probs, rng.random(k), side="right")
         atom_idx = np.minimum(atom_idx, len(atom_probs) - 1)
-        shares = atom_weights[atom_idx]            # (k, types)
-        tie_u = rng.random((k, len(config.types)))
-        counts = []
-        for signal, history in zip(signals, histories):
-            arm_counts, costs = _play(config, signal, shares, tie_u)
-            history.record_period(costs.ravel())
-            counts.append(arm_counts)
+        shares = atom_weights[atom_idx].T          # (types, k)
+        tie_u = rng.random((k, len(config.types))).T
+        counts, costs = _play(config, signal, np.tile(shares, 2),
+                              np.tile(tie_u, 2))
+        history.record_period(costs.ravel())
 
-    sample_a = counts[0][:, 0] / config.agent_count
-    sample_b = counts[1][:, 0] / config.agent_count
+    sample_a = counts[0, :k] / config.agent_count
+    sample_b = counts[0, k:] / config.agent_count
     ks = ks_2samp(sample_a, sample_b)
     return ConvergenceReport(np.array(distances), float(ks.statistic),
                              float(ks.pvalue), sample_a, sample_b)

@@ -103,14 +103,29 @@ def pick_among_ties(weights: np.ndarray, u) -> np.ndarray:
     ``u`` broadcasts against the rows, ``weights.shape[:-1]``.
 
     The reductions run over a contiguous ``(n, ...)`` copy along its
-    first axis: on many short rows that is many times faster than
-    reducing along the last axis.
+    first axis (no copy when ``weights`` is a view of such memory, as
+    ``abstract_model._play`` passes): on many short rows that is many
+    times faster than reducing along the last axis.  The running tie
+    count takes one whole-array step per entry when there are fewer
+    entries than rows, and one ``cumsum`` along the entry axis
+    otherwise; both give the same integers.
     """
-    by_entry = np.ascontiguousarray(np.moveaxis(weights, -1, 0))
+    weights = np.asarray(weights)
+    by_entry = np.ascontiguousarray(
+        weights.transpose(-1, *range(weights.ndim - 1)))
     ties = by_entry == by_entry.min(axis=0)
     n_ties = ties.sum(axis=0)
     pick = np.minimum((np.asarray(u) * n_ties).astype(int), n_ties - 1)
-    return (np.cumsum(ties, axis=0) > pick).argmax(axis=0)
+    if len(by_entry) >= pick.size:
+        return (np.cumsum(ties, axis=0) > pick).argmax(axis=0)
+    # The pick is the number of entries whose running count is still at
+    # most ``pick``: the count never falls and ends at n_ties > pick.
+    running = np.zeros(n_ties.shape, dtype=n_ties.dtype)
+    choice = np.zeros(pick.shape, dtype=np.intp)
+    for plane in ties:
+        running += plane
+        choice += running <= pick
+    return choice
 
 
 class LoadPlan:

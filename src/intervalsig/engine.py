@@ -26,6 +26,7 @@ from .network import (
     ValidationError,
     parse_network,
     parse_trips,
+    require_int,
 )
 from .population import (
     derived_rng,
@@ -69,8 +70,10 @@ class RunConfig:
     epsilon: float = 0.15
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1")
+        object.__setattr__(self, "horizon",
+                           require_int(self.horizon, "horizon", 1))
+        object.__setattr__(self, "type_count",
+                           require_int(self.type_count, "type count", 2))
         if self.epsilon < 0:
             raise ValidationError("epsilon must be >= 0")
         paths = self.net_path is not None or self.trips_path is not None

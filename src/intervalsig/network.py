@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -90,6 +91,20 @@ class DemandTable:
 
     def __post_init__(self):
         self.total = float(sum(self.entries.values()))
+
+
+def require_int(value, what: str, minimum: int) -> int:
+    """``value`` as an int of at least ``minimum``.  A numpy integer will
+    do; a float, even a whole one, is a ``ValidationError`` (``what must
+    be an integer``), never truncated, and so is a smaller value."""
+    try:
+        number = operator.index(value)
+    except TypeError:
+        raise ValidationError(
+            f"{what} must be an integer, got {value!r}") from None
+    if number < minimum:
+        raise ValidationError(f"{what} must be >= {minimum}, got {number}")
+    return number
 
 
 def require_finite_nonneg(values: np.ndarray, what: str) -> None:

@@ -7,13 +7,12 @@ remainder), or a profile is drawn from a finite set of atoms.
 
 from __future__ import annotations
 
-import operator
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ValidationError
+from .network import ValidationError, require_int
 
 
 @dataclass(frozen=True)
@@ -154,13 +153,7 @@ def derived_rng(seed: int, label: str, *indices: int) -> np.random.Generator:
     seed must be a non-negative integer (a numpy integer will do); a
     float, even a whole one, or a negative seed is a
     ``ValidationError``, never truncated."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValidationError(
-            f"seed must be an integer, got {seed!r}") from None
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    seed = require_int(seed, "seed", 0)
     tag = zlib.crc32(label.encode("utf-8"))
     return np.random.default_rng(
         np.random.SeedSequence([seed, tag, *indices]))

@@ -156,6 +156,15 @@ class TestStepAbstract:
 
 
 class TestRunAbstract:
+    @pytest.mark.parametrize("horizon", [2.5, 3.0])
+    def test_fractional_horizon_rejected(self, horizon):
+        with pytest.raises(ValidationError,
+                           match=f"horizon must be an integer, got {horizon}"):
+            run_abstract(two_action_config(), horizon)
+
+    def test_numpy_integer_horizon_accepted(self):
+        assert len(run_abstract(two_action_config(), np.int64(3))) == 3
+
     def test_deterministic_given_seed(self):
         config = two_action_config(scheme=now_scheme())
         a = run_abstract(config, horizon=25)
@@ -209,6 +218,18 @@ class TestFlappingSpec:
     def test_rejects_small_agent_count(self):
         with pytest.raises(ValidationError):
             FlappingSpec(gap_target=7.0, agent_count=1)
+
+    @pytest.mark.parametrize("agent_count", [3.5, 5.0])
+    def test_rejects_fractional_agent_count(self, agent_count):
+        # 3.5 passes an oddness test on floats; the cost function would
+        # then truncate it to 3
+        with pytest.raises(ValidationError, match="must be an integer"):
+            FlappingSpec(gap_target=7.0, agent_count=agent_count)
+
+    def test_rejects_fractional_horizon(self):
+        spec = FlappingSpec(gap_target=7.0, agent_count=np.int64(3))
+        with pytest.raises(ValidationError, match="must be an integer"):
+            flapping_demo(spec, horizon=2.5)
 
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValidationError):
@@ -299,7 +320,8 @@ class TestConvergenceCheck:
 
 
 class TestConvergenceCheckValidation:
-    """Malformed initial signals fail before the first period is played."""
+    """Malformed initial signals and counts fail before the first period
+    is played."""
 
     @staticmethod
     def arms(case):
@@ -325,6 +347,27 @@ class TestConvergenceCheckValidation:
             convergence_check(config, trajectories=4, horizon=3,
                               initial_signals=self.arms(case), seed=0)
         assert played == []
+
+    @pytest.mark.parametrize("counts", [
+        dict(trajectories=2.5, horizon=3), dict(trajectories=4, horizon=2.5),
+        dict(trajectories=4.0, horizon=3), dict(trajectories=0, horizon=3)])
+    def test_counts_must_be_whole_and_positive(self, counts, monkeypatch):
+        config, inits = convergence_demo_config(action_count=3)
+        played = []
+        monkeypatch.setattr(abstract_model, "_play",
+                            lambda *args: played.append(1))
+        with pytest.raises(ValidationError):
+            convergence_check(config, initial_signals=inits, seed=0,
+                              **counts)
+        assert played == []
+
+    def test_numpy_integer_counts_accepted(self):
+        config, inits = convergence_demo_config(action_count=3)
+        report = convergence_check(config, trajectories=np.int64(4),
+                                   horizon=np.int32(3),
+                                   initial_signals=inits, seed=0)
+        assert len(report.distance_series) == 4
+        assert len(report.sample_a) == 4
 
 
 class TestConvergenceCheckAgainstStepAbstract:
@@ -363,7 +406,9 @@ class TestConvergenceCheckAgainstStepAbstract:
                      for a, b in zip(*first_signals)]
         return samples, np.array(distances)
 
-    @pytest.mark.parametrize("action_count", [3, 8])
+    # the check tie-picks over 2 x 12 columns a plane at a time,
+    # ``step_abstract`` over its two types with ``cumsum``
+    @pytest.mark.parametrize("action_count", [2, 3, 8])
     def test_replay_is_exact(self, action_count):
         config, inits = convergence_demo_config(action_count=action_count)
         report = convergence_check(config, trajectories=self.TRAJECTORIES,

@@ -5,6 +5,7 @@ import csv
 
 import pytest
 
+import intervalsig
 from intervalsig import cli
 from intervalsig.cli import main
 from intervalsig.network import parse_network, parse_trips
@@ -278,6 +279,39 @@ class TestExitCodes:
         assert err.startswith(f"error: {message}")
         assert "Traceback" not in err
         assert not out.exists()
+
+    @staticmethod
+    def check(trajectories, horizon):
+        config, inits = intervalsig.convergence_demo_config()
+        return intervalsig.convergence_check(config, trajectories, horizon,
+                                             inits, seed=0)
+
+    @pytest.mark.parametrize("call", [
+        lambda: intervalsig.run(intervalsig.RunConfig(
+            scheme=intervalsig.now_scheme(), horizon=2.5, seed=1,
+            instance="diamond")),
+        lambda: intervalsig.RunConfig(
+            scheme=intervalsig.now_scheme(), horizon=2, seed=1,
+            instance="diamond", type_count=2.5),
+        lambda: intervalsig.run_abstract(
+            intervalsig.convergence_demo_config()[0], 2.5),
+        lambda: TestExitCodes.check(2.5, 3),
+        lambda: TestExitCodes.check(3, 2.5),
+    ], ids=["run-horizon", "run-type-count", "abstract-horizon",
+            "convergence-trajectories", "convergence-horizon"])
+    def test_fractional_count_is_a_user_error(self, monkeypatch, capsys,
+                                              call):
+        # argparse's ``type=int`` keeps such values out of the commands;
+        # a library call that passes one is a user error, not an internal
+        # one
+        monkeypatch.setitem(cli._COMMANDS, "system-optimum",
+                            lambda _args: call())
+        code = main(["system-optimum"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "must be an integer, got 2.5" in err
+        assert "Traceback" not in err
 
     def test_internal_error_prints_traceback_and_own_code(self, monkeypatch,
                                                           capsys):

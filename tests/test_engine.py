@@ -162,6 +162,23 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             diamond_config(horizon=0)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0])
+    @pytest.mark.parametrize("name", ["horizon", "type_count"])
+    def test_fractional_count_rejected_at_construction(self, name, value):
+        # a float, even a whole one, is refused rather than truncated
+        with pytest.raises(ValidationError,
+                           match=f"must be an integer, got {value}"):
+            diamond_config(**{name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        config = diamond_config(horizon=np.int64(3), type_count=np.int32(4))
+        assert (config.horizon, config.type_count) == (3, 4)
+        assert len(run(config)) == 3
+
+    def test_type_count_below_two_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="type count must be >= 2"):
+            diamond_config(type_count=1)
+
     def test_epsilon_must_be_nonnegative(self):
         with pytest.raises(ValidationError):
             diamond_config(epsilon=-0.1)
