@@ -392,7 +392,7 @@ def convergence_check(config: AbstractConfig, trajectories: int,
 
     m = config.action_count
     arms = np.stack([checked_initial_signal(init, m)
-                     for init in initial_signals], axis=1)    # (M, 2, 2)
+                     for init in initial_signals], axis=1)    # (M, arms, 2)
     history = CostHistory(2 * k * m, config.scheme,
                           np.repeat(arms, k, axis=1).reshape(-1, 2))
     atom_weights = np.array([p.weights for p, _ in config.renewal.atoms])
@@ -402,7 +402,7 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     distances = []
     for t in range(horizon + 1):
         signal = emit_signal(history).reshape(m, 2 * k, 2)
-        gap = np.abs(signal[:, 0] - signal[:, k])
+        gap = np.abs(signal[:, 0] - signal[:, k])  # the first pair
         distances.append(float(gap[:, 0].sum() + gap[:, 1].sum()))
         if t == horizon:
             break
