@@ -18,8 +18,8 @@ from .abstract_model import (
     run_abstract,
 )
 from .engine import (
-    PeriodRecord,
     RunConfig,
+    RunResult,
     Summary,
     diamond_system_optimum,
     run,
@@ -41,8 +41,8 @@ from .signaling import (
 __all__ = [
     "AbstractConfig",
     "FlappingSpec",
-    "PeriodRecord",
     "RunConfig",
+    "RunResult",
     "Scheme",
     "Summary",
     "convergence_check",

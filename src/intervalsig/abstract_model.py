@@ -28,7 +28,7 @@ from .costs import (
     linear_cost_fn,
     social_cost_abstract,
 )
-from .engine import table_csv
+from .engine import Columns, signal_columns, table_csv
 from .network import require_int
 from .population import (
     PopulationProfile,
@@ -50,6 +50,7 @@ from .signaling import (
 __all__ = [
     "AbstractConfig",
     "AbstractRecord",
+    "AbstractResult",
     "ConvergenceReport",
     "FlappingReport",
     "FlappingSpec",
@@ -84,8 +85,8 @@ class AbstractConfig:
     def __post_init__(self):
         if self.agent_count < 1:
             raise ValidationError("agent count must be >= 1")
-        if self.action_count < 1:
-            raise ValidationError("need at least one action")
+        object.__setattr__(self, "action_count", require_int(
+            self.action_count, "action count", 1))
         if len(self.costs) != self.action_count:
             raise ValidationError(
                 f"{len(self.costs)} cost functions for "
@@ -103,15 +104,46 @@ class AbstractConfig:
         object.__setattr__(self, "cost_table", CostTable(self.costs))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AbstractRecord:
-    """One period: the signal agents saw, their counts, realized costs."""
+    """One period: the signal agents saw, their counts, realized costs.
+
+    ``step_abstract`` returns one; an ``AbstractResult``'s rows have the
+    same attributes."""
 
     t: int
     counts: np.ndarray
     costs: np.ndarray
     social_cost: float
     signal: np.ndarray = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class AbstractResult(Columns):
+    """An abstract-model run, one row per period: ``t`` ``(T,)``, counts
+    and costs ``(T, M)``, social cost ``(T,)`` and the signal ``(T, M,
+    2)``."""
+
+    t: np.ndarray
+    counts: np.ndarray
+    costs: np.ndarray
+    social_cost: np.ndarray
+    signal: np.ndarray = field(repr=False)
+
+    @classmethod
+    def empty(cls, horizon: int, action_count: int) -> AbstractResult:
+        """Periods ``1..horizon``, every other column to be written."""
+        return cls(np.arange(1, horizon + 1),
+                   np.empty((horizon, action_count)),
+                   np.empty((horizon, action_count)), np.empty(horizon),
+                   np.empty((horizon, action_count, 2)))
+
+    def write(self, i: int, record: AbstractRecord) -> None:
+        """Fill row ``i`` from one period's record."""
+        self.counts[i] = record.counts
+        self.costs[i] = record.costs
+        self.social_cost[i] = record.social_cost
+        self.signal[i] = record.signal
 
 
 def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
@@ -152,24 +184,23 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
 
 
 def step_abstract(history: CostHistory, config: AbstractConfig,
-                  profile: PopulationProfile,
-                  tie_uniforms: np.ndarray) -> AbstractRecord:
+                  shares, tie_uniforms: np.ndarray) -> AbstractRecord:
     """Play period ``history.periods + 1`` and record its costs.
 
     ``history`` is the run's ``CostHistory(config.action_count,
     config.scheme, config.initial_signal)``; the period's signal is
-    emitted from it.  The profile and one uniform per type are passed in
-    rather than an rng, so a caller can replay given draws; a type's
-    uniform decides only if that type ties.
+    emitted from it.  The period's share of each type and one uniform
+    per type are passed in rather than an rng, so a caller can replay
+    given draws; a type's uniform decides only if that type ties.
     """
-    if len(profile.weights) != len(config.types):
-        raise ValidationError("profile width != type set size")
+    shares = np.asarray(shares, dtype=float)
+    if shares.shape != (len(config.types),):
+        raise ValidationError("shares width != type set size")
     if len(tie_uniforms) != len(config.types):
         raise ValidationError("need one tie-break uniform per type")
 
     signal = emit_signal(history)
-    counts, costs = _play(config, signal, np.array(profile.weights),
-                          np.asarray(tie_uniforms))
+    counts, costs = _play(config, signal, shares, np.asarray(tie_uniforms))
     social = social_cost_abstract(counts, costs, config.agent_count)
     record = AbstractRecord(history.periods + 1, counts, costs, social,
                             signal)
@@ -177,35 +208,38 @@ def step_abstract(history: CostHistory, config: AbstractConfig,
     return record
 
 
-def run_abstract(config: AbstractConfig, horizon: int) -> list[AbstractRecord]:
-    """Simulate ``horizon`` periods; deterministic given ``config.seed``."""
+def run_abstract(config: AbstractConfig, horizon: int) -> AbstractResult:
+    """Simulate ``horizon`` periods; deterministic given ``config.seed``.
+
+    The whole run's shares and tie uniforms are drawn before period 1,
+    each in one block, with the values one draw per period would give.
+    """
     horizon = require_int(horizon, "horizon", 1)
     history = CostHistory(config.action_count, config.scheme,
                           config.initial_signal)
-    pop_rng = derived_rng(config.seed, "population")
-    tie_rng = derived_rng(config.seed, "tie-break")
-    records = []
-    for _ in range(horizon):
-        profile = sample_profile(config.renewal, pop_rng)
-        records.append(step_abstract(history, config, profile,
-                                     tie_rng.random(len(config.types))))
-    return records
+    shares = sample_profile(config.renewal,
+                            derived_rng(config.seed, "population"), horizon)
+    ties = derived_rng(config.seed, "tie-break").random(
+        (horizon, len(config.types)))
+    result = AbstractResult.empty(horizon, config.action_count)
+    for i in range(horizon):
+        result.write(i, step_abstract(history, config, shares[i], ties[i]))
+    return result.seal()
 
 
-def records_to_abstract_csv(records: list[AbstractRecord]) -> str:
+def records_to_abstract_csv(result: AbstractResult) -> str:
     """One ``table_csv`` row per period: t, then per action the counts
     and the signal's lower and upper endpoints, then the social cost."""
-    if not records:
+    if not len(result):
         raise ValidationError("cannot serialize an empty run")
-    m = len(records[0].counts)
+    m = result.counts.shape[1]
     header = (["t"]
               + [f"{block}_{i}" for block in ("n", "ulo", "uhi")
                  for i in range(1, m + 1)]
               + ["social_cost"])
-    return table_csv(header, (
-        np.concatenate(([rec.t], rec.counts, rec.signal.T.ravel(),
-                        [rec.social_cost]))
-        for rec in records))
+    return table_csv(header, [result.t, result.counts,
+                              signal_columns(result.signal),
+                              result.social_cost])
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +263,8 @@ class FlappingSpec:
 
 @dataclass
 class FlappingReport:
-    scalar_records: list[AbstractRecord]
-    interval_records: list[AbstractRecord]
+    scalar_records: AbstractResult
+    interval_records: AbstractResult
     scalar_costs: np.ndarray
     interval_costs: np.ndarray
     gap: float
@@ -275,21 +309,22 @@ def flapping_demo(spec: FlappingSpec, horizon: int,
     initial = np.array([[1.0, root], [1.0, root]])
     history = CostHistory(2, extreme_scheme(2), initial)
     counts = np.array([n // 2, n - n // 2], dtype=float)
-    interval_records = []
-    for t in range(1, horizon + 1):
+    interval_records = AbstractResult.empty(horizon, 2)
+    for i in range(horizon):
         signal = emit_signal(history)
         if not np.allclose(signal[0], signal[1], rtol=0.0, atol=1e-12):
             raise AssertionError(
-                f"interval arm lost its tie at t={t}: {signal!r}")
+                f"interval arm lost its tie at t={i + 1}: {signal!r}")
         costs = scalar_config.cost_table(counts)
         social = social_cost_abstract(counts, costs, n)
         history.record_period(costs)
-        interval_records.append(
-            AbstractRecord(t, counts.copy(), costs, social, signal))
+        interval_records.write(
+            i, AbstractRecord(i + 1, counts, costs, social, signal))
         counts = counts[::-1].copy()
+    interval_records.seal()
 
-    scalar_costs = np.array([r.social_cost for r in scalar_records])
-    interval_costs = np.array([r.social_cost for r in interval_records])
+    scalar_costs = scalar_records.social_cost.copy()
+    interval_costs = interval_records.social_cost.copy()
     # Rescale by the agent count before subtracting: the per-capita costs
     # are ratios of exactly representable numerators, so the integer-scaled
     # difference avoids a rounding step and lands on the closed-form value.
@@ -395,8 +430,6 @@ def convergence_check(config: AbstractConfig, trajectories: int,
                      for init in initial_signals], axis=1)    # (M, arms, 2)
     history = CostHistory(2 * k * m, config.scheme,
                           np.repeat(arms, k, axis=1).reshape(-1, 2))
-    atom_weights = np.array([p.weights for p, _ in config.renewal.atoms])
-    atom_probs = np.cumsum([d for _, d in config.renewal.atoms])
 
     rng = derived_rng(seed, "convergence")
     distances = []
@@ -406,9 +439,7 @@ def convergence_check(config: AbstractConfig, trajectories: int,
         distances.append(float(gap[:, 0].sum() + gap[:, 1].sum()))
         if t == horizon:
             break
-        atom_idx = np.searchsorted(atom_probs, rng.random(k), side="right")
-        atom_idx = np.minimum(atom_idx, len(atom_probs) - 1)
-        shares = atom_weights[atom_idx].T          # (types, k)
+        shares = sample_profile(config.renewal, rng, k).T   # (types, k)
         tie_u = rng.random((k, len(config.types))).T
         counts, costs = _play(config, signal, np.tile(shares, 2),
                               np.tile(tie_u, 2))

@@ -8,15 +8,15 @@ for the period.
 
 A run builds one ``LoadPlan`` (the network, the demand grouped by
 origin, the type set, all checked once) and calls ``assign(plan,
-signal, profile)`` every period.  The loading problem splits into
-*rows*, one per (type, origin).  Each row is loaded in one pass over the
-origin's tight-edge DAG (Dial's STOCH loading, Transp. Res. 5:83, 1971):
-equal splitting over all tight routes factorizes per origin, so no
-origin-destination pair is split on its own.  The DAG keeps an edge when
-it lies on a weight-shortest route from the origin, within the tie
-tolerance, and leads to a node that Dijkstra finalized later; the second
-condition breaks zero-weight cycles while keeping every shortest-path
-tree edge.
+signal, shares)`` every period, with the period's share of each type.
+The loading problem splits into *rows*, one per (type, origin).  Each
+row is loaded in one pass over the origin's tight-edge DAG (Dial's
+STOCH loading, Transp. Res. 5:83, 1971): equal splitting over all tight
+routes factorizes per origin, so no origin-destination pair is split on
+its own.  The DAG keeps an edge when it lies on a weight-shortest route
+from the origin, within the tie tolerance, and leads to a node that
+Dijkstra finalized later; the second condition breaks zero-weight
+cycles while keeping every shortest-path tree edge.
 
 Two loaders give the same bytes.  ``_load_origin`` is the reference: one
 heapq Dijkstra and a forward pass per row build its DAG (``_row_dag``),
@@ -53,7 +53,7 @@ from .network import (
     require_finite_nonneg,
     require_reachable,
 )
-from .population import PopulationProfile, TypeSet
+from .population import TypeSet
 
 __all__ = [
     "BATCH_CROSSOVER",
@@ -233,25 +233,25 @@ class _Dags:
     kept_count: np.ndarray      # path counts of their tails
 
 
-def _checked_signal(plan: LoadPlan, signal: np.ndarray,
-                    profile: PopulationProfile) -> np.ndarray:
-    """The signal as an array, once it and the profile are checked
-    against the plan's network and type set."""
+def _checked_inputs(plan: LoadPlan, signal: np.ndarray,
+                    shares) -> tuple[np.ndarray, np.ndarray]:
+    """The signal and the type shares as float arrays, once they are
+    checked against the plan's network and type set."""
     signal = np.asarray(signal, dtype=float)
     if signal.shape != (plan.net.edge_count, 2):
         raise ValidationError(
             f"signal shape {signal.shape} does not match "
             f"({plan.net.edge_count}, 2)")
     require_finite_nonneg(signal, "signal endpoints")
-    if len(profile.weights) != len(plan.types):
+    shares = np.asarray(shares, dtype=float)
+    if shares.shape != (len(plan.types),):
         raise ValidationError(
-            f"profile has {len(profile.weights)} weights for "
+            f"shares of shape {shares.shape} for "
             f"{len(plan.types)} types")
-    return signal
+    return signal, shares
 
 
-def assign(plan: LoadPlan, signal: np.ndarray,
-           profile: PopulationProfile) -> np.ndarray:
+def assign(plan: LoadPlan, signal: np.ndarray, shares) -> np.ndarray:
     """Route every agent along its weight-shortest paths; return the
     per-edge flows.
 
@@ -263,21 +263,22 @@ def assign(plan: LoadPlan, signal: np.ndarray,
     order, counts the kept paths ``cf[v]`` from the origin, accumulates
     ``g[v] = share * q[o, v] / cf[v] + sum of g[w] over kept (v, w)``
     and puts ``cf[u] * g[v]`` on edge ``(u, v)``: the equal split of
-    every destination's demand over its tight routes.  Flows add the
-    rows one by one, type-major with origins ascending.
+    every destination's demand over its tight routes.  ``shares`` holds
+    each type's share of the population, one entry per type.  Flows add
+    the rows one by one, type-major with origins ascending.
     """
-    signal = _checked_signal(plan, signal, profile)
+    signal, shares = _checked_inputs(plan, signal, shares)
     if plan.batched:
-        return _load_batched(plan, signal, profile)
-    return _load_per_row(plan, signal, profile)
+        return _load_batched(plan, signal, shares)
+    return _load_per_row(plan, signal, shares)
 
 
 def _load_per_row(plan: LoadPlan, signal: np.ndarray,
-                  profile: PopulationProfile) -> np.ndarray:
+                  shares: np.ndarray) -> np.ndarray:
     """``assign`` by ``_load_origin`` alone, row after row."""
     flows = [0.0] * plan.net.edge_count
     weights = edge_weight(signal[None], plan.omegas)
-    for row_weights, share in zip(weights, profile.weights):
+    for row_weights, share in zip(weights, shares.tolist()):
         for origin, dests in plan.by_origin.items():
             _load_origin(plan, _row_dag(plan, row_weights, origin), dests,
                          share, flows)
@@ -350,13 +351,13 @@ def _load_origin(plan: LoadPlan, dag: _RowDag,
 
 
 def _load_batched(plan: LoadPlan, signal: np.ndarray,
-                  profile: PopulationProfile) -> np.ndarray:
+                  shares: np.ndarray) -> np.ndarray:
     """``assign`` in whole-array passes over all rows, bit for bit the
     per-row loop's flows.
 
     The DAGs come from ``_tight_dags``, or from the plan's memo when the
     signal equals the last one bit for bit; only the onward pass depends
-    on the profile.  Node ``u``'s onward load is its demand term, then
+    on the shares.  Node ``u``'s onward load is its demand term, then
     its kept out-edges' heads' loads in reverse file order, added one by
     one as the per-row reverse pass adds them: a sweep gathers them into
     the rows of a C-contiguous array whose axis-0 sum adds rows in
@@ -372,7 +373,6 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     layout = plan._layout
     rows, edges = plan.row_count, plan.net.edge_count
     size = (plan.net.node_count + 1) * rows
-    shares = np.array(profile.weights, dtype=float)
 
     terms = np.zeros((len(dags.onward_from) + 1, size))
     terms[0, layout.entry_at] = (shares[layout.entry_type]

@@ -1,14 +1,17 @@
 """Discrete-time simulation loop.
 
-Each period: draw a fresh population mix, publish a per-edge signal
-computed from the cost history, route every agent by its signal-weighted
-shortest paths, realize congestion costs, record them into the history,
-and log flows, costs, social cost, and capacity excess.
+Each period: take that period's population mix (the whole run's mixes
+are drawn before period 1), publish a per-edge signal computed from the
+cost history, route every agent by its signal-weighted shortest paths,
+realize congestion costs, record them into the history, and write flows,
+costs, social cost and capacity excess into row t of the run's columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import itertools
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -38,13 +41,16 @@ from .signaling import CostHistory, Scheme, emit_signal
 from .assignment import LoadPlan, assign
 
 __all__ = [
-    "PeriodRecord",
+    "Columns",
+    "Row",
     "RunConfig",
+    "RunResult",
     "Summary",
     "ValidationError",
     "diamond_system_optimum",
     "records_to_csv",
     "run",
+    "signal_columns",
     "summarize",
     "table_csv",
     "write_csv",
@@ -91,20 +97,93 @@ class RunConfig:
                 parse_trips(Path(self.trips_path).read_text()))
 
 
-@dataclass
-class PeriodRecord:
-    """Everything observed in one period."""
+class Columns(Sequence):
+    """A run's periods as equal-length columns, one row per period,
+    read as a sequence of ``Row``s.
 
-    t: int
+    Subclasses are frozen dataclasses whose fields are the columns.
+    ``len``, iteration and int (also negative) indexes give ``Row``s; a
+    slice gives the same type over views of the selected rows.  A run
+    returns its result sealed, every column read-only; a deep copy is
+    writable again.
+    """
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def _column(self, name: str) -> np.ndarray:
+        """The column ``name``; an ``AttributeError`` if there is none."""
+        if name not in self.__dataclass_fields__:
+            raise AttributeError(
+                f"{type(self).__name__} has no column {name!r}")
+        return getattr(self, name)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return type(self)(*(column[index]
+                                for column in self._columns()))
+        return Row(self, range(len(self))[index])
+
+    def __iter__(self):
+        return map(Row, itertools.repeat(self), range(len(self)))
+
+    def seal(self):
+        """Make every column read-only; returns ``self``."""
+        for column in self._columns():
+            column.flags.writeable = False
+        return self
+
+
+class Row:
+    """One period of a ``Columns`` result, with an attribute per column:
+    a one-dimensional column's entry as a Python number, any other
+    column's row as a view.  Setting an attribute writes that row, so a
+    sealed result refuses it."""
+
+    __slots__ = ("_of", "_at")
+
+    def __init__(self, of: Columns, at: int):
+        object.__setattr__(self, "_of", of)
+        object.__setattr__(self, "_at", at)
+
+    def __getattr__(self, name: str):
+        if name.startswith("_"):    # no column is private
+            raise AttributeError(name)
+        column = self._of._column(name)
+        value = column[self._at]
+        return value.item() if column.ndim == 1 else value
+
+    def __setattr__(self, name: str, value) -> None:
+        self._of._column(name)[self._at] = value
+
+    def __reduce__(self):
+        return Row, (self._of, self._at)
+
+    def __repr__(self) -> str:
+        names = [f.name for f in fields(self._of) if f.repr]
+        return "Row(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in names) + ")"
+
+
+@dataclass(frozen=True, eq=False)
+class RunResult(Columns):
+    """A network run, one row per period: ``t`` ``(T,)``, flows and
+    costs ``(T, E)``, social cost and total excess ``(T,)``, the type
+    weights ``(T, K)`` and the signal ``(T, E, 2)``."""
+
+    t: np.ndarray
     flows: np.ndarray
     costs: np.ndarray
-    social_cost: float
-    total_excess: float
+    social_cost: np.ndarray
+    total_excess: np.ndarray
     weights: np.ndarray
     signal: np.ndarray = field(repr=False)
 
 
-def run(config: RunConfig) -> list[PeriodRecord]:
+def run(config: RunConfig) -> RunResult:
     """Simulate ``config.horizon`` periods; deterministic given the seed.
 
     Raises ``NoPathError`` before the first period when some
@@ -115,25 +194,30 @@ def run(config: RunConfig) -> list[PeriodRecord]:
     plan = LoadPlan(net, demand, types)
     renewal = uniform_perturbation(config.type_count, config.epsilon)
     history = CostHistory(net.edge_count, config.scheme)
-    pop_rng = derived_rng(config.seed, "population")
+    shares = sample_profile(renewal, derived_rng(config.seed, "population"),
+                            config.horizon)
 
-    records: list[PeriodRecord] = []
-    for t in range(1, config.horizon + 1):
-        profile = sample_profile(renewal, pop_rng)
+    horizon, edges = config.horizon, net.edge_count
+    result = RunResult(
+        t=np.arange(1, horizon + 1),
+        flows=np.empty((horizon, edges)),
+        costs=np.empty((horizon, edges)),
+        social_cost=np.empty(horizon),
+        total_excess=np.empty(horizon),
+        weights=shares,
+        signal=np.empty((horizon, edges, 2)),
+    )
+    for i, period_shares in enumerate(shares):
         signal = emit_signal(history)
-        flows = assign(plan, signal, profile)
+        flows = assign(plan, signal, period_shares)
         costs = edge_costs(net, flows, capped=config.capped)
         history.record_period(costs)
-        records.append(PeriodRecord(
-            t=t,
-            flows=flows,
-            costs=costs,
-            social_cost=social_cost_network(flows, costs),
-            total_excess=total_excess(net, flows),
-            weights=np.array(profile.weights),
-            signal=signal,
-        ))
-    return records
+        result.signal[i] = signal
+        result.flows[i] = flows
+        result.costs[i] = costs
+        result.social_cost[i] = social_cost_network(flows, costs)
+        result.total_excess[i] = total_excess(net, flows)
+    return result.seal()
 
 
 @dataclass(frozen=True)
@@ -146,7 +230,7 @@ class Summary:
     regret: float | None
 
 
-def summarize(records: list[PeriodRecord],
+def summarize(result: RunResult,
               reference_cost: float | None = None,
               window: int | None = None) -> Summary:
     """Average social cost and excess over the last ``window`` periods.
@@ -155,16 +239,15 @@ def summarize(records: list[PeriodRecord],
     shorter).  Regret is the mean cost minus ``reference_cost`` and is
     omitted when no reference is given.
     """
-    if not records:
+    if not len(result):
         raise ValidationError("cannot summarize an empty run")
     if window is None:
-        window = min(50, len(records))
-    if not 1 <= window <= len(records):
+        window = min(50, len(result))
+    if not 1 <= window <= len(result):
         raise ValidationError(
-            f"window {window} must be in [1, {len(records)}]")
-    tail = records[-window:]
-    mean_cost = float(np.mean([r.social_cost for r in tail]))
-    mean_excess = float(np.mean([r.total_excess for r in tail]))
+            f"window {window} must be in [1, {len(result)}]")
+    mean_cost = float(np.mean(result.social_cost[-window:]))
+    mean_excess = float(np.mean(result.total_excess[-window:]))
     regret = None if reference_cost is None else mean_cost - reference_cost
     return Summary(window, mean_cost, mean_excess, regret)
 
@@ -172,36 +255,42 @@ def summarize(records: list[PeriodRecord],
 _FLOAT_FMT = "%.17g"
 
 
-def table_csv(header: list[str], rows) -> str:
-    """``header``, then one line per row of ``rows`` (float arrays as wide
-    as the header) in 17 significant digits, so parsing the text back
+def table_csv(header: list[str], columns: list[np.ndarray]) -> str:
+    """``header``, then one line per period of ``columns`` (arrays with
+    one row per period, ``(T,)`` or ``(T, n)``, together as wide as the
+    header) in 17 significant digits, so parsing the text back
     reproduces every value; whole numbers such as ``t`` print as ints."""
+    table = np.column_stack(columns).astype(float, copy=False)
     line = ",".join([_FLOAT_FMT] * len(header))
     return "\n".join([",".join(header)]
-                     + [line % tuple(row.tolist()) for row in rows]) + "\n"
+                     + [line % tuple(row) for row in table.tolist()]) + "\n"
 
 
-def records_to_csv(records: list[PeriodRecord]) -> str:
+def signal_columns(signal: np.ndarray) -> np.ndarray:
+    """A ``(T, n, 2)`` signal as ``(T, 2n)``: per period the lower
+    endpoints, then the upper ones."""
+    return signal.transpose(0, 2, 1).reshape(len(signal), -1)
+
+
+def records_to_csv(result: RunResult) -> str:
     """One ``table_csv`` row per period: t, social cost, total excess,
     the type weights, then per edge the flows, costs and the signal's
     lower and upper endpoints."""
-    if not records:
+    if not len(result):
         raise ValidationError("cannot serialize an empty run")
-    k = len(records[0].weights)
-    e = len(records[0].flows)
+    k = result.weights.shape[1]
+    e = result.flows.shape[1]
     header = (["t", "social_cost", "total_excess"]
               + [f"w_omega_{i}" for i in range(1, k + 1)]
               + [f"{block}_e{i}" for block in ("flow", "cost", "ulo", "uhi")
                  for i in range(1, e + 1)])
-    return table_csv(header, (
-        np.concatenate(([rec.t, rec.social_cost, rec.total_excess],
-                        rec.weights, rec.flows, rec.costs,
-                        rec.signal.T.ravel()))
-        for rec in records))
+    return table_csv(header, [
+        result.t, result.social_cost, result.total_excess, result.weights,
+        result.flows, result.costs, signal_columns(result.signal)])
 
 
-def write_csv(records: list[PeriodRecord], path: str | Path) -> None:
-    Path(path).write_text(records_to_csv(records))
+def write_csv(result: RunResult, path: str | Path) -> None:
+    Path(path).write_text(records_to_csv(result))
 
 
 def diamond_system_optimum() -> dict[str, float]:

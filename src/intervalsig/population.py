@@ -2,7 +2,9 @@
 
 Each period the population is redrawn: either every type's share is
 jittered uniformly around 1/K (with the last type absorbing the
-remainder), or a profile is drawn from a finite set of atoms.
+remainder), or a profile is drawn from a finite set of atoms.  The
+draws never depend on the signal, so ``sample_profile`` draws a whole
+run's shares in one block.
 """
 
 from __future__ import annotations
@@ -121,30 +123,45 @@ def finite_support(atoms) -> RenewalProcess:
     return RenewalProcess("finite_support", atoms=atoms)
 
 
-def sample_profile(process: RenewalProcess,
-                   rng: np.random.Generator) -> PopulationProfile:
-    """One i.i.d. draw of the population profile.
+def sample_profile(process: RenewalProcess, rng: np.random.Generator,
+                   count: int) -> np.ndarray:
+    """``count`` i.i.d. draws of the population profile, as a ``(count,
+    K)`` array of shares, one row per period.
 
+    The population is renewed independently of the signal, so a run's
+    whole horizon can be drawn before its first period, in one block.
     Under uniform perturbation the first K-1 shares are U(1/K-eps,
     1/K+eps) and the last takes the remainder; vectors with a negative
-    remainder are rejected and redrawn whole.
+    remainder are rejected and redrawn whole.  The block consumes the
+    stream attempt by attempt, as one draw per period would: it draws
+    as many attempts as rows are still missing, keeps the accepted ones
+    in order and tops up the shortfall, so row ``i`` holds the bits of
+    the ``i``-th one-at-a-time draw.  Under finite support one uniform
+    per row picks the first atom whose running probability exceeds it,
+    or the last atom when rounding leaves the total below the uniform.
     """
+    count = require_int(count, "profile count", 0)
     if process.kind == "finite_support":
-        u = rng.random()
-        acc = 0.0
-        for profile, d in process.atoms:
-            acc += d
-            if u < acc:
-                return profile
-        return process.atoms[-1][0]
+        weights = np.array([profile.weights
+                            for profile, _ in process.atoms])
+        cumulative = np.cumsum([d for _, d in process.atoms])
+        picks = np.searchsorted(cumulative, rng.random(count), side="right")
+        return weights[np.minimum(picks, len(weights) - 1)]
     k = process.type_count
     nominal = 1.0 / k
-    while True:
+    shares = np.empty((count, k))
+    filled = 0
+    while filled < count:
         head = rng.uniform(nominal - process.epsilon,
-                           nominal + process.epsilon, size=k - 1)
-        rest = 1.0 - head.sum()
-        if rest >= 0.0 and np.all(head >= 0.0):
-            return PopulationProfile(tuple(head) + (rest,))
+                           nominal + process.epsilon,
+                           size=(count - filled, k - 1))
+        rest = 1.0 - head.sum(axis=1)
+        kept = (rest >= 0.0) & np.all(head >= 0.0, axis=1)
+        accepted = int(kept.sum())
+        shares[filled:filled + accepted, :-1] = head[kept]
+        shares[filled:filled + accepted, -1] = rest[kept]
+        filled += accepted
+    return shares
 
 
 def derived_rng(seed: int, label: str, *indices: int) -> np.random.Generator:

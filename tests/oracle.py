@@ -1,4 +1,6 @@
-"""Per-pair reference loader: the oracle that ``assign`` is checked against.
+"""Reference implementations that the package's fast paths are checked
+against: the per-pair loader for ``assign`` and the one-period draw for
+``sample_profile``'s blocks.
 
 Every traveller type splits each origin-destination pair's demand
 equally over that pair's weight-shortest routes.  ``assign`` factorizes
@@ -12,6 +14,11 @@ built here from ``net.edges``, so that a change to ``network.dijkstra``
 is never on both sides of a comparison.  From the package it takes only
 the model's tie policy (``TIE_TOL``, ``TIE_TOL_ABS``), the type-weight
 rule ``edge_weight``, the input checks, its data types and its errors.
+
+``sample_period`` is the population draw as a run once made it, one
+period at a time: one rejection loop per period under uniform
+perturbation, one uniform and a running probability per period under
+finite support.  ``sample_profile`` must give its rows bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from intervalsig.assignment import LoadPlan, _checked_signal, edge_weight
+from intervalsig.assignment import LoadPlan, _checked_inputs, edge_weight
 from intervalsig.network import (
     TIE_TOL,
     TIE_TOL_ABS,
@@ -32,7 +39,28 @@ from intervalsig.network import (
     NoPathError,
     ValidationError,
 )
-from intervalsig.population import PopulationProfile, TypeSet
+from intervalsig.population import RenewalProcess, TypeSet
+
+
+def sample_period(process: RenewalProcess,
+                  rng: np.random.Generator) -> tuple[float, ...]:
+    """One period's type shares, drawn on their own."""
+    if process.kind == "finite_support":
+        u = rng.random()
+        acc = 0.0
+        for profile, d in process.atoms:
+            acc += d
+            if u < acc:
+                return profile.weights
+        return process.atoms[-1][0].weights
+    k = process.type_count
+    nominal = 1.0 / k
+    while True:
+        head = rng.uniform(nominal - process.epsilon,
+                           nominal + process.epsilon, size=k - 1)
+        rest = 1.0 - head.sum()
+        if rest >= 0.0 and np.all(head >= 0.0):
+            return tuple(head.tolist()) + (float(rest),)
 
 
 def dijkstra(net: Network, weights: np.ndarray, source: int,
@@ -180,7 +208,7 @@ def assign_per_pair(
     net: Network,
     demand: DemandTable,
     signal: np.ndarray,
-    profile: PopulationProfile,
+    shares,
     types: TypeSet,
 ) -> FlowState:
     """Split every origin-destination pair on its own, per type.
@@ -189,7 +217,8 @@ def assign_per_pair(
     the same input checks; each pair's demand is split with ``tight_dag``, using one
     forward Dijkstra per origin and one reverse Dijkstra per destination.
     """
-    signal = _checked_signal(LoadPlan(net, demand, types), signal, profile)
+    signal, shares = _checked_inputs(LoadPlan(net, demand, types), signal,
+                                     shares)
     pairs = sorted(demand.entries)
     origins = sorted({o for o, _ in pairs})
     dests = sorted({d for _, d in pairs})
@@ -198,7 +227,7 @@ def assign_per_pair(
     path_loads: list[PathLoad] = []
     share_rows: list[np.ndarray] = []
 
-    for omega, weight_share in zip(types.omegas, profile.weights):
+    for omega, weight_share in zip(types.omegas, shares):
         weights = edge_weight(signal, omega)
         forward = {o: dijkstra(net, weights, o) for o in origins}
         backward = {d: dijkstra(net, weights, d, reverse=True)[0]

@@ -2,8 +2,10 @@
 running-envelope signal recursion, the two-arm flapping construction, and
 the coupled-trajectory convergence check."""
 
+import copy
 import csv
 import dataclasses
+import hashlib
 import io
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from intervalsig import abstract_model
 from intervalsig.abstract_model import (
     AbstractConfig,
+    AbstractResult,
     FlappingSpec,
     ValidationError,
     convergence_check,
@@ -31,6 +34,8 @@ from intervalsig.population import (
     TypeSet,
     derived_rng,
     finite_support,
+    uniform_perturbation,
+    uniform_type_set,
 )
 from intervalsig.signaling import (
     CostHistory,
@@ -43,6 +48,7 @@ from intervalsig.signaling import (
 
 SINGLETON = TypeSet((0.5,))
 ALWAYS_FLAT = finite_support([(PopulationProfile((1.0,)), 1.0)])
+ONE_TYPE = np.array([1.0])     # the shares of a single type
 
 
 def two_action_config(**overrides):
@@ -89,6 +95,20 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             two_action_config(renewal=wrong)
 
+    @pytest.mark.parametrize("count", [2.0, 2.5, "2"])
+    def test_fractional_action_count_rejected(self, count):
+        # 2.0 used to build (two cost functions compare equal to it) and
+        # then fail in ``CostHistory`` with numpy's TypeError
+        config, _ = convergence_demo_config()
+        with pytest.raises(ValidationError,
+                           match="action count must be an integer"):
+            dataclasses.replace(config, action_count=count)
+
+    def test_numpy_integer_action_count_accepted(self):
+        config, _ = convergence_demo_config()
+        config = dataclasses.replace(config, action_count=np.int64(2))
+        assert len(run_abstract(config, 3)) == 3
+
 
 class TestStepAbstract:
     def test_pessimists_chase_tighter_upper_bound(self):
@@ -99,7 +119,7 @@ class TestStepAbstract:
             types=TypeSet((0.0,)),
         )
         history = fresh_history(config)
-        rec = step_abstract(history, config, PopulationProfile((1.0,)),
+        rec = step_abstract(history, config, ONE_TYPE,
                             np.array([0.7]))
         assert rec.t == 1 and history.periods == 1
         assert rec.counts == pytest.approx([10.0, 0.0])
@@ -113,7 +133,7 @@ class TestStepAbstract:
         history = fresh_history(config)
         rng = np.random.default_rng(3)
         for _ in range(30):
-            rec = step_abstract(history, config, PopulationProfile((1.0,)),
+            rec = step_abstract(history, config, ONE_TYPE,
                                 rng.random(1))
             assert rec.counts.sum() == pytest.approx(10.0, abs=1e-9)
 
@@ -126,7 +146,7 @@ class TestStepAbstract:
         rng = np.random.default_rng(11)
         for _ in range(4000):
             rec = step_abstract(fresh_history(config), config,
-                                PopulationProfile((1.0,)), rng.random(1))
+                                ONE_TYPE, rng.random(1))
             assert sorted(rec.counts) == pytest.approx([0.0, 10.0])
             firsts.append(rec.counts[0])
         assert abs(np.mean(firsts) - 5.0) <= 0.25   # expected N/2 under ties
@@ -137,9 +157,16 @@ class TestStepAbstract:
             initial_signal=np.array([[4.0, 4.0], [4.0, 4.0]]),
         )
         history = fresh_history(config)
-        step_abstract(history, config, PopulationProfile((1.0,)),
+        step_abstract(history, config, ONE_TYPE,
                       np.array([0.2]))
         assert emit_signal(history) == pytest.approx(np.full((2, 2), 4.0))
+
+    def test_shares_must_match_type_set(self):
+        config = two_action_config()
+        for shares in ([0.5, 0.5], np.ones((1, 1)), []):
+            with pytest.raises(ValidationError, match="type set size"):
+                step_abstract(fresh_history(config), config, shares,
+                              np.array([0.2]))
 
     def test_envelope_monotone_along_trajectory(self):
         config = two_action_config(
@@ -208,6 +235,67 @@ class TestRunAbstract:
                 recent.min(axis=0))
             assert records[t].signal[:, 1] == pytest.approx(
                 recent.max(axis=0))
+
+
+def abstract_rows_digest(rows) -> str:
+    """sha256 prefix of every row's values, read by attribute the way
+    ``scripts/dump_outputs.py`` reads them."""
+    h = hashlib.sha256()
+    for r in rows:
+        assert type(r.t) is int and type(r.social_cost) is float
+        for block in ([r.t, r.social_cost], r.counts, r.costs, r.signal):
+            h.update(np.ascontiguousarray(block, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestAbstractResultContract:
+    """An ``AbstractResult`` reads as the record list ``run_abstract``
+    used to return; the digests are that list's (all, ``[-1]``,
+    ``[10:]``, ``[-7:]``), taken before the result became columnar, on
+    a run whose five types' shares are redrawn every period."""
+
+    @pytest.fixture(scope="class")
+    def result(self):
+        m = 6
+        config = AbstractConfig(
+            agent_count=50, action_count=m,
+            costs=[linear_cost_fn(50, offset=0.1 * i) for i in range(m)],
+            scheme=extreme_scheme(4), renewal=uniform_perturbation(5, 0.15),
+            initial_signal=np.array([[0.1 * i, 1.0 + 0.1 * i]
+                                     for i in range(m)]),
+            seed=3, types=uniform_type_set(5))
+        return run_abstract(config, 60)
+
+    def test_sequence_reads_as_the_record_list(self, result):
+        assert isinstance(result, AbstractResult)
+        assert len(result) == 60
+        assert [abstract_rows_digest(result),
+                abstract_rows_digest([result[-1]]),
+                abstract_rows_digest(result[10:]),
+                abstract_rows_digest(result[-7:])] == [
+            "54ec2cfe00cda110", "6291bec735e945cc", "3a767ff50684f546",
+            "868d19ff7f179851"]
+
+    def test_rows_are_the_columns(self, result):
+        for i in (0, 9, -1):
+            for name in ("t", "counts", "costs", "social_cost", "signal"):
+                assert np.array_equal(getattr(result[i], name),
+                                      getattr(result, name)[i])
+
+    def test_sealed_but_a_deep_copy_writes_through(self, result):
+        with pytest.raises(ValueError, match="read-only"):
+            result[2].counts = np.zeros(6)
+        edited = copy.deepcopy(result)
+        edited[2].counts = np.zeros(6)
+        assert not [r.counts for r in edited][2].any()
+        assert result[2].counts.any()
+
+    def test_step_record_has_the_row_attributes(self, result):
+        config = two_action_config()
+        rec = step_abstract(fresh_history(config), config, ONE_TYPE,
+                            np.array([0.5]))
+        assert [f.name for f in dataclasses.fields(rec)] == [
+            f.name for f in dataclasses.fields(result)]
 
 
 class TestFlappingSpec:
@@ -393,7 +481,8 @@ class TestConvergenceCheckAgainstStepAbstract:
             histories = [fresh_history(arm) for _ in range(k)]
             signals = []
             for picks, ties in draws:
-                records = [step_abstract(history, arm, atoms[pick][0], tie)
+                records = [step_abstract(history, arm,
+                                         atoms[pick][0].weights, tie)
                            for history, pick, tie
                            in zip(histories, picks, ties)]
                 signals.append(records[0].signal)

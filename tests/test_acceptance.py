@@ -384,8 +384,8 @@ def test_a9_property_suites():
         lo = rng.uniform(0.0, 10.0, net.edge_count)
         signal = np.column_stack(
             [lo, lo + rng.uniform(0.0, 5.0, net.edge_count)])
-        profile = sample_profile(renewal, rng)
-        state = assign_per_pair(net, demand, signal, profile, types)
+        mix = sample_profile(renewal, rng, 1)[0]
+        state = assign_per_pair(net, demand, signal, mix, types)
         ok = True
         for load, shares in zip(state.path_loads, state.group_shares):
             divergence = np.zeros(net.node_count + 1)

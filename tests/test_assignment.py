@@ -30,18 +30,14 @@ from intervalsig.network import (
 from intervalsig.costs import edge_costs
 from intervalsig.engine import RunConfig, run
 from intervalsig.instances import load_instance
-from intervalsig.population import (
-    PopulationProfile,
-    TypeSet,
-    uniform_type_set,
-)
+from intervalsig.population import uniform_type_set
 from intervalsig.signaling import extreme_scheme, mean_scheme, now_scheme
 
 from .oracle import assign_per_pair, dijkstra as frozen_dijkstra
 from .test_network import DIAMOND_NET, DIAMOND_TRIPS
 
 FIVE_TYPES = uniform_type_set(5)
-FLAT = PopulationProfile((0.2,) * 5)
+FLAT = np.full(5, 0.2)
 
 
 def diamond():
@@ -154,9 +150,12 @@ class TestAssign:
             loader(diamond(), demand, np.zeros((5, 2)), FLAT, FIVE_TYPES)
 
     def test_profile_must_match_type_set(self):
-        with pytest.raises(ValidationError):
-            assign(LoadPlan(diamond(), diamond_demand(), FIVE_TYPES),
-                   np.zeros((5, 2)), PopulationProfile((0.5, 0.5)))
+        # two shares for five types, and blocks of one and two periods
+        plan = LoadPlan(diamond(), diamond_demand(), FIVE_TYPES)
+        for shares in ([0.5, 0.5], np.full((1, 5), 0.2),
+                       np.full((2, 5), 0.1)):
+            with pytest.raises(ValidationError):
+                assign(plan, np.zeros((5, 2)), shares)
 
     def test_signal_must_cover_every_edge(self):
         with pytest.raises(ValidationError, match=r"\(4, 2\)"):
@@ -296,9 +295,9 @@ class TestConservationProperties:
         assert after[2] <= before[2] + 1e-9
 
 
-def oracle_flows(net, demand, signal, profile, types):
+def oracle_flows(net, demand, signal, shares, types):
     """Edge flows rebuilt from the per-pair oracle's groups."""
-    state = assign_per_pair(net, demand, signal, profile, types)
+    state = assign_per_pair(net, demand, signal, shares, types)
     agents = np.array([load.agents for load in state.path_loads])
     return agents @ state.group_shares
 
@@ -327,7 +326,7 @@ def small_cases(draw):
                           for pair in pairs})
     mix = np.array(draw(st.lists(st.integers(0, 4), min_size=5,
                                  max_size=5)), dtype=float) + 0.5
-    profile = PopulationProfile(tuple(mix / mix.sum()))
+    shares = mix / mix.sum()
     kind = draw(st.sampled_from(["zero", "integer", "continuous"]))
     m = len(links)
     if kind == "zero":
@@ -340,7 +339,7 @@ def small_cases(draw):
         rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
         lows = rng.uniform(0.0, 10.0, m)
         signal = np.column_stack([lows, lows + rng.uniform(0.0, 5.0, m)])
-    return net, demand, signal, profile
+    return net, demand, signal, shares
 
 
 class TestAgainstPerPairOracle:
@@ -350,10 +349,10 @@ class TestAgainstPerPairOracle:
     @settings(max_examples=300, deadline=None)
     @given(small_cases())
     def test_random_networks_match_oracle(self, case):
-        net, demand, signal, profile = case
+        net, demand, signal, shares = case
         np.testing.assert_allclose(
-            assign(LoadPlan(net, demand, FIVE_TYPES), signal, profile),
-            oracle_flows(net, demand, signal, profile, FIVE_TYPES),
+            assign(LoadPlan(net, demand, FIVE_TYPES), signal, shares),
+            oracle_flows(net, demand, signal, shares, FIVE_TYPES),
             rtol=1e-12, atol=0.0)
 
     def test_zero_signal_on_sioux_falls_matches_oracle(self):
@@ -369,8 +368,7 @@ class TestAgainstPerPairOracle:
                                 seed=0, instance="sioux-falls"))
         net, demand = load_instance("sioux-falls")
         for rec in records:
-            profile = PopulationProfile(tuple(rec.weights))
-            state = assign_per_pair(net, demand, rec.signal, profile,
+            state = assign_per_pair(net, demand, rec.signal, rec.weights,
                                     FIVE_TYPES)
             agents = np.array([load.agents for load in state.path_loads])
             flows = agents @ state.group_shares
@@ -436,12 +434,12 @@ class TestBatchedMatchesPerRow:
         @settings(max_examples=1000, deadline=None)
         @given(small_cases())
         def check(case):
-            net, demand, signal, profile = case
+            net, demand, signal, shares = case
             plan = LoadPlan(net, demand, FIVE_TYPES)
             assert_distances_match_frozen_dijkstra(plan, signal)
             want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES), signal,
-                                 profile)
-            got = _load_batched(plan, signal, profile)
+                                 shares)
+            got = _load_batched(plan, signal, shares)
             assert got.tobytes() == want.tobytes()
             plateau = len(plan._memo.plateau_rows)
             rows["plateau"] += plateau
@@ -458,17 +456,18 @@ class TestBatchedMatchesPerRow:
         net, demand = load_instance("sioux-falls")
         plan = LoadPlan(net, demand, FIVE_TYPES)
         for rec in records:
-            profile = PopulationProfile(tuple(rec.weights))
-            want = _load_per_row(plan, rec.signal, profile)
+            want = _load_per_row(plan, rec.signal, rec.weights)
             assert rec.flows.tobytes() == want.tobytes()
-            assert rec.flows.flags.owndata
+            # a row of the run's own column, no view into a loader buffer
+            assert rec.flows.base is records.flows
+        assert records.flows.flags.owndata
 
     def test_memo_hit_matches_fresh_plan(self):
         records = run(RunConfig(scheme=extreme_scheme(20), horizon=12,
                                 seed=3, instance="sioux-falls"))
         net, demand = load_instance("sioux-falls")
         plan = LoadPlan(net, demand, FIVE_TYPES)
-        other = PopulationProfile((0.1, 0.3, 0.2, 0.25, 0.15))
+        other = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
         for rec in records[2:]:
             assign(plan, rec.signal, FLAT)
             dags = plan._memo
@@ -546,7 +545,7 @@ class TestRowDagCache:
         net, demand = load_instance("diamond")
         for rec in records:
             fresh = assign(LoadPlan(net, demand, FIVE_TYPES), rec.signal,
-                           PopulationProfile(tuple(rec.weights)))
+                           rec.weights)
             assert rec.flows.tobytes() == fresh.tobytes()
 
     def test_bounded_and_first_in_first_out(self):
@@ -571,7 +570,7 @@ class TestRowDagCache:
         dags = {key: dict(by_origin)
                 for key, by_origin in plan._row_dags.items()}
         before = row_dag_snapshot(plan)
-        other = PopulationProfile((0.1, 0.3, 0.2, 0.25, 0.15))
+        other = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
         assign(plan, signal, other)
         again = assign(plan, signal, FLAT)
         assert again.tobytes() == first.tobytes()

@@ -1,7 +1,9 @@
 """Period loop: signal -> flows -> costs -> history, plus summaries,
 CSV emission, and the diamond closed-form reference point."""
 
+import copy
 import csv
+import hashlib
 import io
 import math
 
@@ -11,8 +13,8 @@ import pytest
 from intervalsig import engine
 from intervalsig.costs import edge_costs
 from intervalsig.engine import (
-    PeriodRecord,
     RunConfig,
+    RunResult,
     ValidationError,
     diamond_system_optimum,
     records_to_csv,
@@ -198,12 +200,11 @@ class TestConfigValidation:
 def fake_records(social_costs, excesses=None):
     n = len(social_costs)
     excesses = excesses if excesses is not None else [0.0] * n
-    return [
-        PeriodRecord(t=i + 1, flows=np.zeros(1), costs=np.zeros(1),
-                     social_cost=c, total_excess=e,
-                     weights=np.ones(1), signal=np.zeros((1, 2)))
-        for i, (c, e) in enumerate(zip(social_costs, excesses))
-    ]
+    return RunResult(t=np.arange(1, n + 1), flows=np.zeros((n, 1)),
+                     costs=np.zeros((n, 1)),
+                     social_cost=np.array(social_costs, dtype=float),
+                     total_excess=np.array(excesses, dtype=float),
+                     weights=np.ones((n, 1)), signal=np.zeros((n, 1, 2)))
 
 
 class TestSummarize:
@@ -243,7 +244,103 @@ class TestSummarize:
         with pytest.raises(ValidationError):
             summarize(fake_records([1.0]), window=0)
         with pytest.raises(ValidationError):
-            summarize([])
+            summarize(fake_records([]))
+
+
+def rows_digest(rows) -> str:
+    """sha256 prefix of every row's values, read by attribute the way the
+    benchmark checks and ``scripts/dump_outputs.py`` read them."""
+    h = hashlib.sha256()
+    for r in rows:
+        assert type(r.t) is int
+        assert type(r.social_cost) is float
+        assert type(r.total_excess) is float
+        for block in ([r.t, r.social_cost, r.total_excess], r.weights,
+                      r.flows, r.costs, r.signal):
+            h.update(np.ascontiguousarray(block, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestRunResultContract:
+    """A ``RunResult`` reads as the list of per-period records ``run`` used
+    to return.  The digests are those of that list (``len``, iteration,
+    ``[-1]``, ``[30:]``, ``[-20:]``, ``[5]``), taken before the result
+    became columnar; so are the ``summarize`` bits, as float hex."""
+
+    CASES = {
+        "diamond": (
+            RunConfig(scheme=extreme_scheme(5), horizon=300, seed=0,
+                      instance="diamond"),
+            ["6bf964568d0204ef", "1cdf5871994d0a71", "fc001189e4955bb6",
+             "e1d2631cd39f8b97", "036c4d3d22d8523b"],
+            [("0x1.96542e192a7d0p+8", "0x1.92dd35aee0b22p+3"),
+             ("0x1.9b35bb274ceeap+8", "0x1.88fd927b8ee11p+3")]),
+        "sioux-falls": (
+            RunConfig(scheme=extreme_scheme(20), horizon=50, seed=0,
+                      instance="sioux-falls"),
+            ["917fc7f2f78b485b", "1898c726aad67d55", "b648190ce7de1e88",
+             "b648190ce7de1e88", "cd3fd4f923286b28"],
+            [("0x1.b295ffbc3765ap+21", "0x1.4c92669649e30p+18"),
+             ("0x1.cfd52c77b7f5dp+21", "0x1.7770ba977134ap+18")]),
+    }
+
+    @pytest.fixture(scope="class", params=list(CASES))
+    def case(self, request):
+        config, digests, summaries = self.CASES[request.param]
+        return run(config), config.horizon, digests, summaries
+
+    def test_sequence_reads_as_the_record_list(self, case):
+        result, horizon, digests, _ = case
+        assert isinstance(result, RunResult)
+        assert len(result) == horizon
+        assert [rows_digest(result), rows_digest([result[-1]]),
+                rows_digest(result[30:]), rows_digest(result[-20:]),
+                rows_digest([result[5]])] == digests
+        assert len(result[30:]) == horizon - 30
+        assert len(result[-20:]) == 20
+
+    def test_rows_are_the_columns(self, case):
+        result, horizon, _, _ = case
+        names = ["t", "flows", "costs", "social_cost", "total_excess",
+                 "weights", "signal"]
+        for i in (0, 7, horizon - 1, -1, -horizon):
+            row = result[i]
+            for name in names:
+                assert np.array_equal(getattr(row, name),
+                                      getattr(result, name)[i])
+        assert [r.t for r in result] == list(range(1, horizon + 1))
+        assert result[-1].t == horizon
+        for i in (horizon, -horizon - 1):
+            with pytest.raises(IndexError):
+                result[i]
+        with pytest.raises(AttributeError):
+            result[0].profile
+
+    def test_summarize_is_the_list_mean(self, case):
+        result, _, _, summaries = case
+        for window, (cost, excess) in zip((20, None), summaries):
+            summary = summarize(result, window=window)
+            assert (summary.mean_cost.hex(),
+                    summary.mean_excess.hex()) == (cost, excess)
+            tail = list(result)[-summary.window:]
+            assert summary.mean_cost == float(
+                np.mean([r.social_cost for r in tail]))
+            assert summary.mean_excess == float(
+                np.mean([r.total_excess for r in tail]))
+
+    def test_sealed_but_a_deep_copy_writes_through(self, case):
+        result, _, _, _ = case
+        with pytest.raises(ValueError, match="read-only"):
+            result[3].social_cost = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            result.flows[3] = 0.0
+        edited = copy.deepcopy(result)
+        flows = edited[3].flows + 1.0
+        edited[3].flows = flows
+        edited[3].social_cost = 2.5
+        assert np.array_equal(edited.flows[3], flows)
+        assert [r.social_cost for r in edited][3] == 2.5
+        assert result[3].social_cost != 2.5
 
 
 class TestCsv:

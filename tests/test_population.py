@@ -17,6 +17,8 @@ from intervalsig.population import (
     uniform_type_set,
 )
 
+from .oracle import sample_period
+
 
 class TestTypeSet:
     def test_five_types(self):
@@ -105,21 +107,20 @@ class TestSampleProfile:
     def test_degenerate_epsilon_zero(self):
         proc = uniform_perturbation(5, 0.0)
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            assert sample_profile(proc, rng).weights == pytest.approx(
-                (0.2,) * 5)
+        for row in sample_profile(proc, rng, 10):
+            assert row == pytest.approx((0.2,) * 5)
 
     def test_single_atom_always_returned(self):
         eta = PopulationProfile((0.3, 0.7))
         proc = finite_support([(eta, 1.0)])
         rng = np.random.default_rng(0)
-        assert all(sample_profile(proc, rng) == eta for _ in range(20))
+        assert all(tuple(row) == eta.weights
+                   for row in sample_profile(proc, rng, 20))
 
     def test_jittered_weights_respect_bounds(self):
         proc = uniform_perturbation(5, 0.15)
         rng = np.random.default_rng(7)
-        for _ in range(2000):
-            w = sample_profile(proc, rng).weights
+        for w in sample_profile(proc, rng, 2000):
             assert all(0.05 <= x <= 0.35 for x in w[:4])
             assert w[4] >= 0.0
             assert sum(w) == pytest.approx(1.0, abs=1e-12)
@@ -130,18 +131,15 @@ class TestSampleProfile:
         # 0.1895390... (a 0.0105 shift off the nominal 0.2).
         proc = uniform_perturbation(5, 0.15)
         rng = np.random.default_rng(123)
-        sums = np.zeros(5)
         draws = 100_000
-        for _ in range(draws):
-            sums += sample_profile(proc, rng).weights
-        means = sums / draws
+        means = sample_profile(proc, rng, draws).mean(axis=0)
         assert np.all(np.abs(means[:4] - 0.1895390) <= 0.002)
         assert abs(means[4] - (1.0 - 4 * 0.1895390)) <= 0.004
 
     def test_degenerate_singleton_type(self):
         proc = uniform_perturbation(1, 0.0)
         rng = np.random.default_rng(0)
-        assert sample_profile(proc, rng).weights == (1.0,)
+        assert sample_profile(proc, rng, 1).tolist() == [[1.0]]
 
     def test_finite_support_frequencies(self):
         eta1 = PopulationProfile((0.8, 0.2))
@@ -150,10 +148,9 @@ class TestSampleProfile:
         proc = finite_support([(eta1, 0.3), (eta2, 0.2), (eta3, 0.5)])
         rng = np.random.default_rng(99)
         draws = 100_000
-        counts = {id(eta1): 0, id(eta2): 0, id(eta3): 0}
-        for _ in range(draws):
-            counts[id(sample_profile(proc, rng))] += 1
-        observed = [counts[id(eta1)], counts[id(eta2)], counts[id(eta3)]]
+        rows = sample_profile(proc, rng, draws)
+        observed = [int((rows == eta.weights).all(axis=1).sum())
+                    for eta in (eta1, eta2, eta3)]
         expected = [0.3 * draws, 0.2 * draws, 0.5 * draws]
         assert stats.chisquare(observed, expected).pvalue > 1e-3
 
@@ -163,22 +160,127 @@ class TestSampleProfile:
         eps = data.draw(st.floats(0, 1.0 / k, exclude_max=True))
         proc = uniform_perturbation(k, eps)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**31)))
-        w = np.array(sample_profile(proc, rng).weights)
+        w = sample_profile(proc, rng, 1)[0]
         assert w.shape == (k,)
         assert np.all(w >= 0)
         assert w.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+class Replay:
+    """Stands in for a generator's ``random``, giving fixed uniforms in
+    order, so that a draw can be steered onto an atom boundary."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+def per_period(proc, rng, count):
+    """``count`` rows drawn one period at a time by the reference."""
+    return np.array([sample_period(proc, rng) for _ in range(count)])
+
+
+class TestBlockDraws:
+    """A block is the one-period draws in order, bit for bit, and leaves
+    the stream where they leave it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 12), st.data())
+    def test_perturbation_block_equals_per_period_draws(self, k, data):
+        # K - 1 >= 8 covers numpy's unrolled pairwise sum
+        eps = data.draw(st.floats(0.0, 1.0 / k, exclude_max=True)
+                        | st.just(np.nextafter(1.0 / k, 0.0)))
+        proc = uniform_perturbation(k, eps)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        count = data.draw(st.integers(0, 60))
+        block_rng, period_rng = (np.random.default_rng(seed)
+                                 for _ in range(2))
+        block = sample_profile(proc, block_rng, count)
+        assert block.shape == (count, k)
+        assert block.tobytes() == per_period(proc, period_rng,
+                                             count).reshape(count, k).tobytes()
+        assert block_rng.random() == period_rng.random()
+
+    @pytest.mark.parametrize("k, eps, rejected", [
+        (5, 0.15, 0.130), (2, 0.4, 0.0), (3, 0.3, 0.099), (10, 0.09, 0.263)])
+    def test_rejection_heavy_cases(self, k, eps, rejected):
+        proc = uniform_perturbation(k, eps)
+        for seed in range(4):
+            block_rng = derived_rng(seed, "population")
+            period_rng = derived_rng(seed, "population")
+            block = sample_profile(proc, block_rng, 500)
+            assert block.tobytes() == per_period(proc, period_rng,
+                                                 500).tobytes()
+            assert block_rng.random() == period_rng.random()
+        # the share of attempts rejected, so that the top-ups do run
+        head = np.random.default_rng(0).uniform(
+            1.0 / k - eps, 1.0 / k + eps, size=(100_000, k - 1))
+        assert (head.sum(axis=1) > 1.0).mean() == pytest.approx(
+            rejected, abs=0.005)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=12),
+           st.integers(1, 4), st.data())
+    def test_finite_support_block_equals_per_period_draws(self, parts,
+                                                          width, data):
+        total = sum(parts)
+        atoms = []
+        for i, part in enumerate(parts):
+            weights = np.zeros(width)
+            weights[i % width] = 1.0
+            atoms.append((PopulationProfile(tuple(weights)), part / total))
+        proc = finite_support(atoms)
+        cumulative = np.cumsum([d for _, d in proc.atoms])
+        edges = [0.0, float(cumulative[-1]),
+                 float(np.nextafter(cumulative[-1], 1.0)),
+                 np.nextafter(1.0, 0.0)] + cumulative[:-1].tolist()
+        u = data.draw(st.lists(st.sampled_from(edges)
+                               | st.floats(0.0, 1.0, exclude_max=True),
+                               max_size=30))
+        block = sample_profile(proc, Replay(u), len(u))
+        assert block.tobytes() == per_period(
+            proc, Replay(u), len(u)).reshape(len(u), width).tobytes()
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        block_rng, period_rng = (np.random.default_rng(seed)
+                                 for _ in range(2))
+        assert sample_profile(proc, block_rng, 25).tobytes() == \
+            per_period(proc, period_rng, 25).tobytes()
+        assert block_rng.random() == period_rng.random()
+
+    def test_last_atom_covers_a_total_below_one(self):
+        # ten atoms of 0.1 add up to 0.9999999999999999 in floats
+        atoms = [(PopulationProfile(tuple(np.eye(10)[i])), 0.1)
+                 for i in range(10)]
+        proc = finite_support(atoms)
+        top = np.cumsum([0.1] * 10)[-1]
+        assert top < 1.0
+        u = [top, np.nextafter(1.0, 0.0), 0.05]
+        block = sample_profile(proc, Replay(u), 3)
+        assert block.tobytes() == per_period(proc, Replay(u), 3).tobytes()
+        assert block.argmax(axis=1).tolist() == [9, 9, 0]
+
+    def test_count_is_a_whole_number(self):
+        proc = uniform_perturbation(5, 0.15)
+        rng = np.random.default_rng(0)
+        assert sample_profile(proc, rng, 0).shape == (0, 5)
+        with pytest.raises(ValidationError, match="must be an integer"):
+            sample_profile(proc, rng, 2.0)
+        with pytest.raises(ValidationError):
+            sample_profile(proc, rng, -1)
+
+
 class TestDeterminism:
     def test_same_seed_reproduces_sequence(self):
         proc = uniform_perturbation(5, 0.15)
-        seq1 = [sample_profile(proc, derived_rng(42, "population")).weights
-                for _ in range(1)]
         a = derived_rng(42, "population")
         b = derived_rng(42, "population")
-        for _ in range(200):
-            assert sample_profile(proc, a).weights == sample_profile(
-                proc, b).weights
+        assert np.array_equal(sample_profile(proc, a, 200),
+                              sample_profile(proc, b, 200))
 
     def test_distinct_labels_give_distinct_streams(self):
         a = derived_rng(42, "population")
