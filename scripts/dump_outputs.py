@@ -9,9 +9,11 @@ diamond ``run`` under ``now`` at seed 1 (a benchmark sweep cell),
 50-period Sioux Falls runs under ``extreme`` r = 20, ``now`` and
 ``mean``, ``run_abstract`` under all five schemes (plus one config
 mixing every cost kind), ``flapping_demo`` at J = 7 with N = 3 and 101
-and at J = 0.5 with N = 29, and ``convergence_check`` at M = 2, 3 and
-8.  Floats are written as raw float64 bytes (``.bin``) and
-runs that have a CSV form also as CSV.
+and at J = 0.5 with N = 29, ``convergence_check`` at M = 2, 3 and 8,
+and the two calls of the ``abstract-model`` benchmark at seed 1
+(``bench-abstract-extreme-r50``, ``bench-convergence-m2``).  Floats
+are written as raw float64 bytes (``.bin``) and runs that have a CSV
+form also as CSV.
 
 The package is imported from ``PYTHONPATH``, so dumping two checkouts
 into two directories and running ``diff -r`` between them shows whether
@@ -133,14 +135,43 @@ def _flapping(out: Path, stem: str, j: float, n: int) -> None:
                [report.gap, report.gap_lower_bound]))
 
 
-def _convergence(out: Path, m: int) -> None:
+def _convergence(out: Path, stem: str, m: int, trajectories: int,
+                 horizon: int, seed: int) -> None:
     config, initials = convergence_demo_config(agent_count=20,
                                                action_count=m)
-    report = convergence_check(config, trajectories=300, horizon=120,
-                               initial_signals=initials, seed=0)
-    (out / f"convergence-m{m}.bin").write_bytes(
+    report = convergence_check(config, trajectories=trajectories,
+                               horizon=horizon, initial_signals=initials,
+                               seed=seed)
+    (out / f"{stem}.bin").write_bytes(
         _raw(report.distance_series, report.sample_a, report.sample_b,
              [report.ks_statistic, report.ks_pvalue]))
+
+
+# The abstract-model benchmark's run_abstract call at seed 1: 200
+# actions, 1000 agents, five types, extreme r = 50, 300 periods.
+BENCH_ACTIONS, BENCH_AGENTS, BENCH_SEED = 200, 1000, 1
+
+
+def _bench_abstract(out: Path, stem: str) -> None:
+    n = BENCH_AGENTS
+    rng = np.random.default_rng(BENCH_SEED)
+    coeffs = np.column_stack([
+        rng.uniform(1.0, 2.0, BENCH_ACTIONS),
+        rng.uniform(0.5, 1.5, BENCH_ACTIONS) / n,
+        rng.uniform(0.0, 1.0, BENCH_ACTIONS) / n ** 2])
+    # each action's cost idle and under the whole population, summed
+    # term by term as the benchmark sums them
+    full = (coeffs * np.full(BENCH_ACTIONS, n)[:, None]
+            ** np.arange(3)).sum(axis=-1)
+    config = AbstractConfig(
+        agent_count=n, action_count=BENCH_ACTIONS,
+        costs=[polynomial_cost_fn(c) for c in coeffs],
+        scheme=extreme_scheme(50), renewal=uniform_perturbation(5, 0.15),
+        initial_signal=np.column_stack([coeffs[:, 0], full]),
+        seed=BENCH_SEED, types=uniform_type_set(5))
+    records = run_abstract(config, 300)
+    (out / f"{stem}.csv").write_text(records_to_abstract_csv(records))
+    (out / f"{stem}.bin").write_bytes(_abstract_records(records))
 
 
 def _outputs() -> dict:
@@ -180,7 +211,14 @@ def _outputs() -> dict:
         stem = f"flapping-j{j:g}-n{n}"
         outputs[stem] = lambda out, s=stem, j=j, n=n: _flapping(out, s, j, n)
     for m in (2, 3, 8):
-        outputs[f"convergence-m{m}"] = lambda out, m=m: _convergence(out, m)
+        stem = f"convergence-m{m}"
+        outputs[stem] = lambda out, s=stem, m=m: _convergence(
+            out, s, m, trajectories=300, horizon=120, seed=0)
+    outputs["bench-abstract-extreme-r50"] = lambda out: _bench_abstract(
+        out, "bench-abstract-extreme-r50")
+    outputs["bench-convergence-m2"] = lambda out: _convergence(
+        out, "bench-convergence-m2", 2, trajectories=5000, horizon=100,
+        seed=BENCH_SEED)
     return outputs
 
 

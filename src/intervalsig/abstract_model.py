@@ -83,8 +83,12 @@ class AbstractConfig:
     cost_table: CostTable = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.agent_count < 1:
-            raise ValidationError("agent count must be >= 1")
+        # NaN fails the comparison, so only finite counts of at least 1
+        # pass; fractional ones stay allowed
+        if not 1 <= self.agent_count < math.inf:
+            raise ValidationError(
+                f"agent count must be a finite number >= 1, got "
+                f"{self.agent_count!r}")
         object.__setattr__(self, "action_count", require_int(
             self.action_count, "action count", 1))
         if len(self.costs) != self.action_count:
@@ -154,8 +158,10 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     action that its uniform picks among ties.  The axes between the
     action axis of ``signal`` ``(M, ..., 2)`` and its endpoint axis, and
     the trailing axes of ``shares`` and ``tie_uniforms`` (both
-    ``(types, ...)``), are batch axes: ``step_abstract`` passes none,
-    ``convergence_check`` one column per trajectory and arm.  All types'
+    ``(types, ...)``, broadcast against those of ``signal``), are batch
+    axes: ``step_abstract`` passes none, ``convergence_check`` an arm
+    axis and a trajectory axis, with draws of length one on the arm
+    axis, since both arms share them.  All types'
     weights form one action-major ``(M, types, ...)`` array, tie-picked
     together through a ``(types, ..., M)`` view of the same memory, so
     every array keeps the batch axis innermost; the types' loads are
@@ -175,8 +181,11 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     # bin's loads in type order to a running sum from 0.0
     columns = math.prod(batch)
     bins = choice * columns + np.arange(columns).reshape(batch)
+    # the draws' loads, repeated over any axis they broadcast along
+    loads = np.multiply(shares, config.agent_count,
+                        out=np.empty(choice.shape))
     counts = np.bincount(
-        bins.ravel(), weights=(shares * config.agent_count).ravel(),
+        bins.ravel(), weights=loads.ravel(),
         minlength=config.action_count * columns).reshape(
             (config.action_count,) + batch)
     costs = config.cost_table(counts.transpose(*range(1, b + 1), 0))
@@ -409,8 +418,10 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     Both arms run as one batch of ``2 * trajectories`` columns, arm
     ``a``'s trajectories first: one history over actions x arms x
     trajectories resources, action-major, so each period is one
-    ``emit_signal`` and one ``_play`` with the trajectory axis innermost,
-    each period's draws shared by the two arms.
+    ``emit_signal`` and one ``_play`` with the trajectory axis innermost.
+    ``_play`` reads the signal as ``(M, arms, trajectories, 2)`` and
+    broadcasts each period's draws, shared by the two arms, over the
+    arm axis.
     """
     if config.scheme.kind != "full_extreme":
         raise ValidationError(
@@ -434,19 +445,19 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     rng = derived_rng(seed, "convergence")
     distances = []
     for t in range(horizon + 1):
-        signal = emit_signal(history).reshape(m, 2 * k, 2)
-        gap = np.abs(signal[:, 0] - signal[:, k])  # the first pair
+        signal = emit_signal(history).reshape(m, 2, k, 2)
+        gap = np.abs(signal[:, 0, 0] - signal[:, 1, 0])  # the first pair
         distances.append(float(gap[:, 0].sum() + gap[:, 1].sum()))
         if t == horizon:
             break
         shares = sample_profile(config.renewal, rng, k).T   # (types, k)
         tie_u = rng.random((k, len(config.types))).T
-        counts, costs = _play(config, signal, np.tile(shares, 2),
-                              np.tile(tie_u, 2))
+        counts, costs = _play(config, signal, shares[:, None],
+                              tie_u[:, None])
         history.record_period(costs.ravel())
 
-    sample_a = counts[0, :k] / config.agent_count
-    sample_b = counts[0, k:] / config.agent_count
+    sample_a = counts[0, 0] / config.agent_count
+    sample_b = counts[0, 1] / config.agent_count
     ks = ks_2samp(sample_a, sample_b)
     return ConvergenceReport(np.array(distances), float(ks.statistic),
                              float(ks.pvalue), sample_a, sample_b)

@@ -192,6 +192,10 @@ class CostTable:
             raise ValidationError(
                 f"counts must have shape (..., {self.action_count}), "
                 f"got {counts.shape}")
+        if len(self._groups) == 1:
+            # one kind covers every action in order: no gather or scatter
+            formula, params, _ = self._groups[0]
+            return formula(params, counts)
         out = np.empty(counts.shape)
         for formula, params, members in self._groups:
             out[..., members] = formula(params, counts[..., members])

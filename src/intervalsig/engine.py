@@ -80,8 +80,8 @@ class RunConfig:
                            require_int(self.horizon, "horizon", 1))
         object.__setattr__(self, "type_count",
                            require_int(self.type_count, "type count", 2))
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be >= 0")
+        # the renewal that ``run`` builds checks epsilon against 1/K
+        uniform_perturbation(self.type_count, self.epsilon)
         paths = self.net_path is not None or self.trips_path is not None
         if (self.instance is not None) == paths:
             raise ValidationError(

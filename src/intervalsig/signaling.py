@@ -103,9 +103,13 @@ def checked_initial_signal(signal, m_count: int) -> np.ndarray:
 
 class CostHistory:
     """What one run's signal rule reads: its scheme, its optional initial
-    signal, the last ``scheme.window`` periods' costs of every resource
-    in a ring buffer (the last one for schemes without a window), and
-    running sum, min and max over all recorded periods."""
+    signal and, of every resource's recorded costs, what the scheme
+    reads and nothing else.  ``now``, ``extreme`` and ``subinterval``
+    keep the last ``scheme.window`` periods in a ring buffer (the last
+    one under ``now``), ``mean`` a running sum and ``full_extreme`` a
+    running min and max.  An initial signal under ``full_extreme``
+    starts that min and max, so the envelope never takes it in again.
+    """
 
     def __init__(self, m_count: int, scheme: Scheme,
                  initial: np.ndarray | None = None):
@@ -116,11 +120,26 @@ class CostHistory:
         self.initial = (None if initial is None
                         else checked_initial_signal(initial, m_count))
         self.window = scheme.window or 1
-        self._recent = np.empty((self.window, m_count))
         self._periods = 0
-        self._sum = np.zeros(m_count)
-        self._min = np.full(m_count, np.inf)
-        self._max = np.full(m_count, -np.inf)
+        if scheme.kind == "mean":
+            self._sum = np.zeros(m_count)
+        elif scheme.kind == "full_extreme":
+            if self.initial is None:
+                self._min = np.full(m_count, np.inf)
+                self._max = np.full(m_count, -np.inf)
+            else:
+                self._min = self.initial[:, 0].copy()
+                self._max = self.initial[:, 1].copy()
+            # The envelope keeps an endpoint that ties the costs, but a
+            # recorded cost replaces an equal running min or max.  Equal
+            # numbers differ in their bits only as 0.0 and -0.0, so
+            # ``emit_signal`` puts back the zero endpoints that a zero
+            # cost tied.
+            self._zero_lo, self._zero_hi = (
+                np.flatnonzero(self._min == 0.0),
+                np.flatnonzero(self._max == 0.0))
+        else:
+            self._recent = np.empty((self.window, m_count))
 
     @property
     def periods(self) -> int:
@@ -134,15 +153,23 @@ class CostHistory:
             raise ValidationError(
                 f"expected {self.m_count} costs, got shape {costs.shape}")
         require_finite_nonneg(costs, "cost")
-        self._recent[self._periods % self.window] = costs
+        kind = self.scheme.kind
+        if kind == "mean":
+            self._sum += costs
+        elif kind == "full_extreme":
+            np.minimum(self._min, costs, out=self._min)
+            np.maximum(self._max, costs, out=self._max)
+        else:
+            self._recent[self._periods % self.window] = costs
         self._periods += 1
-        self._sum += costs
-        np.minimum(self._min, costs, out=self._min)
-        np.maximum(self._max, costs, out=self._max)
 
     def window_extremes(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-resource min and max over the min(window, recorded) most
-        recent periods; there must be at least one."""
+        recent periods; there must be at least one, and the scheme must
+        be ``extreme`` or ``subinterval``, the two that read them."""
+        if self.scheme.kind not in ("extreme", "subinterval"):
+            raise ValidationError(
+                f"a {self.scheme.kind} history keeps no window extremes")
         if self._periods == 0:
             raise ValidationError("no period recorded yet")
         rows = self._recent[:min(self._periods, self.window)]
@@ -167,19 +194,23 @@ def emit_signal(history: CostHistory) -> np.ndarray:
     if initial is None and periods < (1 if scalar else 2):
         return np.zeros((history.m_count, 2))
     if scheme.kind == "now":
-        lo = hi = history._recent[(periods - 1) % history.window]
+        lo = hi = history._recent[0]          # a window of one period
     elif scheme.kind == "mean":
         lo = hi = history._sum / periods
     elif scheme.kind == "full_extreme":
         lo, hi = history._min, history._max
     else:
         lo, hi = history.window_extremes()
-    if initial is not None and (scheme.kind == "full_extreme" or (
-            not scalar and periods < scheme.window)):
-        lo = np.minimum(lo, initial[:, 0])
-        hi = np.maximum(hi, initial[:, 1])
+        if initial is not None and periods < scheme.window:
+            lo = np.minimum(lo, initial[:, 0])
+            hi = np.maximum(hi, initial[:, 1])
     signal = np.empty((history.m_count, 2))
     signal[:, 0], signal[:, 1] = lo, hi
+    if scheme.kind == "full_extreme":
+        for column, zeros in ((0, history._zero_lo), (1, history._zero_hi)):
+            if zeros.size:
+                tied = zeros[signal[zeros, column] == 0.0]
+                signal[tied, column] = initial[tied, column]
     if scheme.kind == "subinterval" and scheme.shrink != 1.0:
         mid = signal.mean(axis=1)
         half = scheme.shrink * (signal[:, 1] - signal[:, 0]) / 2.0

@@ -19,6 +19,11 @@ rule ``edge_weight``, the input checks, its data types and its errors.
 period at a time: one rejection loop per period under uniform
 perturbation, one uniform and a running probability per period under
 finite support.  ``sample_profile`` must give its rows bit for bit.
+
+``signal_sequence`` is the signal rule of ``emit_signal`` over plain
+lists, recomputed from every resource's whole cost list before each
+period; ``emit_signal`` on a ``CostHistory`` must give it bit for bit,
+down to the sign of a zero.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from intervalsig.network import (
     ValidationError,
 )
 from intervalsig.population import RenewalProcess, TypeSet
+from intervalsig.signaling import Scheme
 
 
 def sample_period(process: RenewalProcess,
@@ -61,6 +67,74 @@ def sample_period(process: RenewalProcess,
         rest = 1.0 - head.sum()
         if rest >= 0.0 and np.all(head >= 0.0):
             return tuple(head.tolist()) + (float(rest),)
+
+
+def _np_min(a: float, b: float) -> float:
+    """``np.minimum(a, b)`` of two numbers: ``a`` only when it is the
+    smaller, so of two equal zeros, 0.0 and -0.0, the second."""
+    return a if a < b else b
+
+
+def _np_max(a: float, b: float) -> float:
+    """``np.maximum(a, b)`` of two numbers, the second on a tie."""
+    return a if a > b else b
+
+
+def _resource_signal(scheme: Scheme, costs: list[float],
+                     initial: tuple[float, float] | None):
+    """One resource's (lo, hi) after the recorded ``costs``."""
+    periods = len(costs)
+    if initial is not None and periods == 0:
+        return initial
+    scalar = scheme.kind in ("now", "mean")
+    if initial is None and periods < (1 if scalar else 2):
+        return 0.0, 0.0
+    if scheme.kind == "now":
+        return costs[-1], costs[-1]
+    if scheme.kind == "mean":
+        total = 0.0
+        for c in costs:
+            total += c
+        return total / periods, total / periods
+    if scheme.kind == "full_extreme":
+        rows = costs
+    else:
+        # the last ``window`` costs in ring order: slot ``i % window``
+        # holds period ``i``, and equal zeros are told apart by slot
+        ring = [0.0] * scheme.window
+        for i, c in enumerate(costs):
+            ring[i % scheme.window] = c
+        rows = ring[:min(periods, scheme.window)]
+    lo = hi = rows[0]
+    for c in rows[1:]:
+        lo, hi = _np_min(lo, c), _np_max(hi, c)
+    if initial is not None and (scheme.kind == "full_extreme"
+                                or (not scalar and periods < scheme.window)):
+        lo, hi = _np_min(lo, initial[0]), _np_max(hi, initial[1])
+    if scheme.kind == "subinterval" and scheme.shrink != 1.0:
+        # numpy's sum starts from 0.0: two -0.0 endpoints sum to 0.0
+        mid = (0.0 + lo + hi) / 2.0
+        half = scheme.shrink * (hi - lo) / 2.0
+        lo, hi = mid - half, mid + half
+    return lo, hi
+
+
+def signal_sequence(scheme: Scheme, m_count: int, periods,
+                    initial=None) -> list[list[tuple[float, float]]]:
+    """The signal before each of ``periods`` and after the last, as
+    ``m_count`` (lo, hi) pairs each.
+
+    ``periods`` holds each period's ``m_count`` costs and ``initial``
+    is None or one (lo, hi) pair per resource.  Every signal is
+    recomputed from each resource's cost list so far.
+    """
+    signals = []
+    for p in range(len(periods) + 1):
+        signals.append([
+            _resource_signal(scheme, [period[r] for period in periods[:p]],
+                             None if initial is None else tuple(initial[r]))
+            for r in range(m_count)])
+    return signals
 
 
 def dijkstra(net: Network, weights: np.ndarray, source: int,

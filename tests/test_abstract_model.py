@@ -90,6 +90,19 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             two_action_config(agent_count=0)
 
+    @pytest.mark.parametrize("count", [float("nan"), float("inf")])
+    def test_non_finite_agent_count_rejected(self, count):
+        # NaN used to pass ``< 1`` and fail only in period 1, when the
+        # history refused its costs
+        with pytest.raises(ValidationError,
+                           match="agent count must be a finite number"):
+            two_action_config(agent_count=count)
+
+    def test_fractional_agent_count_accepted(self):
+        config = two_action_config(agent_count=10.5)
+        result = run_abstract(config, 3)
+        assert result.counts.sum(axis=1).tolist() == [10.5] * 3
+
     def test_renewal_profile_width_must_match_types(self):
         wrong = finite_support([(PopulationProfile((0.5, 0.5)), 1.0)])
         with pytest.raises(ValidationError):
@@ -405,6 +418,45 @@ class TestConvergenceCheck:
         assert np.array_equal(a.distance_series, b.distance_series)
         assert a.ks_statistic == b.ks_statistic
         assert np.array_equal(a.sample_a, b.sample_a)
+
+
+class TestConvergenceReportBytes:
+    """sha256 prefixes of every ``ConvergenceReport`` field, taken before
+    the arms shared their draws by broadcasting, at the benchmark's
+    configuration (M = 2, 5000 x 100, seed 1) and two others.  In all
+    three the arms' end shares agree, so the KS statistic is 0 and its
+    p-value 1."""
+
+    @pytest.mark.parametrize("case, digests", [
+        ((2, 5000, 100, 1), {
+            "distance_series": "71248bd99c91476e",
+            "ks_statistic": "af5570f5a1810b7a",
+            "ks_pvalue": "6c3c396ed6b5c36d",
+            "sample_a": "ad20857a32f38ecf",
+            "sample_b": "ad20857a32f38ecf"}),
+        ((3, 500, 200, 5), {
+            "distance_series": "2b3dca528c420746",
+            "ks_statistic": "af5570f5a1810b7a",
+            "ks_pvalue": "6c3c396ed6b5c36d",
+            "sample_a": "d512155115086629",
+            "sample_b": "d512155115086629"}),
+        ((8, 200, 200, 1), {
+            "distance_series": "8403c2003dd3ec83",
+            "ks_statistic": "af5570f5a1810b7a",
+            "ks_pvalue": "6c3c396ed6b5c36d",
+            "sample_a": "85ba3174efd1e5f9",
+            "sample_b": "85ba3174efd1e5f9"}),
+    ])
+    def test_fields_keep_their_bytes(self, case, digests):
+        m, trajectories, horizon, seed = case
+        config, inits = convergence_demo_config(agent_count=20,
+                                                action_count=m)
+        report = convergence_check(config, trajectories, horizon, inits,
+                                   seed)
+        assert {f.name: hashlib.sha256(np.ascontiguousarray(
+                    getattr(report, f.name), dtype=float).tobytes()
+                ).hexdigest()[:16]
+                for f in dataclasses.fields(report)} == digests
 
 
 class TestConvergenceCheckValidation:

@@ -663,8 +663,10 @@ class TestChooseActionAbstract:
 
     # (500, 2, 3): 1000 rows of 3 entries, counted a plane at a time;
     # (2, 200): 2 rows of 200 entries, counted with ``cumsum``;
-    # (300, 1): one entry, which every row picks
-    @pytest.mark.parametrize("shape", [(500, 2, 3), (2, 200), (300, 1)])
+    # (300, 1): one entry, which every row picks;
+    # (400, 130): a plane at a time, with counts too wide for a byte
+    @pytest.mark.parametrize("shape", [(500, 2, 3), (2, 200), (300, 1),
+                                       (400, 130)])
     @pytest.mark.parametrize("seed", range(3))
     def test_tie_count_matches_python_reference(self, shape, seed):
         rng = np.random.default_rng(seed)

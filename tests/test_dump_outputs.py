@@ -3,6 +3,7 @@ scripts/compare_outputs.py counts and bounds the entries two dumps
 differ in."""
 
 import csv
+import hashlib
 import importlib.util
 import shutil
 from pathlib import Path
@@ -45,6 +46,26 @@ def test_two_dumps_are_identical(dump_outputs, tmp_path, capsys):
         first = (tmp_path / "a" / name).read_bytes()
         assert first, name
         assert first == (tmp_path / "b" / name).read_bytes(), name
+
+
+# What ``perfbench/run.py --workload abstract-model --seed 1`` prints as
+# its digest: the sha256 of one round's run_abstract and
+# convergence_check bytes.
+ABSTRACT_MODEL_SEED1 = ("4fb1b4b4383985bf435ace720f1a8aa677096b146ff51e"
+                        "656510e378c1c38838")
+
+
+def test_bench_outputs_are_the_abstract_model_round(dump_outputs, tmp_path,
+                                                    capsys):
+    # so ``diff -r`` of two dumps covers that workload's exact inputs
+    names = ["bench-abstract-extreme-r50", "bench-convergence-m2"]
+    assert dump_outputs.main([str(tmp_path), "--only", *names]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bench-abstract-extreme-r50.bin", "bench-abstract-extreme-r50.csv",
+        "bench-convergence-m2.bin"]
+    joined = b"".join((tmp_path / f"{name}.bin").read_bytes()
+                      for name in names)
+    assert hashlib.sha256(joined).hexdigest() == ABSTRACT_MODEL_SEED1
 
 
 def test_unknown_output_is_a_usage_error(dump_outputs, tmp_path, capsys):

@@ -185,6 +185,20 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             diamond_config(epsilon=-0.1)
 
+    @pytest.mark.parametrize("type_count, epsilon",
+                             [(5, 0.5), (5, 0.2), (2, 0.5), (5, math.nan)])
+    def test_epsilon_below_one_over_k_at_construction(self, type_count,
+                                                      epsilon):
+        # refused with the renewal's own message before any instance is
+        # loaded, not by ``run`` after loading it
+        message = rf"epsilon must lie in \[0, 1/{type_count}\)"
+        with pytest.raises(ValidationError, match=message):
+            diamond_config(type_count=type_count, epsilon=epsilon)
+
+    def test_epsilon_just_below_one_over_k_accepted(self):
+        epsilon = np.nextafter(0.2, 0.0)
+        assert len(run(diamond_config(horizon=2, epsilon=epsilon))) == 2
+
     def test_exactly_one_source(self):
         with pytest.raises(ValidationError):
             diamond_config(net_path="net.txt", trips_path="trips.txt")

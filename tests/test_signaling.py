@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from intervalsig.signaling import (
     CostHistory,
@@ -18,6 +18,8 @@ from intervalsig.signaling import (
     scheme_from_name,
     subinterval_scheme,
 )
+
+from .oracle import signal_sequence
 
 
 def history_of(costs, scheme, initial=None):
@@ -64,6 +66,14 @@ class TestRecord:
     def test_window_extremes_need_a_recorded_period(self):
         h = CostHistory(2, extreme_scheme(3))
         with pytest.raises(ValidationError, match="no period recorded yet"):
+            h.window_extremes()
+
+    @pytest.mark.parametrize("scheme", [now_scheme(), mean_scheme(),
+                                        full_extreme_scheme()])
+    def test_window_extremes_only_on_windowed_schemes(self, scheme):
+        # these histories record no window, so there is none to read
+        h = history_of([4.0, 7.0], scheme)
+        with pytest.raises(ValidationError, match="keeps no window"):
             h.window_extremes()
 
     def test_period_width_checked(self):
@@ -311,3 +321,57 @@ class TestSchemeProperties:
         sig = signal_of(costs, subinterval_scheme(r, alpha))
         assert validate_subinterval(sig, costs, r)
         assert sig[0, 0] <= sig[0, 1]
+
+
+# Zeros of both signs, and repeated values, so that the envelope's ties
+# decide which zero it keeps.
+tie_costs = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                      st.floats(0, 10, allow_nan=False))
+endpoints = st.sampled_from([0.0, -0.0, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def schemes(draw):
+    kind = draw(st.sampled_from(["now", "mean", "extreme", "full_extreme",
+                                 "subinterval"]))
+    window = (draw(st.integers(1, 5))
+              if kind in ("extreme", "subinterval") else None)
+    shrink = (draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                             st.floats(0, 1)))
+              if kind == "subinterval" else None)
+    return Scheme(kind, window=window, shrink=shrink)
+
+
+@st.composite
+def cost_streams(draw):
+    """A scheme, a resource count, each period's costs and either no
+    initial signal or one whose endpoints are often zeros."""
+    scheme = draw(schemes())
+    m = draw(st.integers(1, 3))
+    periods = draw(st.lists(st.lists(tie_costs, min_size=m, max_size=m),
+                            max_size=12))
+    initial = draw(st.one_of(st.none(), st.lists(
+        st.lists(endpoints, min_size=2, max_size=2).map(sorted),
+        min_size=m, max_size=m)))
+    return scheme, m, periods, initial
+
+
+class TestAgainstListReference:
+    @settings(max_examples=400, deadline=None)
+    @given(cost_streams())
+    # a recorded -0.0 ties the initial signal's 0.0 endpoints
+    @example((full_extreme_scheme(), 1, [[-0.0], [0.0], [-0.0]],
+              [[0.0, 0.0]]))
+    @example((extreme_scheme(2), 1, [[-0.0], [0.0], [-0.0]], [[0.0, 0.0]]))
+    @example((full_extreme_scheme(), 1, [[0.0], [-0.0]], [[-0.0, 0.0]]))
+    def test_emitted_signals_match_bit_for_bit(self, case):
+        scheme, m, periods, initial = case
+        want = signal_sequence(scheme, m, periods, initial)
+        h = CostHistory(m, scheme,
+                        None if initial is None else np.array(initial))
+        for p, expected in enumerate(want):
+            got = emit_signal(h)
+            assert got.tobytes() == np.array(expected).tobytes(), (
+                p, got.tolist(), expected)
+            if p < len(periods):
+                h.record_period(periods[p])
