@@ -161,7 +161,8 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     ``(types, ...)``, broadcast against those of ``signal``), are batch
     axes: ``step_abstract`` passes none, ``convergence_check`` an arm
     axis and a trajectory axis, with draws of length one on the arm
-    axis, since both arms share them.  All types'
+    axis, since both arms share them, until a pair coalesces, and one
+    column axis after.  All types'
     weights form one action-major ``(M, types, ...)`` array, tie-picked
     together through a ``(types, ..., M)`` view of the same memory, so
     every array keeps the batch axis innermost; the types' loads are
@@ -415,13 +416,27 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     shares of the two arms across all pairs.  Exactly two initial
     signals are taken, each checked like ``AbstractConfig``'s.
 
-    Both arms run as one batch of ``2 * trajectories`` columns, arm
-    ``a``'s trajectories first: one history over actions x arms x
-    trajectories resources, action-major, so each period is one
-    ``emit_signal`` and one ``_play`` with the trajectory axis innermost.
-    ``_play`` reads the signal as ``(M, arms, trajectories, 2)`` and
-    broadcasts each period's draws, shared by the two arms, over the
-    arm axis.
+    The arms run as one batch, one history over actions x columns
+    resources, action-major, so each period is one ``emit_signal`` and
+    one ``_play`` with the column axis innermost.  The columns are arm
+    ``a``'s trajectories, then arm ``b``'s trajectories of the live
+    pairs.
+
+    Coalescence rule: a pair's arm ``b`` leaves the batch at the first
+    period in which the pair's two signals are equal entry for entry
+    under ``==``, and from then on takes arm ``a``'s counts, so the
+    pair's end shares agree and its distance is 0.0.  Proof: under
+    ``full_extreme`` a signal is the running min and max with at most a
+    zero's sign put back, so equal signals mean equal histories, and
+    the arms share every later draw, so they play the same counts and
+    costs to the horizon.
+
+    While every pair is live the signal is read as ``(M, arms,
+    trajectories, 2)``, the draws are broadcast over the arm axis and
+    the arm halves are compared as slices.  After that the live pairs'
+    draws are gathered, and in each period where some pair coalesces
+    the history is restricted to the remaining columns
+    (``CostHistory.restricted``).
     """
     if config.scheme.kind != "full_extreme":
         raise ValidationError(
@@ -443,21 +458,59 @@ def convergence_check(config: AbstractConfig, trajectories: int,
                           np.repeat(arms, k, axis=1).reshape(-1, 2))
 
     rng = derived_rng(seed, "convergence")
+    live = np.arange(k)       # the pairs whose arm b is still in the batch
     distances = []
     for t in range(horizon + 1):
-        signal = emit_signal(history).reshape(m, 2, k, 2)
-        gap = np.abs(signal[:, 0, 0] - signal[:, 1, 0])  # the first pair
-        distances.append(float(gap[:, 0].sum() + gap[:, 1].sum()))
+        signal = emit_signal(history).reshape(m, -1, 2)   # (M, k + L, 2)
+        if len(live) and live[0] == 0:                     # the first pair
+            gap = np.abs(signal[:, 0] - signal[:, k])
+            distances.append(float(gap[:, 0].sum() + gap[:, 1].sum()))
+        else:
+            distances.append(0.0)
         if t == horizon:
             break
+        if len(live):
+            a = signal[:, :k] if len(live) == k else signal[:, live]
+            coalesced = _equal_pairs(a, signal[:, k:])
+            if coalesced.any():
+                kept = np.concatenate([np.arange(k),
+                                       k + np.flatnonzero(~coalesced)])
+                history = history.restricted(
+                    (np.arange(m)[:, None] * signal.shape[1]
+                     + kept).ravel())
+                signal = signal[:, kept]
+                live = live[~coalesced]
         shares = sample_profile(config.renewal, rng, k).T   # (types, k)
         tie_u = rng.random((k, len(config.types))).T
-        counts, costs = _play(config, signal, shares[:, None],
-                              tie_u[:, None])
+        if len(live) == k:
+            # every pair live: both arms take the same draws by broadcast
+            counts, costs = _play(config, signal.reshape(m, 2, k, 2),
+                                  shares[:, None], tie_u[:, None])
+        else:
+            if len(live):
+                shares = np.concatenate([shares, shares[:, live]], axis=1)
+                tie_u = np.concatenate([tie_u, tie_u[:, live]], axis=1)
+            counts, costs = _play(config, signal, shares, tie_u)
         history.record_period(costs.ravel())
 
-    sample_a = counts[0, 0] / config.agent_count
-    sample_b = counts[0, 1] / config.agent_count
+    ends = counts.reshape(m, -1)[0]
+    sample_a = ends[:k] / config.agent_count
+    sample_b = sample_a.copy()
+    sample_b[live] = ends[k:] / config.agent_count
     ks = ks_2samp(sample_a, sample_b)
     return ConvergenceReport(np.array(distances), float(ks.statistic),
                              float(ks.pvalue), sample_a, sample_b)
+
+
+def _equal_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per column, whether the ``(M, columns, 2)`` signals ``a`` and
+    ``b`` are equal in every entry under ``==``.
+
+    The comparison is reduced over the action axis first, then each
+    column's two endpoint flags are read as one 16-bit word, which is
+    257 when both are set: two passes over a contiguous bool array,
+    where ``all(axis=(0, 2))`` takes many times longer.
+    """
+    m, columns = a.shape[:2]
+    both = np.logical_and.reduce((a == b).reshape(m, 2 * columns), axis=0)
+    return both.view(np.uint16) == 257

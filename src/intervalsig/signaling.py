@@ -90,7 +90,7 @@ def scheme_from_name(name: str, window: int | None = None,
 
 def checked_initial_signal(signal, m_count: int) -> np.ndarray:
     """``signal`` as a fresh float array, checked to be ``m_count``
-    intervals with lower <= upper."""
+    intervals of finite, non-negative endpoints with lower <= upper."""
     signal = np.array(signal, dtype=float)
     if signal.shape != (m_count, 2):
         raise ValidationError(
@@ -98,6 +98,7 @@ def checked_initial_signal(signal, m_count: int) -> np.ndarray:
     if not np.all(signal[:, 0] <= signal[:, 1]):
         raise ValidationError(
             "initial signal must satisfy lower <= upper per resource")
+    require_finite_nonneg(signal, "initial signal")
     return signal
 
 
@@ -109,6 +110,7 @@ class CostHistory:
     one under ``now``), ``mean`` a running sum and ``full_extreme`` a
     running min and max.  An initial signal under ``full_extreme``
     starts that min and max, so the envelope never takes it in again.
+    ``restricted`` keeps a chosen subset of the resources.
     """
 
     def __init__(self, m_count: int, scheme: Scheme,
@@ -140,6 +142,25 @@ class CostHistory:
                 np.flatnonzero(self._max == 0.0))
         else:
             self._recent = np.empty((self.window, m_count))
+
+    def restricted(self, resources) -> CostHistory:
+        """This history over ``resources`` only, in their order: a fresh
+        history of those resources, with their initial signal and its
+        zero endpoints, that has recorded what this one recorded."""
+        resources = np.asarray(resources)
+        part = CostHistory(len(resources), self.scheme,
+                           None if self.initial is None
+                           else self.initial[resources])
+        part._periods = self._periods
+        kind = self.scheme.kind
+        if kind == "mean":
+            part._sum = self._sum[resources]
+        elif kind == "full_extreme":
+            part._min = self._min[resources]
+            part._max = self._max[resources]
+        else:
+            part._recent = self._recent[:, resources]
+        return part
 
     @property
     def periods(self) -> int:

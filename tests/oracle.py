@@ -1,6 +1,6 @@
 """Reference implementations that the package's fast paths are checked
-against: the per-pair loader for ``assign`` and the one-period draw for
-``sample_profile``'s blocks.
+against: the per-pair loader for ``assign``, the one-period draw for
+``sample_profile``'s blocks and the full-batch convergence check.
 
 Every traveller type splits each origin-destination pair's demand
 equally over that pair's weight-shortest routes.  ``assign`` factorizes
@@ -24,6 +24,11 @@ finite support.  ``sample_profile`` must give its rows bit for bit.
 lists, recomputed from every resource's whole cost list before each
 period; ``emit_signal`` on a ``CostHistory`` must give it bit for bit,
 down to the sign of a zero.
+
+``convergence_check_full_batch`` is ``convergence_check`` as it ran
+before coalesced pairs left its batch: both arms of every pair are
+played to the horizon.  It shares the package's history, signal rule,
+draws and ``_play``, so a comparison tests only the dropping of pairs.
 """
 
 from __future__ import annotations
@@ -35,6 +40,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from intervalsig.abstract_model import (
+    AbstractConfig,
+    ConvergenceReport,
+    _play,
+    ks_2samp,
+)
 from intervalsig.assignment import LoadPlan, _checked_inputs, edge_weight
 from intervalsig.network import (
     TIE_TOL,
@@ -44,8 +55,18 @@ from intervalsig.network import (
     NoPathError,
     ValidationError,
 )
-from intervalsig.population import RenewalProcess, TypeSet
-from intervalsig.signaling import Scheme
+from intervalsig.population import (
+    RenewalProcess,
+    TypeSet,
+    derived_rng,
+    sample_profile,
+)
+from intervalsig.signaling import (
+    CostHistory,
+    Scheme,
+    checked_initial_signal,
+    emit_signal,
+)
 
 
 def sample_period(process: RenewalProcess,
@@ -135,6 +156,46 @@ def signal_sequence(scheme: Scheme, m_count: int, periods,
                              None if initial is None else tuple(initial[r]))
             for r in range(m_count)])
     return signals
+
+
+def convergence_check_full_batch(
+        config: AbstractConfig, trajectories: int, horizon: int,
+        initial_signals, seed: int) -> tuple[ConvergenceReport, np.ndarray]:
+    """The report ``convergence_check`` must give, and per pair the first
+    period whose two signals are equal entry for entry (-1 if none is).
+
+    One history over actions x arms x trajectories resources,
+    action-major; each period both arms of every pair are played, with
+    the period's draws broadcast over the arm axis.
+    """
+    k, m = trajectories, config.action_count
+    arms = np.stack([checked_initial_signal(init, m)
+                     for init in initial_signals], axis=1)    # (M, arms, 2)
+    history = CostHistory(2 * k * m, config.scheme,
+                          np.repeat(arms, k, axis=1).reshape(-1, 2))
+    rng = derived_rng(seed, "convergence")
+    coalesced_at = np.full(k, -1)
+    distances = []
+    for t in range(horizon + 1):
+        signal = emit_signal(history).reshape(m, 2, k, 2)
+        same = np.all(signal[:, 0] == signal[:, 1], axis=(0, 2))
+        coalesced_at[same & (coalesced_at < 0)] = t
+        gap = np.abs(signal[:, 0, 0] - signal[:, 1, 0])  # the first pair
+        distances.append(float(gap[:, 0].sum() + gap[:, 1].sum()))
+        if t == horizon:
+            break
+        shares = sample_profile(config.renewal, rng, k).T   # (types, k)
+        tie_u = rng.random((k, len(config.types))).T
+        counts, costs = _play(config, signal, shares[:, None],
+                              tie_u[:, None])
+        history.record_period(costs.ravel())
+
+    sample_a = counts[0, 0] / config.agent_count
+    sample_b = counts[0, 1] / config.agent_count
+    ks = ks_2samp(sample_a, sample_b)
+    return (ConvergenceReport(np.array(distances), float(ks.statistic),
+                              float(ks.pvalue), sample_a, sample_b),
+            coalesced_at)
 
 
 def dijkstra(net: Network, weights: np.ndarray, source: int,

@@ -46,6 +46,8 @@ from intervalsig.signaling import (
     now_scheme,
 )
 
+from .oracle import convergence_check_full_batch
+
 SINGLETON = TypeSet((0.5,))
 ALWAYS_FLAT = finite_support([(PopulationProfile((1.0,)), 1.0)])
 ONE_TYPE = np.array([1.0])     # the shares of a single type
@@ -85,6 +87,19 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             two_action_config(initial_signal=np.array([[1.0, 0.5],
                                                        [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [[0.3, np.inf], [-np.inf, 0.3],
+                                     [-0.1, 0.3]])
+    def test_infinite_or_negative_initial_endpoint_rejected(self, bad):
+        # an infinite endpoint used to build and be read as NaN weights
+        with pytest.raises(ValidationError,
+                           match="initial signal must be finite"):
+            two_action_config(initial_signal=np.array([[0.2, 0.5], bad]))
+
+    def test_negative_zero_initial_endpoint_accepted(self):
+        init = np.array([[-0.0, 0.5], [-0.0, -0.0]])
+        config = two_action_config(initial_signal=init)
+        assert run_abstract(config, 2).signal[0].tobytes() == init.tobytes()
 
     def test_agent_count_positive(self):
         with pytest.raises(ValidationError):
@@ -474,10 +489,15 @@ class TestConvergenceCheckValidation:
             "one_arm": (a,),
             "transposed": (a, b.T),
             "one_action_short": (a[:-1], b),
+            "infinite_upper": (a, np.column_stack([b[:, 0],
+                                                   [0.5, np.inf, 0.6]])),
+            "negative_lower": (np.column_stack([[0.3, -0.1, 0.4], a[:, 1]]),
+                               b),
         }[case]
 
     @pytest.mark.parametrize("case", ["inverted", "three_arms", "one_arm",
-                                      "transposed", "one_action_short"])
+                                      "transposed", "one_action_short",
+                                      "infinite_upper", "negative_lower"])
     def test_rejected_before_period_one(self, case, monkeypatch):
         config, _ = convergence_demo_config(action_count=3)
         played, play = [], abstract_model._play
@@ -500,6 +520,14 @@ class TestConvergenceCheckValidation:
             convergence_check(config, initial_signals=inits, seed=0,
                               **counts)
         assert played == []
+
+    def test_negative_zero_endpoints_accepted(self):
+        config, (a, b) = convergence_demo_config(action_count=3)
+        a, b = a.copy(), b.copy()
+        a[0, 0] = b[1, 0] = b[1, 1] = -0.0
+        report = convergence_check(config, trajectories=4, horizon=3,
+                                   initial_signals=(a, b), seed=0)
+        assert len(report.distance_series) == 4
 
     def test_numpy_integer_counts_accepted(self):
         config, inits = convergence_demo_config(action_count=3)
@@ -569,6 +597,117 @@ class TestConvergenceCheckAgainstStepAbstract:
                                    initial_signals=inits, seed=self.SEED)
         assert report.distance_series[-1] == pytest.approx(0.2)
         assert len(set(report.sample_a)) > 1
+
+
+class TestConvergenceCheckAgainstFullBatch:
+    """``convergence_check`` drops a pair's arm b from its batch at the
+    first period in which the pair's two signals are equal;
+    ``tests/oracle.py``'s full batch plays both arms of every pair to the
+    horizon.  Every report field must have the same bytes."""
+
+    TRAJECTORIES = 50
+
+    @staticmethod
+    def perturbed_pair(m, seed):
+        """Arm a on endpoints of 0.0, -0.0 and a few costs; arm b with
+        some zeros' signs flipped and some endpoints moved inwards, so
+        that pairs coalesce at many periods, or never."""
+        rng = np.random.default_rng(seed)
+        a = np.sort(rng.choice([0.0, -0.0, 0.2, 0.4, 0.6, 0.9],
+                               size=(m, 2)), axis=1)
+        b = a.copy()
+        moved = rng.random((m, 2)) < 0.5
+        b[moved & (a == 0.0)] *= -1.0
+        lo = moved[:, 0] & (a[:, 0] > 0.0)
+        b[lo, 0] = np.minimum(a[lo, 0] + 0.05, a[lo, 1])
+        hi = moved[:, 1] & (a[:, 1] > 0.0)
+        b[hi, 1] = np.maximum(a[hi, 1] - 0.05, b[hi, 0])
+        return a, b
+
+    @staticmethod
+    def same_bytes(m, trajectories, horizon, inits, seed):
+        """Assert the two checks agree; the full batch's coalescence
+        period of every pair."""
+        config, _ = convergence_demo_config(action_count=m)
+        report = convergence_check(config, trajectories, horizon, inits,
+                                   seed)
+        expected, coalesced_at = convergence_check_full_batch(
+            config, trajectories, horizon, inits, seed)
+        for f in dataclasses.fields(report):
+            got, want = (np.ascontiguousarray(getattr(r, f.name),
+                                              dtype=float).tobytes()
+                         for r in (report, expected))
+            assert got == want, f.name
+        return coalesced_at
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pairs_with_signed_zeros(self, m, seed):
+        self.same_bytes(m, self.TRAJECTORIES, 60,
+                        self.perturbed_pair(m, seed), seed)
+
+    def test_random_pairs_coalesce_at_many_periods(self):
+        # so that the batch shrinks more than once, and keeps some pairs
+        coalesced_at = self.same_bytes(8, self.TRAJECTORIES, 60,
+                                       self.perturbed_pair(8, 0), 0)
+        assert len(set(coalesced_at[coalesced_at > 0])) > 10
+        assert (coalesced_at < 0).any()
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_equal_arms_coalesce_at_once(self, m):
+        a, _ = self.perturbed_pair(m, 1)
+        b = np.where(a == 0.0, -a, a)       # equal under ``==``
+        coalesced_at = self.same_bytes(m, self.TRAJECTORIES, 30, (a, b), 1)
+        assert (coalesced_at == 0).all()
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    def test_first_coalescence_at_the_last_signal(self, m):
+        config, _ = convergence_demo_config(action_count=m)
+        inits = self.perturbed_pair(m, 0)
+        _, coalesced_at = convergence_check_full_batch(
+            config, self.TRAJECTORIES, 60, inits, 0)
+        horizon = int(coalesced_at.max())
+        assert horizon > 0
+        coalesced_at = self.same_bytes(m, self.TRAJECTORIES, horizon,
+                                       inits, 0)
+        assert coalesced_at.max() == horizon
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("pair", ["demo", "perturbed"])
+    def test_one_trajectory(self, m, pair):
+        inits = (convergence_demo_config(action_count=m)[1]
+                 if pair == "demo" else self.perturbed_pair(m, 2))
+        self.same_bytes(m, 1, 60, inits, 3)
+
+
+class TestCoalescedPairsLeaveTheBatch:
+    """The history is restricted once per period in which some pair
+    coalesces, and never while no pair does."""
+
+    @staticmethod
+    def restrictions(monkeypatch, m, trajectories, horizon, seed):
+        calls, restricted = [], CostHistory.restricted
+        monkeypatch.setattr(
+            CostHistory, "restricted",
+            lambda self, resources: calls.append(self.periods)
+            or restricted(self, resources))
+        config, inits = convergence_demo_config(agent_count=20,
+                                                action_count=m)
+        convergence_check(config, trajectories, horizon, inits, seed)
+        return calls, config, inits
+
+    def test_never_without_coalescence(self, monkeypatch):
+        calls, _, _ = self.restrictions(monkeypatch, 8, 200, 200, 1)
+        assert calls == []
+
+    def test_once_per_coalescence_period(self, monkeypatch):
+        calls, config, inits = self.restrictions(monkeypatch, 2, 5000,
+                                                 100, 1)
+        _, coalesced_at = convergence_check_full_batch(config, 5000, 100,
+                                                       inits, 1)
+        periods = sorted(set(coalesced_at[(coalesced_at >= 0)
+                                          & (coalesced_at < 100)]))
+        assert periods and calls == periods
 
 
 class TestAbstractCsv:

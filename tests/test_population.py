@@ -264,6 +264,25 @@ class TestBlockDraws:
         assert block.tobytes() == per_period(proc, Replay(u), 3).tobytes()
         assert block.argmax(axis=1).tolist() == [9, 9, 0]
 
+    @pytest.mark.parametrize("probabilities", [
+        (0.5, 0.5), (0.2, 0.3, 0.5), (0.1,) * 10, (0.7, 0.1, 0.1, 0.1)])
+    def test_finite_support_picks_are_searchsorted_clamped(self,
+                                                           probabilities):
+        # uniforms on, just below and just above every running
+        # probability; ten atoms of 0.1 add up to below the largest
+        n = len(probabilities)
+        proc = finite_support([(PopulationProfile(tuple(np.eye(n)[i])), d)
+                               for i, d in enumerate(probabilities)])
+        cumulative = np.cumsum(probabilities)
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cumulative,
+                            np.nextafter(cumulative, 0.0),
+                            np.nextafter(cumulative, 1.0)])
+        u = u[u < 1.0]
+        picks = np.minimum(np.searchsorted(cumulative, u, side="right"),
+                           n - 1)
+        block = sample_profile(proc, Replay(u), len(u))
+        assert block.argmax(axis=1).tolist() == picks.tolist()
+
     def test_count_is_a_whole_number(self):
         proc = uniform_perturbation(5, 0.15)
         rng = np.random.default_rng(0)

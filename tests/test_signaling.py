@@ -186,6 +186,18 @@ class TestInitialSignal:
                 CostHistory(2, full_extreme_scheme(),
                             np.array([(1.0, 2.0), bad]))
 
+    @pytest.mark.parametrize("bad", [(1.0, math.inf), (-math.inf, 2.0),
+                                     (-1.0, 2.0)])
+    def test_infinite_or_negative_endpoint_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite and >= 0"):
+            CostHistory(2, full_extreme_scheme(),
+                        np.array([(1.0, 2.0), bad]))
+
+    def test_negative_zero_endpoint_accepted(self):
+        init = np.array([(-0.0, 2.0), (-0.0, -0.0)])
+        h = CostHistory(2, full_extreme_scheme(), init)
+        assert emit_signal(h).tobytes() == init.tobytes()
+
 
 class TestValidateSubinterval:
     COSTS = [4.0, 7.0, 5.0]
@@ -375,3 +387,50 @@ class TestAgainstListReference:
                 p, got.tolist(), expected)
             if p < len(periods):
                 h.record_period(periods[p])
+
+
+class TestRestricted:
+    """A history restricted to some resources, fed the same costs after,
+    emits what a fresh history of those resources emits, bit for bit."""
+
+    @staticmethod
+    def check(scheme, m, periods, initial, at, resources):
+        initial = None if initial is None else np.array(initial)
+        whole = CostHistory(m, scheme, initial)
+        fresh = CostHistory(len(resources), scheme,
+                            None if initial is None else initial[resources])
+        for costs in periods[:at]:
+            whole.record_period(costs)
+            fresh.record_period(np.array(costs)[resources])
+        part = whole.restricted(resources)
+        assert part.periods == fresh.periods == at
+        for costs in periods[at:]:
+            assert emit_signal(part).tobytes() == emit_signal(fresh).tobytes()
+            part.record_period(np.array(costs)[resources])
+            fresh.record_period(np.array(costs)[resources])
+        assert emit_signal(part).tobytes() == emit_signal(fresh).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(cost_streams(), st.data())
+    def test_emits_what_a_fresh_history_emits(self, case, data):
+        scheme, m, periods, initial = case
+        at = data.draw(st.integers(0, len(periods)))
+        resources = data.draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                       max_size=m + 1))
+        self.check(scheme, m, periods, initial, at, resources)
+
+    def test_zero_endpoints_follow_their_resources(self):
+        # resource 1's -0.0 lower endpoint is resource 0's after the
+        # restriction, and a recorded 0.0 ties it
+        self.check(full_extreme_scheme(), 2, [[0.0, -0.0], [1.0, 0.0]],
+                   [[0.0, 1.0], [-0.0, 3.0]], 1, [1])
+
+    def test_leaves_the_whole_history_alone(self):
+        whole = CostHistory(3, extreme_scheme(2), np.array(
+            [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]))
+        whole.record_period([5.0, 6.0, 7.0])
+        part = whole.restricted([2, 0])
+        part.record_period([0.5, 0.5])
+        assert whole.periods == 1
+        assert emit_signal(whole).tolist() == [[0.0, 5.0], [1.0, 6.0],
+                                               [2.0, 7.0]]
