@@ -21,10 +21,13 @@ cycles while keeping every shortest-path tree edge.
 Two loaders give the same bytes.  ``_load_origin`` is the reference: one
 heapq Dijkstra and a forward pass per row build its DAG (``_row_dag``),
 and a reverse pass loads it.  ``_load_batched`` loads all rows of a
-period in whole-array passes and remembers the last signal's DAGs, which
-under r-window signals often return unchanged; a row with a distance
-plateau takes its DAG from ``_row_dag``.  A plan batches when its rows
-times edges reach ``BATCH_CROSSOVER``.
+period in whole-array passes and remembers the last signal's DAGs: a
+signal with the same bytes reuses them, and so does one that keeps the
+same edges, since the DAGs are a function of the kept edges alone.
+Under r-window signals either often holds.  Its onward pass visits each
+DAG level once, deepest first.  A row with a distance plateau takes its
+DAG from ``_row_dag``.  A plan batches when its rows times edges reach
+``BATCH_CROSSOVER``.
 
 Each plan caches the DAGs that ``_row_dag`` builds, keyed by the row's
 weight vector (its bytes) and then by origin, and drops the oldest
@@ -38,7 +41,7 @@ enters or leaves the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -66,14 +69,15 @@ __all__ = [
 ]
 
 # Rows x edges from which a plan loads in whole-array passes.  Below it
-# the fixed cost of some fifty numpy calls per period outweighs the
+# the fixed cost of some hundred numpy calls per period outweighs the
 # per-edge Python work they replace.  Measured per call with both
-# loaders, every signal new (2-CPU x86-64, Python 3.11, numpy 2.4.6):
-# the diamond (5 rows x 5 edges) takes 86 us per row and 249 us
-# batched; random chains with back edges and 5 types are about even at
-# 300-360 (321 against 287 us, 310 against 314 us), and batching wins
-# from 600 (640 against 519 us) and on Sioux Falls (120 rows x 76
-# edges: 5.8 against 1.6 ms).
+# loaders, every signal new, best of three (2-CPU Intel Xeon, Python
+# 3.11, numpy 2.4.6): the diamond (5 rows x 5 edges) takes 45 us per
+# row and 136 us batched; random chains with back edges and 5 types
+# are about even at 300-360 (234 against 294 us, 347 against 308 us),
+# and batching wins from 420 (359 against 283 us, 540 against 332 us
+# at 560) and on Sioux Falls (120 rows x 76 edges: 4.1 against
+# 0.94 ms).
 BATCH_CROSSOVER = 400
 
 # Weight vectors whose row DAGs a plan keeps, oldest dropped first.
@@ -175,9 +179,8 @@ class _Layout:
 
     Per-node arrays are node-major, ``(node_count + 1, rows)``, so that a
     gather by node copies whole contiguous rows; flattened, node ``v`` of
-    row ``r`` sits at ``v * rows + r``, and flat onward loads carry one
-    extra slot that always holds 0.0.  Edge tables hold one column of
-    edge ids per node, padded with the edge count.
+    row ``r`` sits at slot ``v * rows + r``.  Edge tables hold one column
+    of edge ids per node, padded with the edge count.
     """
 
     def __init__(self, plan: LoadPlan):
@@ -197,13 +200,20 @@ class _Layout:
             [[eid for _, eid in reversed(edges)] for edges in net._out],
             net.edge_count)
         self.into_tails = np.append(net.srcs, 0)[self.into]
+        # The same tails and the out-edges' heads as flat slots.
+        self.in_tails = (self.into_tails.astype(np.int32)[:, :, None] * rows
+                         + np.arange(rows, dtype=np.int32))
         self.out_heads = (
             np.append(net.dsts, 0).astype(np.int32)[self.out_of, None] * rows
             + np.arange(rows, dtype=np.int32))
-        # One entry per (row, destination).
-        at, dest, flow = (np.array(col) for col in zip(*(
-            (at, dest, flow) for at, origin in enumerate(origins)
-            for dest, flow in plan.by_origin[origin])))
+        self.origin_at = np.flatnonzero(self.start)
+        # One entry per (row, destination).  A pair from a node to itself
+        # loads no edge: the onward pass never reads an origin's load.
+        pairs = [(at, dest, flow) for at, origin in enumerate(origins)
+                 for dest, flow in plan.by_origin[origin] if dest != origin]
+        at = np.array([pair[0] for pair in pairs], dtype=np.intp)
+        dest = np.array([pair[1] for pair in pairs], dtype=np.intp)
+        flow = np.array([pair[2] for pair in pairs], dtype=float)
         kinds = len(plan.types)
         row = (np.arange(kinds)[:, None] * len(origins) + at).ravel()
         self.entry_at = np.tile(dest, kinds) * rows + row
@@ -224,17 +234,28 @@ _RowDag = tuple[list[int], list[float], list[int]]
 
 @dataclass
 class _Dags:
-    """One signal's tight-edge DAGs over all rows, as what the onward
-    pass and the edge loads gather by."""
+    """One set of kept edges' DAGs over all rows, as what the onward
+    pass and the edge loads gather by, and the last signal that kept it.
 
-    key: bytes
-    plateau_rows: list[int]     # kept by ``_row_dag``
-    depth: int                  # edges on the longest kept route
-    onward_from: np.ndarray     # (out-degree, nodes * rows) flat indices
+    The onward pass reads the slots that kept edges lead to by
+    *column*: one per slot, in order of the longest kept route from the
+    origin, deepest first, so that each level's columns sit side by
+    side.  Column 0 holds 0.0.  ``onward_from`` gives each column's
+    out-heads in the order of ``_Layout.out_of``, column 0 where the
+    edge is not kept.  Everything but ``key`` and ``plateau_rows`` is a
+    function of ``kept_key`` and the plan's ``_Layout``.
+    """
+
+    kept_key: bytes             # the kept-edge mask's bytes
+    levels: list[tuple[int, int]]   # runs of columns, deepest level first
+    onward_from: np.ndarray     # (out-degree, columns) columns
+    entry_at: np.ndarray        # demand entries' columns
     entry_count: np.ndarray     # path counts of the demand entries
     kept_at: np.ndarray         # kept edges, flat into (rows, edges)
-    kept_head: np.ndarray       # their heads, flat node-major
+    kept_head: np.ndarray       # their heads' columns
     kept_count: np.ndarray      # path counts of their tails
+    key: bytes = b""            # the signal's bytes
+    plateau_rows: list[int] = field(default_factory=list)  # by ``_row_dag``
 
 
 def _checked_inputs(plan: LoadPlan, signal: np.ndarray,
@@ -359,41 +380,50 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     """``assign`` in whole-array passes over all rows, bit for bit the
     per-row loop's flows.
 
-    The DAGs come from ``_tight_dags``, or from the plan's memo when the
-    signal equals the last one bit for bit; only the onward pass depends
-    on the shares.  Node ``u``'s onward load is its demand term, then
-    its kept out-edges' heads' loads in reverse file order, added one by
-    one as the per-row reverse pass adds them: a sweep gathers them into
-    the rows of a C-contiguous array whose axis-0 sum adds rows in
-    order.  After as many sweeps as the longest kept route has edges,
-    every load is final.  Each row's edge loads are
+    The plan remembers the last signal's DAGs.  A signal equal to it bit
+    for bit reuses them; any other gets its kept edges from
+    ``_kept_edges``, and ``_dags`` builds new DAGs only when those differ
+    from the memo's.  Only the onward pass depends on the shares.  Node
+    ``u``'s onward load is its demand term, then its kept out-edges'
+    heads' loads in reverse file order, added one by one as the per-row
+    reverse pass adds them.  The pass takes the levels deepest first, so
+    every head's load is final when its tail's level comes: it gathers a
+    level's terms into the rows of a C-contiguous array, whose axis-0
+    sum adds rows in order.  Each row's edge loads are
     ``count[tail] * onward[head]`` and the flows their axis-0 sum, row
     by row.
     """
     key = signal.tobytes()
     dags = plan._memo
     if dags is None or dags.key != key:
-        dags = plan._memo = _tight_dags(plan, signal, key)
+        kept, plateau_rows = _kept_edges(plan, signal)
+        if dags is None or dags.kept_key != kept.tobytes():
+            dags = _dags(plan, kept)
+        dags = plan._memo = replace(dags, key=key, plateau_rows=plateau_rows)
     layout = plan._layout
     rows, edges = plan.row_count, plan.net.edge_count
-    size = (plan.net.node_count + 1) * rows
-
-    terms = np.zeros((len(dags.onward_from) + 1, size))
-    terms[0, layout.entry_at] = (shares[layout.entry_type]
-                                 * layout.entry_flow / dags.entry_count)
-    onward = np.zeros(size + 1)
-    onward[:size] = terms[0]
-    for _ in range(dags.depth):
-        np.take(onward, dags.onward_from, out=terms[1:], mode="clip")
-        terms.sum(axis=0, out=onward[:size])
+    # Rows 1 on are written before they are read.
+    terms = np.empty((len(dags.onward_from) + 1,
+                      dags.onward_from.shape[1]))
+    terms[0] = 0.0
+    terms[0, dags.entry_at] = (shares[layout.entry_type]
+                               * layout.entry_flow / dags.entry_count)
+    onward = np.zeros(terms.shape[1])
+    for start, stop in dags.levels:
+        np.take(onward, dags.onward_from[:, start:stop],
+                out=terms[1:, start:stop], mode="clip")
+        terms[:, start:stop].sum(axis=0, out=onward[start:stop])
 
     loads = np.zeros(rows * edges)
     loads[dags.kept_at] = dags.kept_count * onward[dags.kept_head]
     return loads.reshape(rows, edges).sum(axis=0)
 
 
-def _tight_dags(plan: LoadPlan, signal: np.ndarray, key: bytes) -> _Dags:
-    """Every row's tight-edge DAG under ``signal``.
+def _kept_edges(plan: LoadPlan,
+                signal: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Every row's kept edges under ``signal``, as an ``(edges + 1,
+    rows)`` mask whose last edge (the padding edge) is never kept, and
+    the plateau rows.
 
     Distances come from min-plus relaxation to a fixed point: like the
     heapq Dijkstra's, each is the minimum over routes of their
@@ -402,9 +432,7 @@ def _tight_dags(plan: LoadPlan, signal: np.ndarray, key: bytes) -> _Dags:
     test ``order[v] > order[u]`` is ``dist[v] > dist[u]`` unless the two
     distances are equal.  A row with a tight edge between equal finite
     distances is a plateau row: ``_row_dag`` keeps its edges by the
-    finalization order itself.  Path counts are whole numbers, exact in
-    float below 2**53, so relaxation sweeps may add them in any order and
-    still give the per-row counts.
+    finalization order itself.
     """
     net, layout = plan.net, plan._layout
     rows = plan.row_count
@@ -424,32 +452,93 @@ def _tight_dags(plan: LoadPlan, signal: np.ndarray, key: bytes) -> _Dags:
     for row in plateau_rows:
         kind, at = divmod(row, len(origins))
         kept[_row_dag(plan, weights[kind], origins[at])[0], row] = True
+    return kept, plateau_rows
 
-    count, depth = layout.start, 0
+
+def _dags(plan: LoadPlan, kept: np.ndarray) -> _Dags:
+    """The DAGs of a ``_kept_edges`` mask, less the signal's fields.
+
+    One sweep per level finds the levels: the slots a kept route of
+    exactly ``k`` edges reaches, from those one of ``k - 1`` edges
+    reaches, until no route is that long.  Levels are exact where path
+    counts need not be.  One stable sort by level, deepest first, gives
+    the slots their columns, a level's side by side from column 1.
+    Column 0 holds 0.0, where edges that are not kept lead, and the
+    column past the slots holds 1.0, the origins' path count.  numpy
+    adds up a single column's entries pairwise, not in order, so the
+    onward pass takes a level of one column together with the column
+    before it, whose loads are final and come out the same again.
+
+    Path counts then take one pass per level, shallowest first: a slot's
+    count is the sum of its kept in-edges' tails' counts in the order of
+    ``_Layout.into``.  Counts are whole numbers, exact in float below
+    2**53, so they are the per-row loop's counts whatever order numpy
+    adds them in.
+    """
+    net, layout = plan.net, plan._layout
+    rows = plan.row_count
+    reached = layout.start > 0.0
+    level = np.zeros(reached.size, dtype=np.intp)
     kept_into = kept[layout.into]
-    paths = np.empty(kept_into.shape)
+    steps = np.empty(kept_into.shape, dtype=bool)
+    depth = 0
     while True:
-        np.take(count, layout.into_tails, axis=0, out=paths)
-        paths *= kept_into
-        swept = paths.sum(axis=0)
-        swept += layout.start
-        if np.array_equal(swept, count):
+        np.take(reached, layout.into_tails, axis=0, out=steps)
+        steps &= kept_into
+        np.logical_or.reduce(steps, axis=0, out=reached)
+        if not reached.any():
             break
-        count, depth = swept, depth + 1
+        depth += 1
+        np.copyto(level, depth, where=reached.ravel())
 
-    size = count.size
-    kept_edge, kept_row = np.nonzero(kept)
+    # Levels below 256 or 65536 sort by radix, the common case.
+    rank = (depth - level).astype(np.min_scalar_type(depth))
+    per_level = np.bincount(rank, minlength=depth + 1)[:-1]
+    spans = [1, *(1 + np.cumsum(per_level)).tolist()]
+    columns = spans[-1]
+    # Column 0 is slot 0's: node 0 of row 0, whose only edges are padding
+    # edges, never kept, so its column gathers nothing but 0.0.
+    order = np.append(0, np.argsort(rank, kind="stable")[:columns - 1])
+    column = np.zeros(level.size, dtype=np.int32)
+    column[order] = np.arange(columns, dtype=np.int32)
+    column[layout.origin_at] = columns
+
+    into_from = _gather_columns(column, kept_into, layout.in_tails, order)
+    count = np.zeros(columns + 1)
+    count[-1] = 1.0
+    paths = np.empty(into_from.shape)
+    for start, stop in zip(spans[-2::-1], spans[:0:-1]):
+        np.take(count, into_from[:, start:stop], out=paths[:, start:stop],
+                mode="clip")
+        paths[:, start:stop].sum(axis=0, out=count[start:stop])
+
+    kept_edge, kept_row = np.divmod(np.flatnonzero(kept), rows)
+    head = np.take(column, net.dsts[kept_edge] * rows + kept_row)
+    tail = np.take(column, net.srcs[kept_edge] * rows + kept_row)
+    entry_at = np.take(column, layout.entry_at)
     return _Dags(
-        key=key,
-        plateau_rows=plateau_rows,
-        depth=depth,
-        onward_from=np.where(kept[layout.out_of], layout.out_heads, size)
-        .reshape(len(layout.out_of), size),
-        entry_count=count.ravel()[layout.entry_at],
+        kept_key=kept.tobytes(),
+        levels=[(min(start, stop - 2), stop)
+                for start, stop in zip(spans, spans[1:])],
+        onward_from=_gather_columns(column, kept[layout.out_of],
+                                    layout.out_heads, order),
+        entry_at=entry_at,
+        entry_count=count[entry_at],
         kept_at=(kept_row * net.edge_count + kept_edge).astype(np.int32),
-        kept_head=(net.dsts[kept_edge] * rows + kept_row).astype(np.int32),
-        kept_count=count[net.srcs[kept_edge], kept_row],
+        kept_head=head,
+        kept_count=count[tail],
     )
+
+
+def _gather_columns(column: np.ndarray, kept: np.ndarray, ends: np.ndarray,
+                    order: np.ndarray) -> np.ndarray:
+    """An edge table's far ends as columns, one table column per slot of
+    ``order``, and column 0 where the edge is not kept.  ``kept`` and
+    ``ends`` (flat slots) are ``(degree, nodes, rows)``."""
+    shape = (len(kept), -1)
+    table = np.take(column, np.take(ends.reshape(shape), order, axis=1))
+    table *= np.take(kept.reshape(shape), order, axis=1)
+    return table
 
 
 def _distances(layout: _Layout, by_edge: np.ndarray) -> np.ndarray:

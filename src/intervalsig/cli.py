@@ -15,6 +15,7 @@ exception, after its traceback.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -131,6 +132,14 @@ def _run_config(args, scheme) -> RunConfig:
                      epsilon=args.eps, **sources)
 
 
+def _check_references(args) -> None:
+    """Refuse a NaN or infinite reference before the first period."""
+    for flag, value in (("--ref-capped", args.ref_capped),
+                        ("--ref-excess", args.ref_excess)):
+        if value is not None and not math.isfinite(value):
+            raise ValidationError(f"{flag} must be finite, got {value}")
+
+
 def _summary_line(label: str, args, summary) -> str:
     parts = [f"scheme={label}",
              f"horizon={args.horizon}",
@@ -148,6 +157,7 @@ def _summary_line(label: str, args, summary) -> str:
 
 
 def _cmd_run(args) -> int:
+    _check_references(args)
     scheme = scheme_from_name(args.scheme, window=args.r, shrink=args.alpha)
     records = run(_run_config(args, scheme))
     write_csv(records, args.out)
@@ -157,6 +167,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_references(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cells = [now_scheme(), mean_scheme(),

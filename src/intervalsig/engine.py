@@ -10,6 +10,7 @@ costs, social cost and capacity excess into row t of the run's columns.
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -237,8 +238,12 @@ def summarize(result: RunResult,
 
     The default window is the last 50 periods (or the whole run when
     shorter).  Regret is the mean cost minus ``reference_cost`` and is
-    omitted when no reference is given.
+    omitted when no reference is given; a NaN or infinite reference is a
+    ``ValidationError``.
     """
+    if reference_cost is not None and not math.isfinite(reference_cost):
+        raise ValidationError(
+            f"reference cost must be finite, got {reference_cost}")
     if not len(result):
         raise ValidationError("cannot summarize an empty run")
     if window is None:

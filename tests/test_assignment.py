@@ -15,6 +15,7 @@ from intervalsig.assignment import (
     ValidationError,
     _load_batched,
     _distances,
+    _kept_edges,
     _load_per_row,
     assign,
     edge_weight,
@@ -30,7 +31,7 @@ from intervalsig.network import (
 from intervalsig.costs import edge_costs
 from intervalsig.engine import RunConfig, run
 from intervalsig.instances import load_instance
-from intervalsig.population import uniform_type_set
+from intervalsig.population import TypeSet, uniform_type_set
 from intervalsig.signaling import extreme_scheme, mean_scheme, now_scheme
 
 from .oracle import assign_per_pair, dijkstra as frozen_dijkstra
@@ -342,6 +343,31 @@ def small_cases(draw):
     return net, demand, signal, shares
 
 
+def grid_instance(n):
+    """An ``n`` x ``n`` grid of two-way BPR links (free-flow times 2 to 4
+    by a fixed pattern, so routes tie now and then) with demand from the
+    four corners to every other boundary node."""
+    def node(row, col):
+        return row * n + col + 1
+
+    links = []
+    for row in range(n):
+        for col in range(n):
+            for down, right in ((1, 0), (0, 1)):
+                if row + down < n and col + right < n:
+                    u, v = node(row, col), node(row + down, col + right)
+                    links += [(u, v), (v, u)]
+    net = parse_network("".join(
+        f"{u} {v} 50 0 {1 + (3 * u + 5 * v) % 4} 0.15 4 0 0 1 ;\n"
+        for u, v in links))
+    boundary = [node(row, col) for row in range(n) for col in range(n)
+                if row in (0, n - 1) or col in (0, n - 1)]
+    corners = [node(0, 0), node(0, n - 1), node(n - 1, 0), node(n - 1, n - 1)]
+    demand = DemandTable({(o, d): float(5 + (o * d) % 7)
+                          for o in corners for d in boundary if d != o})
+    return net, demand
+
+
 class TestAgainstPerPairOracle:
     """``assign`` loads per origin; the per-pair oracle splits each pair
     on its own.  Both must give the same edge flows to rel 1e-12."""
@@ -413,6 +439,20 @@ def assert_distances_match_frozen_dijkstra(plan, signal):
         assert dist[:, row].tobytes() == want.tobytes()
 
 
+def count_dag_builds(monkeypatch):
+    """The kept-edge masks the batched loader builds DAGs from, from now
+    on."""
+    builds = []
+    original = assignment._dags
+
+    def counted(plan, kept):
+        builds.append(kept.tobytes())
+        return original(plan, kept)
+
+    monkeypatch.setattr(assignment, "_dags", counted)
+    return builds
+
+
 def sequential_sum(rows):
     total = rows[0].tolist()
     for row in rows[1:]:
@@ -477,17 +517,134 @@ class TestBatchedMatchesPerRow:
                            other)
             assert again.tobytes() == fresh.tobytes()
 
-    def test_changed_signal_is_not_a_hit(self):
+    def test_signal_that_keeps_the_kept_edges_reuses_the_dags(
+            self, monkeypatch):
+        builds = count_dag_builds(monkeypatch)
         net, demand = load_instance("sioux-falls")
         plan = LoadPlan(net, demand, FIVE_TYPES)
         signal = np.tile(net.free_flows[:, None], 2)
         assign(plan, signal, FLAT)
-        dags = plan._memo
-        signal[7, 1] = np.nextafter(signal[7, 1], np.inf)
+        kept, plateau_rows = _kept_edges(plan, signal)
+        assert not plateau_rows
+        slack = ~kept[:-1].any(axis=1)
+        assert slack.any()
+        signal[slack] *= 1.5
         flows = assign(plan, signal, FLAT)
-        assert plan._memo is not dags
+        assert len(builds) == 1
+        assert plan._memo.key == signal.tobytes()
         want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES), signal, FLAT)
         assert flows.tobytes() == want.tobytes()
+
+    def test_signal_that_changes_a_kept_edge_rebuilds(self, monkeypatch):
+        builds = count_dag_builds(monkeypatch)
+        net, demand = load_instance("sioux-falls")
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        signal = np.tile(net.free_flows[:, None], 2)
+        assign(plan, signal, FLAT)
+        kept = _kept_edges(plan, signal)[0]
+        edge = int(np.flatnonzero(kept[:-1].any(axis=1))[0])
+        signal[edge] += 100.0
+        flows = assign(plan, signal, FLAT)
+        assert len(builds) == 2
+        assert _kept_edges(plan, signal)[0].tobytes() != kept.tobytes()
+        want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES), signal, FLAT)
+        assert flows.tobytes() == want.tobytes()
+
+    def test_memo_carried_across_signals(self, monkeypatch):
+        # one plan loads a short run of signals: the case's own, again
+        # with every edge that no row keeps raised (the kept edges
+        # usually stay), the same bytes, a new signal, and the first
+        builds = count_dag_builds(monkeypatch)
+        hits = {"kept": 0, "rebuilt": 0}
+
+        @settings(max_examples=150, deadline=None)
+        @given(small_cases(), st.integers(0, 2**32 - 1))
+        def check(case, seed):
+            net, demand, signal, shares = case
+            plan = LoadPlan(net, demand, FIVE_TYPES)
+            kept = _kept_edges(LoadPlan(net, demand, FIVE_TYPES), signal)[0]
+            raised = signal.copy()
+            raised[~kept[:-1].any(axis=1)] += 1.0
+            rng = np.random.default_rng(seed)
+            lows = rng.uniform(0.0, 10.0, net.edge_count)
+            other = np.column_stack([lows, lows + rng.uniform(0.0, 5.0,
+                                                            net.edge_count)])
+            last = None
+            for period in (signal, raised, raised.copy(), other, signal):
+                before = len(builds)
+                got = _load_batched(plan, period, shares)
+                want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES),
+                                     period, shares)
+                assert got.tobytes() == want.tobytes()
+                if last is not None and period.tobytes() != last:
+                    key = "kept" if len(builds) == before else "rebuilt"
+                    hits[key] += 1
+                last = period.tobytes()
+
+        check()
+        assert hits["kept"] > 0 and hits["rebuilt"] > 0
+
+    def test_grid_warm_up_and_after(self, monkeypatch):
+        # one plan through the zero warm-up signal (every row a plateau
+        # row), free-flow intervals, the same with every edge that no
+        # row keeps raised, congested costs, and back
+        builds = count_dag_builds(monkeypatch)
+        net, demand = grid_instance(10)
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        assert plan.batched
+        zero = np.zeros((net.edge_count, 2))
+        free = np.column_stack([net.free_flows, 1.5 * net.free_flows])
+        kept = _kept_edges(LoadPlan(net, demand, FIVE_TYPES), free)[0]
+        raised = free.copy()
+        raised[~kept[:-1].any(axis=1)] *= 2.0
+        depths = []
+        flows = None
+        for period, signal in enumerate([zero, free, raised, None, free,
+                                         zero]):
+            if signal is None:
+                costs = edge_costs(net, flows, capped=True)
+                signal = np.column_stack([costs, 1.2 * costs])
+            flows = _load_batched(plan, signal, FLAT)
+            want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES), signal,
+                                 FLAT)
+            assert flows.tobytes() == want.tobytes(), period
+            depths.append(len(plan._memo.levels))
+            if period == 0:
+                assert len(plan._memo.plateau_rows) == plan.row_count
+        assert len(builds) == 5      # ``raised`` kept ``free``'s DAGs
+        assert min(depths[1:-1]) >= 15
+
+    def test_demand_from_a_node_to_itself_loads_no_edge(self):
+        net, demand = load_instance("sioux-falls")
+        signal = np.tile(net.free_flows[:, None], 2)
+        want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES), signal, FLAT)
+        demand = DemandTable(demand.entries | {(3, 3): 500.0})
+        got = _load_batched(LoadPlan(net, demand, FIVE_TYPES), signal, FLAT)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("chain", [1, 2])
+    def test_lone_levels_add_in_order(self, chain):
+        # a chain 1 -> 2 (-> 3) of slots alone on their levels, the last
+        # fanning out to ten destinations: its eleven onward terms give
+        # other bits when numpy adds them pairwise, while in order each
+        # 1.0 is lost against the leading 1e16
+        fan = chain + 1
+        heads = range(fan + 1, fan + 11)
+        net = parse_network("".join(
+            f"{u} {v} 10 0 1 1 2 0 0 1 ;\n"
+            for u, v in [*((u, u + 1) for u in range(1, fan)),
+                         *((fan, v) for v in heads)]))
+        demand = DemandTable({(1, v): 1.0 for v in heads}
+                             | {(1, heads[-1]): 1e16})
+        types = TypeSet((0.5,))
+        signal = np.ones((net.edge_count, 2))
+        plan = LoadPlan(net, demand, types)
+        got = _load_batched(plan, signal, np.ones(1))
+        assert len(plan._memo.levels) == chain + 1
+        want = _load_per_row(LoadPlan(net, demand, types), signal,
+                             np.ones(1))
+        assert got.tobytes() == want.tobytes()
+        assert got[:chain].tolist() == [1e16] * chain
 
     def test_axis0_sum_adds_rows_in_order(self):
         # the onward pass and the flows rely on it: a pairwise or
@@ -502,6 +659,9 @@ class TestBatchedMatchesPerRow:
         out = np.zeros(10)
         terms.sum(axis=0, out=out[:9])
         assert out[:9].tobytes() == want
+        # so does a level's run of two columns out of a wider block
+        terms[:, :2].sum(axis=0, out=out[:2])
+        assert out[:2].tobytes() == sequential_sum(terms[:, :2]).tobytes()
         # the first column is order-sensitive: in order, each 1e-16 is
         # lost against the leading 1.0
         assert sequential_sum(terms[:40])[0] == 1.0

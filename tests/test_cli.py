@@ -67,6 +67,21 @@ class TestRun:
         assert code == 0
         assert "regret=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--ref-capped", "nan"), ("--ref-capped", "inf"),
+        ("--ref-capped", "-inf"), ("--ref-excess", "nan")])
+    def test_nonfinite_reference_refused_before_the_run(
+            self, tmp_path, capsys, monkeypatch, flag, value):
+        monkeypatch.setattr(cli, "run", None)       # never reached
+        out = tmp_path / "d.csv"
+        code = main(["run", "--instance", "diamond", "--scheme", "now",
+                     "--horizon", "3", "--seed", "0", f"{flag}={value}",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {flag} must be finite, got ")
+        assert not out.exists()
+
     def test_uncapped_flag_changes_output(self, tmp_path):
         base = ["run", "--instance", "diamond", "--scheme", "now",
                 "--horizon", "4", "--seed", "0"]
@@ -123,6 +138,17 @@ class TestRun:
 
 
 class TestSweep:
+    def test_nonfinite_reference_refused_before_the_run(self, tmp_path,
+                                                        capsys):
+        out_dir = tmp_path / "cells"
+        code = main(["sweep", "--instance", "diamond", "--horizon", "12",
+                     "--seed", "2", "--out-dir", str(out_dir),
+                     "--ref-capped", "nan"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --ref-capped must be finite, got nan\n")
+        assert not out_dir.exists()
+
     def test_writes_cells_and_summary(self, tmp_path, capsys):
         out_dir = tmp_path / "cells"
         code = main(["sweep", "--instance", "diamond", "--horizon", "12",

@@ -252,6 +252,12 @@ class TestSummarize:
         summary = summarize(fake_records([4.0] * 5), reference_cost=6.0)
         assert summary.regret == pytest.approx(-2.0)
 
+    @pytest.mark.parametrize("reference", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_reference_refused(self, reference):
+        with pytest.raises(ValidationError,
+                           match="reference cost must be finite"):
+            summarize(fake_records([1.0]), reference_cost=reference)
+
     def test_window_must_fit(self):
         with pytest.raises(ValidationError):
             summarize(fake_records([1.0]), window=2)
