@@ -131,7 +131,8 @@ def _flapping(out: Path, stem: str, j: float, n: int) -> None:
     (out / f"{stem}.bin").write_bytes(
         _abstract_records(report.scalar_records)
         + _abstract_records(report.interval_records)
-        + _raw(report.scalar_costs, report.interval_costs,
+        + _raw(report.scalar_records.social_cost,
+               report.interval_records.social_cost,
                [report.gap, report.gap_lower_bound]))
 
 

@@ -2,14 +2,16 @@
 
 Agents of each risk type read the published per-action interval through
 their endpoint weight, pile their whole mass onto a minimizing action
-(uniformly among ties), and realized costs feed the next signal. A
-period is a few whole-array operations: one tie-pick over all types'
+(uniformly among ties), and realized costs feed the next signal. A run's
+only state is its ``CostHistory``, and ``run_abstract`` writes each
+period straight into its result's columns: the signal ``emit_signal``
+gives, the counts and costs of ``_play`` (one tie-pick over all types'
 weights, then the config's cost table, built once from its cost
-functions, prices every action's count. Includes
-the coupled-trajectory convergence check (two runs driven by identical
-draws from different initial signals) and the two-arm flapping
-construction whose scalar arm oscillates while its interval arm holds a
-near-even split.
+functions, prices every action's count), their social cost; then the
+costs are recorded.  Includes the coupled-trajectory convergence check
+(two runs driven by identical draws from different initial signals) and
+the two-arm flapping construction whose scalar arm oscillates while its
+interval arm holds a near-even split.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .signaling import (
 
 __all__ = [
     "AbstractConfig",
-    "AbstractRecord",
     "AbstractResult",
     "ConvergenceReport",
     "FlappingReport",
@@ -60,7 +61,6 @@ __all__ = [
     "flapping_demo",
     "records_to_abstract_csv",
     "run_abstract",
-    "step_abstract",
 ]
 
 
@@ -108,20 +108,6 @@ class AbstractConfig:
         object.__setattr__(self, "cost_table", CostTable(self.costs))
 
 
-@dataclass(frozen=True)
-class AbstractRecord:
-    """One period: the signal agents saw, their counts, realized costs.
-
-    ``step_abstract`` returns one; an ``AbstractResult``'s rows have the
-    same attributes."""
-
-    t: int
-    counts: np.ndarray
-    costs: np.ndarray
-    social_cost: float
-    signal: np.ndarray = field(repr=False)
-
-
 @dataclass(frozen=True, eq=False)
 class AbstractResult(Columns):
     """An abstract-model run, one row per period: ``t`` ``(T,)``, counts
@@ -142,13 +128,6 @@ class AbstractResult(Columns):
                    np.empty((horizon, action_count)), np.empty(horizon),
                    np.empty((horizon, action_count, 2)))
 
-    def write(self, i: int, record: AbstractRecord) -> None:
-        """Fill row ``i`` from one period's record."""
-        self.counts[i] = record.counts
-        self.costs[i] = record.costs
-        self.social_cost[i] = record.social_cost
-        self.signal[i] = record.signal
-
 
 def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
           tie_uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +138,7 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     action axis of ``signal`` ``(M, ..., 2)`` and its endpoint axis, and
     the trailing axes of ``shares`` and ``tie_uniforms`` (both
     ``(types, ...)``, broadcast against those of ``signal``), are batch
-    axes: ``step_abstract`` passes none, ``convergence_check`` an arm
+    axes: ``run_abstract`` passes none, ``convergence_check`` an arm
     axis and a trajectory axis, with draws of length one on the arm
     axis, since both arms share them, until a pair coalesces, and one
     column axis after.  All types'
@@ -193,36 +172,12 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     return counts, costs.transpose(b, *range(b))
 
 
-def step_abstract(history: CostHistory, config: AbstractConfig,
-                  shares, tie_uniforms: np.ndarray) -> AbstractRecord:
-    """Play period ``history.periods + 1`` and record its costs.
-
-    ``history`` is the run's ``CostHistory(config.action_count,
-    config.scheme, config.initial_signal)``; the period's signal is
-    emitted from it.  The period's share of each type and one uniform
-    per type are passed in rather than an rng, so a caller can replay
-    given draws; a type's uniform decides only if that type ties.
-    """
-    shares = np.asarray(shares, dtype=float)
-    if shares.shape != (len(config.types),):
-        raise ValidationError("shares width != type set size")
-    if len(tie_uniforms) != len(config.types):
-        raise ValidationError("need one tie-break uniform per type")
-
-    signal = emit_signal(history)
-    counts, costs = _play(config, signal, shares, np.asarray(tie_uniforms))
-    social = social_cost_abstract(counts, costs, config.agent_count)
-    record = AbstractRecord(history.periods + 1, counts, costs, social,
-                            signal)
-    history.record_period(costs)
-    return record
-
-
 def run_abstract(config: AbstractConfig, horizon: int) -> AbstractResult:
     """Simulate ``horizon`` periods; deterministic given ``config.seed``.
 
     The whole run's shares and tie uniforms are drawn before period 1,
     each in one block, with the values one draw per period would give.
+    Each period is written straight into the result's columns.
     """
     horizon = require_int(horizon, "horizon", 1)
     history = CostHistory(config.action_count, config.scheme,
@@ -233,7 +188,12 @@ def run_abstract(config: AbstractConfig, horizon: int) -> AbstractResult:
         (horizon, len(config.types)))
     result = AbstractResult.empty(horizon, config.action_count)
     for i in range(horizon):
-        result.write(i, step_abstract(history, config, shares[i], ties[i]))
+        signal = result.signal[i] = emit_signal(history)
+        counts, costs = _play(config, signal, shares[i], ties[i])
+        result.counts[i], result.costs[i] = counts, costs
+        result.social_cost[i] = social_cost_abstract(counts, costs,
+                                                     config.agent_count)
+        history.record_period(costs)
     return result.seal()
 
 
@@ -267,16 +227,21 @@ class FlappingSpec:
     def __post_init__(self):
         if self.gap_target <= 0:
             raise ValidationError("gap target must be > 0")
-        if require_int(self.agent_count, "agent count", 3) % 2 == 0:
+        n = require_int(self.agent_count, "agent count", 3)
+        if n % 2 == 0:
             raise ValidationError("agent count must be odd and >= 3")
+        # a full action costs gap_target + 1, and ``flapping_demo`` scales
+        # the per-capita costs by the agent count; a NaN target fails too
+        if not math.isfinite(n * (self.gap_target + 1.0)):
+            raise ValidationError(
+                f"agent count * (gap target + 1) must be finite, got "
+                f"agent count {n} and gap target {self.gap_target!r}")
 
 
 @dataclass
 class FlappingReport:
     scalar_records: AbstractResult
     interval_records: AbstractResult
-    scalar_costs: np.ndarray
-    interval_costs: np.ndarray
     gap: float
     gap_lower_bound: float
 
@@ -318,30 +283,28 @@ def flapping_demo(spec: FlappingSpec, horizon: int,
     root = (spec.gap_target + 1.0) ** (1.0 / n)
     initial = np.array([[1.0, root], [1.0, root]])
     history = CostHistory(2, extreme_scheme(2), initial)
-    counts = np.array([n // 2, n - n // 2], dtype=float)
     interval_records = AbstractResult.empty(horizon, 2)
-    for i in range(horizon):
-        signal = emit_signal(history)
+    split = np.array([n // 2, n - n // 2], dtype=float)
+    interval_records.counts[0::2] = split
+    interval_records.counts[1::2] = split[::-1]
+    for i, counts in enumerate(interval_records.counts):
+        signal = interval_records.signal[i] = emit_signal(history)
         if not np.allclose(signal[0], signal[1], rtol=0.0, atol=1e-12):
             raise AssertionError(
                 f"interval arm lost its tie at t={i + 1}: {signal!r}")
-        costs = scalar_config.cost_table(counts)
-        social = social_cost_abstract(counts, costs, n)
+        costs = interval_records.costs[i] = scalar_config.cost_table(counts)
+        interval_records.social_cost[i] = social_cost_abstract(counts, costs,
+                                                               n)
         history.record_period(costs)
-        interval_records.write(
-            i, AbstractRecord(i + 1, counts, costs, social, signal))
-        counts = counts[::-1].copy()
     interval_records.seal()
 
-    scalar_costs = scalar_records.social_cost.copy()
-    interval_costs = interval_records.social_cost.copy()
     # Rescale by the agent count before subtracting: the per-capita costs
     # are ratios of exactly representable numerators, so the integer-scaled
     # difference avoids a rounding step and lands on the closed-form value.
-    gap = float((n * scalar_costs[-1] - n * interval_costs[-1]) / n)
+    gap = float((n * scalar_records.social_cost[-1]
+                 - n * interval_records.social_cost[-1]) / n)
     lower = spec.gap_target - n * (root - 1.0)
-    return FlappingReport(scalar_records, interval_records,
-                          scalar_costs, interval_costs, gap, lower)
+    return FlappingReport(scalar_records, interval_records, gap, lower)
 
 
 # ---------------------------------------------------------------------------

@@ -195,11 +195,12 @@ def _cmd_flapping(args) -> int:
     report = flapping_demo(
         FlappingSpec(gap_target=args.J, agent_count=args.N),
         horizon=args.horizon)
-    for t, (sc, ic) in enumerate(
-            zip(report.scalar_costs, report.interval_costs), start=1):
+    scalar = report.scalar_records.social_cost
+    interval = report.interval_records.social_cost
+    for t, (sc, ic) in enumerate(zip(scalar, interval), start=1):
         print(f"t={t} scalar_cost={_FMT % sc} interval_cost={_FMT % ic}")
-    print(f"scalar_steady_cost={_FMT % report.scalar_costs[-1]} "
-          f"interval_steady_cost={_FMT % report.interval_costs[-1]} "
+    print(f"scalar_steady_cost={_FMT % scalar[-1]} "
+          f"interval_steady_cost={_FMT % interval[-1]} "
           f"gap={_FMT % report.gap} "
           f"gap_lower_bound={_FMT % report.gap_lower_bound}")
     if args.out:

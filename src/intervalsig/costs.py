@@ -265,14 +265,3 @@ def minimize_scalar_on_interval(fn, lo: float, hi: float,
     b = xs[min(i + 1, grid_points - 1)]
     x = _golden_section(fn, a, b)
     return float(x), float(fn(x))
-
-
-def minimize_two_action_cost(cost_a: AbstractCostFn, cost_b: AbstractCostFn,
-                             total_agents: float) -> tuple[float, float]:
-    """Continuous minimizer of the two-action social cost over the split
-    x in [0, N] (x agents on the first action, N-x on the second)."""
-    def objective(x):
-        return ((x / total_agents) * cost_a(x)
-                + ((total_agents - x) / total_agents)
-                * cost_b(total_agents - x))
-    return minimize_scalar_on_interval(objective, 0.0, float(total_agents))

@@ -264,46 +264,6 @@ def parse_trips(text: str) -> DemandTable:
     return table
 
 
-def network_to_tntp(net: Network) -> str:
-    lines = [
-        f"<NUMBER OF ZONES> {net.metadata.get('NUMBER OF ZONES', net.node_count)}",
-        f"<NUMBER OF NODES> {net.node_count}",
-        "<FIRST THRU NODE> 1",
-        f"<NUMBER OF LINKS> {len(net.edges)}",
-        "<END OF METADATA>",
-        "",
-        "~ Init node Term node Capacity Length Free Flow Time B Power "
-        "Speed limit Toll Type ;",
-    ]
-    for e in net.edges:
-        lines.append(
-            f"{e.src} {e.dst} {e.capacity!r} {e.length!r} {e.free_flow!r} "
-            f"{e.b_coeff!r} {e.power!r} {e.speed!r} {e.toll!r} "
-            f"{e.link_type!r} ;")
-    return "\n".join(lines) + "\n"
-
-
-def demand_to_tntp(table: DemandTable) -> str:
-    zones = table.metadata.get(
-        "NUMBER OF ZONES",
-        max((max(o, d) for o, d in table.entries), default=0))
-    lines = [
-        f"<NUMBER OF ZONES> {zones}",
-        f"<TOTAL OD FLOW> {table.total!r}",
-        "<END OF METADATA>",
-        "",
-    ]
-    by_origin: dict[int, list[tuple[int, float]]] = {}
-    for (o, d), flow in table.entries.items():
-        by_origin.setdefault(o, []).append((d, flow))
-    for o in sorted(by_origin):
-        lines.append(f"Origin {o}")
-        for d, flow in sorted(by_origin[o]):
-            lines.append(f"{d} : {flow!r};")
-        lines.append("")
-    return "\n".join(lines) + "\n"
-
-
 def require_reachable(net: Network, demand: DemandTable) -> None:
     """Raise ``NoPathError`` naming the first origin-destination pair
     (in sorted order) that no route connects, found by breadth-first

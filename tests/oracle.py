@@ -1,6 +1,8 @@
 """Reference implementations that the package's fast paths are checked
 against: the per-pair loader for ``assign``, the one-period draw for
-``sample_profile``'s blocks and the full-batch convergence check.
+``sample_profile``'s blocks, the one-column abstract stepper, the
+full-batch convergence check, and the helpers only tests call: the TNTP
+writers and the two-action social-cost minimizer.
 
 Every traveller type splits each origin-destination pair's demand
 equally over that pair's weight-shortest routes.  ``assign`` factorizes
@@ -25,10 +27,21 @@ lists, recomputed from every resource's whole cost list before each
 period; ``emit_signal`` on a ``CostHistory`` must give it bit for bit,
 down to the sign of a zero.
 
+``step_column`` plays one period of the abstract model for one column,
+given that period's type shares and tie uniforms: emit the signal from
+the history, ``_play`` it, record the costs.  ``run_abstract`` and each
+trajectory of ``convergence_check`` must give, period by period, what
+it gives when fed their draws one period at a time.
+
 ``convergence_check_full_batch`` is ``convergence_check`` as it ran
 before coalesced pairs left its batch: both arms of every pair are
 played to the horizon.  It shares the package's history, signal rule,
 draws and ``_play``, so a comparison tests only the dropping of pairs.
+
+``network_to_tntp`` and ``demand_to_tntp`` write TNTP texts that
+``parse_network`` and ``parse_trips`` must read back unchanged, and
+``minimize_two_action_cost`` is the continuous two-action optimum that
+the acceptance gate's minimizer clause checks.
 """
 
 from __future__ import annotations
@@ -47,6 +60,7 @@ from intervalsig.abstract_model import (
     ks_2samp,
 )
 from intervalsig.assignment import LoadPlan, _checked_inputs, edge_weight
+from intervalsig.costs import AbstractCostFn, minimize_scalar_on_interval
 from intervalsig.network import (
     TIE_TOL,
     TIE_TOL_ABS,
@@ -156,6 +170,23 @@ def signal_sequence(scheme: Scheme, m_count: int, periods,
                              None if initial is None else tuple(initial[r]))
             for r in range(m_count)])
     return signals
+
+
+def step_column(history: CostHistory, config: AbstractConfig, shares,
+                tie_uniforms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Play period ``history.periods + 1`` of one column and record its
+    costs; returns the signal, the counts and the costs.
+
+    ``history`` is the column's ``CostHistory`` under ``config.scheme``;
+    ``shares`` holds each type's share of the period and
+    ``tie_uniforms`` one uniform per type, which decides only if that
+    type ties.
+    """
+    signal = emit_signal(history)
+    counts, costs = _play(config, signal, np.asarray(shares, dtype=float),
+                          np.asarray(tie_uniforms, dtype=float))
+    history.record_period(costs)
+    return signal, counts, costs
 
 
 def convergence_check_full_batch(
@@ -379,3 +410,56 @@ def assign_per_pair(
     group_shares = (np.array(share_rows) if share_rows
                     else np.empty((0, net.edge_count)))
     return FlowState(edge_flows, path_loads, group_shares)
+
+
+def network_to_tntp(net: Network) -> str:
+    """``net`` as a TNTP network text, every number written by ``repr``."""
+    lines = [
+        f"<NUMBER OF ZONES> {net.metadata.get('NUMBER OF ZONES', net.node_count)}",
+        f"<NUMBER OF NODES> {net.node_count}",
+        "<FIRST THRU NODE> 1",
+        f"<NUMBER OF LINKS> {len(net.edges)}",
+        "<END OF METADATA>",
+        "",
+        "~ Init node Term node Capacity Length Free Flow Time B Power "
+        "Speed limit Toll Type ;",
+    ]
+    for e in net.edges:
+        lines.append(
+            f"{e.src} {e.dst} {e.capacity!r} {e.length!r} {e.free_flow!r} "
+            f"{e.b_coeff!r} {e.power!r} {e.speed!r} {e.toll!r} "
+            f"{e.link_type!r} ;")
+    return "\n".join(lines) + "\n"
+
+
+def demand_to_tntp(table: DemandTable) -> str:
+    """``table`` as a TNTP trips text, origins and destinations sorted."""
+    zones = table.metadata.get(
+        "NUMBER OF ZONES",
+        max((max(o, d) for o, d in table.entries), default=0))
+    lines = [
+        f"<NUMBER OF ZONES> {zones}",
+        f"<TOTAL OD FLOW> {table.total!r}",
+        "<END OF METADATA>",
+        "",
+    ]
+    by_origin: dict[int, list[tuple[int, float]]] = {}
+    for (o, d), flow in table.entries.items():
+        by_origin.setdefault(o, []).append((d, flow))
+    for o in sorted(by_origin):
+        lines.append(f"Origin {o}")
+        for d, flow in sorted(by_origin[o]):
+            lines.append(f"{d} : {flow!r};")
+        lines.append("")
+    return "\n".join(lines) + "\n"
+
+
+def minimize_two_action_cost(cost_a: AbstractCostFn, cost_b: AbstractCostFn,
+                             total_agents: float) -> tuple[float, float]:
+    """Continuous minimizer of the two-action social cost over the split
+    x in [0, N] (x agents on the first action, N-x on the second)."""
+    def objective(x):
+        return ((x / total_agents) * cost_a(x)
+                + ((total_agents - x) / total_agents)
+                * cost_b(total_agents - x))
+    return minimize_scalar_on_interval(objective, 0.0, float(total_agents))

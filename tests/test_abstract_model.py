@@ -1,5 +1,6 @@
-"""Resource-choice model on abstract actions: the per-type stepper, the
-running-envelope signal recursion, the two-arm flapping construction, and
+"""Resource-choice model on abstract actions: one period of the model,
+the run against its one-column reference stepper, the running-envelope
+signal recursion, the two-arm flapping construction, and
 the coupled-trajectory convergence check."""
 
 import copy
@@ -7,6 +8,7 @@ import csv
 import dataclasses
 import hashlib
 import io
+import re
 
 import numpy as np
 import pytest
@@ -22,12 +24,13 @@ from intervalsig.abstract_model import (
     flapping_demo,
     records_to_abstract_csv,
     run_abstract,
-    step_abstract,
 )
+from intervalsig.assignment import edge_weight
 from intervalsig.costs import (
     flapping_cost_fn,
     linear_cost_fn,
     polynomial_cost_fn,
+    social_cost_abstract,
 )
 from intervalsig.population import (
     PopulationProfile,
@@ -44,9 +47,10 @@ from intervalsig.signaling import (
     full_extreme_scheme,
     mean_scheme,
     now_scheme,
+    subinterval_scheme,
 )
 
-from .oracle import convergence_check_full_batch
+from .oracle import convergence_check_full_batch, sample_period, step_column
 
 SINGLETON = TypeSet((0.5,))
 ALWAYS_FLAT = finite_support([(PopulationProfile((1.0,)), 1.0)])
@@ -138,7 +142,10 @@ class TestConfigValidation:
         assert len(run_abstract(config, 3)) == 3
 
 
-class TestStepAbstract:
+class TestStepColumn:
+    """One period of the model through ``tests/oracle.py``'s one-column
+    stepper: emit the signal, ``_play`` it, record the costs."""
+
     def test_pessimists_chase_tighter_upper_bound(self):
         # one type reading upper endpoints; all ten agents pick action 1,
         # and the envelope absorbs the realized costs
@@ -147,11 +154,10 @@ class TestStepAbstract:
             types=TypeSet((0.0,)),
         )
         history = fresh_history(config)
-        rec = step_abstract(history, config, ONE_TYPE,
-                            np.array([0.7]))
-        assert rec.t == 1 and history.periods == 1
-        assert rec.counts == pytest.approx([10.0, 0.0])
-        assert rec.costs == pytest.approx([1.0, 0.0])
+        _, counts, costs = step_column(history, config, ONE_TYPE, [0.7])
+        assert history.periods == 1
+        assert counts == pytest.approx([10.0, 0.0])
+        assert costs == pytest.approx([1.0, 0.0])
         signal = emit_signal(history)
         assert signal[0] == pytest.approx([0.2, 1.0])
         assert signal[1] == pytest.approx([0.0, 0.8])
@@ -161,9 +167,9 @@ class TestStepAbstract:
         history = fresh_history(config)
         rng = np.random.default_rng(3)
         for _ in range(30):
-            rec = step_abstract(history, config, ONE_TYPE,
-                                rng.random(1))
-            assert rec.counts.sum() == pytest.approx(10.0, abs=1e-9)
+            _, counts, _ = step_column(history, config, ONE_TYPE,
+                                       rng.random(1))
+            assert counts.sum() == pytest.approx(10.0, abs=1e-9)
 
     def test_symmetric_tie_moves_whole_mass_randomly(self):
         config = two_action_config(
@@ -173,10 +179,10 @@ class TestStepAbstract:
         firsts = []
         rng = np.random.default_rng(11)
         for _ in range(4000):
-            rec = step_abstract(fresh_history(config), config,
-                                ONE_TYPE, rng.random(1))
-            assert sorted(rec.counts) == pytest.approx([0.0, 10.0])
-            firsts.append(rec.counts[0])
+            _, counts, _ = step_column(fresh_history(config), config,
+                                       ONE_TYPE, rng.random(1))
+            assert sorted(counts) == pytest.approx([0.0, 10.0])
+            firsts.append(counts[0])
         assert abs(np.mean(firsts) - 5.0) <= 0.25   # expected N/2 under ties
 
     def test_constant_cost_fixed_point_of_envelope(self):
@@ -185,29 +191,8 @@ class TestStepAbstract:
             initial_signal=np.array([[4.0, 4.0], [4.0, 4.0]]),
         )
         history = fresh_history(config)
-        step_abstract(history, config, ONE_TYPE,
-                      np.array([0.2]))
+        step_column(history, config, ONE_TYPE, [0.2])
         assert emit_signal(history) == pytest.approx(np.full((2, 2), 4.0))
-
-    def test_shares_must_match_type_set(self):
-        config = two_action_config()
-        for shares in ([0.5, 0.5], np.ones((1, 1)), []):
-            with pytest.raises(ValidationError, match="type set size"):
-                step_abstract(fresh_history(config), config, shares,
-                              np.array([0.2]))
-
-    def test_envelope_monotone_along_trajectory(self):
-        config = two_action_config(
-            types=TypeSet((0.0, 1.0)),
-            renewal=finite_support([
-                (PopulationProfile((0.8, 0.2)), 0.5),
-                (PopulationProfile((0.2, 0.8)), 0.5),
-            ]),
-        )
-        records = run_abstract(config, horizon=40)
-        for prev, cur in zip(records, records[1:]):
-            assert np.all(cur.signal[:, 0] <= prev.signal[:, 0] + 1e-15)
-            assert np.all(cur.signal[:, 1] >= prev.signal[:, 1] - 1e-15)
 
 
 class TestRunAbstract:
@@ -246,6 +231,19 @@ class TestRunAbstract:
             assert nxt.signal[:, 0] == pytest.approx(sums / t)
             assert nxt.signal[:, 1] == pytest.approx(sums / t)
 
+    def test_envelope_monotone_along_trajectory(self):
+        config = two_action_config(
+            types=TypeSet((0.0, 1.0)),
+            renewal=finite_support([
+                (PopulationProfile((0.8, 0.2)), 0.5),
+                (PopulationProfile((0.2, 0.8)), 0.5),
+            ]),
+        )
+        records = run_abstract(config, horizon=40)
+        for prev, cur in zip(records, records[1:]):
+            assert np.all(cur.signal[:, 0] <= prev.signal[:, 0] + 1e-15)
+            assert np.all(cur.signal[:, 1] >= prev.signal[:, 1] - 1e-15)
+
     def test_windowed_envelope_covers_recent_costs(self):
         config = two_action_config(
             scheme=extreme_scheme(3),
@@ -263,6 +261,76 @@ class TestRunAbstract:
                 recent.min(axis=0))
             assert records[t].signal[:, 1] == pytest.approx(
                 recent.max(axis=0))
+
+
+def replay_abstract(config, horizon):
+    """``run_abstract``'s columns, played period by period through
+    ``step_column`` on the run's own streams, each draw taken one period
+    at a time with ``sample_period`` and one ``random`` call."""
+    history = fresh_history(config)
+    population = derived_rng(config.seed, "population")
+    tie_break = derived_rng(config.seed, "tie-break")
+    rows = []
+    for t in range(1, horizon + 1):
+        signal, counts, costs = step_column(
+            history, config, sample_period(config.renewal, population),
+            tie_break.random(len(config.types)))
+        rows.append((t, counts, costs,
+                     social_cost_abstract(counts, costs, config.agent_count),
+                     signal))
+    return [np.array(column) for column in zip(*rows)]
+
+
+class TestRunAbstractAgainstStepColumn:
+    """``run_abstract`` writes each period straight into its columns;
+    replayed through the one-column stepper on its own draws, every
+    column must have the same bytes.  Two actions of six have the same
+    cost function and two a constant cost, the initial signal ties
+    three pairs of actions, and the three types read the lower end, the
+    upper end and the middle, so many periods tie and the tie uniforms
+    decide."""
+
+    HORIZON = 60
+
+    @staticmethod
+    def config(scheme, renewal):
+        m = 6
+        costs = [linear_cost_fn(30), linear_cost_fn(30),
+                 polynomial_cost_fn([0.5]), polynomial_cost_fn([0.5]),
+                 linear_cost_fn(30, offset=0.25),
+                 polynomial_cost_fn([0.25, 1.0 / 30])]
+        initial = np.array([[0.2, 0.6], [0.2, 0.6], [0.5, 0.5],
+                            [0.5, 0.5], [0.0, 0.8], [0.0, 0.8]])
+        return AbstractConfig(
+            agent_count=30, action_count=m, costs=costs, scheme=scheme,
+            renewal=renewal, initial_signal=initial, seed=9,
+            types=TypeSet((0.0, 0.5, 1.0)))
+
+    @pytest.mark.parametrize("renewal", [
+        uniform_perturbation(3, 0.2),
+        finite_support([(PopulationProfile((0.6, 0.2, 0.2)), 0.3),
+                        (PopulationProfile((0.0, 0.0, 1.0)), 0.7)])],
+        ids=["uniform", "finite"])
+    @pytest.mark.parametrize("scheme", [
+        now_scheme(), mean_scheme(), extreme_scheme(1), extreme_scheme(4),
+        subinterval_scheme(4, 0.5), full_extreme_scheme()],
+        ids=lambda scheme: scheme.label())
+    def test_columns_are_the_replay(self, scheme, renewal):
+        config = self.config(scheme, renewal)
+        result = run_abstract(config, self.HORIZON)
+        replay = replay_abstract(config, self.HORIZON)
+        for name, column in zip(("t", "counts", "costs", "social_cost",
+                                 "signal"), replay):
+            got = getattr(result, name)
+            assert got.shape == column.shape, name
+            assert got.astype(float).tobytes() == \
+                column.astype(float).tobytes(), name
+        # ties were met after period 1 too, where the initial signal no
+        # longer makes them: some type saw two or more minimal actions
+        weights = edge_weight(result.signal[1:, None],
+                              np.reshape(config.types.omegas, (-1, 1)))
+        tied = (weights == weights.min(axis=-1, keepdims=True)).sum(axis=-1)
+        assert (tied > 1).any()
 
 
 def abstract_rows_digest(rows) -> str:
@@ -318,13 +386,6 @@ class TestAbstractResultContract:
         assert not [r.counts for r in edited][2].any()
         assert result[2].counts.any()
 
-    def test_step_record_has_the_row_attributes(self, result):
-        config = two_action_config()
-        rec = step_abstract(fresh_history(config), config, ONE_TYPE,
-                            np.array([0.5]))
-        assert [f.name for f in dataclasses.fields(rec)] == [
-            f.name for f in dataclasses.fields(result)]
-
 
 class TestFlappingSpec:
     def test_rejects_even_agent_count(self):
@@ -351,6 +412,22 @@ class TestFlappingSpec:
         with pytest.raises(ValidationError):
             FlappingSpec(gap_target=0.0, agent_count=3)
 
+    @pytest.mark.parametrize("gap_target, agent_count", [
+        (1e308, 3), (6e307, 3), (1e306, 1001), (np.inf, 3), (np.nan, 3)])
+    def test_rejects_gap_whose_scaled_cost_overflows(self, gap_target,
+                                                     agent_count):
+        # 3 * (1e308 + 1) overflows, and the gap came out as inf
+        with pytest.raises(ValidationError, match=re.escape(
+                f"got agent count {agent_count} and gap target "
+                f"{gap_target!r}")):
+            FlappingSpec(gap_target=gap_target, agent_count=agent_count)
+
+    def test_largest_gaps_still_run(self):
+        # 3 * (1e307 + 1) is finite, and so is the gap
+        report = flapping_demo(FlappingSpec(gap_target=1e307, agent_count=3),
+                               horizon=4)
+        assert report.gap == 1e307
+
     def test_cost_fn_matches_piecewise_form(self):
         fn = flapping_cost_fn(7.0, 3)
         assert fn(1) == pytest.approx(1.0)
@@ -363,8 +440,9 @@ class TestFlappingDemo:
         report = flapping_demo(FlappingSpec(gap_target=7.0, agent_count=3),
                                horizon=40)
         assert abs(report.gap - 19.0 / 3.0) < 1e-12
-        assert report.scalar_costs == pytest.approx([8.0] * 40)
-        assert report.interval_costs == pytest.approx([5.0 / 3.0] * 40)
+        assert report.scalar_records.social_cost == pytest.approx([8.0] * 40)
+        assert report.interval_records.social_cost == pytest.approx(
+            [5.0 / 3.0] * 40)
 
     def test_scalar_arm_is_all_or_nothing_and_alternates(self):
         report = flapping_demo(FlappingSpec(gap_target=7.0, agent_count=3),
@@ -538,10 +616,11 @@ class TestConvergenceCheckValidation:
         assert len(report.sample_a) == 4
 
 
-class TestConvergenceCheckAgainstStepAbstract:
+class TestConvergenceCheckAgainstStepColumn:
     """``convergence_check`` replayed trajectory by trajectory through
-    ``step_abstract``, with its draws taken from the same stream in the
-    same order: each period's atom uniforms, then its tie uniforms."""
+    ``tests/oracle.py``'s one-column stepper, with its draws taken from
+    the same stream in the same order: each period's atom uniforms, then
+    its tie uniforms."""
 
     TRAJECTORIES, HORIZON, SEED = 12, 60, 4
 
@@ -561,13 +640,13 @@ class TestConvergenceCheckAgainstStepAbstract:
             histories = [fresh_history(arm) for _ in range(k)]
             signals = []
             for picks, ties in draws:
-                records = [step_abstract(history, arm,
-                                         atoms[pick][0].weights, tie)
+                periods = [step_column(history, arm, atoms[pick][0].weights,
+                                       tie)
                            for history, pick, tie
                            in zip(histories, picks, ties)]
-                signals.append(records[0].signal)
+                signals.append(periods[0][0])
             signals.append(emit_signal(histories[0]))
-            samples.append(np.array([rec.counts[0] for rec in records])
+            samples.append(np.array([counts[0] for _, counts, _ in periods])
                            / config.agent_count)
             first_signals.append(signals)
         distances = [float(np.abs(a[:, 0] - b[:, 0]).sum()
@@ -575,8 +654,8 @@ class TestConvergenceCheckAgainstStepAbstract:
                      for a, b in zip(*first_signals)]
         return samples, np.array(distances)
 
-    # the check tie-picks over 2 x 12 columns a plane at a time,
-    # ``step_abstract`` over its two types with ``cumsum``
+    # the check tie-picks over 2 x 12 columns a plane at a time, the
+    # stepper over its two types with ``cumsum``
     @pytest.mark.parametrize("action_count", [2, 3, 8])
     def test_replay_is_exact(self, action_count):
         config, inits = convergence_demo_config(action_count=action_count)

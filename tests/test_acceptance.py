@@ -25,7 +25,6 @@ from intervalsig.abstract_model import (
 from intervalsig.cli import main
 from intervalsig.costs import (
     edge_costs,
-    minimize_two_action_cost,
     polynomial_cost_fn,
 )
 from intervalsig.engine import RunConfig, diamond_system_optimum, run, summarize
@@ -33,8 +32,6 @@ from intervalsig.network import (
     DemandTable,
     Edge,
     Network,
-    demand_to_tntp,
-    network_to_tntp,
     parse_network,
     parse_trips,
 )
@@ -52,7 +49,12 @@ from intervalsig.signaling import (
 )
 from intervalsig.instances import load_instance
 
-from .oracle import assign_per_pair
+from .oracle import (
+    assign_per_pair,
+    demand_to_tntp,
+    minimize_two_action_cost,
+    network_to_tntp,
+)
 
 MULTI_OD_NET = """\
 <END OF METADATA>

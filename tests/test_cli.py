@@ -270,6 +270,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_overflowing_flapping_gap_is_a_user_error(self, capsys):
+        # 3 * (1e308 + 1) overflows: the demo used to print gap=inf and
+        # exit 0
+        code = main(["flapping-demo", "--J", "1e308", "--N", "3",
+                     "--horizon", "3"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: agent count * (gap target + 1) must be finite, got "
+            "agent count 3 and gap target 1e+308")
+        assert "Traceback" not in err
+
+    def test_largest_flapping_gap_still_runs(self, capsys):
+        assert main(["flapping-demo", "--J", "1e307", "--N", "3",
+                     "--horizon", "3"]) == 0
+        assert f"gap={cli._FMT % 1e307} " in capsys.readouterr().out
+
     @pytest.mark.parametrize("name, old, new, message", [
         ("net.txt", "<NUMBER OF NODES> 5", "<NUMBER OF NODES> five",
          "line 2: <NUMBER OF NODES> 'five' is not a number"),

@@ -14,7 +14,6 @@ from intervalsig.costs import (
     edge_costs,
     flapping_cost_fn,
     linear_cost_fn,
-    minimize_two_action_cost,
     polynomial_cost_fn,
     social_cost_abstract,
     total_excess,
@@ -23,6 +22,7 @@ from intervalsig.engine import RunConfig, run
 from intervalsig.network import Edge, Network, parse_network
 from intervalsig.signaling import now_scheme
 
+from .oracle import minimize_two_action_cost
 from .test_network import DIAMOND_NET
 
 # One-edge networks: a mild link and a steep one (B = 10, p = 6).

@@ -11,14 +11,12 @@ from intervalsig.network import (
     NoPathError,
     ParseError,
     ValidationError,
-    demand_to_tntp,
-    network_to_tntp,
     parse_network,
     parse_trips,
     require_reachable,
 )
 
-from .oracle import shortest_path_dag
+from .oracle import demand_to_tntp, network_to_tntp, shortest_path_dag
 
 DIAMOND_NET = """\
 <NUMBER OF ZONES> 5
