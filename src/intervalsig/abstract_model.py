@@ -68,8 +68,10 @@ __all__ = [
 class AbstractConfig:
     """One abstract-model scenario: population, actions, costs, scheme.
 
-    ``cost_table`` is derived from ``costs`` at construction: it prices
-    all actions' counts in one pass, as every period of the model does.
+    ``cost_table`` and ``omegas`` are derived at construction, since
+    every period of the model reads them: the table prices all actions'
+    counts in one pass, and ``omegas`` holds ``types.omegas`` as an
+    array.
     """
 
     agent_count: int
@@ -81,6 +83,7 @@ class AbstractConfig:
     seed: int
     types: TypeSet = TypeSet((0.5,))
     cost_table: CostTable = field(init=False, repr=False)
+    omegas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # NaN fails the comparison, so only finite counts of at least 1
@@ -106,6 +109,7 @@ class AbstractConfig:
                     raise ValidationError(
                         "renewal atom width != type set size")
         object.__setattr__(self, "cost_table", CostTable(self.costs))
+        object.__setattr__(self, "omegas", np.array(self.types.omegas))
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +154,7 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     """
     batch = signal.shape[1:-1]
     b = len(batch)
-    omegas = np.reshape(config.types.omegas, (-1,) + (1,) * b)
+    omegas = config.omegas.reshape((-1,) + (1,) * b)
     weights = edge_weight(signal[:, None], omegas)     # (M, types, ...)
     # ``transpose`` moves the action axis last (and below, back first)
     # as a view; ``np.moveaxis`` costs several times more per call,

@@ -24,10 +24,11 @@ and a reverse pass loads it.  ``_load_batched`` loads all rows of a
 period in whole-array passes and remembers the last signal's DAGs: a
 signal with the same bytes reuses them, and so does one that keeps the
 same edges, since the DAGs are a function of the kept edges alone.
-Under r-window signals either often holds.  Its onward pass visits each
-DAG level once, deepest first.  A row with a distance plateau takes its
-DAG from ``_row_dag``.  A plan batches when its rows times edges reach
-``BATCH_CROSSOVER``.
+Under r-window signals either often holds.  It keeps the DAGs as one
+list of kept edges over all rows, sorted by their tail's level, and
+takes path counts and onward loads in one ``np.add.at`` per level.  A
+row with a distance plateau takes its DAG from ``_row_dag``.  A plan
+batches when its rows times edges reach ``BATCH_CROSSOVER``.
 
 Each plan caches the DAGs that ``_row_dag`` builds, keyed by the row's
 weight vector (its bytes) and then by origin, and drops the oldest
@@ -69,15 +70,16 @@ __all__ = [
 ]
 
 # Rows x edges from which a plan loads in whole-array passes.  Below it
-# the fixed cost of some hundred numpy calls per period outweighs the
+# the fixed cost of some dozens of numpy calls per period outweighs the
 # per-edge Python work they replace.  Measured per call with both
 # loaders, every signal new, best of three (2-CPU Intel Xeon, Python
-# 3.11, numpy 2.4.6): the diamond (5 rows x 5 edges) takes 45 us per
-# row and 136 us batched; random chains with back edges and 5 types
-# are about even at 300-360 (234 against 294 us, 347 against 308 us),
-# and batching wins from 420 (359 against 283 us, 540 against 332 us
-# at 560) and on Sioux Falls (120 rows x 76 edges: 4.1 against
-# 0.94 ms).
+# 3.11, numpy 2.4.6, a shared machine whose timings drift by up to 1.5x
+# between processes): the diamond (5 rows x 5 edges) takes 42 us per
+# row and 88 us batched; on random chains with back edges and 5 types
+# batching already wins at 300 (228 against 159 us) and 360 (256
+# against 180 us), and so it does at 420 (294 against 215 us), 560 (612
+# against 364 us) and on Sioux Falls (120 rows x 76 edges: 3.7 against
+# 0.6 ms).  No instance lies between the diamond and 300.
 BATCH_CROSSOVER = 400
 
 # Weight vectors whose row DAGs a plan keeps, oldest dropped first.
@@ -179,8 +181,8 @@ class _Layout:
 
     Per-node arrays are node-major, ``(node_count + 1, rows)``, so that a
     gather by node copies whole contiguous rows; flattened, node ``v`` of
-    row ``r`` sits at slot ``v * rows + r``.  Edge tables hold one column
-    of edge ids per node, padded with the edge count.
+    row ``r`` sits at *slot* ``v * rows + r``.  ``into`` holds one column
+    of in-edge ids per node, padded with the edge count.
     """
 
     def __init__(self, plan: LoadPlan):
@@ -190,23 +192,15 @@ class _Layout:
         self.row_type = np.repeat(np.arange(len(plan.types)), len(origins))
         self.start = np.zeros((nodes, rows))
         self.start[np.tile(origins, len(plan.types)), np.arange(rows)] = 1.0
-        # In-edges and out-edges per node, the out-edges last in file
-        # order first.  The padding edge runs from node 0, never reached.
+        # The padding edge runs from node 0, never reached.
         into = [[] for _ in range(nodes)]
         for eid, head in enumerate(net.dsts.tolist()):
             into[head].append(eid)
-        self.into = _edge_table(into, net.edge_count)
-        self.out_of = _edge_table(
-            [[eid for _, eid in reversed(edges)] for edges in net._out],
-            net.edge_count)
+        self.into = np.full((max(map(len, into)), nodes), net.edge_count,
+                            dtype=np.intp)
+        for node, edges in enumerate(into):
+            self.into[:len(edges), node] = edges
         self.into_tails = np.append(net.srcs, 0)[self.into]
-        # The same tails and the out-edges' heads as flat slots.
-        self.in_tails = (self.into_tails.astype(np.int32)[:, :, None] * rows
-                         + np.arange(rows, dtype=np.int32))
-        self.out_heads = (
-            np.append(net.dsts, 0).astype(np.int32)[self.out_of, None] * rows
-            + np.arange(rows, dtype=np.int32))
-        self.origin_at = np.flatnonzero(self.start)
         # One entry per (row, destination).  A pair from a node to itself
         # loads no edge: the onward pass never reads an origin's load.
         pairs = [(at, dest, flow) for at, origin in enumerate(origins)
@@ -221,39 +215,29 @@ class _Layout:
         self.entry_flow = np.tile(flow, kinds)
 
 
-def _edge_table(lists: list[list[int]], pad: int) -> np.ndarray:
-    """The lists as the columns of an array, padded with ``pad``."""
-    table = np.full((max(map(len, lists)), len(lists)), pad, dtype=np.intp)
-    for node, edges in enumerate(lists):
-        table[:len(edges), node] = edges
-    return table
-
-
 _RowDag = tuple[list[int], list[float], list[int]]
 
 
 @dataclass
 class _Dags:
-    """One set of kept edges' DAGs over all rows, as what the onward
-    pass and the edge loads gather by, and the last signal that kept it.
+    """One kept-edge mask's DAGs over all rows, as the list of its kept
+    edges, and the last signal that kept it.
 
-    The onward pass reads the slots that kept edges lead to by
-    *column*: one per slot, in order of the longest kept route from the
-    origin, deepest first, so that each level's columns sit side by
-    side.  Column 0 holds 0.0.  ``onward_from`` gives each column's
-    out-heads in the order of ``_Layout.out_of``, column 0 where the
-    edge is not kept.  Everything but ``key`` and ``plateau_rows`` is a
-    function of ``kept_key`` and the plan's ``_Layout``.
+    The kept edges run by their tail's level (its longest kept route
+    from the origin), deepest first, and within a level last in file
+    order first; ``levels`` gives each level's run of the list.  Tails,
+    heads and demand entries are ``_Layout`` slots.  Everything but
+    ``key`` and ``plateau_rows`` is a function of ``kept_key`` and the
+    plan's ``_Layout``.
     """
 
     kept_key: bytes             # the kept-edge mask's bytes
-    levels: list[tuple[int, int]]   # runs of columns, deepest level first
-    onward_from: np.ndarray     # (out-degree, columns) columns
-    entry_at: np.ndarray        # demand entries' columns
+    levels: list[tuple[int, int]]   # runs of kept edges, deepest first
+    tail: np.ndarray            # the kept edges' tail slots
+    head: np.ndarray            # their head slots
+    kept_at: np.ndarray         # their positions, flat into (rows, edges)
+    tail_count: np.ndarray      # path counts of their tails
     entry_count: np.ndarray     # path counts of the demand entries
-    kept_at: np.ndarray         # kept edges, flat into (rows, edges)
-    kept_head: np.ndarray       # their heads' columns
-    kept_count: np.ndarray      # path counts of their tails
     key: bytes = b""            # the signal's bytes
     plateau_rows: list[int] = field(default_factory=list)  # by ``_row_dag``
 
@@ -387,11 +371,10 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     ``u``'s onward load is its demand term, then its kept out-edges'
     heads' loads in reverse file order, added one by one as the per-row
     reverse pass adds them.  The pass takes the levels deepest first, so
-    every head's load is final when its tail's level comes: it gathers a
-    level's terms into the rows of a C-contiguous array, whose axis-0
-    sum adds rows in order.  Each row's edge loads are
-    ``count[tail] * onward[head]`` and the flows their axis-0 sum, row
-    by row.
+    every head's load is final when its tail's level comes, and one
+    ``np.add.at`` adds a level's heads' loads to their tails', in index
+    order.  Each row's edge loads are ``count[tail] *
+    onward[head]`` and the flows their axis-0 sum, row by row.
     """
     key = signal.tobytes()
     dags = plan._memo
@@ -401,22 +384,16 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
             dags = _dags(plan, kept)
         dags = plan._memo = replace(dags, key=key, plateau_rows=plateau_rows)
     layout = plan._layout
-    rows, edges = plan.row_count, plan.net.edge_count
-    # Rows 1 on are written before they are read.
-    terms = np.empty((len(dags.onward_from) + 1,
-                      dags.onward_from.shape[1]))
-    terms[0] = 0.0
-    terms[0, dags.entry_at] = (shares[layout.entry_type]
+    tail, head = dags.tail, dags.head
+    onward = np.zeros(layout.start.size)
+    onward[layout.entry_at] = (shares[layout.entry_type]
                                * layout.entry_flow / dags.entry_count)
-    onward = np.zeros(terms.shape[1])
     for start, stop in dags.levels:
-        np.take(onward, dags.onward_from[:, start:stop],
-                out=terms[1:, start:stop], mode="clip")
-        terms[:, start:stop].sum(axis=0, out=onward[start:stop])
+        np.add.at(onward, tail[start:stop], onward[head[start:stop]])
 
-    loads = np.zeros(rows * edges)
-    loads[dags.kept_at] = dags.kept_count * onward[dags.kept_head]
-    return loads.reshape(rows, edges).sum(axis=0)
+    loads = np.zeros(plan.row_count * plan.net.edge_count)
+    loads[dags.kept_at] = dags.tail_count * onward[head]
+    return loads.reshape(plan.row_count, -1).sum(axis=0)
 
 
 def _kept_edges(plan: LoadPlan,
@@ -461,19 +438,14 @@ def _dags(plan: LoadPlan, kept: np.ndarray) -> _Dags:
     One sweep per level finds the levels: the slots a kept route of
     exactly ``k`` edges reaches, from those one of ``k - 1`` edges
     reaches, until no route is that long.  Levels are exact where path
-    counts need not be.  One stable sort by level, deepest first, gives
-    the slots their columns, a level's side by side from column 1.
-    Column 0 holds 0.0, where edges that are not kept lead, and the
-    column past the slots holds 1.0, the origins' path count.  numpy
-    adds up a single column's entries pairwise, not in order, so the
-    onward pass takes a level of one column together with the column
-    before it, whose loads are final and come out the same again.
+    counts need not be.  The kept edges, taken last in file order first,
+    then go through one stable sort by their tail's level, deepest
+    first.
 
-    Path counts then take one pass per level, shallowest first: a slot's
-    count is the sum of its kept in-edges' tails' counts in the order of
-    ``_Layout.into``.  Counts are whole numbers, exact in float below
-    2**53, so they are the per-row loop's counts whatever order numpy
-    adds them in.
+    Path counts then take one ``np.add.at`` per level, shallowest first,
+    from the origins' 1.0: every edge adds its tail's count to its
+    head's.  Counts are whole numbers, exact in float below 2**53, so
+    they are the per-row loop's counts whatever order they are added in.
     """
     net, layout = plan.net, plan._layout
     rows = plan.row_count
@@ -491,54 +463,28 @@ def _dags(plan: LoadPlan, kept: np.ndarray) -> _Dags:
         depth += 1
         np.copyto(level, depth, where=reached.ravel())
 
-    # Levels below 256 or 65536 sort by radix, the common case.
-    rank = (depth - level).astype(np.min_scalar_type(depth))
-    per_level = np.bincount(rank, minlength=depth + 1)[:-1]
-    spans = [1, *(1 + np.cumsum(per_level)).tolist()]
-    columns = spans[-1]
-    # Column 0 is slot 0's: node 0 of row 0, whose only edges are padding
-    # edges, never kept, so its column gathers nothing but 0.0.
-    order = np.append(0, np.argsort(rank, kind="stable")[:columns - 1])
-    column = np.zeros(level.size, dtype=np.int32)
-    column[order] = np.arange(columns, dtype=np.int32)
-    column[layout.origin_at] = columns
-
-    into_from = _gather_columns(column, kept_into, layout.in_tails, order)
-    count = np.zeros(columns + 1)
-    count[-1] = 1.0
-    paths = np.empty(into_from.shape)
-    for start, stop in zip(spans[-2::-1], spans[:0:-1]):
-        np.take(count, into_from[:, start:stop], out=paths[:, start:stop],
-                mode="clip")
-        paths[:, start:stop].sum(axis=0, out=count[start:stop])
-
-    kept_edge, kept_row = np.divmod(np.flatnonzero(kept), rows)
-    head = np.take(column, net.dsts[kept_edge] * rows + kept_row)
-    tail = np.take(column, net.srcs[kept_edge] * rows + kept_row)
-    entry_at = np.take(column, layout.entry_at)
+    edge, row = np.divmod(np.flatnonzero(kept)[::-1], rows)
+    tail = net.srcs[edge] * rows + row
+    # Tails sit on levels 0 to depth - 1; below 256 or 65536 levels the
+    # sort is by radix, the common case.
+    rank = (depth - 1 - level[tail]).astype(np.min_scalar_type(depth))
+    order = np.argsort(rank, kind="stable")
+    stops = np.cumsum(np.bincount(rank, minlength=depth)).tolist()
+    levels = list(zip([0, *stops], stops))
+    tail = tail[order]
+    head = (net.dsts[edge] * rows + row)[order]
+    count = layout.start.flatten()
+    for start, stop in reversed(levels):
+        np.add.at(count, head[start:stop], count[tail[start:stop]])
     return _Dags(
         kept_key=kept.tobytes(),
-        levels=[(min(start, stop - 2), stop)
-                for start, stop in zip(spans, spans[1:])],
-        onward_from=_gather_columns(column, kept[layout.out_of],
-                                    layout.out_heads, order),
-        entry_at=entry_at,
-        entry_count=count[entry_at],
-        kept_at=(kept_row * net.edge_count + kept_edge).astype(np.int32),
-        kept_head=head,
-        kept_count=count[tail],
+        levels=levels,
+        tail=tail,
+        head=head,
+        kept_at=(row * net.edge_count + edge)[order],
+        tail_count=count[tail],
+        entry_count=count[layout.entry_at],
     )
-
-
-def _gather_columns(column: np.ndarray, kept: np.ndarray, ends: np.ndarray,
-                    order: np.ndarray) -> np.ndarray:
-    """An edge table's far ends as columns, one table column per slot of
-    ``order``, and column 0 where the edge is not kept.  ``kept`` and
-    ``ends`` (flat slots) are ``(degree, nodes, rows)``."""
-    shape = (len(kept), -1)
-    table = np.take(column, np.take(ends.reshape(shape), order, axis=1))
-    table *= np.take(kept.reshape(shape), order, axis=1)
-    return table
 
 
 def _distances(layout: _Layout, by_edge: np.ndarray) -> np.ndarray:

@@ -237,9 +237,10 @@ def summarize(result: RunResult,
     """Average social cost and excess over the last ``window`` periods.
 
     The default window is the last 50 periods (or the whole run when
-    shorter).  Regret is the mean cost minus ``reference_cost`` and is
-    omitted when no reference is given; a NaN or infinite reference is a
-    ``ValidationError``.
+    shorter); a window that is not a whole number of periods between 1
+    and the run's length is a ``ValidationError``.  Regret is the mean
+    cost minus ``reference_cost`` and is omitted when no reference is
+    given; a NaN or infinite reference is a ``ValidationError``.
     """
     if reference_cost is not None and not math.isfinite(reference_cost):
         raise ValidationError(
@@ -248,7 +249,7 @@ def summarize(result: RunResult,
         raise ValidationError("cannot summarize an empty run")
     if window is None:
         window = min(50, len(result))
-    if not 1 <= window <= len(result):
+    if require_int(window, "window", 1) > len(result):
         raise ValidationError(
             f"window {window} must be in [1, {len(result)}]")
     mean_cost = float(np.mean(result.social_cost[-window:]))

@@ -53,8 +53,10 @@ class PopulationProfile:
     def __post_init__(self):
         object.__setattr__(self, "weights",
                            tuple(float(w) for w in self.weights))
-        if any(w < 0 for w in self.weights):
-            raise ValidationError("profile weights must be >= 0")
+        # NaN fails the comparison
+        if not all(w >= 0 for w in self.weights):
+            raise ValidationError(
+                f"profile weights must be >= 0, got {self.weights}")
         if abs(sum(self.weights) - 1.0) > 1e-12:
             raise ValidationError(
                 f"profile weights sum to {sum(self.weights)}, expected 1")

@@ -647,8 +647,8 @@ class TestBatchedMatchesPerRow:
         assert got[:chain].tolist() == [1e16] * chain
 
     def test_axis0_sum_adds_rows_in_order(self):
-        # the onward pass and the flows rely on it: a pairwise or
-        # reordered sum of these columns gives other bits
+        # the flows rely on it: a pairwise or reordered sum of these
+        # columns gives other bits
         rng = np.random.default_rng(5)
         terms = rng.uniform(0.0, 1.0, (120, 9)) * 10.0 ** rng.integers(
             -8, 9, (120, 9))
@@ -659,13 +659,31 @@ class TestBatchedMatchesPerRow:
         out = np.zeros(10)
         terms.sum(axis=0, out=out[:9])
         assert out[:9].tobytes() == want
-        # so does a level's run of two columns out of a wider block
+        # so does a run of two columns out of a wider block
         terms[:, :2].sum(axis=0, out=out[:2])
         assert out[:2].tobytes() == sequential_sum(terms[:, :2]).tobytes()
         # the first column is order-sensitive: in order, each 1e-16 is
         # lost against the leading 1.0
         assert sequential_sum(terms[:40])[0] == 1.0
         assert math.fsum(terms[:40, 0]) > 1.0
+
+    def test_add_at_adds_repeated_indices_in_order(self):
+        # the onward pass relies on it: each node's terms are added in
+        # the per-row loop's order, which the reverse order would not give
+        a = np.zeros(2)
+        np.add.at(a, [0, 0, 0, 1], [1.0, 1e16, -1e16, 2.0])
+        assert a.tolist() == [0.0, 2.0]
+        assert (-1e16 + 1e16) + 1.0 == 1.0      # the reverse order
+        # so do slices of a longer index run, as one level of a DAG
+        rng = np.random.default_rng(7)
+        index = rng.integers(0, 5, 200)
+        terms = rng.uniform(0.0, 1.0, 200) * 10.0 ** rng.integers(-8, 9, 200)
+        got = np.zeros(5)
+        np.add.at(got, index[50:150], terms[50:150])
+        want = [0.0] * 5
+        for at, term in zip(index[50:150].tolist(), terms[50:150].tolist()):
+            want[at] += term
+        assert got.tobytes() == np.array(want).tobytes()
 
 
 def row_dag_snapshot(plan):

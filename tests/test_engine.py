@@ -266,6 +266,11 @@ class TestSummarize:
         with pytest.raises(ValidationError):
             summarize(fake_records([]))
 
+    @pytest.mark.parametrize("window", [2.0, 1.5, "2"])
+    def test_window_must_be_an_integer(self, window):
+        with pytest.raises(ValidationError, match="window must be an integer"):
+            summarize(fake_records([1.0, 2.0, 3.0]), window=window)
+
 
 def rows_digest(rows) -> str:
     """sha256 prefix of every row's values, read by attribute the way the

@@ -55,6 +55,14 @@ class TestPopulationProfile:
         with pytest.raises(ValidationError):
             PopulationProfile((1.5, -0.5))
 
+    @pytest.mark.parametrize("weights", [(float("nan"), 1.0),
+                                         (1.0, float("nan")),
+                                         (float("nan"),)])
+    def test_nan_weight_refused(self, weights):
+        # the sum check alone lets NaN through: NaN compares false
+        with pytest.raises(ValidationError, match="must be >= 0"):
+            PopulationProfile(weights)
+
     def test_valid_profile(self):
         p = PopulationProfile((0.25, 0.75))
         assert p.weights == (0.25, 0.75)
