@@ -9,11 +9,12 @@ diamond ``run`` under ``now`` at seed 1 (a benchmark sweep cell),
 50-period Sioux Falls runs under ``extreme`` r = 20, ``now`` and
 ``mean``, ``run_abstract`` under all five schemes (plus one config
 mixing every cost kind), ``flapping_demo`` at J = 7 with N = 3 and 101
-and at J = 0.5 with N = 29, ``convergence_check`` at M = 2, 3 and 8,
-and the two calls of the ``abstract-model`` benchmark at seed 1
+and at J = 0.5 with N = 29, ``convergence_check`` at M = 2, 3 and 8
+(and at M = 3 over six periods, which end with arm b still in the
+batch), and the two calls of the ``abstract-model`` benchmark at seed 1
 (``bench-abstract-extreme-r50``, ``bench-convergence-m2``).  Floats
 are written as raw float64 bytes (``.bin``) and runs that have a CSV
-form also as CSV.
+form also as CSV: 40 files in all.
 
 The package is imported from ``PYTHONPATH``, so dumping two checkouts
 into two directories and running ``diff -r`` between them shows whether
@@ -215,6 +216,10 @@ def _outputs() -> dict:
         stem = f"convergence-m{m}"
         outputs[stem] = lambda out, s=stem, m=m: _convergence(
             out, s, m, trajectories=300, horizon=120, seed=0)
+    # Six periods at M = 3: some pairs have coalesced and others not, so
+    # arm b is still in the batch at the horizon.
+    outputs["convergence-m3-h6"] = lambda out: _convergence(
+        out, "convergence-m3-h6", 3, trajectories=300, horizon=6, seed=0)
     outputs["bench-abstract-extreme-r50"] = lambda out: _bench_abstract(
         out, "bench-abstract-extreme-r50")
     outputs["bench-convergence-m2"] = lambda out: _convergence(

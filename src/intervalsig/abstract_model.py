@@ -143,14 +143,14 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     the trailing axes of ``shares`` and ``tie_uniforms`` (both
     ``(types, ...)``, broadcast against those of ``signal``), are batch
     axes: ``run_abstract`` passes none, ``convergence_check`` an arm
-    axis and a trajectory axis, with draws of length one on the arm
-    axis, since both arms share them, until a pair coalesces, and one
-    column axis after.  All types'
-    weights form one action-major ``(M, types, ...)`` array, tie-picked
-    together through a ``(types, ..., M)`` view of the same memory, so
-    every array keeps the batch axis innermost; the types' loads are
-    then added in type order, so each count is the same sum as
-    type-by-type loading, and the cost table prices all actions.
+    axis of length 2, then 1 once its arms coalesce, and a trajectory
+    axis, with draws of length one on the arm axis, since both arms
+    share them.  All types' weights form one action-major ``(M, types,
+    ...)`` array, tie-picked together through a ``(types, ..., M)`` view
+    of the same memory, so every array keeps the batch axis innermost;
+    the types' loads are then added in type order, so each count is the
+    same sum as type-by-type loading, and the cost table prices all
+    actions.
     """
     batch = signal.shape[1:-1]
     b = len(batch)
@@ -383,27 +383,22 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     shares of the two arms across all pairs.  Exactly two initial
     signals are taken, each checked like ``AbstractConfig``'s.
 
-    The arms run as one batch, one history over actions x columns
-    resources, action-major, so each period is one ``emit_signal`` and
-    one ``_play`` with the column axis innermost.  The columns are arm
-    ``a``'s trajectories, then arm ``b``'s trajectories of the live
-    pairs.
+    The arms run as one batch, one history over actions x arms x
+    trajectories resources, action-major, so each period is one
+    ``emit_signal`` and one ``_play``: the signal is read as ``(M, arms,
+    trajectories, 2)`` and the period's draws are broadcast over the arm
+    axis, since both arms share them.
 
-    Coalescence rule: a pair's arm ``b`` leaves the batch at the first
-    period in which the pair's two signals are equal entry for entry
-    under ``==``, and from then on takes arm ``a``'s counts, so the
-    pair's end shares agree and its distance is 0.0.  Proof: under
-    ``full_extreme`` a signal is the running min and max with at most a
-    zero's sign put back, so equal signals mean equal histories, and
-    the arms share every later draw, so they play the same counts and
-    costs to the horizon.
-
-    While every pair is live the signal is read as ``(M, arms,
-    trajectories, 2)``, the draws are broadcast over the arm axis and
-    the arm halves are compared as slices.  After that the live pairs'
-    draws are gathered, and in each period where some pair coalesces
-    the history is restricted to the remaining columns
-    (``CostHistory.restricted``).
+    Coalescence rule: arm ``b`` leaves the batch whole at the first
+    period in which every pair's two signals are equal entry for entry
+    under ``==``, through one ``CostHistory.restricted`` call (none at
+    the horizon, after which nothing is played); ``arms`` is 2, then 1.
+    From then on arm ``b`` takes arm ``a``'s counts, so the end shares
+    agree and the distance is 0.0.  Proof: under ``full_extreme`` a
+    signal is the running min and max with at most a zero's sign put
+    back, so equal signals mean equal histories, and the arms share
+    every later draw, so they play the same counts and costs to the
+    horizon.
     """
     if config.scheme.kind != "full_extreme":
         raise ValidationError(
@@ -419,65 +414,35 @@ def convergence_check(config: AbstractConfig, trajectories: int,
             f"{len(initial_signals)}")
 
     m = config.action_count
-    arms = np.stack([checked_initial_signal(init, m)
-                     for init in initial_signals], axis=1)    # (M, arms, 2)
+    inits = np.stack([checked_initial_signal(init, m)
+                      for init in initial_signals], axis=1)   # (M, arms, 2)
     history = CostHistory(2 * k * m, config.scheme,
-                          np.repeat(arms, k, axis=1).reshape(-1, 2))
+                          np.repeat(inits, k, axis=1).reshape(-1, 2))
 
     rng = derived_rng(seed, "convergence")
-    live = np.arange(k)       # the pairs whose arm b is still in the batch
+    arms = 2
     distances = []
     for t in range(horizon + 1):
-        signal = emit_signal(history).reshape(m, -1, 2)   # (M, k + L, 2)
-        if len(live) and live[0] == 0:                     # the first pair
-            gap = np.abs(signal[:, 0] - signal[:, k])
-            distances.append(float(gap[:, 0].sum() + gap[:, 1].sum()))
-        else:
-            distances.append(0.0)
+        signal = emit_signal(history).reshape(m, arms, k, 2)
+        # the first pair's; 0.0 once arm b has left
+        gap = np.abs(signal[:, 0, 0] - signal[:, -1, 0])
+        distances.append(float(gap[:, 0].sum() + gap[:, 1].sum()))
         if t == horizon:
             break
-        if len(live):
-            a = signal[:, :k] if len(live) == k else signal[:, live]
-            coalesced = _equal_pairs(a, signal[:, k:])
-            if coalesced.any():
-                kept = np.concatenate([np.arange(k),
-                                       k + np.flatnonzero(~coalesced)])
-                history = history.restricted(
-                    (np.arange(m)[:, None] * signal.shape[1]
-                     + kept).ravel())
-                signal = signal[:, kept]
-                live = live[~coalesced]
+        if arms == 2 and np.array_equal(signal[:, 0], signal[:, 1]):
+            arms = 1
+            history = history.restricted(
+                np.arange(history.m_count).reshape(m, 2, k)[:, 0].ravel())
+            signal = signal[:, :1]
         shares = sample_profile(config.renewal, rng, k).T   # (types, k)
         tie_u = rng.random((k, len(config.types))).T
-        if len(live) == k:
-            # every pair live: both arms take the same draws by broadcast
-            counts, costs = _play(config, signal.reshape(m, 2, k, 2),
-                                  shares[:, None], tie_u[:, None])
-        else:
-            if len(live):
-                shares = np.concatenate([shares, shares[:, live]], axis=1)
-                tie_u = np.concatenate([tie_u, tie_u[:, live]], axis=1)
-            counts, costs = _play(config, signal, shares, tie_u)
+        counts, costs = _play(config, signal, shares[:, None],
+                              tie_u[:, None])
         history.record_period(costs.ravel())
 
-    ends = counts.reshape(m, -1)[0]
-    sample_a = ends[:k] / config.agent_count
-    sample_b = sample_a.copy()
-    sample_b[live] = ends[k:] / config.agent_count
+    sample_a = counts[0, 0] / config.agent_count
+    sample_b = counts[0, -1] / config.agent_count
     ks = ks_2samp(sample_a, sample_b)
     return ConvergenceReport(np.array(distances), float(ks.statistic),
                              float(ks.pvalue), sample_a, sample_b)
 
-
-def _equal_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per column, whether the ``(M, columns, 2)`` signals ``a`` and
-    ``b`` are equal in every entry under ``==``.
-
-    The comparison is reduced over the action axis first, then each
-    column's two endpoint flags are read as one 16-bit word, which is
-    257 when both are set: two passes over a contiguous bool array,
-    where ``all(axis=(0, 2))`` takes many times longer.
-    """
-    m, columns = a.shape[:2]
-    both = np.logical_and.reduce((a == b).reshape(m, 2 * columns), axis=0)
-    return both.view(np.uint16) == 257

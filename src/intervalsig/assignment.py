@@ -42,7 +42,7 @@ enters or leaves the window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -168,7 +168,7 @@ class LoadPlan:
         self.batched = self.row_count * net.edge_count >= BATCH_CROSSOVER
         self.srcs, self.dsts = net.srcs.tolist(), net.dsts.tolist()
         self._memo: _Dags | None = None
-        # weight bytes -> origin -> ``_row_dag``'s (kept, count, order)
+        # weight bytes -> origin -> ``_row_dag``'s (kept, count)
         self._row_dags: dict[bytes, dict[int, _RowDag]] = {}
 
     @cached_property
@@ -215,7 +215,7 @@ class _Layout:
         self.entry_flow = np.tile(flow, kinds)
 
 
-_RowDag = tuple[list[int], list[float], list[int]]
+_RowDag = tuple[list[int], list[float]]
 
 
 @dataclass
@@ -227,8 +227,7 @@ class _Dags:
     from the origin), deepest first, and within a level last in file
     order first; ``levels`` gives each level's run of the list.  Tails,
     heads and demand entries are ``_Layout`` slots.  Everything but
-    ``key`` and ``plateau_rows`` is a function of ``kept_key`` and the
-    plan's ``_Layout``.
+    ``key`` is a function of ``kept_key`` and the plan's ``_Layout``.
     """
 
     kept_key: bytes             # the kept-edge mask's bytes
@@ -239,7 +238,6 @@ class _Dags:
     tail_count: np.ndarray      # path counts of their tails
     entry_count: np.ndarray     # path counts of the demand entries
     key: bytes = b""            # the signal's bytes
-    plateau_rows: list[int] = field(default_factory=list)  # by ``_row_dag``
 
 
 def _checked_inputs(plan: LoadPlan, signal: np.ndarray,
@@ -301,9 +299,9 @@ def _row_dag(plan: LoadPlan, weights: np.ndarray, origin: int) -> _RowDag:
     One forward Dijkstra gives distances and the finalization order; a
     forward pass in that order keeps the tight edges that advance it and
     counts the kept paths from ``origin``.  Returns the kept edges (in
-    finalization order of their tails, file order within a tail), the
-    path counts and the finalization order (-1 where unreached).  The
-    cache shares these lists: callers only read them.
+    finalization order of their tails, file order within a tail) and
+    the path counts.  The cache shares these lists: callers only read
+    them.
     """
     key = weights.tobytes()
     cache = plan._row_dags
@@ -334,7 +332,7 @@ def _row_dag(plan: LoadPlan, weights: np.ndarray, origin: int) -> _RowDag:
                     and du + w[eid] <= dist[v] * slack + TIE_TOL_ABS):
                 count[v] += cu
                 kept.append(eid)
-    dag = by_origin[origin] = (kept, count, order)
+    dag = by_origin[origin] = (kept, count)
     return dag
 
 
@@ -347,7 +345,7 @@ def _load_origin(plan: LoadPlan, dag: _RowDag,
     onward loads.  The plan checked every destination reachable, and
     finite weights reach whatever a route reaches.
     """
-    kept, count, _ = dag
+    kept, count = dag
     # Reverse pass: agents bound for v or beyond, per path into v.
     srcs, dsts = plan.srcs, plan.dsts
     onward = [0.0] * (plan.net.node_count + 1)
@@ -379,10 +377,10 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     key = signal.tobytes()
     dags = plan._memo
     if dags is None or dags.key != key:
-        kept, plateau_rows = _kept_edges(plan, signal)
+        kept = _kept_edges(plan, signal)[0]
         if dags is None or dags.kept_key != kept.tobytes():
             dags = _dags(plan, kept)
-        dags = plan._memo = replace(dags, key=key, plateau_rows=plateau_rows)
+        dags = plan._memo = replace(dags, key=key)
     layout = plan._layout
     tail, head = dags.tail, dags.head
     onward = np.zeros(layout.start.size)
@@ -433,7 +431,7 @@ def _kept_edges(plan: LoadPlan,
 
 
 def _dags(plan: LoadPlan, kept: np.ndarray) -> _Dags:
-    """The DAGs of a ``_kept_edges`` mask, less the signal's fields.
+    """The DAGs of a ``_kept_edges`` mask, less the signal's ``key``.
 
     One sweep per level finds the levels: the slots a kept route of
     exactly ``k`` edges reaches, from those one of ``k - 1`` edges
@@ -497,10 +495,11 @@ def _distances(layout: _Layout, by_edge: np.ndarray) -> np.ndarray:
     into = np.take(by_edge, layout.into, axis=0, mode="clip")
     dist = np.where(layout.start > 0.0, 0.0, np.inf)
     reach = np.empty(into.shape)
+    best = np.empty(dist.shape)
     while True:
         np.take(dist, layout.into_tails, axis=0, out=reach)
         reach += into
-        best = reach.min(axis=0)
+        reach.min(axis=0, out=best)
         if not (best < dist).any():
             return dist
         np.minimum(dist, best, out=dist)

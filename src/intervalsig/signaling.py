@@ -146,7 +146,8 @@ class CostHistory:
     def restricted(self, resources) -> CostHistory:
         """This history over ``resources`` only, in their order: a fresh
         history of those resources, with their initial signal and its
-        zero endpoints, that has recorded what this one recorded."""
+        zero endpoints, that has recorded what this one recorded.  The
+        convergence check calls it at most once, when arm b leaves."""
         resources = np.asarray(resources)
         part = CostHistory(len(resources), self.scheme,
                            None if self.initial is None

@@ -33,10 +33,10 @@ the history, ``_play`` it, record the costs.  ``run_abstract`` and each
 trajectory of ``convergence_check`` must give, period by period, what
 it gives when fed their draws one period at a time.
 
-``convergence_check_full_batch`` is ``convergence_check`` as it ran
-before coalesced pairs left its batch: both arms of every pair are
-played to the horizon.  It shares the package's history, signal rule,
-draws and ``_play``, so a comparison tests only the dropping of pairs.
+``convergence_check_full_batch`` is ``convergence_check`` without its
+coalescence rule: both arms of every pair are played to the horizon.
+It shares the package's history, signal rule, draws and ``_play``, so a
+comparison tests only the dropping of arm b.
 
 ``network_to_tntp`` and ``demand_to_tntp`` write TNTP texts that
 ``parse_network`` and ``parse_trips`` must read back unchanged, and

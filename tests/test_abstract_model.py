@@ -679,8 +679,8 @@ class TestConvergenceCheckAgainstStepColumn:
 
 
 class TestConvergenceCheckAgainstFullBatch:
-    """``convergence_check`` drops a pair's arm b from its batch at the
-    first period in which the pair's two signals are equal;
+    """``convergence_check`` drops arm b from its batch at the first
+    period in which every pair's two signals are equal;
     ``tests/oracle.py``'s full batch plays both arms of every pair to the
     horizon.  Every report field must have the same bytes."""
 
@@ -726,7 +726,8 @@ class TestConvergenceCheckAgainstFullBatch:
                         self.perturbed_pair(m, seed), seed)
 
     def test_random_pairs_coalesce_at_many_periods(self):
-        # so that the batch shrinks more than once, and keeps some pairs
+        # so that arm b stays in the batch to the horizon while pairs
+        # coalesce at many periods
         coalesced_at = self.same_bytes(8, self.TRAJECTORIES, 60,
                                        self.perturbed_pair(8, 0), 0)
         assert len(set(coalesced_at[coalesced_at > 0])) > 10
@@ -760,8 +761,9 @@ class TestConvergenceCheckAgainstFullBatch:
 
 
 class TestCoalescedPairsLeaveTheBatch:
-    """The history is restricted once per period in which some pair
-    coalesces, and never while no pair does."""
+    """Arm b leaves the batch whole, by one restriction of the history,
+    at the first period in which every pair has coalesced, and never
+    while some pair has not."""
 
     @staticmethod
     def restrictions(monkeypatch, m, trajectories, horizon, seed):
@@ -779,14 +781,18 @@ class TestCoalescedPairsLeaveTheBatch:
         calls, _, _ = self.restrictions(monkeypatch, 8, 200, 200, 1)
         assert calls == []
 
-    def test_once_per_coalescence_period(self, monkeypatch):
-        calls, config, inits = self.restrictions(monkeypatch, 2, 5000,
-                                                 100, 1)
-        _, coalesced_at = convergence_check_full_batch(config, 5000, 100,
-                                                       inits, 1)
-        periods = sorted(set(coalesced_at[(coalesced_at >= 0)
-                                          & (coalesced_at < 100)]))
-        assert periods and calls == periods
+    @pytest.mark.parametrize("m, trajectories, horizon, seed, period", [
+        (3, 500, 200, 5, 13), (2, 5000, 100, 1, 2)])
+    def test_once_when_the_last_pair_coalesces(self, monkeypatch, m,
+                                               trajectories, horizon, seed,
+                                               period):
+        calls, config, inits = self.restrictions(monkeypatch, m,
+                                                 trajectories, horizon, seed)
+        _, coalesced_at = convergence_check_full_batch(
+            config, trajectories, horizon, inits, seed)
+        assert (coalesced_at >= 0).all()
+        assert coalesced_at.max() == period
+        assert calls == [period]
 
 
 class TestAbstractCsv:

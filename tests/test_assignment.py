@@ -481,7 +481,7 @@ class TestBatchedMatchesPerRow:
                                  shares)
             got = _load_batched(plan, signal, shares)
             assert got.tobytes() == want.tobytes()
-            plateau = len(plan._memo.plateau_rows)
+            plateau = len(_kept_edges(plan, signal)[1])
             rows["plateau"] += plateau
             rows["batched"] += plan.row_count - plateau
 
@@ -610,7 +610,8 @@ class TestBatchedMatchesPerRow:
             assert flows.tobytes() == want.tobytes(), period
             depths.append(len(plan._memo.levels))
             if period == 0:
-                assert len(plan._memo.plateau_rows) == plan.row_count
+                assert (len(_kept_edges(plan, signal)[1])
+                        == plan.row_count)
         assert len(builds) == 5      # ``raised`` kept ``free``'s DAGs
         assert min(depths[1:-1]) >= 15
 
