@@ -5,7 +5,8 @@
 
 The outputs are those a change that must keep every trajectory is
 compared on: the diamond ``run`` under all five schemes, a 500-period
-diamond ``run`` under ``now`` at seed 1 (a benchmark sweep cell),
+diamond ``run`` under ``now`` at seed 1 (a benchmark sweep cell), the
+diamond's system optimum (split, uncapped cost, capped cost, excess),
 50-period Sioux Falls runs under ``extreme`` r = 20, ``now`` and
 ``mean``, ``run_abstract`` under all five schemes (plus one config
 mixing every cost kind), ``flapping_demo`` at J = 7 with N = 3 and 101
@@ -14,7 +15,7 @@ and at J = 0.5 with N = 29, ``convergence_check`` at M = 2, 3 and 8
 batch), and the two calls of the ``abstract-model`` benchmark at seed 1
 (``bench-abstract-extreme-r50``, ``bench-convergence-m2``).  Floats
 are written as raw float64 bytes (``.bin``) and runs that have a CSV
-form also as CSV: 40 files in all.
+form also as CSV: 41 files in all.
 
 The package is imported from ``PYTHONPATH``, so dumping two checkouts
 into two directories and running ``diff -r`` between them shows whether
@@ -37,6 +38,7 @@ from intervalsig import (
     RunConfig,
     convergence_check,
     convergence_demo_config,
+    diamond_system_optimum,
     flapping_demo,
     run,
     run_abstract,
@@ -74,6 +76,13 @@ def _network_run(out: Path, stem: str, config: RunConfig) -> None:
     (out / f"{stem}.bin").write_bytes(b"".join(
         _raw([r.t, r.social_cost, r.total_excess], r.weights, r.flows,
              r.costs, r.signal) for r in records))
+
+
+def _system_optimum(out: Path) -> None:
+    point = diamond_system_optimum()
+    (out / "diamond-system-optimum.bin").write_bytes(_raw(
+        [point[key] for key in ("split", "uncapped_cost", "capped_cost",
+                                "excess")]))
 
 
 def _abstract_records(records) -> bytes:
@@ -190,6 +199,7 @@ def _outputs() -> dict:
         out, "diamond-now-seed1",
         RunConfig(scheme=now_scheme(), horizon=500, seed=1,
                   instance="diamond"))
+    outputs["diamond-system-optimum"] = _system_optimum
     # Under extreme r = 20 the signal often equals the previous period's,
     # so the loader reuses that period's DAGs; under now it returns to
     # earlier signals but never to the previous one, and under mean it

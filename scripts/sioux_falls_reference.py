@@ -47,7 +47,7 @@ def all_or_nothing(net, demand, costs):
     flows = np.zeros(net.edge_count)
     shortest_total = 0.0
     for origin, dests in sorted(by_origin.items()):
-        dist, order = dijkstra(net, costs, origin)
+        dist, order, finalized = dijkstra(net, costs, origin)
         # each reached node's tree edge: the cheapest in-edge, ties to
         # the predecessor finalized first
         parent_edge = {}
@@ -62,7 +62,7 @@ def all_or_nothing(net, demand, costs):
             load[dest] += q
             shortest_total += q * dist[dest]
         # push loads to the origin, farthest nodes first
-        for v in sorted(parent_edge, key=lambda n: -order[n]):
+        for v in reversed(finalized[1:]):
             eid = parent_edge[v]
             flows[eid] += load[v]
             load[net.srcs[eid]] += load[v]

@@ -98,16 +98,19 @@ class AbstractConfig:
             raise ValidationError(
                 f"{len(self.costs)} cost functions for "
                 f"{self.action_count} actions")
+        for fn in self.costs:
+            if not isinstance(fn, AbstractCostFn):
+                raise ValidationError(
+                    f"cost functions must be AbstractCostFn, got {fn!r}")
         object.__setattr__(self, "initial_signal", checked_initial_signal(
             self.initial_signal, self.action_count))
         if (self.renewal.kind == "uniform_perturbation"
                 and self.renewal.type_count != len(self.types)):
             raise ValidationError("renewal type count != type set size")
-        if self.renewal.kind == "finite_support":
-            for profile, _ in self.renewal.atoms:
-                if len(profile.weights) != len(self.types):
-                    raise ValidationError(
-                        "renewal atom width != type set size")
+        # the renewal checked that its atoms share one width
+        if (self.renewal.kind == "finite_support"
+                and len(self.renewal.atoms[0][0].weights) != len(self.types)):
+            raise ValidationError("renewal atom width != type set size")
         object.__setattr__(self, "cost_table", CostTable(self.costs))
         object.__setattr__(self, "omegas", np.array(self.types.omegas))
 

@@ -315,12 +315,8 @@ def _row_dag(plan: LoadPlan, weights: np.ndarray, origin: int) -> _RowDag:
         return dag
 
     net = plan.net
-    dist_a, order_a = dijkstra(net, weights, origin)
-    dist, order, w = dist_a.tolist(), order_a.tolist(), weights.tolist()
-    finalized = [0] * (max(order) + 1)
-    for node, rank in enumerate(order):
-        if rank >= 0:
-            finalized[rank] = node
+    dist, order, finalized = dijkstra(net, weights, origin)
+    w = weights.tolist()
     slack = 1.0 + TIE_TOL
     count = [0.0] * (net.node_count + 1)
     count[origin] = 1.0

@@ -234,12 +234,23 @@ def social_cost_abstract(counts, costs, total_agents: float) -> float:
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_section(fn, lo: float, hi: float, iterations: int = 200) -> float:
+def minimize_scalar_on_interval(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Golden-section search for the minimum of ``fn`` on ``[lo, hi]``;
+    returns the argmin and ``fn`` there.
+
+    ``fn`` must be unimodal on the interval: each step drops the end of
+    the bracket that cannot hold the minimum of a unimodal function
+    (Kiefer, Proc. AMS 4(3), 1953), and a second local minimum could be
+    dropped with it.  Both callers minimize a convex objective.  The
+    bracket shrinks by the golden ratio per step, so 200 steps narrow it
+    by a factor of about 1e-42, past a float's resolution of the
+    callers' intervals; no derivative is needed.
+    """
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = fn(c), fn(d)
-    for _ in range(iterations):
+    for _ in range(200):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -248,20 +259,5 @@ def _golden_section(fn, lo: float, hi: float, iterations: int = 200) -> float:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
             fd = fn(d)
-    return (a + b) / 2.0
-
-
-def minimize_scalar_on_interval(fn, lo: float, hi: float,
-                                grid_points: int = 4001) -> tuple[float, float]:
-    """Dense grid scan plus golden-section refinement around the best cell.
-
-    Deterministic and derivative-free; suitable for the small 1-D
-    objectives in this package (unimodal near their optimum).
-    """
-    xs = np.linspace(lo, hi, grid_points)
-    vals = np.array([fn(x) for x in xs])
-    i = int(np.argmin(vals))
-    a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid_points - 1)]
-    x = _golden_section(fn, a, b)
+    x = (a + b) / 2.0
     return float(x), float(fn(x))

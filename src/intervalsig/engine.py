@@ -307,7 +307,8 @@ def diamond_system_optimum() -> dict[str, float]:
     uncapped social cost over ``x in [0, 2]``.  The objective is priced
     with ``edge_costs`` on the instance itself; with the middle links'
     parameters it reads ``30[(2-x)(1+(2-x)^2) + x(1+10x^6)]`` plus the
-    nearly flat feeder links.  Returns the split together with the
+    nearly flat feeder links, convex in ``x`` as the golden-section
+    search needs.  Returns the split together with the
     uncapped social cost, the capped social cost and the capacity excess
     of that split, all three at network scale (the scale on which
     ``run`` reports ``social_cost`` and ``total_excess``).

@@ -2,9 +2,11 @@
 shortest paths that demand is split over.
 
 ``dijkstra`` gives the per-row reference loader in ``assignment`` the
-distances and the finalization order it selects tight edges by; that
-loader serves rows with a distance plateau and plans too small to batch,
-and ``scripts/sioux_falls_reference.py`` calls ``dijkstra`` too.  The
+distances, each node's finalization rank and the nodes in finalization
+order, as the plain lists it builds them in; the loader walks the nodes
+in that order and selects tight edges by the distances and ranks.  It
+serves rows with a distance plateau and plans too small to batch, and
+``scripts/sioux_falls_reference.py`` calls ``dijkstra`` too.  The
 batched loader finds its distances without it.  ``TIE_TOL`` and
 ``TIE_TOL_ABS`` say when two route costs count as tied.
 
@@ -295,30 +297,32 @@ TIE_TOL_ABS = 1e-12
 
 
 def dijkstra(net: Network, weights: np.ndarray,
-             source: int) -> tuple[np.ndarray, np.ndarray]:
+             source: int) -> tuple[list[float], list[int], list[int]]:
     """Single-source shortest distances over nonnegative edge weights.
 
-    Returns (dist, finalization_order); unreached nodes keep dist=inf and
-    order=-1. The heap is keyed by (dist, node id), so the finalization
-    order is deterministic and breaks distance plateaus by node id as
-    seen from the source.
+    Returns the lists ``(dist, order, finalized)``: ``dist`` and
+    ``order`` are indexed by node id (unreached nodes keep dist=inf and
+    order=-1), and ``finalized`` lists the reached nodes in finalization
+    order, so ``order[finalized[i]] == i``. The heap is keyed by (dist,
+    node id), so the finalization order is deterministic and breaks
+    distance plateaus by node id as seen from the source.
     """
     adj = net._out
     w = np.asarray(weights, dtype=float).tolist()
     dist = [math.inf] * (net.node_count + 1)
     order = [-1] * (net.node_count + 1)
+    finalized = []
     dist[source] = 0.0
     heap = [(0.0, source)]
-    counter = 0
     while heap:
         d, u = heapq.heappop(heap)
         if order[u] >= 0:
             continue
-        order[u] = counter
-        counter += 1
+        order[u] = len(finalized)
+        finalized.append(u)
         for v, eid in adj[u]:
             nd = d + w[eid]
             if nd < dist[v]:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
-    return np.array(dist), np.array(order, dtype=np.int64)
+    return dist, order, finalized

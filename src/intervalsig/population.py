@@ -39,8 +39,7 @@ class TypeSet:
 
 def uniform_type_set(count: int) -> TypeSet:
     """Evenly spaced risk weights including both endpoints."""
-    if count < 2:
-        raise ValidationError("uniform type set needs at least 2 types")
+    count = require_int(count, "type count", 2)
     return TypeSet(tuple(k / (count - 1) for k in range(count)))
 
 
@@ -69,9 +68,10 @@ class RenewalProcess:
     ``uniform_perturbation`` reads ``type_count`` and ``epsilon`` (each
     of the first K-1 shares jittered within ``epsilon`` of 1/K);
     ``finite_support`` reads ``atoms``, a sequence of (profile,
-    probability) pairs.  An unknown kind, a missing field, a field of
-    the other kind or a value out of range is a ``ValidationError`` at
-    construction.
+    probability) pairs, each profile a ``PopulationProfile`` of one
+    common width.  An unknown kind, a missing field, a field of the
+    other kind, a type count that is not an integer or a value out of
+    range is a ``ValidationError`` at construction.
     """
 
     kind: str  # "uniform_perturbation" | "finite_support"
@@ -87,8 +87,8 @@ class RenewalProcess:
             if self.type_count is None or self.epsilon is None:
                 raise ValidationError(
                     "uniform_perturbation needs a type count and an epsilon")
-            if self.type_count < 1:
-                raise ValidationError("need at least one type")
+            object.__setattr__(self, "type_count", require_int(
+                self.type_count, "type count", 1))
             if not 0.0 <= self.epsilon < 1.0 / self.type_count:
                 raise ValidationError(
                     f"epsilon must lie in [0, 1/{self.type_count}), "
@@ -104,6 +104,14 @@ class RenewalProcess:
             if not atoms:
                 raise ValidationError(
                     "finite support needs at least one atom")
+            if any(not isinstance(profile, PopulationProfile)
+                   for profile, _ in atoms):
+                raise ValidationError(
+                    "finite support atoms must pair a PopulationProfile "
+                    "with a probability")
+            if len({len(profile.weights) for profile, _ in atoms}) > 1:
+                raise ValidationError(
+                    "finite support atoms must all have the same width")
             if any(not 0.0 < d <= 1.0 for _, d in atoms):
                 raise ValidationError(
                     "atom probabilities must lie in (0, 1]")

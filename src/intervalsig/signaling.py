@@ -10,12 +10,11 @@ only in warm-up (see its docstring).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ValidationError, require_finite_nonneg
+from .network import ValidationError, require_finite_nonneg, require_int
 
 _KINDS = ("now", "mean", "extreme", "full_extreme", "subinterval")
 
@@ -30,16 +29,8 @@ class Scheme:
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown scheme kind {self.kind!r}")
         if self.kind in ("extreme", "subinterval"):
-            # None or a float window, even a whole one, is refused (as 0),
-            # never truncated.
-            try:
-                window = operator.index(self.window)
-            except TypeError:
-                window = 0
-            if window < 1:
-                raise ValidationError(
-                    f"{self.kind} needs an integer window of at least 1, "
-                    f"got {self.window!r}")
+            object.__setattr__(self, "window", require_int(
+                self.window, f"{self.kind} window", 1))
         elif self.window is not None:
             raise ValidationError(f"{self.kind} takes no window")
         if self.kind == "subinterval":
@@ -115,8 +106,7 @@ class CostHistory:
 
     def __init__(self, m_count: int, scheme: Scheme,
                  initial: np.ndarray | None = None):
-        if m_count < 1:
-            raise ValidationError("history needs at least one resource")
+        m_count = require_int(m_count, "resource count", 1)
         self.m_count = m_count
         self.scheme = scheme
         self.initial = (None if initial is None

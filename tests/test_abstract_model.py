@@ -127,6 +127,13 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             two_action_config(renewal=wrong)
 
+    def test_costs_must_be_cost_functions(self):
+        # a lambda used to reach ``CostTable`` and fail there with an
+        # AttributeError
+        config, _ = convergence_demo_config()
+        with pytest.raises(ValidationError, match="AbstractCostFn"):
+            dataclasses.replace(config, costs=[config.costs[0], lambda n: n])
+
     @pytest.mark.parametrize("count", [2.0, 2.5, "2"])
     def test_fractional_action_count_rejected(self, count):
         # 2.0 used to build (two cost functions compare equal to it) and

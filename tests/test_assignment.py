@@ -778,17 +778,21 @@ class TestRelaxationMatchesFrozenDijkstra:
 
 class TestDijkstraMatchesFrozenCopy:
     """``network.dijkstra`` returns the oracle's frozen copy's distances
-    and finalization order bit for bit, from every source: the loader
-    selects tight edges by both, so a faster Dijkstra must keep them."""
+    and finalization order bit for bit, from every source, and the
+    reached nodes in that order: the loader walks the nodes in that
+    order and selects tight edges by the distances and ranks, so a
+    faster Dijkstra must keep all three."""
 
     @staticmethod
     def assert_same(net, weights):
         for source in range(1, net.node_count + 1):
-            dist, order = dijkstra(net, weights, source)
+            dist, order, finalized = dijkstra(net, weights, source)
             want_dist, want_order = frozen_dijkstra(net, weights, source)
-            assert dist.tobytes() == want_dist.tobytes()
-            assert order.dtype == want_order.dtype
-            assert order.tobytes() == want_order.tobytes()
+            assert np.array(dist).tobytes() == want_dist.tobytes()
+            assert order == want_order.tolist()
+            unreached = int((want_order < 0).sum())
+            assert finalized == \
+                np.argsort(want_order, kind="stable")[unreached:].tolist()
 
     @settings(max_examples=200, deadline=None)
     @given(small_cases())

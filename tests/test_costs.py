@@ -14,6 +14,7 @@ from intervalsig.costs import (
     edge_costs,
     flapping_cost_fn,
     linear_cost_fn,
+    minimize_scalar_on_interval,
     polynomial_cost_fn,
     social_cost_abstract,
     total_excess,
@@ -407,4 +408,19 @@ class TestTwoActionMinimizer:
         cheap = linear_cost_fn(2, offset=0.0)
         dear = linear_cost_fn(2, offset=10.0)
         argmin, _ = minimize_two_action_cost(cheap, dear, 2)
-        assert argmin == pytest.approx(2.0, abs=1e-6)
+        assert argmin == pytest.approx(2.0, abs=1e-9)
+
+    def test_linear_corner_at_lo(self):
+        # the same actions swapped: everyone takes the second action
+        cheap = linear_cost_fn(2, offset=0.0)
+        dear = linear_cost_fn(2, offset=10.0)
+        argmin, _ = minimize_two_action_cost(dear, cheap, 2)
+        assert argmin == pytest.approx(0.0, abs=1e-9)
+
+    def test_interior_minimum_to_1e9(self):
+        # the two-action cost is too flat at its minimum to place it to
+        # 1e-9 in floats; a parabola around 0 is not
+        argmin, value = minimize_scalar_on_interval(
+            lambda x: (x - 0.3) ** 2, 0.0, 2.0)
+        assert argmin == pytest.approx(0.3, abs=1e-9)
+        assert value == pytest.approx(0.0, abs=1e-18)

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from intervalsig.engine import diamond_system_optimum
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # One output of each sort: network CSV and bytes, an abstract run over
@@ -66,6 +68,22 @@ def test_bench_outputs_are_the_abstract_model_round(dump_outputs, tmp_path,
     joined = b"".join((tmp_path / f"{name}.bin").read_bytes()
                       for name in names)
     assert hashlib.sha256(joined).hexdigest() == ABSTRACT_MODEL_SEED1
+
+
+def test_output_count_matches_the_docstring(dump_outputs):
+    # 25 outputs, 16 of which (the network and run_abstract runs) also
+    # write a CSV
+    assert len(dump_outputs.OUTPUTS) == 25
+    assert "41 files in all" in " ".join(dump_outputs.__doc__.split())
+
+
+def test_system_optimum_is_pinned(dump_outputs, tmp_path, capsys):
+    assert dump_outputs.main([str(tmp_path), "--only",
+                              "diamond-system-optimum"]) == 0
+    point = diamond_system_optimum()
+    assert np.fromfile(tmp_path / "diamond-system-optimum.bin").tolist() == [
+        point["split"], point["uncapped_cost"], point["capped_cost"],
+        point["excess"]]
 
 
 def test_unknown_output_is_a_usage_error(dump_outputs, tmp_path, capsys):

@@ -34,6 +34,12 @@ class TestTypeSet:
         with pytest.raises(ValidationError):
             uniform_type_set(1)
 
+    def test_fractional_count_rejected(self):
+        # used to fail in ``range`` with a bare TypeError
+        with pytest.raises(ValidationError,
+                           match="type count must be an integer, got 2.5"):
+            uniform_type_set(2.5)
+
     def test_singleton_custom_set_allowed(self):
         assert TypeSet((0.5,)).omegas == (0.5,)
 
@@ -96,9 +102,18 @@ class TestRenewalValidation:
              atoms=((PopulationProfile((1.0,)), 1.0),)),
         dict(kind="finite_support", epsilon=0.0,
              atoms=((PopulationProfile((1.0,)), 1.0),)),
+        # the next three used to build and fail in ``sample_profile``,
+        # with a TypeError, an AttributeError and numpy's ValueError
+        dict(kind="uniform_perturbation", type_count=2.5, epsilon=0.1),
+        dict(kind="finite_support", atoms=(((0.5, 0.5), 1.0),)),
+        dict(kind="finite_support",
+             atoms=((PopulationProfile((1.0,)), 0.5),
+                    (PopulationProfile((0.5, 0.5)), 0.5))),
     ], ids=["unknown_kind", "perturbation_bare", "no_epsilon",
             "no_type_count", "support_bare", "perturbation_with_atoms",
-            "support_with_type_count", "support_with_epsilon"])
+            "support_with_type_count", "support_with_epsilon",
+            "fractional_type_count", "atom_not_a_profile",
+            "atoms_of_two_widths"])
     def test_checked_at_construction(self, kwargs):
         with pytest.raises(ValidationError):
             RenewalProcess(**kwargs)

@@ -46,6 +46,13 @@ def validate_subinterval(signal, costs, r):
 
 
 class TestRecord:
+    def test_fractional_resource_count_rejected(self):
+        # used to fail in ``np.zeros`` with a bare TypeError
+        with pytest.raises(
+                ValidationError,
+                match="resource count must be an integer, got 2.5"):
+            CostHistory(2.5, mean_scheme())
+
     def test_first_record_sets_aggregates(self):
         h = history_of([4.0], extreme_scheme(4))
         assert h.periods == 1
@@ -269,14 +276,17 @@ class TestSchemeFamily:
         # refused like a float seed, never truncated or left for the
         # history to trip over
         for kind, shrink in (("extreme", None), ("subinterval", 0.5)):
-            with pytest.raises(ValidationError,
-                               match=f"integer window .*got {window}"):
+            with pytest.raises(
+                    ValidationError,
+                    match=f"{kind} window must be an integer, got {window}"):
                 Scheme(kind, window=window, shrink=shrink)
 
     def test_numpy_integer_window_accepted(self):
         scheme = extreme_scheme(np.int64(4))
+        assert type(scheme.window) is int
         assert scheme.label() == "extreme-r4"
         assert CostHistory(1, scheme).window == 4
+        assert Scheme("extreme", window=True).label() == "extreme-r1"
 
     def test_extreme_requires_window_argument(self):
         with pytest.raises(ValidationError):
