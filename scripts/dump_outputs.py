@@ -8,14 +8,15 @@ compared on: the diamond ``run`` under all five schemes, a 500-period
 diamond ``run`` under ``now`` at seed 1 (a benchmark sweep cell), the
 diamond's system optimum (split, uncapped cost, capped cost, excess),
 50-period Sioux Falls runs under ``extreme`` r = 20, ``now`` and
-``mean``, ``run_abstract`` under all five schemes (plus one config
-mixing every cost kind), ``flapping_demo`` at J = 7 with N = 3 and 101
-and at J = 0.5 with N = 29, ``convergence_check`` at M = 2, 3 and 8
-(and at M = 3 over six periods, which end with arm b still in the
-batch), and the two calls of the ``abstract-model`` benchmark at seed 1
+``mean``, a 150-period one under ``extreme`` r = 5, the ``sioux-falls``
+benchmark's run at seed 1 (``bench-sioux-falls``), ``run_abstract``
+under all five schemes (plus one config mixing every cost kind),
+``flapping_demo`` at J = 7 with N = 3 and 101 and at J = 0.5 with
+N = 29, ``convergence_check`` at M = 2, 3 and 8 (and at M = 3 over six
+periods, which end with arm b still in the batch), and the two calls of the ``abstract-model`` benchmark at seed 1
 (``bench-abstract-extreme-r50``, ``bench-convergence-m2``).  Floats
 are written as raw float64 bytes (``.bin``) and runs that have a CSV
-form also as CSV: 41 files in all.
+form also as CSV: 45 files in all.
 
 The package is imported from ``PYTHONPATH``, so dumping two checkouts
 into two directories and running ``diff -r`` between them shows whether
@@ -209,6 +210,16 @@ def _outputs() -> dict:
         outputs[stem] = lambda out, s=scheme, stem=stem: _network_run(
             out, stem, RunConfig(scheme=s, horizon=50, seed=0,
                                  instance="sioux-falls"))
+    # Under extreme r = 5 most new signals relax the distances from the
+    # last period's route sums rather than taking them as they are.
+    outputs["sioux-falls-extreme-r5"] = lambda out: _network_run(
+        out, "sioux-falls-extreme-r5",
+        RunConfig(scheme=extreme_scheme(5), horizon=150, seed=0,
+                  instance="sioux-falls"))
+    outputs["bench-sioux-falls"] = lambda out: _network_run(
+        out, "bench-sioux-falls",
+        RunConfig(scheme=extreme_scheme(20), horizon=50, seed=1,
+                  instance="sioux-falls"))
     for scheme in _schemes(WINDOW):
         outputs[f"abstract-{scheme.label()}"] = (
             lambda out, s=scheme: _abstract_run(

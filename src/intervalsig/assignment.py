@@ -27,8 +27,16 @@ same edges, since the DAGs are a function of the kept edges alone.
 Under r-window signals either often holds.  It keeps the DAGs as one
 list of kept edges over all rows, sorted by their tail's level, and
 takes path counts and onward loads in one ``np.add.at`` per level.  A
-row with a distance plateau takes its DAG from ``_row_dag``.  A plan
-batches when its rows times edges reach ``BATCH_CROSSOVER``.
+new signal's distances come from min-plus relaxation, which starts from
+the memo's route sums under the new weights when there is a memo
+(incremental shortest paths: Ramalingam & Reps, J. Algorithms 21(2),
+1996).  Each such bound is some route's left-to-right float sum, and
+float addition is monotone, so relaxing from them reaches the minimum
+over routes bit for bit, as relaxing from inf does; under r-window
+signals last period's routes are often still shortest, and then one
+check pass finds the bounds exact.  A row with a distance plateau takes
+its DAG from ``_row_dag``.  A plan batches when its rows times edges
+reach ``BATCH_CROSSOVER``.
 
 Each plan caches the DAGs that ``_row_dag`` builds, keyed by the row's
 weight vector (its bytes) and then by origin, and drops the oldest
@@ -398,7 +406,11 @@ def _kept_edges(plan: LoadPlan,
 
     Distances come from min-plus relaxation to a fixed point: like the
     heapq Dijkstra's, each is the minimum over routes of their
-    left-to-right float sums, so the two agree bit for bit.  Heap pops
+    left-to-right float sums, so the two agree bit for bit.  With a memo
+    the relaxation starts from ``_bounds``, the memo's route sums under
+    the new weights, and reaches the same fixed point (see
+    ``_distances``); without one, on a plan's first signal, it starts
+    from inf.  Heap pops
     never decrease in distance, so on a tight edge ``(u, v)`` the order
     test ``order[v] > order[u]`` is ``dist[v] > dist[u]`` unless the two
     distances are equal.  A row with a tight edge between equal finite
@@ -410,7 +422,9 @@ def _kept_edges(plan: LoadPlan,
     weights = edge_weight(signal[None], plan.omegas)
     by_edge = weights.T[:, layout.row_type]                 # (edges, rows)
 
-    dist = _distances(layout, by_edge)
+    dags = plan._memo
+    dist = _distances(layout, by_edge,
+                      None if dags is None else _bounds(layout, dags, by_edge))
     tail_dist, head_dist = dist[net.srcs], dist[net.dsts]
     tight = ((tail_dist + by_edge
               <= head_dist * (1.0 + TIE_TOL) + TIE_TOL_ABS)
@@ -481,15 +495,48 @@ def _dags(plan: LoadPlan, kept: np.ndarray) -> _Dags:
     )
 
 
-def _distances(layout: _Layout, by_edge: np.ndarray) -> np.ndarray:
+def _bounds(layout: _Layout, dags: _Dags, by_edge: np.ndarray) -> np.ndarray:
+    """Upper bounds on every row's distances, node-major like
+    ``_distances``': route sums along ``dags``' kept edges under the
+    ``(edges, rows)`` weights ``by_edge``.
+
+    From 0.0 at the origins and inf elsewhere, one ``np.minimum.at`` per
+    level, shallowest first, takes each kept edge's tail bound plus its
+    weight into its head.  A tail's in-edges all sit on shallower levels,
+    so its bound is final when its level comes, and every bound is the
+    left-to-right sum of some kept route.
+    """
+    dist = np.where(layout.start > 0.0, 0.0, np.inf)
+    flat = dist.ravel()
+    weight = by_edge.T.ravel()[dags.kept_at]
+    tail, head = dags.tail, dags.head
+    for start, stop in reversed(dags.levels):
+        np.minimum.at(flat, head[start:stop],
+                      flat[tail[start:stop]] + weight[start:stop])
+    return dist
+
+
+def _distances(layout: _Layout, by_edge: np.ndarray,
+               dist: np.ndarray | None = None) -> np.ndarray:
     """Every row's shortest distances from its origin, node-major
     ``(node_count + 1, rows)``, unreached nodes at inf: min-plus
     relaxation of ``(edges, rows)`` non-negative weights until no
-    distance falls."""
+    distance falls.
+
+    The relaxation starts from ``dist`` when given (``_bounds``' route
+    sums, which it lowers in place) and from 0.0 at the origins and inf
+    elsewhere otherwise.  Both reach the same bytes.  Every finite value
+    it holds is some route's left-to-right float sum, so none falls
+    below the minimum over routes; at the fixed point no edge improves
+    on its head's value, and float addition is monotone, so along the
+    best route each value is at most that route's partial sum.  Bounds
+    that no edge improves on are the distances after one pass.
+    """
     # Padding slots clip to a real edge's weight, but their tail is node
     # 0, which stays at inf.
     into = np.take(by_edge, layout.into, axis=0, mode="clip")
-    dist = np.where(layout.start > 0.0, 0.0, np.inf)
+    if dist is None:
+        dist = np.where(layout.start > 0.0, 0.0, np.inf)
     reach = np.empty(into.shape)
     best = np.empty(dist.shape)
     while True:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import operator
 import warnings
 from collections import deque
@@ -92,6 +93,15 @@ class DemandTable:
     metadata: dict[str, str] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
+        for pair, flow in self.entries.items():
+            # a plain float skips the type check, about 1 us an entry:
+            # every run builds its table anew
+            if type(flow) is not float:
+                flow = require_real(flow, f"demand {pair}")
+            # NaN fails the comparison
+            if not 0.0 <= flow < math.inf:
+                raise ValidationError(
+                    f"demand {pair} must be finite and >= 0, got {flow}")
         self.total = float(sum(self.entries.values()))
 
 
@@ -107,6 +117,15 @@ def require_int(value, what: str, minimum: int) -> int:
     if number < minimum:
         raise ValidationError(f"{what} must be >= {minimum}, got {number}")
     return number
+
+
+def require_real(value, what: str) -> float:
+    """``value`` as a float.  A numpy number will do; a bool, a string,
+    None or any other object is a ``ValidationError`` (``what must be a
+    real number``), never parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    return float(value)
 
 
 def require_finite_nonneg(values: np.ndarray, what: str) -> None:

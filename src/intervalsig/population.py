@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ValidationError, require_int
+from .network import ValidationError, require_int, require_real
 
 
 @dataclass(frozen=True)
@@ -89,26 +89,22 @@ class RenewalProcess:
                     "uniform_perturbation needs a type count and an epsilon")
             object.__setattr__(self, "type_count", require_int(
                 self.type_count, "type count", 1))
-            if not 0.0 <= self.epsilon < 1.0 / self.type_count:
+            epsilon = require_real(self.epsilon, "epsilon")
+            if not 0.0 <= epsilon < 1.0 / self.type_count:
                 raise ValidationError(
                     f"epsilon must lie in [0, 1/{self.type_count}), "
-                    f"got {self.epsilon}")
-            object.__setattr__(self, "epsilon", float(self.epsilon))
+                    f"got {epsilon}")
+            object.__setattr__(self, "epsilon", epsilon)
         elif self.kind == "finite_support":
             if self.type_count is not None or self.epsilon is not None:
                 raise ValidationError(
                     "finite_support takes no type count or epsilon")
             if self.atoms is None:
                 raise ValidationError("finite_support needs atoms")
-            atoms = tuple((profile, float(d)) for profile, d in self.atoms)
+            atoms = tuple(map(_checked_atom, self.atoms))
             if not atoms:
                 raise ValidationError(
                     "finite support needs at least one atom")
-            if any(not isinstance(profile, PopulationProfile)
-                   for profile, _ in atoms):
-                raise ValidationError(
-                    "finite support atoms must pair a PopulationProfile "
-                    "with a probability")
             if len({len(profile.weights) for profile, _ in atoms}) > 1:
                 raise ValidationError(
                     "finite support atoms must all have the same width")
@@ -122,6 +118,20 @@ class RenewalProcess:
             raise ValidationError(
                 f"unknown renewal kind {self.kind!r}; expected "
                 "'uniform_perturbation' or 'finite_support'")
+
+
+def _checked_atom(atom) -> tuple[PopulationProfile, float]:
+    """A finite-support atom as a (profile, probability) pair, once it is
+    checked to be a ``PopulationProfile`` and a real number."""
+    try:
+        profile, probability = atom
+    except (TypeError, ValueError):
+        profile = probability = None
+    if not isinstance(profile, PopulationProfile):
+        raise ValidationError(
+            "finite support atoms must pair a PopulationProfile "
+            f"with a probability, got {atom!r}")
+    return profile, require_real(probability, "atom probability")
 
 
 def uniform_perturbation(type_count: int, epsilon: float) -> RenewalProcess:

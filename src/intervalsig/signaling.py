@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ValidationError, require_finite_nonneg, require_int
+from .network import (
+    ValidationError, require_finite_nonneg, require_int, require_real)
 
 _KINDS = ("now", "mean", "extreme", "full_extreme", "subinterval")
 
@@ -34,8 +35,11 @@ class Scheme:
         elif self.window is not None:
             raise ValidationError(f"{self.kind} takes no window")
         if self.kind == "subinterval":
-            if self.shrink is None or not 0.0 <= self.shrink <= 1.0:
-                raise ValidationError("shrink factor must lie in [0, 1]")
+            shrink = require_real(self.shrink, "shrink factor")
+            if not 0.0 <= shrink <= 1.0:
+                raise ValidationError(
+                    f"shrink factor must lie in [0, 1], got {shrink}")
+            object.__setattr__(self, "shrink", shrink)
         elif self.shrink is not None:
             raise ValidationError(f"{self.kind} takes no shrink factor")
 

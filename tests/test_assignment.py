@@ -427,16 +427,23 @@ class TestLoadPlan:
         assert LoadPlan(net, demand, FIVE_TYPES).batched
 
 
-def assert_distances_match_frozen_dijkstra(plan, signal):
-    layout = plan._layout
+def assert_rows_are_frozen_dijkstra(plan, signal, dist):
+    """``dist``, node-major like ``_distances``' result, holds every
+    row's frozen-Dijkstra distances under ``signal``, bit for bit."""
     weights = np.array([edge_weight(signal, omega)
                         for omega in plan.types.omegas])
-    dist = _distances(layout, weights.T[:, layout.row_type])
     origins = list(plan.by_origin)
     for row in range(plan.row_count):
         kind, at = divmod(row, len(origins))
         want, _ = frozen_dijkstra(plan.net, weights[kind], origins[at])
-        assert dist[:, row].tobytes() == want.tobytes()
+        assert dist[:, row].tobytes() == want.tobytes(), row
+
+
+def assert_distances_match_frozen_dijkstra(plan, signal):
+    # the cold start, from inf
+    layout = plan._layout
+    by_edge = edge_weight(signal[None], plan.omegas).T[:, layout.row_type]
+    assert_rows_are_frozen_dijkstra(plan, signal, _distances(layout, by_edge))
 
 
 def count_dag_builds(monkeypatch):
@@ -757,6 +764,94 @@ class TestRowDagCache:
         for key, by_origin in plan._row_dags.items():
             for origin, dag in by_origin.items():
                 assert dag is dags[key][origin]
+
+
+def record_distances(monkeypatch):
+    """Every ``_distances`` call from now on, as copies of its weights,
+    of the bounds it starts from (None on a cold start) and of its
+    result."""
+    calls = []
+    original = assignment._distances
+
+    def recorded(layout, by_edge, dist=None):
+        start = None if dist is None else dist.copy()
+        got = original(layout, by_edge, dist)
+        calls.append((by_edge.copy(), start, got.copy()))
+        return got
+
+    monkeypatch.setattr(assignment, "_distances", recorded)
+    return calls
+
+
+def warm_branch(start, got):
+    """Which way a warm ``_distances`` call went: its bounds were the
+    distances already, or it relaxed from them."""
+    return "exact" if got.tobytes() == start.tobytes() else "relaxed"
+
+
+class TestWarmStart:
+    """A plan with a memo starts the relaxation from the memo's route
+    sums under the new weights; its distances stay the frozen Dijkstra's
+    and the cold start's bit for bit."""
+
+    def test_random_networks_across_signals(self, monkeypatch):
+        # one plan loads a run of signals: the case's own, again with
+        # every edge that no row keeps raised (the bounds hold), a new
+        # continuous signal, the zero warm-up signal (every row a plateau
+        # row), a new integer one (ties and plateaus) and the first again
+        calls = record_distances(monkeypatch)
+        branches = {"exact": 0, "relaxed": 0}
+
+        @settings(max_examples=150, deadline=None)
+        @given(small_cases(), st.integers(0, 2**32 - 1))
+        def check(case, seed):
+            net, demand, signal, shares = case
+            plan = LoadPlan(net, demand, FIVE_TYPES)
+            kept = _kept_edges(LoadPlan(net, demand, FIVE_TYPES), signal)[0]
+            raised = signal.copy()
+            raised[~kept[:-1].any(axis=1)] += 1.0
+            rng = np.random.default_rng(seed)
+            m = net.edge_count
+            lows = rng.uniform(0.0, 10.0, m)
+            other = np.column_stack([lows, lows + rng.uniform(0.0, 5.0, m)])
+            lows = rng.integers(0, 3, m)
+            ties = np.column_stack([lows, lows + rng.integers(0, 2, m)])
+            calls.clear()
+            periods = [signal, raised, other, np.zeros((m, 2)),
+                       ties.astype(float), signal]
+            for period in periods:
+                before = len(calls)
+                got = _load_batched(plan, period, shares)
+                want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES),
+                                     period, shares)
+                assert got.tobytes() == want.tobytes()
+                for _, start, dist in calls[before:]:
+                    assert_rows_are_frozen_dijkstra(plan, period, dist)
+                    if start is not None:
+                        branches[warm_branch(start, dist)] += 1
+            # only the plan's first signal starts cold
+            starts = [start for _, start, _ in calls]
+            assert starts[0] is None
+            assert all(start is not None for start in starts[1:])
+
+        check()
+        assert branches["exact"] > 0 and branches["relaxed"] > 0
+
+    def test_sioux_falls_trajectory_matches_cold_start(self, monkeypatch):
+        # under extreme r = 5 most new signals relax from their bounds
+        calls = record_distances(monkeypatch)
+        run(RunConfig(scheme=extreme_scheme(5), horizon=150, seed=0,
+                      instance="sioux-falls"))
+        net, demand = load_instance("sioux-falls")
+        layout = LoadPlan(net, demand, FIVE_TYPES)._layout
+        branches = {"exact": 0, "relaxed": 0}
+        assert calls[0][1] is None
+        for by_edge, start, dist in calls[1:]:
+            cold = _distances(layout, by_edge)
+            assert dist.tobytes() == cold.tobytes()
+            branches[warm_branch(start, dist)] += 1
+        assert branches["exact"] > 0
+        assert branches["relaxed"] > branches["exact"]
 
 
 class TestRelaxationMatchesFrozenDijkstra:

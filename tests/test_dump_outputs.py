@@ -70,11 +70,27 @@ def test_bench_outputs_are_the_abstract_model_round(dump_outputs, tmp_path,
     assert hashlib.sha256(joined).hexdigest() == ABSTRACT_MODEL_SEED1
 
 
+# What ``perfbench/run.py --workload sioux-falls --seed 1`` prints as its
+# digest: the sha256 of one round's run bytes.
+SIOUX_FALLS_SEED1 = ("edb0a368a0358b11b6d9de5712f3e1b93b5098bef9f09893858e8b"
+                     "99fed5cadf")
+
+
+def test_bench_sioux_falls_is_the_benchmark_round(dump_outputs, tmp_path,
+                                                  capsys):
+    assert dump_outputs.main([str(tmp_path), "--only",
+                              "bench-sioux-falls"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "bench-sioux-falls.bin", "bench-sioux-falls.csv"]
+    assert hashlib.sha256((tmp_path / "bench-sioux-falls.bin")
+                          .read_bytes()).hexdigest() == SIOUX_FALLS_SEED1
+
+
 def test_output_count_matches_the_docstring(dump_outputs):
-    # 25 outputs, 16 of which (the network and run_abstract runs) also
+    # 27 outputs, 18 of which (the network and run_abstract runs) also
     # write a CSV
-    assert len(dump_outputs.OUTPUTS) == 25
-    assert "41 files in all" in " ".join(dump_outputs.__doc__.split())
+    assert len(dump_outputs.OUTPUTS) == 27
+    assert "45 files in all" in " ".join(dump_outputs.__doc__.split())
 
 
 def test_system_optimum_is_pinned(dump_outputs, tmp_path, capsys):

@@ -167,6 +167,19 @@ class TestParseTrips:
             parse_trips(text)
 
 
+class TestDemandTable:
+    @pytest.mark.parametrize("flow", [-3.0, float("nan"), float("inf"),
+                                      "3", None, True])
+    def test_bad_entry_rejected_at_construction(self, flow):
+        # a table built directly is checked as parse_trips checks a file
+        with pytest.raises(ValidationError, match=r"demand \(1, 5\)"):
+            DemandTable({(1, 2): 4.0, (1, 5): flow})
+
+    def test_numbers_of_any_real_type_pass(self):
+        table = DemandTable({(1, 2): 0.0, (1, 3): 2, (2, 3): np.float32(1.5)})
+        assert table.total == 3.5
+
+
 class TestBundledSiouxFalls:
     def _read(self, name):
         root = importlib.resources.files("intervalsig")

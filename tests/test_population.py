@@ -118,6 +118,29 @@ class TestRenewalValidation:
         with pytest.raises(ValidationError):
             RenewalProcess(**kwargs)
 
+    @pytest.mark.parametrize("make", [
+        lambda: uniform_perturbation(2, "0.1"),
+        lambda: uniform_perturbation(2, None),
+        lambda: uniform_perturbation(2, False),
+        lambda: finite_support([(PopulationProfile((1.0,)), "x")]),
+        lambda: finite_support([(PopulationProfile((1.0,)), None)]),
+        lambda: finite_support([PopulationProfile((1.0,))]),
+        lambda: finite_support([(PopulationProfile((1.0,)), 1.0, 0.0)]),
+    ], ids=["epsilon_string", "epsilon_none", "epsilon_bool",
+            "probability_string", "probability_none", "atom_not_a_pair",
+            "atom_of_three"])
+    def test_wrong_types_are_validation_errors(self, make):
+        # each used to escape as a bare TypeError or ValueError
+        with pytest.raises(ValidationError):
+            make()
+
+    def test_numpy_numbers_stored_as_floats(self):
+        eta = PopulationProfile((1.0,))
+        assert type(uniform_perturbation(2, np.float32(0.25)).epsilon) \
+            is float
+        (_, probability), = finite_support([(eta, np.int64(1))]).atoms
+        assert type(probability) is float and probability == 1.0
+
     def test_direct_construction_equals_factory(self):
         eta = PopulationProfile((1.0,))
         assert RenewalProcess("uniform_perturbation", type_count=5,

@@ -271,6 +271,17 @@ class TestSchemeFamily:
         assert scheme_from_name("subinterval", window=4) == \
             subinterval_scheme(4, 1.0)
 
+    @pytest.mark.parametrize("shrink", ["0.5", True, None])
+    def test_shrink_that_is_no_number_rejected(self, shrink):
+        with pytest.raises(ValidationError, match="shrink factor"):
+            Scheme("subinterval", window=3, shrink=shrink)
+
+    def test_shrink_stored_as_float(self):
+        scheme = Scheme("subinterval", window=3, shrink=np.int64(1))
+        assert type(scheme.shrink) is float
+        assert scheme == subinterval_scheme(3, 1.0)
+        assert scheme.label() == "subinterval-r3-a1"
+
     @pytest.mark.parametrize("window", [2.5, 3.0])
     def test_float_window_rejected_at_construction(self, window):
         # refused like a float seed, never truncated or left for the
