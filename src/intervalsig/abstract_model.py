@@ -31,7 +31,7 @@ from .costs import (
     social_cost_abstract,
 )
 from .engine import Columns, signal_columns, table_csv
-from .network import require_int
+from .network import read_only, require_int
 from .population import (
     PopulationProfile,
     RenewalProcess,
@@ -71,12 +71,13 @@ class AbstractConfig:
     ``cost_table`` and ``omegas`` are derived at construction, since
     every period of the model reads them: the table prices all actions'
     counts in one pass, and ``omegas`` holds ``types.omegas`` as an
-    array.
+    array.  A config cannot change once built: ``costs`` is a tuple, and
+    ``initial_signal`` and ``omegas`` are read-only arrays of its own.
     """
 
     agent_count: int
     action_count: int
-    costs: list[AbstractCostFn]
+    costs: tuple[AbstractCostFn, ...]
     scheme: Scheme
     renewal: RenewalProcess
     initial_signal: np.ndarray
@@ -94,6 +95,7 @@ class AbstractConfig:
                 f"{self.agent_count!r}")
         object.__setattr__(self, "action_count", require_int(
             self.action_count, "action count", 1))
+        object.__setattr__(self, "costs", tuple(self.costs))
         if len(self.costs) != self.action_count:
             raise ValidationError(
                 f"{len(self.costs)} cost functions for "
@@ -102,8 +104,8 @@ class AbstractConfig:
             if not isinstance(fn, AbstractCostFn):
                 raise ValidationError(
                     f"cost functions must be AbstractCostFn, got {fn!r}")
-        object.__setattr__(self, "initial_signal", checked_initial_signal(
-            self.initial_signal, self.action_count))
+        object.__setattr__(self, "initial_signal", read_only(
+            checked_initial_signal(self.initial_signal, self.action_count)))
         if (self.renewal.kind == "uniform_perturbation"
                 and self.renewal.type_count != len(self.types)):
             raise ValidationError("renewal type count != type set size")
@@ -112,7 +114,8 @@ class AbstractConfig:
                 and len(self.renewal.atoms[0][0].weights) != len(self.types)):
             raise ValidationError("renewal atom width != type set size")
         object.__setattr__(self, "cost_table", CostTable(self.costs))
-        object.__setattr__(self, "omegas", np.array(self.types.omegas))
+        object.__setattr__(self, "omegas",
+                           read_only(np.array(self.types.omegas)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -6,9 +6,11 @@ Every agent of a type takes a weight-shortest route, splitting equally
 across all tied routes, and the per-type loads add up to the edge flows
 for the period.
 
-A run builds one ``LoadPlan`` (the network, the demand grouped by
+A run holds one ``LoadPlan`` (the network, the demand grouped by
 origin, the type set, all checked once) and calls ``assign(plan,
 signal, shares)`` every period, with the period's share of each type.
+Runs on the same inputs can share a plan's checked, read-only parts
+and its memo through ``fresh`` copies.
 The loading problem splits into *rows*, one per (type, origin).  Each
 row is loaded in one pass over the origin's tight-edge DAG (Dial's
 STOCH loading, Transp. Res. 5:83, 1971): equal splitting over all tight
@@ -50,8 +52,10 @@ enters or leaves the window.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -62,6 +66,7 @@ from .network import (
     TIE_TOL_ABS,
     ValidationError,
     dijkstra,
+    read_only,
     require_finite_nonneg,
     require_reachable,
 )
@@ -156,6 +161,10 @@ class LoadPlan:
     connects a ``NoPathError``.  Rows are (type, origin) pairs, type-major
     with origins ascending; a plan with at least ``BATCH_CROSSOVER`` rows
     times edges loads in whole-array passes (``batched``).
+
+    All a plan holds is read-only but its memo, which it rebinds and
+    never writes into, and its row-DAG cache, which ``fresh`` copies do
+    not share.
     """
 
     def __init__(self, net: Network, demand: DemandTable, types: TypeSet):
@@ -168,13 +177,17 @@ class LoadPlan:
         require_reachable(net, demand)
         self.net = net
         self.types = types
-        self.omegas = np.array(types.omegas)[:, None]   # one row per type
-        self.by_origin: dict[int, list[tuple[int, float]]] = {}
+        # one row per type
+        self.omegas = read_only(np.array(types.omegas)[:, None])
+        by_origin: dict[int, list[tuple[int, float]]] = {}
         for (origin, dest), flow in sorted(demand.entries.items()):
-            self.by_origin.setdefault(origin, []).append((dest, flow))
+            by_origin.setdefault(origin, []).append((dest, flow))
+        self.by_origin = MappingProxyType(
+            {origin: tuple(dests) for origin, dests in by_origin.items()})
         self.row_count = len(types) * len(self.by_origin)
         self.batched = self.row_count * net.edge_count >= BATCH_CROSSOVER
-        self.srcs, self.dsts = net.srcs.tolist(), net.dsts.tolist()
+        self.srcs = tuple(net.srcs.tolist())
+        self.dsts = tuple(net.dsts.tolist())
         self._memo: _Dags | None = None
         # weight bytes -> origin -> ``_row_dag``'s (kept, count)
         self._row_dags: dict[bytes, dict[int, _RowDag]] = {}
@@ -183,9 +196,24 @@ class LoadPlan:
     def _layout(self) -> _Layout:
         return _Layout(self)
 
+    def fresh(self) -> LoadPlan:
+        """This plan for another run: the same checked inputs, layout and
+        memo, and an empty row-DAG cache of its own."""
+        plan = copy.copy(self)
+        plan._row_dags = {}
+        return plan
+
+    def remember(self, signal: np.ndarray) -> None:
+        """Make a batched plan's memo hold ``signal``'s DAGs, as loading
+        ``signal`` would, so that the plan and its ``fresh`` copies reuse
+        them when ``signal`` comes; a per-row plan keeps no memo."""
+        if self.batched:
+            _memo_for(self, _checked_signal(self, signal))
+
 
 class _Layout:
-    """The index arrays a batched plan gathers by, fixed per run.
+    """The index arrays a batched plan gathers by, fixed per plan and
+    read-only, so that ``fresh`` copies share them.
 
     Per-node arrays are node-major, ``(node_count + 1, rows)``, so that a
     gather by node copies whole contiguous rows; flattened, node ``v`` of
@@ -221,12 +249,14 @@ class _Layout:
         self.entry_at = np.tile(dest, kinds) * rows + row
         self.entry_type = self.row_type[row]
         self.entry_flow = np.tile(flow, kinds)
+        for array in vars(self).values():
+            read_only(array)
 
 
 _RowDag = tuple[list[int], list[float]]
 
 
-@dataclass
+@dataclass(frozen=True)
 class _Dags:
     """One kept-edge mask's DAGs over all rows, as the list of its kept
     edges, and the last signal that kept it.
@@ -235,11 +265,12 @@ class _Dags:
     from the origin), deepest first, and within a level last in file
     order first; ``levels`` gives each level's run of the list.  Tails,
     heads and demand entries are ``_Layout`` slots.  Everything but
-    ``key`` is a function of ``kept_key`` and the plan's ``_Layout``.
+    ``key`` is a function of ``kept_key`` and the plan's ``_Layout``, and
+    read-only, so plans can share it.
     """
 
     kept_key: bytes             # the kept-edge mask's bytes
-    levels: list[tuple[int, int]]   # runs of kept edges, deepest first
+    levels: tuple[tuple[int, int], ...]   # runs of kept edges, deepest first
     tail: np.ndarray            # the kept edges' tail slots
     head: np.ndarray            # their head slots
     kept_at: np.ndarray         # their positions, flat into (rows, edges)
@@ -248,16 +279,23 @@ class _Dags:
     key: bytes = b""            # the signal's bytes
 
 
-def _checked_inputs(plan: LoadPlan, signal: np.ndarray,
-                    shares) -> tuple[np.ndarray, np.ndarray]:
-    """The signal and the type shares as float arrays, once they are
-    checked against the plan's network and type set."""
+def _checked_signal(plan: LoadPlan, signal: np.ndarray) -> np.ndarray:
+    """The signal as a float array, once it is checked against the
+    plan's network."""
     signal = np.asarray(signal, dtype=float)
     if signal.shape != (plan.net.edge_count, 2):
         raise ValidationError(
             f"signal shape {signal.shape} does not match "
             f"({plan.net.edge_count}, 2)")
     require_finite_nonneg(signal, "signal endpoints")
+    return signal
+
+
+def _checked_inputs(plan: LoadPlan, signal: np.ndarray,
+                    shares) -> tuple[np.ndarray, np.ndarray]:
+    """The signal and the type shares as float arrays, once they are
+    checked against the plan's network and type set."""
+    signal = _checked_signal(plan, signal)
     shares = np.asarray(shares, dtype=float)
     if shares.shape != (len(plan.types),):
         raise ValidationError(
@@ -366,25 +404,17 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     """``assign`` in whole-array passes over all rows, bit for bit the
     per-row loop's flows.
 
-    The plan remembers the last signal's DAGs.  A signal equal to it bit
-    for bit reuses them; any other gets its kept edges from
-    ``_kept_edges``, and ``_dags`` builds new DAGs only when those differ
-    from the memo's.  Only the onward pass depends on the shares.  Node
-    ``u``'s onward load is its demand term, then its kept out-edges'
-    heads' loads in reverse file order, added one by one as the per-row
-    reverse pass adds them.  The pass takes the levels deepest first, so
-    every head's load is final when its tail's level comes, and one
-    ``np.add.at`` adds a level's heads' loads to their tails', in index
-    order.  Each row's edge loads are ``count[tail] *
-    onward[head]`` and the flows their axis-0 sum, row by row.
+    The plan remembers the last signal's DAGs (``_memo_for``).  Only the
+    onward pass depends on the shares.  Node ``u``'s onward load is its
+    demand term, then its kept out-edges' heads' loads in reverse file
+    order, added one by one as the per-row reverse pass adds them.  The
+    pass takes the levels deepest first, so every head's load is final
+    when its tail's level comes, and one ``np.add.at`` adds a level's
+    heads' loads to their tails', in index order.  Each row's edge loads
+    are ``count[tail] * onward[head]`` and the flows their axis-0 sum,
+    row by row.
     """
-    key = signal.tobytes()
-    dags = plan._memo
-    if dags is None or dags.key != key:
-        kept = _kept_edges(plan, signal)[0]
-        if dags is None or dags.kept_key != kept.tobytes():
-            dags = _dags(plan, kept)
-        dags = plan._memo = replace(dags, key=key)
+    dags = _memo_for(plan, signal)
     layout = plan._layout
     tail, head = dags.tail, dags.head
     onward = np.zeros(layout.start.size)
@@ -396,6 +426,23 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     loads = np.zeros(plan.row_count * plan.net.edge_count)
     loads[dags.kept_at] = dags.tail_count * onward[head]
     return loads.reshape(plan.row_count, -1).sum(axis=0)
+
+
+def _memo_for(plan: LoadPlan, signal: np.ndarray) -> _Dags:
+    """The plan's memo, made to hold ``signal``'s DAGs.
+
+    A signal equal to the memo's bit for bit keeps it; any other gets
+    its kept edges from ``_kept_edges``, and ``_dags`` builds new DAGs
+    only when those differ from the memo's.
+    """
+    key = signal.tobytes()
+    dags = plan._memo
+    if dags is None or dags.key != key:
+        kept = _kept_edges(plan, signal)[0]
+        if dags is None or dags.kept_key != kept.tobytes():
+            dags = _dags(plan, kept)
+        dags = plan._memo = replace(dags, key=key)
+    return dags
 
 
 def _kept_edges(plan: LoadPlan,
@@ -478,7 +525,7 @@ def _dags(plan: LoadPlan, kept: np.ndarray) -> _Dags:
     rank = (depth - 1 - level[tail]).astype(np.min_scalar_type(depth))
     order = np.argsort(rank, kind="stable")
     stops = np.cumsum(np.bincount(rank, minlength=depth)).tolist()
-    levels = list(zip([0, *stops], stops))
+    levels = tuple(zip([0, *stops], stops))
     tail = tail[order]
     head = (net.dsts[edge] * rows + row)[order]
     count = layout.start.flatten()
@@ -487,11 +534,11 @@ def _dags(plan: LoadPlan, kept: np.ndarray) -> _Dags:
     return _Dags(
         kept_key=kept.tobytes(),
         levels=levels,
-        tail=tail,
-        head=head,
-        kept_at=(row * net.edge_count + edge)[order],
-        tail_count=count[tail],
-        entry_count=count[layout.entry_at],
+        tail=read_only(tail),
+        head=read_only(head),
+        kept_at=read_only((row * net.edge_count + edge)[order]),
+        tail_count=read_only(count[tail]),
+        entry_count=read_only(count[layout.entry_at]),
     )
 
 

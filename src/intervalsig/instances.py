@@ -2,11 +2,14 @@
 
 The diamond network is small enough to generate inline: two congestible
 middle links between wide feeder links, with thirty agents crossing it.
-The Sioux Falls instance ships as package data in TNTP format.
+The Sioux Falls instance ships as package data in TNTP format.  Each
+instance is parsed once per process, into a network and a demand table
+that cannot change, so every caller can share them.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 
 from .network import (
@@ -76,8 +79,11 @@ _INSTANCES = {
 }
 
 
+@functools.cache
 def load_instance(name: str) -> tuple[Network, DemandTable]:
-    """Parse a named built-in instance into a network and demand table."""
+    """The named built-in instance's network and demand table, parsed on
+    the first call; every later call returns the same read-only
+    objects."""
     if name not in _INSTANCES:
         raise ValidationError(
             f"unknown instance {name!r}; available: {sorted(_INSTANCES)}")

@@ -22,7 +22,9 @@ import numbers
 import operator
 import warnings
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -54,13 +56,19 @@ class Edge:
     link_type: float = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Network:
+    """A road network, read-only once built: ``edges`` is a tuple,
+    ``metadata`` a read-only mapping, and the derived arrays are the
+    network's own read-only copies, so every plan and run built on it
+    can share it."""
+
     node_count: int
-    edges: list[Edge]
-    metadata: dict[str, str] = field(default_factory=dict, compare=False)
+    edges: tuple[Edge, ...]
+    metadata: Mapping[str, str] = field(default_factory=dict, compare=False)
     # derived adjacency, built once; excluded from equality
-    _out: list[list[tuple[int, int]]] = field(init=False, repr=False, compare=False)
+    _out: tuple[tuple[tuple[int, int], ...], ...] = field(
+        init=False, repr=False, compare=False)
     srcs: np.ndarray = field(init=False, repr=False, compare=False)
     dsts: np.ndarray = field(init=False, repr=False, compare=False)
     # per-edge BPR parameters as arrays, for the vectorized edge costs
@@ -70,46 +78,79 @@ class Network:
     powers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        edges = tuple(self.edges)
         out = [[] for _ in range(self.node_count + 1)]
-        for e in self.edges:
+        for e in edges:
             out[e.src].append((e.dst, e.id))
-        self._out = out
-        self.srcs = np.array([e.src for e in self.edges], dtype=np.int64)
-        self.dsts = np.array([e.dst for e in self.edges], dtype=np.int64)
-        self.capacities = np.array([e.capacity for e in self.edges])
-        self.free_flows = np.array([e.free_flow for e in self.edges])
-        self.b_coeffs = np.array([e.b_coeff for e in self.edges])
-        self.powers = np.array([e.power for e in self.edges])
+        derived = {
+            "edges": edges,
+            "metadata": MappingProxyType(dict(self.metadata)),
+            "_out": tuple(map(tuple, out)),
+            "srcs": _column(edges, "src", np.int64),
+            "dsts": _column(edges, "dst", np.int64),
+            "capacities": _column(edges, "capacity"),
+            "free_flows": _column(edges, "free_flow"),
+            "b_coeffs": _column(edges, "b_coeff"),
+            "powers": _column(edges, "power"),
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), (self.node_count, self.edges, dict(self.metadata))
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DemandTable:
-    entries: dict[tuple[int, int], float]
+    """Origin-destination demand, read-only once built: ``entries`` and
+    ``metadata`` are read-only mappings over the table's own copies."""
+
+    entries: Mapping[tuple[int, int], float]
     total: float = field(init=False)
-    metadata: dict[str, str] = field(default_factory=dict, compare=False)
+    metadata: Mapping[str, str] = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        for pair, flow in self.entries.items():
-            # a plain float skips the type check, about 1 us an entry:
-            # every run builds its table anew
+        entries = dict(self.entries)
+        for pair, flow in entries.items():
+            # a plain float skips the type check, about 1 us an entry
             if type(flow) is not float:
                 flow = require_real(flow, f"demand {pair}")
             # NaN fails the comparison
             if not 0.0 <= flow < math.inf:
                 raise ValidationError(
                     f"demand {pair} must be finite and >= 0, got {flow}")
-        self.total = float(sum(self.entries.values()))
+        object.__setattr__(self, "entries", MappingProxyType(entries))
+        object.__setattr__(self, "metadata",
+                           MappingProxyType(dict(self.metadata)))
+        object.__setattr__(self, "total", float(sum(entries.values())))
+
+    def __reduce__(self):
+        return type(self), (dict(self.entries), dict(self.metadata))
+
+
+def _column(edges: tuple[Edge, ...], name: str, dtype=float) -> np.ndarray:
+    """Every edge's ``name``, in file order, as a read-only array."""
+    return read_only(np.array([getattr(e, name) for e in edges], dtype=dtype))
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """``array``, made read-only."""
+    array.flags.writeable = False
+    return array
 
 
 def require_int(value, what: str, minimum: int) -> int:
     """``value`` as an int of at least ``minimum``.  A numpy integer will
-    do; a float, even a whole one, is a ``ValidationError`` (``what must
-    be an integer``), never truncated, and so is a smaller value."""
+    do; a bool, or a float, even a whole one, is a ``ValidationError``
+    (``what must be an integer``), never truncated, and so is a smaller
+    value."""
     try:
+        if isinstance(value, bool):     # an int to Python, never a count
+            raise TypeError
         number = operator.index(value)
     except TypeError:
         raise ValidationError(

@@ -149,6 +149,41 @@ class TestConfigValidation:
         assert len(run_abstract(config, 3)) == 3
 
 
+class TestFrozenConfig:
+    """A config cannot change once built, so a seed fixes its run."""
+
+    def test_initial_signal_cannot_be_written(self):
+        config = two_action_config(scheme=extreme_scheme(3))
+        before = abstract_rows_digest(run_abstract(config, 5))
+        with pytest.raises(ValueError, match="read-only"):
+            config.initial_signal[0, 0] = 0.0
+        assert abstract_rows_digest(run_abstract(config, 5)) == before
+
+    def test_initial_signal_is_the_configs_own(self):
+        init = np.array([[0.2, 0.5], [0.3, 0.8]])
+        config = two_action_config(initial_signal=init)
+        init[0, 0] = 0.0
+        assert config.initial_signal[0, 0] == 0.2
+
+    def test_costs_cannot_grow(self):
+        config = two_action_config()
+        assert type(config.costs) is tuple
+        with pytest.raises(AttributeError):
+            config.costs.append(linear_cost_fn(10))
+        assert len(config.costs) == config.action_count == 2
+
+    def test_caller_list_of_costs_is_copied(self):
+        costs = [linear_cost_fn(10), linear_cost_fn(10, offset=0.05)]
+        config = two_action_config(costs=costs)
+        costs.append(linear_cost_fn(10))
+        assert len(config.costs) == 2
+
+    def test_omegas_cannot_be_written(self):
+        config = two_action_config()
+        with pytest.raises(ValueError, match="read-only"):
+            config.omegas[0] = 1.0
+
+
 class TestStepColumn:
     """One period of the model through ``tests/oracle.py``'s one-column
     stepper: emit the signal, ``_play`` it, record the costs."""

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from intervalsig import assignment
+from intervalsig import assignment, engine
 from intervalsig.assignment import (
     BATCH_CROSSOVER,
     ROW_DAG_CACHE,
@@ -838,7 +838,10 @@ class TestWarmStart:
         assert branches["exact"] > 0 and branches["relaxed"] > 0
 
     def test_sioux_falls_trajectory_matches_cold_start(self, monkeypatch):
-        # under extreme r = 5 most new signals relax from their bounds
+        # under extreme r = 5 most new signals relax from their bounds;
+        # the run builds the shared plan, whose zero warm-up signal is
+        # the one cold start
+        engine._instance_plan.cache_clear()
         calls = record_distances(monkeypatch)
         run(RunConfig(scheme=extreme_scheme(5), horizon=150, seed=0,
                       instance="sioux-falls"))

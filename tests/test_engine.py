@@ -3,14 +3,21 @@ CSV emission, and the diamond closed-form reference point."""
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from intervalsig import engine
+import intervalsig
+from intervalsig import assignment, engine
 from intervalsig.costs import edge_costs
 from intervalsig.engine import (
     RunConfig,
@@ -22,12 +29,20 @@ from intervalsig.engine import (
     summarize,
     write_csv,
 )
-from intervalsig.instances import diamond_net_text
+from intervalsig.instances import (
+    diamond_net_text,
+    diamond_trips_text,
+    load_instance,
+)
 from intervalsig.network import NoPathError, parse_network
+from intervalsig.population import uniform_type_set
 from intervalsig.signaling import (
+    Scheme,
     extreme_scheme,
+    full_extreme_scheme,
     mean_scheme,
     now_scheme,
+    subinterval_scheme,
 )
 
 
@@ -176,6 +191,19 @@ class TestConfigValidation:
         config = diamond_config(horizon=np.int64(3), type_count=np.int32(4))
         assert (config.horizon, config.type_count) == (3, 4)
         assert len(run(config)) == 3
+
+    @pytest.mark.parametrize("name", ["seed", "horizon", "type_count"])
+    def test_bool_rejected_at_construction(self, name):
+        # True is an int to Python, but it is no seed or count
+        with pytest.raises(ValidationError,
+                           match="must be an integer, got True"):
+            diamond_config(**{name: True})
+
+    def test_seed_checked_at_construction(self):
+        config = diamond_config(seed=np.int64(3))
+        assert config.seed == 3 and type(config.seed) is int
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            diamond_config(seed=-1)
 
     def test_type_count_below_two_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="type count must be >= 2"):
@@ -428,3 +456,156 @@ class TestDiamondOracle:
             f = np.array([30.0, upper, lower, upper, lower])
             assert f @ edge_costs(net, f, capped=False) > \
                 oracle["uncapped_cost"]
+
+
+RUN_COLUMNS = ["flows", "signal", "costs", "social_cost", "total_excess",
+               "weights"]
+
+# Each config run by itself in a fresh process, from cold caches: the
+# columns' sha256, one line per config.
+COLD_RUNS = """
+import hashlib, json, sys
+from intervalsig import engine, instances
+from intervalsig.signaling import Scheme
+for instance, kind, window, shrink, horizon, types in json.loads(
+        sys.argv[1]):
+    engine._instance_plan.cache_clear()
+    instances.load_instance.cache_clear()
+    result = engine.run(engine.RunConfig(
+        scheme=Scheme(kind, window=window, shrink=shrink), horizon=horizon,
+        seed=1, instance=instance, type_count=types))
+    print(hashlib.sha256(b"".join(getattr(result, name).tobytes()
+                                  for name in sys.argv[2:])).hexdigest())
+"""
+
+
+def columns_sha256(result) -> str:
+    return hashlib.sha256(b"".join(getattr(result, name).tobytes()
+                                   for name in RUN_COLUMNS)).hexdigest()
+
+
+class TestSharedInstancePlan:
+    """A built-in instance and its loading plan are built once per
+    process, on inputs that cannot change; every run takes a fresh copy
+    of the plan, whose memo starts at the zero warm-up signal's DAGs."""
+
+    FIVE_TYPES = uniform_type_set(5)
+
+    def test_load_instance_returns_the_same_frozen_objects(self):
+        for name in ("diamond", "sioux-falls"):
+            net, demand = load_instance(name)
+            again = load_instance(name)
+            assert again[0] is net and again[1] is demand
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                net.edges = ()
+            assert not net.capacities.flags.writeable
+            with pytest.raises(TypeError):
+                demand.entries[(1, 2)] = 1.0
+
+    def test_file_configs_read_their_files_on_every_run(self, tmp_path):
+        net_path, trips_path = tmp_path / "net.tntp", tmp_path / "trips.tntp"
+        net_path.write_text(diamond_net_text())
+        trips_path.write_text(diamond_trips_text())
+        config = diamond_config(instance=None, net_path=net_path,
+                                trips_path=trips_path, horizon=20)
+        first = columns_sha256(run(config))
+        assert first == columns_sha256(run(diamond_config(horizon=20)))
+        # the upper middle link's capacity doubled
+        rewritten = diamond_net_text().replace("2 3 15 0 2", "2 3 30 0 2")
+        assert rewritten != diamond_net_text()
+        net_path.write_text(rewritten)
+        assert columns_sha256(run(config)) != first
+
+    def test_shared_arrays_are_read_only(self):
+        plan = engine._instance_plan("sioux-falls", self.FIVE_TYPES)
+        assert plan.batched
+        dags = plan._memo
+        assert dags.key == np.zeros((plan.net.edge_count, 2)).tobytes()
+        arrays = [value for value in vars(dags).values()
+                  if isinstance(value, np.ndarray)]
+        assert len(arrays) == 5
+        arrays += list(vars(plan._layout).values()) + [plan.omegas]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dags.key = b""
+        with pytest.raises(TypeError):
+            plan.by_origin[1] = ()
+
+    def test_fresh_plans_share_the_memo_not_the_row_dag_cache(self):
+        shared = engine._instance_plan("sioux-falls", self.FIVE_TYPES)
+        one, two = shared.fresh(), shared.fresh()
+        assert one._memo is two._memo is shared._memo
+        assert one._layout is two._layout is shared._layout
+        assert one._row_dags == {} == two._row_dags
+        assert one._row_dags is not two._row_dags
+
+    def test_per_row_plan_keeps_no_memo(self):
+        plan = engine._instance_plan("diamond", self.FIVE_TYPES)
+        assert not plan.batched and plan._memo is None
+        assert "_layout" not in vars(plan)
+
+    def test_second_run_builds_nothing_in_period_one(self, monkeypatch):
+        engine._instance_plan.cache_clear()
+        calls = {"layout": 0, "dijkstra": 0, "dags": 0, "distances": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(assignment, fn.__name__, wrapper)
+
+        counted("layout", assignment._Layout)
+        counted("dijkstra", assignment.dijkstra)
+        counted("dags", assignment._dags)
+        counted("distances", assignment._distances)
+        config = RunConfig(scheme=extreme_scheme(5), horizon=1, seed=0,
+                           instance="sioux-falls")
+        cold = run(config)
+        # one Dijkstra per origin: the zero signal gives every type the
+        # same weights, and every row is a plateau row
+        assert calls == {"layout": 1, "dijkstra": 24, "dags": 1,
+                         "distances": 1}
+        # a longer run moves its own memo on, not the shared plan's
+        run(dataclasses.replace(config, horizon=8))
+        assert calls["distances"] > 1
+        calls.update(dict.fromkeys(calls, 0))
+        warm = run(config)
+        assert calls == dict.fromkeys(calls, 0)
+        assert columns_sha256(warm) == columns_sha256(cold)
+
+
+class TestWarmRunEqualsCold:
+    """Runs in this process, on warm caches, give the bytes of the same
+    configs run one by one in a fresh process from cold caches."""
+
+    CONFIGS = (
+        [("sioux-falls", "extreme", 5, None, 5, 5),
+         ("sioux-falls", "now", None, None, 5, 5),
+         ("sioux-falls", "extreme", 5, None, 5, 3)]
+        + [("diamond", s.kind, s.window, s.shrink, 50, 5)
+           for s in (now_scheme(), mean_scheme(), extreme_scheme(5),
+                     full_extreme_scheme(), subinterval_scheme(5, 0.5))])
+
+    def test_warm_runs_match_a_fresh_process(self):
+        src = Path(intervalsig.__file__).resolve().parents[1]
+        cold = subprocess.run(
+            [sys.executable, "-c", COLD_RUNS, json.dumps(self.CONFIGS),
+             *RUN_COLUMNS],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, check=True, timeout=120).stdout.split()
+        assert len(cold) == len(self.CONFIGS)
+        hits = engine._instance_plan.cache_info().hits
+        for repeat in range(2):
+            warm = [columns_sha256(run(RunConfig(
+                        scheme=Scheme(kind, window=window, shrink=shrink),
+                        horizon=horizon, seed=1, instance=instance,
+                        type_count=types)))
+                    for instance, kind, window, shrink, horizon, types
+                    in self.CONFIGS]
+            assert warm == cold, repeat
+        # every run of the second round, at least, read the shared plan
+        assert (engine._instance_plan.cache_info().hits
+                >= hits + len(self.CONFIGS))

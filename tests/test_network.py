@@ -1,6 +1,8 @@
 """TNTP ingestion, serialization round-trips, and shortest-path splitting."""
 
+import dataclasses
 import importlib.resources
+import pickle
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from intervalsig.network import (
     DemandTable,
+    Network,
     NoPathError,
     ParseError,
     ValidationError,
     parse_network,
     parse_trips,
+    require_int,
     require_reachable,
 )
 
@@ -78,7 +82,7 @@ class TestParseNetwork:
     def test_empty_edge_section(self):
         net = parse_network(
             "<NUMBER OF NODES> 3\n<END OF METADATA>\n")
-        assert net.edges == []
+        assert net.edges == ()
         assert net.node_count == 3
 
     def test_node_count_is_max_of_metadata_and_ids(self):
@@ -178,6 +182,89 @@ class TestDemandTable:
     def test_numbers_of_any_real_type_pass(self):
         table = DemandTable({(1, 2): 0.0, (1, 3): 2, (2, 3): np.float32(1.5)})
         assert table.total == 3.5
+
+
+DERIVED_ARRAYS = ["srcs", "dsts", "capacities", "free_flows", "b_coeffs",
+                  "powers"]
+
+
+class TestFrozenInputs:
+    """A network and a demand table cannot change once built, so every
+    plan and run built on one sees the inputs that were checked."""
+
+    def test_network_fields_cannot_be_rebound(self):
+        net = diamond()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.edges = net.edges[:2]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            net.node_count = 9
+
+    def test_edges_are_a_tuple(self):
+        edges = list(diamond().edges)
+        net = Network(5, edges)
+        assert type(net.edges) is tuple
+        edges.pop()
+        assert net.edge_count == len(net.srcs) == 5
+        with pytest.raises(AttributeError):
+            net.edges.append(net.edges[0])
+
+    @pytest.mark.parametrize("name", DERIVED_ARRAYS)
+    def test_derived_arrays_are_read_only(self, name):
+        array = getattr(diamond(), name)
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+
+    @pytest.mark.parametrize("name", DERIVED_ARRAYS)
+    def test_derived_arrays_are_the_networks_own(self, name):
+        one, two = diamond(), diamond()
+        assert getattr(one, name) is not getattr(two, name)
+        assert getattr(one, name).base is None
+
+    def test_network_metadata_is_read_only(self):
+        net = diamond()
+        assert net.metadata["NUMBER OF NODES"] == "5"
+        with pytest.raises(TypeError):
+            net.metadata["NUMBER OF NODES"] = "6"
+
+    def test_demand_entries_are_read_only(self):
+        table = parse_trips(DIAMOND_TRIPS)
+        with pytest.raises(TypeError):
+            table.entries[(1, 5)] = 99.0
+        with pytest.raises(TypeError):
+            table.metadata["TOTAL OD FLOW"] = "99"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.total = 99.0
+
+    def test_demand_table_holds_its_own_copy(self):
+        # editing the caller's dict cannot unsettle the checked total
+        entries = {(1, 5): 30.0}
+        table = DemandTable(entries)
+        entries[(1, 5)] = -1.0
+        entries[(1, 2)] = 4.0
+        assert dict(table.entries) == {(1, 5): 30.0}
+        assert table.total == 30.0
+
+    def test_pickle_round_trip(self):
+        net, table = diamond(), parse_trips(DIAMOND_TRIPS)
+        again = pickle.loads(pickle.dumps((net, table)))
+        assert again == (net, table)
+        assert again[0].metadata == net.metadata
+        assert again[1].metadata == table.metadata
+        assert not again[0].srcs.flags.writeable
+
+
+class TestRequireInt:
+    @pytest.mark.parametrize("value", [True, False, np.True_, 2.0, "2"])
+    def test_bools_and_non_integers_rejected(self, value):
+        with pytest.raises(ValidationError,
+                           match="count must be an integer"):
+            require_int(value, "count", 0)
+
+    def test_integers_of_any_integer_type_pass(self):
+        for value in (3, np.int64(3), np.uint8(3)):
+            got = require_int(value, "count", 0)
+            assert got == 3 and type(got) is int
 
 
 class TestBundledSiouxFalls:

@@ -292,12 +292,20 @@ class TestSchemeFamily:
                     match=f"{kind} window must be an integer, got {window}"):
                 Scheme(kind, window=window, shrink=shrink)
 
+    @pytest.mark.parametrize("window", [True, False])
+    def test_bool_window_rejected_at_construction(self, window):
+        # a bool is an int to Python, but no window
+        message = f"window must be an integer, got {window}"
+        with pytest.raises(ValidationError, match=message):
+            extreme_scheme(window)
+        with pytest.raises(ValidationError, match=message):
+            Scheme("subinterval", window=window, shrink=0.5)
+
     def test_numpy_integer_window_accepted(self):
         scheme = extreme_scheme(np.int64(4))
         assert type(scheme.window) is int
         assert scheme.label() == "extreme-r4"
         assert CostHistory(1, scheme).window == 4
-        assert Scheme("extreme", window=True).label() == "extreme-r1"
 
     def test_extreme_requires_window_argument(self):
         with pytest.raises(ValidationError):
