@@ -31,7 +31,7 @@ from .costs import (
     social_cost_abstract,
 )
 from .engine import Columns, signal_columns, table_csv
-from .network import read_only, require_int
+from .network import read_only, require_int, require_real
 from .population import (
     PopulationProfile,
     RenewalProcess,
@@ -89,10 +89,11 @@ class AbstractConfig:
     def __post_init__(self):
         # NaN fails the comparison, so only finite counts of at least 1
         # pass; fractional ones stay allowed
-        if not 1 <= self.agent_count < math.inf:
+        if not 1 <= require_real(self.agent_count, "agent count") < math.inf:
             raise ValidationError(
                 f"agent count must be a finite number >= 1, got "
                 f"{self.agent_count!r}")
+        object.__setattr__(self, "seed", require_int(self.seed, "seed", 0))
         object.__setattr__(self, "action_count", require_int(
             self.action_count, "action count", 1))
         object.__setattr__(self, "costs", tuple(self.costs))
@@ -235,7 +236,7 @@ class FlappingSpec:
     agent_count: int
 
     def __post_init__(self):
-        if self.gap_target <= 0:
+        if require_real(self.gap_target, "gap target") <= 0:
             raise ValidationError("gap target must be > 0")
         n = require_int(self.agent_count, "agent count", 3)
         if n % 2 == 0:

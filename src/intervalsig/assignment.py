@@ -9,8 +9,8 @@ for the period.
 A run holds one ``LoadPlan`` (the network, the demand grouped by
 origin, the type set, all checked once) and calls ``assign(plan,
 signal, shares)`` every period, with the period's share of each type.
-Runs on the same inputs can share a plan's checked, read-only parts
-and its memo through ``fresh`` copies.
+Runs on the same inputs can share one plan through shallow copies: each
+copy moves its own memo on and all of them share the row-DAG cache.
 The loading problem splits into *rows*, one per (type, origin).  Each
 row is loaded in one pass over the origin's tight-edge DAG (Dial's
 STOCH loading, Transp. Res. 5:83, 1971): equal splitting over all tight
@@ -52,7 +52,6 @@ enters or leaves the window.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
@@ -163,25 +162,25 @@ class LoadPlan:
     times edges loads in whole-array passes (``batched``).
 
     All a plan holds is read-only but its memo, which it rebinds and
-    never writes into, and its row-DAG cache, which ``fresh`` copies do
-    not share.
+    never writes into, and its row-DAG cache, which shallow copies of
+    the plan share: an entry depends on the weights, the origin and the
+    network alone.
     """
 
     def __init__(self, net: Network, demand: DemandTable, types: TypeSet):
-        for origin, dest in sorted(demand.entries):
+        by_origin: dict[int, list[tuple[int, float]]] = {}
+        for (origin, dest), flow in sorted(demand.entries.items()):
             if not (1 <= origin <= net.node_count
                     and 1 <= dest <= net.node_count):
                 raise ValidationError(
                     f"demand pair ({origin}, {dest}) has a node outside "
                     f"1..{net.node_count}")
+            by_origin.setdefault(origin, []).append((dest, flow))
         require_reachable(net, demand)
         self.net = net
         self.types = types
         # one row per type
         self.omegas = read_only(np.array(types.omegas)[:, None])
-        by_origin: dict[int, list[tuple[int, float]]] = {}
-        for (origin, dest), flow in sorted(demand.entries.items()):
-            by_origin.setdefault(origin, []).append((dest, flow))
         self.by_origin = MappingProxyType(
             {origin: tuple(dests) for origin, dests in by_origin.items()})
         self.row_count = len(types) * len(self.by_origin)
@@ -196,24 +195,10 @@ class LoadPlan:
     def _layout(self) -> _Layout:
         return _Layout(self)
 
-    def fresh(self) -> LoadPlan:
-        """This plan for another run: the same checked inputs, layout and
-        memo, and an empty row-DAG cache of its own."""
-        plan = copy.copy(self)
-        plan._row_dags = {}
-        return plan
-
-    def remember(self, signal: np.ndarray) -> None:
-        """Make a batched plan's memo hold ``signal``'s DAGs, as loading
-        ``signal`` would, so that the plan and its ``fresh`` copies reuse
-        them when ``signal`` comes; a per-row plan keeps no memo."""
-        if self.batched:
-            _memo_for(self, _checked_signal(self, signal))
-
 
 class _Layout:
     """The index arrays a batched plan gathers by, fixed per plan and
-    read-only, so that ``fresh`` copies share them.
+    read-only, so that copies of the plan share them.
 
     Per-node arrays are node-major, ``(node_count + 1, rows)``, so that a
     gather by node copies whole contiguous rows; flattened, node ``v`` of
@@ -279,23 +264,16 @@ class _Dags:
     key: bytes = b""            # the signal's bytes
 
 
-def _checked_signal(plan: LoadPlan, signal: np.ndarray) -> np.ndarray:
-    """The signal as a float array, once it is checked against the
-    plan's network."""
+def _checked_inputs(plan: LoadPlan, signal: np.ndarray,
+                    shares) -> tuple[np.ndarray, np.ndarray]:
+    """The signal and the type shares as float arrays, once they are
+    checked against the plan's network and type set."""
     signal = np.asarray(signal, dtype=float)
     if signal.shape != (plan.net.edge_count, 2):
         raise ValidationError(
             f"signal shape {signal.shape} does not match "
             f"({plan.net.edge_count}, 2)")
     require_finite_nonneg(signal, "signal endpoints")
-    return signal
-
-
-def _checked_inputs(plan: LoadPlan, signal: np.ndarray,
-                    shares) -> tuple[np.ndarray, np.ndarray]:
-    """The signal and the type shares as float arrays, once they are
-    checked against the plan's network and type set."""
-    signal = _checked_signal(plan, signal)
     shares = np.asarray(shares, dtype=float)
     if shares.shape != (len(plan.types),):
         raise ValidationError(
@@ -404,17 +382,26 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     """``assign`` in whole-array passes over all rows, bit for bit the
     per-row loop's flows.
 
-    The plan remembers the last signal's DAGs (``_memo_for``).  Only the
-    onward pass depends on the shares.  Node ``u``'s onward load is its
-    demand term, then its kept out-edges' heads' loads in reverse file
-    order, added one by one as the per-row reverse pass adds them.  The
-    pass takes the levels deepest first, so every head's load is final
-    when its tail's level comes, and one ``np.add.at`` adds a level's
-    heads' loads to their tails', in index order.  Each row's edge loads
+    The plan's memo holds the last signal's DAGs: a signal equal to the
+    memo's bit for bit keeps it; any other gets its kept edges from
+    ``_kept_edges``, and ``_dags`` builds new DAGs only when those differ
+    from the memo's.  Only the onward pass depends on the shares.  Node
+    ``u``'s onward load is its demand term, then its kept out-edges'
+    heads' loads in reverse file order, added one by one as the per-row
+    reverse pass adds them.  The pass takes the levels deepest first, so
+    every head's load is final when its tail's level comes, and one
+    ``np.add.at`` adds a level's heads' loads to their tails', in index
+    order.  Each row's edge loads
     are ``count[tail] * onward[head]`` and the flows their axis-0 sum,
     row by row.
     """
-    dags = _memo_for(plan, signal)
+    key = signal.tobytes()
+    dags = plan._memo
+    if dags is None or dags.key != key:
+        kept = _kept_edges(plan, signal)[0]
+        if dags is None or dags.kept_key != kept.tobytes():
+            dags = _dags(plan, kept)
+        dags = plan._memo = replace(dags, key=key)
     layout = plan._layout
     tail, head = dags.tail, dags.head
     onward = np.zeros(layout.start.size)
@@ -426,23 +413,6 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     loads = np.zeros(plan.row_count * plan.net.edge_count)
     loads[dags.kept_at] = dags.tail_count * onward[head]
     return loads.reshape(plan.row_count, -1).sum(axis=0)
-
-
-def _memo_for(plan: LoadPlan, signal: np.ndarray) -> _Dags:
-    """The plan's memo, made to hold ``signal``'s DAGs.
-
-    A signal equal to the memo's bit for bit keeps it; any other gets
-    its kept edges from ``_kept_edges``, and ``_dags`` builds new DAGs
-    only when those differ from the memo's.
-    """
-    key = signal.tobytes()
-    dags = plan._memo
-    if dags is None or dags.key != key:
-        kept = _kept_edges(plan, signal)[0]
-        if dags is None or dags.kept_key != kept.tobytes():
-            dags = _dags(plan, kept)
-        dags = plan._memo = replace(dags, key=key)
-    return dags
 
 
 def _kept_edges(plan: LoadPlan,

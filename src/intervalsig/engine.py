@@ -7,11 +7,13 @@ realize congestion costs, record them into the history, and write flows,
 costs, social cost and capacity excess into row t of the run's columns.
 
 A built-in instance's loading plan is built once per process and type
-set; every run on it loads through a ``fresh`` copy.
+set, and warmed by loading the zero warm-up signal once; every run on it
+loads through a shallow copy, which shares the plan's row-DAG cache.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 import math
@@ -29,8 +31,7 @@ from .costs import (
 )
 from .instances import load_instance
 from .network import (
-    DemandTable,
-    Network,
+    ParseError,
     ValidationError,
     parse_network,
     parse_trips,
@@ -97,23 +98,26 @@ class RunConfig:
         if paths and (self.net_path is None or self.trips_path is None):
             raise ValidationError("both net_path and trips_path are needed")
 
-    def load(self) -> tuple[Network, DemandTable]:
-        """The network and demand: a built-in instance's shared ones, or
-        the files parsed anew on every call."""
-        if self.instance is not None:
-            return load_instance(self.instance)
-        return (parse_network(Path(self.net_path).read_text()),
-                parse_trips(Path(self.trips_path).read_text()))
+
+def _read_tntp(path: str | Path) -> str:
+    """A TNTP file's text, read as UTF-8; undecodable bytes are a
+    ``ParseError`` naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
 
 
 @functools.cache
 def _instance_plan(instance: str, types: TypeSet) -> LoadPlan:
     """The built-in ``instance``'s plan for ``types``, built and checked
-    once per process.  A batched plan's memo holds the zero warm-up
-    signal's DAGs, which period 1 of every network run reads."""
+    once per process, then warmed by loading the zero warm-up signal,
+    which period 1 of every network run reads: a batched plan's memo
+    holds its DAGs, a per-row plan's row-DAG cache its rows' DAGs."""
     net, demand = load_instance(instance)
     plan = LoadPlan(net, demand, types)
-    plan.remember(np.zeros((net.edge_count, 2)))
+    assign(plan, np.zeros((net.edge_count, 2)), np.zeros(len(types)))
     return plan
 
 
@@ -211,9 +215,12 @@ def run(config: RunConfig) -> RunResult:
     """
     types = uniform_type_set(config.type_count)
     if config.instance is None:
-        plan = LoadPlan(*config.load(), types)
+        plan = LoadPlan(parse_network(_read_tntp(config.net_path)),
+                        parse_trips(_read_tntp(config.trips_path)), types)
     else:
-        plan = _instance_plan(config.instance, types).fresh()
+        # the copy moves its own memo on; the shared plan's stays at the
+        # zero warm-up signal for the next run
+        plan = copy.copy(_instance_plan(config.instance, types))
     net = plan.net
     renewal = uniform_perturbation(config.type_count, config.epsilon)
     history = CostHistory(net.edge_count, config.scheme)

@@ -117,6 +117,23 @@ class TestConfigValidation:
                            match="agent count must be a finite number"):
             two_action_config(agent_count=count)
 
+    @pytest.mark.parametrize("count", [True, "5"])
+    def test_non_real_agent_count_rejected(self, count):
+        # True used to build as one agent, and "5" to raise a bare
+        # TypeError from the comparison
+        with pytest.raises(ValidationError,
+                           match="agent count must be a real number"):
+            two_action_config(agent_count=count)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (2.0, "seed must be an integer, got 2.0"),
+        (True, "seed must be an integer, got True")])
+    def test_seed_checked_at_construction(self, seed, message):
+        # a negative seed used to build and fail only in ``run_abstract``
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            two_action_config(seed=seed)
+
     def test_fractional_agent_count_accepted(self):
         config = two_action_config(agent_count=10.5)
         result = run_abstract(config, 3)
@@ -449,6 +466,13 @@ class TestFlappingSpec:
         spec = FlappingSpec(gap_target=7.0, agent_count=np.int64(3))
         with pytest.raises(ValidationError, match="must be an integer"):
             flapping_demo(spec, horizon=2.5)
+
+    @pytest.mark.parametrize("gap_target", ["1", True])
+    def test_rejects_non_real_gap(self, gap_target):
+        # "1" used to raise a bare TypeError from the comparison
+        with pytest.raises(ValidationError,
+                           match="gap target must be a real number"):
+            FlappingSpec(gap_target=gap_target, agent_count=3)
 
     def test_rejects_nonpositive_gap(self):
         with pytest.raises(ValidationError):

@@ -708,7 +708,9 @@ class TestRowDagCache:
 
     def test_one_dijkstra_per_distinct_signal(self, monkeypatch):
         # under now every type reads the same weights, and the diamond
-        # has one origin
+        # has one origin; the run builds the shared plan, whose warm-up
+        # loads period 1's zero signal
+        engine._instance_plan.cache_clear()
         calls = []
         original = assignment.dijkstra
 

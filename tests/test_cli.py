@@ -2,6 +2,8 @@
 and reproducible file outputs."""
 
 import csv
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -323,6 +325,23 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", ["net.txt", "trips.txt"])
+    def test_undecodable_instance_file_is_a_user_error(
+            self, diamond_files, tmp_path, capsys, name):
+        # a Latin-1 comment line: byte 0xe9 starts no UTF-8 sequence
+        path = tmp_path / name
+        path.write_bytes(b"~ caf\xe9\n" + path.read_bytes())
+        net, trips = diamond_files
+        out = tmp_path / "x.csv"
+        code = main(["run", "--net", str(net), "--trips", str(trips),
+                     "--scheme", "now", "--horizon", "2", "--seed", "0",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @staticmethod
     def check(trajectories, horizon):
         config, inits = intervalsig.convergence_demo_config()
@@ -368,3 +387,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" in err
         assert "KeyError: 'no such column'" in err
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class TestTrackedResults:
+    def test_readme_flapping_commands_regenerate_tracked_csvs(self,
+                                                              tmp_path):
+        # README's commands, each writing into tmp_path instead of
+        # results/flapping/
+        tracked = ROOT / "results" / "flapping"
+        commands = [shlex.split(line)[1:]
+                    for line in (ROOT / "README.md").read_text(
+                        encoding="utf-8").splitlines()
+                    if line.startswith("intervalsig flapping-demo ")
+                    and "--out results/flapping/" in line]
+        assert len(commands) == 2
+        for argv in commands:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / Path(argv[at]).name)
+            assert main(argv) == 0
+        written = sorted(path.name for path in tmp_path.iterdir())
+        assert written == sorted(path.name for path in tracked.iterdir())
+        assert len(written) == 4
+        for name in written:
+            assert ((tmp_path / name).read_bytes()
+                    == (tracked / name).read_bytes()), name

@@ -486,7 +486,7 @@ def columns_sha256(result) -> str:
 
 class TestSharedInstancePlan:
     """A built-in instance and its loading plan are built once per
-    process, on inputs that cannot change; every run takes a fresh copy
+    process, on inputs that cannot change; every run takes a shallow copy
     of the plan, whose memo starts at the zero warm-up signal's DAGs."""
 
     FIVE_TYPES = uniform_type_set(5)
@@ -534,18 +534,50 @@ class TestSharedInstancePlan:
         with pytest.raises(TypeError):
             plan.by_origin[1] = ()
 
-    def test_fresh_plans_share_the_memo_not_the_row_dag_cache(self):
+    def test_run_copies_share_the_row_dag_cache_not_the_memo(
+            self, monkeypatch):
         shared = engine._instance_plan("sioux-falls", self.FIVE_TYPES)
-        one, two = shared.fresh(), shared.fresh()
-        assert one._memo is two._memo is shared._memo
-        assert one._layout is two._layout is shared._layout
-        assert one._row_dags == {} == two._row_dags
-        assert one._row_dags is not two._row_dags
+        zero_key = np.zeros((shared.net.edge_count, 2)).tobytes()
+        plans = []
+
+        def recorded(plan, signal, shares):
+            plans.append(plan)
+            return assignment.assign(plan, signal, shares)
+
+        monkeypatch.setattr(engine, "assign", recorded)
+        run(RunConfig(scheme=extreme_scheme(5), horizon=5, seed=0,
+                      instance="sioux-falls"))
+        copied = plans[0]
+        assert all(plan is copied for plan in plans)
+        assert copied is not shared
+        assert copied._layout is shared._layout
+        assert copied._row_dags is shared._row_dags
+        # the run's memo moved on; the shared plan's stays at the zero
+        # warm-up signal
+        assert copied._memo.key != zero_key
+        assert shared._memo.key == zero_key
 
     def test_per_row_plan_keeps_no_memo(self):
         plan = engine._instance_plan("diamond", self.FIVE_TYPES)
         assert not plan.batched and plan._memo is None
         assert "_layout" not in vars(plan)
+
+    def test_second_diamond_run_calls_no_dijkstra(self, monkeypatch):
+        # a cleared cache: no other test's entries can push this run's out
+        engine._instance_plan.cache_clear()
+        config = diamond_config(horizon=5)
+        first = run(config)
+        calls = []
+        original = assignment.dijkstra
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(assignment, "dijkstra", counted)
+        second = run(config)
+        assert calls == []
+        assert columns_sha256(second) == columns_sha256(first)
 
     def test_second_run_builds_nothing_in_period_one(self, monkeypatch):
         engine._instance_plan.cache_clear()
