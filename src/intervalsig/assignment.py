@@ -41,10 +41,13 @@ its DAG from ``_row_dag``.  A plan batches when its rows times edges
 reach ``BATCH_CROSSOVER``.
 
 Each plan caches the DAGs that ``_row_dag`` builds, keyed by the row's
-weight vector (its bytes) and then by origin, and drops the oldest
-weight vector once it holds ``ROW_DAG_CACHE`` of them.  A DAG is a pure
-function of the weights, the origin and the network, so a hit gives the
-bytes a rebuild would.  Hits are common: scalar signals (``now``,
+weight vector (its bytes) and then by origin.  Once it holds
+``ROW_DAG_CACHE`` weight vectors it drops the oldest but the first: a
+network run's first signal is the zero warm-up, and period 1 of every
+later run on the same plan (``engine._instance_plan`` shares one per
+built-in instance) loads it again.  A DAG is a pure function of the
+weights, the origin and the network, so a hit gives the bytes a
+rebuild would.  Hits are common: scalar signals (``now``,
 ``mean``, the zero warm-up) give every type the same weights, and a
 window min/max signal returns to earlier values whenever no extreme
 enters or leaves the window.
@@ -94,7 +97,8 @@ __all__ = [
 # 0.6 ms).  No instance lies between the diamond and 300.
 BATCH_CROSSOVER = 400
 
-# Weight vectors whose row DAGs a plan keeps, oldest dropped first.
+# Weight vectors whose row DAGs a plan keeps, the oldest but the first
+# dropped first.
 ROW_DAG_CACHE = 64
 
 
@@ -118,22 +122,61 @@ def pick_among_ties(weights: np.ndarray, u) -> np.ndarray:
     Among a row's ``n_ties`` minimal entries the ``int(u * n_ties)``-th
     is returned (clamped to the last), so a uniform ``u`` picks a tie
     uniformly and a unique minimizer is returned whatever ``u`` is.
-    ``u`` broadcasts against the rows, ``weights.shape[:-1]``.
+    ``u`` broadcasts against the rows, ``weights.shape[:-1]``.  A NaN
+    weight, or rows without entries, are a ``ValidationError``.
+
+    Rows seldom tie, so the pick finds each row's minimum first and
+    counts the entries equal to it.  Every row has at least one, so the
+    rows are tie-free exactly when the count equals the number of rows.
+    A NaN row has none and could make up for a tied row elsewhere, so a
+    NaN minimum is refused first (``min`` and the gather at ``argmin``
+    both carry a row's NaN to its minimum).  Tie-free rows return their
+    minimizers and read no ``u``; otherwise a running tie count picks in
+    every row.
 
     The reductions run over a contiguous ``(n, ...)`` copy along its
     first axis (no copy when ``weights`` is a view of such memory, as
     ``abstract_model._play`` passes): on many short rows that is many
-    times faster than reducing along the last axis.  The running tie
-    count takes one whole-array step per entry but the last when there
-    are fewer entries than rows, and one ``cumsum`` along the entry
-    axis otherwise; both give the same integers.  With fewer than 128
-    entries the tie counts are kept in single bytes, which makes the
-    count and the steps several times cheaper than in 64-bit integers.
+    times faster than reducing along the last axis.  With at least as
+    many entries as rows (``run_abstract``'s), ``argmin`` finds the
+    minimizers, several times faster than ``min`` there, and the minima
+    are gathered at them.  With fewer (``convergence_check``'s), ``min``
+    finds the minima, and a tie-free row's minimizer is its tie flags'
+    index-weighted sum.  The running tie count takes one ``cumsum``
+    along the entry axis when there are at least as many entries as
+    picks, and one whole-array step per entry but the last otherwise;
+    both give the same integers.  With fewer than 128 entries the tie
+    counts are kept in single bytes, which makes the count and the
+    steps several times cheaper than in 64-bit integers.
     """
     weights = np.asarray(weights)
+    if weights.ndim == 0 or weights.shape[-1] == 0:
+        raise ValidationError(
+            f"weights of shape {weights.shape} have no entries to pick")
     by_entry = np.ascontiguousarray(
         weights.transpose(-1, *range(weights.ndim - 1)))
-    ties = by_entry == by_entry.min(axis=0)
+    shape = by_entry.shape[1:]
+    rows = by_entry[0].size
+    choice = None
+    if len(by_entry) >= rows:
+        flat = by_entry.reshape(len(by_entry), rows)
+        choice = flat.argmin(axis=0)
+        low = flat[choice, np.arange(rows)].reshape(shape)
+    else:
+        low = by_entry.min(axis=0)
+    if np.isnan(low).any():
+        raise ValidationError("weights hold a NaN")
+    ties = by_entry == low
+    if np.count_nonzero(ties) == rows:
+        if choice is None:
+            choice = _lone_tie(ties)
+        choice = choice.reshape(shape)
+        if np.shape(u) != shape:
+            out = np.broadcast_shapes(shape, np.shape(u))
+            if out != shape:
+                choice = np.broadcast_to(choice, out).copy()
+        # a scalar for a single row, as the counting pick returns
+        return choice[()]
     n_ties = ties.sum(axis=0,
                       dtype=np.int8 if len(by_entry) < 128 else np.intp)
     pick = np.minimum((np.asarray(u) * n_ties).astype(int), n_ties - 1)
@@ -148,6 +191,18 @@ def pick_among_ties(weights: np.ndarray, u) -> np.ndarray:
         running += plane
         choice += running <= pick
     return choice
+
+
+def _lone_tie(ties: np.ndarray) -> np.ndarray:
+    """Per row of a tie-free ``(n, ...)`` mask, the index of its one
+    ``True``: the sum of each plane's index times its flags, one
+    whole-array step per entry but the first, in the narrowest unsigned
+    type that holds ``n - 1``."""
+    kind = np.min_scalar_type(len(ties) - 1)
+    choice = np.zeros(ties.shape[1:], dtype=kind)
+    for k, plane in enumerate(ties.view(np.uint8)[1:], 1):
+        choice += plane * kind.type(k)
+    return choice.astype(np.intp)
 
 
 class LoadPlan:
@@ -332,7 +387,10 @@ def _row_dag(plan: LoadPlan, weights: np.ndarray, origin: int) -> _RowDag:
     by_origin = cache.get(key)
     if by_origin is None:
         if len(cache) >= ROW_DAG_CACHE:
-            del cache[next(iter(cache))]
+            # the plan's first weight vector stays
+            keys = iter(cache)
+            next(keys)
+            del cache[next(keys)]
         by_origin = cache[key] = {}
     dag = by_origin.get(origin)
     if dag is not None:

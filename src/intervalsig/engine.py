@@ -114,7 +114,8 @@ def _instance_plan(instance: str, types: TypeSet) -> LoadPlan:
     """The built-in ``instance``'s plan for ``types``, built and checked
     once per process, then warmed by loading the zero warm-up signal,
     which period 1 of every network run reads: a batched plan's memo
-    holds its DAGs, a per-row plan's row-DAG cache its rows' DAGs."""
+    holds its DAGs, a per-row plan's row-DAG cache its rows' DAGs, which
+    the cache never drops."""
     net, demand = load_instance(instance)
     plan = LoadPlan(net, demand, types)
     assign(plan, np.zeros((net.edge_count, 2)), np.zeros(len(types)))

@@ -2,6 +2,7 @@
 the randomized action choice of the abstract model."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -736,7 +737,7 @@ class TestRowDagCache:
                            rec.weights)
             assert rec.flows.tobytes() == fresh.tobytes()
 
-    def test_bounded_and_first_in_first_out(self):
+    def test_bounded_keeps_the_first_and_drops_the_oldest_after_it(self):
         plan = LoadPlan(diamond(), diamond_demand(), FIVE_TYPES)
         rng = np.random.default_rng(2)
         keys = []
@@ -748,7 +749,7 @@ class TestRowDagCache:
                      for omega in FIVE_TYPES.omegas]
             assert len(plan._row_dags) <= ROW_DAG_CACHE
         assert len(set(keys)) == len(keys) > ROW_DAG_CACHE
-        assert list(plan._row_dags) == keys[-ROW_DAG_CACHE:]
+        assert list(plan._row_dags) == keys[:1] + keys[1 - ROW_DAG_CACHE:]
 
     def test_loading_leaves_cached_dags_unchanged(self):
         plan = LoadPlan(diamond(), diamond_demand(), FIVE_TYPES)
@@ -968,6 +969,73 @@ class TestChooseActionAbstract:
         view = np.moveaxis(np.ascontiguousarray(np.moveaxis(weights, -1, 0)),
                            0, -1)
         assert pick_among_ties(view, u).ravel().tolist() == want
+
+    # Wide rows (at least as many entries as rows) find the minimizers
+    # by ``argmin``, tall ones by ``min``; either way a tie-free array
+    # skips the tie count, and any tie takes the counting pick.
+    LAYOUTS = {"wide": [(5, 200), (2, 3, 40), (1,)],
+               "tall": [(1000, 2), (50, 20, 3), (300, 1)]}
+
+    def assert_matches_reference(self, weights, u):
+        rows = weights.reshape(-1, weights.shape[-1])
+        draws = np.broadcast_to(u, weights.shape[:-1]).ravel().tolist()
+        want = [self.reference_pick(row.tolist(), uu)
+                for row, uu in zip(rows, draws)]
+        picks = pick_among_ties(weights, u)
+        assert np.shape(picks) == weights.shape[:-1]
+        assert np.ravel(picks).tolist() == want
+        view = np.moveaxis(np.ascontiguousarray(np.moveaxis(weights, -1, 0)),
+                           0, -1)
+        assert np.ravel(pick_among_ties(view, u)).tolist() == want
+        return want
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("case", ["continuous", "one-tied-row",
+                                      "signed-zeros"])
+    @pytest.mark.parametrize("draw", ["random", 0.0, 1.0])
+    def test_layouts_match_python_reference(self, layout, case, draw):
+        rng = np.random.default_rng(11)
+        for shape in self.LAYOUTS[layout]:
+            weights = rng.random(shape)
+            rows = weights.reshape(-1, shape[-1])
+            row = rng.integers(len(rows))
+            if shape[-1] > 1 and case == "one-tied-row":
+                low = rows[row].argmin()
+                rows[row, (low + 1 + rng.integers(shape[-1] - 1))
+                     % shape[-1]] = rows[row, low]
+            elif shape[-1] > 1 and case == "signed-zeros":
+                # 0.0 and -0.0 tie under ==
+                rows[row, -1], rows[row, 0] = 0.0, -0.0
+            u = (rng.random(shape[:-1]) if draw == "random"
+                 else np.full(shape[:-1], draw))
+            want = self.assert_matches_reference(weights, u)
+            ties = np.flatnonzero(rows[row] == rows[row].min())
+            assert len(ties) == (2 if case != "continuous"
+                                 and shape[-1] > 1 else 1)
+            if draw != "random":
+                assert want[row] == ties[0 if draw == 0.0 else -1]
+
+    @pytest.mark.parametrize("shape", [(2,)] + LAYOUTS["wide"][:2]
+                             + LAYOUTS["tall"][:2],
+                             ids=["one-row", "wide", "wide-3d", "tall",
+                                  "tall-3d"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_nan_weight_is_refused(self, shape, tied):
+        # a NaN row counts no minimal entry, so a tied row elsewhere
+        # would make up the count of a tie-free array
+        weights = np.random.default_rng(3).random(shape)
+        rows = weights.reshape(-1, shape[-1])
+        rows[-1, 1] = np.nan
+        if tied:
+            rows[0, :2] = rows[0].min()
+        with pytest.raises(ValidationError, match="NaN"):
+            pick_among_ties(weights, 0.5)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0,), ()])
+    def test_no_entries_is_refused(self, shape):
+        with pytest.raises(ValidationError,
+                           match=re.escape(str(shape))):
+            pick_among_ties(np.zeros(shape), 0.5)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_batched_types_match_per_row_loop(self, seed):

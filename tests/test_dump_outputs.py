@@ -70,6 +70,25 @@ def test_bench_outputs_are_the_abstract_model_round(dump_outputs, tmp_path,
     assert hashlib.sha256(joined).hexdigest() == ABSTRACT_MODEL_SEED1
 
 
+# Outputs whose rows tie in some periods, so that the tie-pick counts
+# ties there: run_abstract over every cost kind (wide rows, a tie in 57
+# of 120 periods) and the convergence check at M = 8 (tall rows, 33 of
+# 120).  The sha256 of each one's bytes.
+TIE_FALLBACK = {
+    "abstract-mixed-extreme-r7": ("422bd45a91ad48d14f840470e0d39633a424e3e4"
+                                  "7d0fc101561ed71cf3b259c8"),
+    "convergence-m8": ("09e44a0c57589e74d0bbcf44a866b7f03ffecfecf859bbf354"
+                       "a47504fc3fea19"),
+}
+
+
+@pytest.mark.parametrize("name", TIE_FALLBACK)
+def test_tied_outputs_are_pinned(dump_outputs, tmp_path, capsys, name):
+    assert dump_outputs.main([str(tmp_path), "--only", name]) == 0
+    assert hashlib.sha256((tmp_path / f"{name}.bin")
+                          .read_bytes()).hexdigest() == TIE_FALLBACK[name]
+
+
 # What ``perfbench/run.py --workload sioux-falls --seed 1`` prints as its
 # digest: the sha256 of one round's run bytes.
 SIOUX_FALLS_SEED1 = ("edb0a368a0358b11b6d9de5712f3e1b93b5098bef9f09893858e8b"

@@ -579,6 +579,25 @@ class TestSharedInstancePlan:
         assert calls == []
         assert columns_sha256(second) == columns_sha256(first)
 
+    def test_long_run_keeps_the_warm_up_dags(self, monkeypatch):
+        # 500 periods under a short window cache far more than
+        # ROW_DAG_CACHE weight vectors; the zero warm-up's stays
+        engine._instance_plan.cache_clear()
+        config = RunConfig(scheme=extreme_scheme(5), horizon=500, seed=1,
+                           instance="diamond")
+        run(config)
+        calls = []
+        original = assignment.dijkstra
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(assignment, "dijkstra", counted)
+        one = run(dataclasses.replace(config, horizon=1))
+        assert calls == []
+        assert not one.signal.any()
+
     def test_second_run_builds_nothing_in_period_one(self, monkeypatch):
         engine._instance_plan.cache_clear()
         calls = {"layout": 0, "dijkstra": 0, "dags": 0, "distances": 0}
