@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import edge_weight, pick_among_ties
 from .costs import (
     AbstractCostFn,
     CostTable,
@@ -31,7 +30,7 @@ from .costs import (
     social_cost_abstract,
 )
 from .engine import Columns, signal_columns, table_csv
-from .network import read_only, require_int, require_real
+from .network import read_only, require_instance, require_int, require_real
 from .population import (
     PopulationProfile,
     RenewalProcess,
@@ -44,6 +43,7 @@ from .signaling import (
     CostHistory,
     Scheme,
     checked_initial_signal,
+    edge_weight,
     emit_signal,
     extreme_scheme,
     full_extreme_scheme,
@@ -87,6 +87,9 @@ class AbstractConfig:
     omegas: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        require_instance(self.scheme, Scheme, "scheme")
+        require_instance(self.renewal, RenewalProcess, "renewal")
+        require_instance(self.types, TypeSet, "types")
         # NaN fails the comparison, so only finite counts of at least 1
         # pass; fractional ones stay allowed
         if not 1 <= require_real(self.agent_count, "agent count") < math.inf:
@@ -140,6 +143,96 @@ class AbstractResult(Columns):
                    np.empty((horizon, action_count, 2)))
 
 
+def pick_among_ties(weights: np.ndarray, u) -> np.ndarray:
+    """Index of a minimal entry along the last axis, per row.
+
+    Among a row's ``n_ties`` minimal entries the ``int(u * n_ties)``-th
+    is returned (clamped to the last), so a uniform ``u`` picks a tie
+    uniformly and a unique minimizer is returned whatever ``u`` is.
+    ``u`` broadcasts against the rows, ``weights.shape[:-1]``.  A NaN
+    weight, or rows without entries, are a ``ValidationError``.
+
+    Rows seldom tie, so the pick finds each row's minimum first and
+    counts the entries equal to it.  Every row has at least one, so the
+    rows are tie-free exactly when the count equals the number of rows.
+    A NaN row has none and could make up for a tied row elsewhere, so a
+    NaN minimum is refused first (``min`` and the gather at ``argmin``
+    both carry a row's NaN to its minimum).  Tie-free rows return their
+    minimizers and read no ``u``; otherwise a running tie count picks in
+    every row.
+
+    The reductions run along the first axis of a contiguous ``(n, ...)``
+    copy, many times faster on many short rows than along the last axis.
+    ``_play`` passes a ``(types, ..., M)`` view of action-major ``(M,
+    types, ...)`` weights, batch axes innermost, so no copy is made.
+    With at least as many entries as rows (``run_abstract``'s),
+    ``argmin`` finds the minimizers, several times faster than ``min``
+    there, and the minima are gathered at them.  With fewer
+    (``convergence_check``'s), ``min`` finds the minima, and a tie-free
+    row's minimizer is its tie flags' index-weighted sum.  The running
+    tie count takes one ``cumsum`` along the entry axis when there are at
+    least as many entries as picks, and one whole-array step per entry
+    but the last otherwise; both give the same integers.  With fewer
+    than 128 entries the tie counts are kept in single bytes, which
+    makes the count and the steps several times cheaper than in 64-bit
+    integers.
+    """
+    weights = np.asarray(weights)
+    if weights.ndim == 0 or weights.shape[-1] == 0:
+        raise ValidationError(
+            f"weights of shape {weights.shape} have no entries to pick")
+    by_entry = np.ascontiguousarray(
+        weights.transpose(-1, *range(weights.ndim - 1)))
+    shape = by_entry.shape[1:]
+    rows = by_entry[0].size
+    choice = None
+    if len(by_entry) >= rows:
+        flat = by_entry.reshape(len(by_entry), rows)
+        choice = flat.argmin(axis=0)
+        low = flat[choice, np.arange(rows)].reshape(shape)
+    else:
+        low = by_entry.min(axis=0)
+    if np.isnan(low).any():
+        raise ValidationError("weights hold a NaN")
+    ties = by_entry == low
+    if np.count_nonzero(ties) == rows:
+        if choice is None:
+            choice = _lone_tie(ties)
+        choice = choice.reshape(shape)
+        if np.shape(u) != shape:
+            out = np.broadcast_shapes(shape, np.shape(u))
+            if out != shape:
+                choice = np.broadcast_to(choice, out).copy()
+        # a scalar for a single row, as the counting pick returns
+        return choice[()]
+    n_ties = ties.sum(axis=0,
+                      dtype=np.int8 if len(by_entry) < 128 else np.intp)
+    pick = np.minimum((np.asarray(u) * n_ties).astype(int), n_ties - 1)
+    if len(by_entry) >= pick.size:
+        return (np.cumsum(ties, axis=0) > pick).argmax(axis=0)
+    # The pick is the number of entries whose running count is still at
+    # most ``pick``: the count never falls and ends at n_ties > pick, so
+    # the last entry never counts and its plane is skipped.
+    running = np.zeros(n_ties.shape, dtype=n_ties.dtype)
+    choice = np.zeros(pick.shape, dtype=np.intp)
+    for plane in ties[:-1]:
+        running += plane
+        choice += running <= pick
+    return choice
+
+
+def _lone_tie(ties: np.ndarray) -> np.ndarray:
+    """Per row of a tie-free ``(n, ...)`` mask, the index of its one
+    ``True``: the sum of each plane's index times its flags, one
+    whole-array step per entry but the first, in the narrowest unsigned
+    type that holds ``n - 1``."""
+    kind = np.min_scalar_type(len(ties) - 1)
+    choice = np.zeros(ties.shape[1:], dtype=kind)
+    for k, plane in enumerate(ties.view(np.uint8)[1:], 1):
+        choice += plane * kind.type(k)
+    return choice.astype(np.intp)
+
+
 def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
           tie_uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One period's counts and realized costs, each ``(M, ...)``.
@@ -152,10 +245,9 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     axes: ``run_abstract`` passes none, ``convergence_check`` an arm
     axis of length 2, then 1 once its arms coalesce, and a trajectory
     axis, with draws of length one on the arm axis, since both arms
-    share them.  All types' weights form one action-major ``(M, types,
-    ...)`` array, tie-picked together through a ``(types, ..., M)`` view
-    of the same memory, so every array keeps the batch axis innermost;
-    the types' loads are then added in type order, so each count is the
+    share them.  All types' weights are tie-picked in one
+    ``pick_among_ties`` call, which says how they are laid out; the
+    types' loads are then added in type order, so each count is the
     same sum as type-by-type loading, and the cost table prices all
     actions.
     """

@@ -1,10 +1,11 @@
 """Turn a published interval signal into edge flows.
 
 Each traveller type reads the signal through a weight ``omega``: the
-route weight of an edge is ``omega * lower + (1 - omega) * upper``.
-Every agent of a type takes a weight-shortest route, splitting equally
-across all tied routes, and the per-type loads add up to the edge flows
-for the period.
+route weight of an edge is ``omega * lower + (1 - omega) * upper``
+(``signaling.edge_weight``).  Every agent of a type takes a
+weight-shortest route, splitting equally across all tied routes, tied
+within ``TIE_TOL`` and ``TIE_TOL_ABS``, and the per-type loads add up to
+the edge flows for the period.
 
 A run holds one ``LoadPlan`` (the network, the demand grouped by
 origin, the type set, all checked once) and calls ``assign(plan,
@@ -64,15 +65,15 @@ import numpy as np
 from .network import (
     DemandTable,
     Network,
-    TIE_TOL,
-    TIE_TOL_ABS,
+    NoPathError,
     ValidationError,
     dijkstra,
     read_only,
     require_finite_nonneg,
-    require_reachable,
+    require_instance,
 )
 from .population import TypeSet
+from .signaling import edge_weight
 
 __all__ = [
     "BATCH_CROSSOVER",
@@ -80,8 +81,6 @@ __all__ = [
     "ROW_DAG_CACHE",
     "ValidationError",
     "assign",
-    "edge_weight",
-    "pick_among_ties",
 ]
 
 # Rows x edges from which a plan loads in whole-array passes.  Below it
@@ -101,108 +100,10 @@ BATCH_CROSSOVER = 400
 # dropped first.
 ROW_DAG_CACHE = 64
 
-
-def edge_weight(signal: np.ndarray, omega: float) -> np.ndarray:
-    """Collapse a ``(..., n, 2)`` interval signal to ``(..., n)`` scalar
-    weights.
-
-    ``omega = 1`` trusts the lower endpoints, ``omega = 0`` the upper
-    ones, and values in between interpolate linearly.
-    """
-    signal = np.asarray(signal, dtype=float)
-    if signal.ndim < 2 or signal.shape[-1] != 2:
-        raise ValidationError(
-            f"signal must have shape (..., n, 2), got {signal.shape}")
-    return omega * signal[..., 0] + (1.0 - omega) * signal[..., 1]
-
-
-def pick_among_ties(weights: np.ndarray, u) -> np.ndarray:
-    """Index of a minimal entry along the last axis, per row.
-
-    Among a row's ``n_ties`` minimal entries the ``int(u * n_ties)``-th
-    is returned (clamped to the last), so a uniform ``u`` picks a tie
-    uniformly and a unique minimizer is returned whatever ``u`` is.
-    ``u`` broadcasts against the rows, ``weights.shape[:-1]``.  A NaN
-    weight, or rows without entries, are a ``ValidationError``.
-
-    Rows seldom tie, so the pick finds each row's minimum first and
-    counts the entries equal to it.  Every row has at least one, so the
-    rows are tie-free exactly when the count equals the number of rows.
-    A NaN row has none and could make up for a tied row elsewhere, so a
-    NaN minimum is refused first (``min`` and the gather at ``argmin``
-    both carry a row's NaN to its minimum).  Tie-free rows return their
-    minimizers and read no ``u``; otherwise a running tie count picks in
-    every row.
-
-    The reductions run over a contiguous ``(n, ...)`` copy along its
-    first axis (no copy when ``weights`` is a view of such memory, as
-    ``abstract_model._play`` passes): on many short rows that is many
-    times faster than reducing along the last axis.  With at least as
-    many entries as rows (``run_abstract``'s), ``argmin`` finds the
-    minimizers, several times faster than ``min`` there, and the minima
-    are gathered at them.  With fewer (``convergence_check``'s), ``min``
-    finds the minima, and a tie-free row's minimizer is its tie flags'
-    index-weighted sum.  The running tie count takes one ``cumsum``
-    along the entry axis when there are at least as many entries as
-    picks, and one whole-array step per entry but the last otherwise;
-    both give the same integers.  With fewer than 128 entries the tie
-    counts are kept in single bytes, which makes the count and the
-    steps several times cheaper than in 64-bit integers.
-    """
-    weights = np.asarray(weights)
-    if weights.ndim == 0 or weights.shape[-1] == 0:
-        raise ValidationError(
-            f"weights of shape {weights.shape} have no entries to pick")
-    by_entry = np.ascontiguousarray(
-        weights.transpose(-1, *range(weights.ndim - 1)))
-    shape = by_entry.shape[1:]
-    rows = by_entry[0].size
-    choice = None
-    if len(by_entry) >= rows:
-        flat = by_entry.reshape(len(by_entry), rows)
-        choice = flat.argmin(axis=0)
-        low = flat[choice, np.arange(rows)].reshape(shape)
-    else:
-        low = by_entry.min(axis=0)
-    if np.isnan(low).any():
-        raise ValidationError("weights hold a NaN")
-    ties = by_entry == low
-    if np.count_nonzero(ties) == rows:
-        if choice is None:
-            choice = _lone_tie(ties)
-        choice = choice.reshape(shape)
-        if np.shape(u) != shape:
-            out = np.broadcast_shapes(shape, np.shape(u))
-            if out != shape:
-                choice = np.broadcast_to(choice, out).copy()
-        # a scalar for a single row, as the counting pick returns
-        return choice[()]
-    n_ties = ties.sum(axis=0,
-                      dtype=np.int8 if len(by_entry) < 128 else np.intp)
-    pick = np.minimum((np.asarray(u) * n_ties).astype(int), n_ties - 1)
-    if len(by_entry) >= pick.size:
-        return (np.cumsum(ties, axis=0) > pick).argmax(axis=0)
-    # The pick is the number of entries whose running count is still at
-    # most ``pick``: the count never falls and ends at n_ties > pick, so
-    # the last entry never counts and its plane is skipped.
-    running = np.zeros(n_ties.shape, dtype=n_ties.dtype)
-    choice = np.zeros(pick.shape, dtype=np.intp)
-    for plane in ties[:-1]:
-        running += plane
-        choice += running <= pick
-    return choice
-
-
-def _lone_tie(ties: np.ndarray) -> np.ndarray:
-    """Per row of a tie-free ``(n, ...)`` mask, the index of its one
-    ``True``: the sum of each plane's index times its flags, one
-    whole-array step per entry but the first, in the narrowest unsigned
-    type that holds ``n - 1``."""
-    kind = np.min_scalar_type(len(ties) - 1)
-    choice = np.zeros(ties.shape[1:], dtype=kind)
-    for k, plane in enumerate(ties.view(np.uint8)[1:], 1):
-        choice += plane * kind.type(k)
-    return choice.astype(np.intp)
+# Tolerances for calling two route costs "tied": relative plus a small
+# absolute slack so exact-zero distances still admit ties.
+TIE_TOL = 1e-9
+TIE_TOL_ABS = 1e-12
 
 
 class LoadPlan:
@@ -212,9 +113,10 @@ class LoadPlan:
 
     Construction checks the demand once: a node outside
     ``1..node_count`` is a ``ValidationError`` and a pair that no route
-    connects a ``NoPathError``.  Rows are (type, origin) pairs, type-major
-    with origins ascending; a plan with at least ``BATCH_CROSSOVER`` rows
-    times edges loads in whole-array passes (``batched``).
+    connects, the first in sorted order, a ``NoPathError``.  Rows are
+    (type, origin) pairs, type-major with origins ascending; a plan with
+    at least ``BATCH_CROSSOVER`` rows times edges loads in whole-array
+    passes (``batched``).
 
     All a plan holds is read-only but its memo, which it rebinds and
     never writes into, and its row-DAG cache, which shallow copies of
@@ -223,6 +125,7 @@ class LoadPlan:
     """
 
     def __init__(self, net: Network, demand: DemandTable, types: TypeSet):
+        require_instance(types, TypeSet, "types")
         by_origin: dict[int, list[tuple[int, float]]] = {}
         for (origin, dest), flow in sorted(demand.entries.items()):
             if not (1 <= origin <= net.node_count
@@ -231,7 +134,16 @@ class LoadPlan:
                     f"demand pair ({origin}, {dest}) has a node outside "
                     f"1..{net.node_count}")
             by_origin.setdefault(origin, []).append((dest, flow))
-        require_reachable(net, demand)
+        for origin, dests in by_origin.items():
+            seen, stack = {origin}, [origin]
+            while stack:
+                new = {v for v, _ in net._out[stack.pop()]} - seen
+                seen |= new
+                stack += new
+            for dest, _ in dests:
+                if dest not in seen:
+                    raise NoPathError(
+                        f"destination {dest} unreachable from origin {origin}")
         self.net = net
         self.types = types
         # one row per type
@@ -456,7 +368,7 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     key = signal.tobytes()
     dags = plan._memo
     if dags is None or dags.key != key:
-        kept = _kept_edges(plan, signal)[0]
+        kept = _kept_edges(plan, signal)
         if dags is None or dags.kept_key != kept.tobytes():
             dags = _dags(plan, kept)
         dags = plan._memo = replace(dags, key=key)
@@ -473,11 +385,9 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     return loads.reshape(plan.row_count, -1).sum(axis=0)
 
 
-def _kept_edges(plan: LoadPlan,
-                signal: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _kept_edges(plan: LoadPlan, signal: np.ndarray) -> np.ndarray:
     """Every row's kept edges under ``signal``, as an ``(edges + 1,
-    rows)`` mask whose last edge (the padding edge) is never kept, and
-    the plateau rows.
+    rows)`` mask whose last edge (the padding edge) is never kept.
 
     Distances come from min-plus relaxation to a fixed point: like the
     heapq Dijkstra's, each is the minimum over routes of their
@@ -507,12 +417,11 @@ def _kept_edges(plan: LoadPlan,
     plateau = (tight & (head_dist == tail_dist)).any(axis=0)
     kept = np.append(tight & (head_dist > tail_dist) & ~plateau,
                      np.zeros((1, rows), dtype=bool), axis=0)
-    plateau_rows = np.flatnonzero(plateau).tolist()
     origins = list(plan.by_origin)
-    for row in plateau_rows:
+    for row in np.flatnonzero(plateau).tolist():
         kind, at = divmod(row, len(origins))
         kept[_row_dag(plan, weights[kind], origins[at])[0], row] = True
-    return kept, plateau_rows
+    return kept
 
 
 def _dags(plan: LoadPlan, kept: np.ndarray) -> _Dags:

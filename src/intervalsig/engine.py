@@ -35,6 +35,7 @@ from .network import (
     ValidationError,
     parse_network,
     parse_trips,
+    require_instance,
     require_int,
 )
 from .population import (
@@ -83,6 +84,11 @@ class RunConfig:
     epsilon: float = 0.15
 
     def __post_init__(self):
+        require_instance(self.scheme, Scheme, "scheme")
+        if not isinstance(self.capped, (bool, np.bool_)):
+            raise ValidationError(
+                f"capped must be a bool, got {self.capped!r}")
+        object.__setattr__(self, "capped", bool(self.capped))
         object.__setattr__(self, "seed", require_int(self.seed, "seed", 0))
         object.__setattr__(self, "horizon",
                            require_int(self.horizon, "horizon", 1))

@@ -7,8 +7,7 @@ order, as the plain lists it builds them in; the loader walks the nodes
 in that order and selects tight edges by the distances and ranks.  It
 serves rows with a distance plateau and plans too small to batch, and
 ``scripts/sioux_falls_reference.py`` calls ``dijkstra`` too.  The
-batched loader finds its distances without it.  ``TIE_TOL`` and
-``TIE_TOL_ABS`` say when two route costs count as tied.
+batched loader finds its distances without it.
 
 Node ids are 1-based as in TNTP files. Edges keep their file order; that
 order indexes every per-edge array in the rest of the package.
@@ -21,7 +20,6 @@ import math
 import numbers
 import operator
 import warnings
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -167,6 +165,14 @@ def require_real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValidationError(f"{what} must be a real number, got {value!r}")
     return float(value)
+
+
+def require_instance(value, kind: type, what: str):
+    """``value``, checked to be a ``kind`` (``what must be a kind``)."""
+    if not isinstance(value, kind):
+        raise ValidationError(
+            f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def require_finite_nonneg(values: np.ndarray, what: str) -> None:
@@ -324,36 +330,6 @@ def parse_trips(text: str) -> DemandTable:
                 f"trips total {table.total} differs from metadata "
                 f"{stated_val}; using the actual sum", stacklevel=2)
     return table
-
-
-def require_reachable(net: Network, demand: DemandTable) -> None:
-    """Raise ``NoPathError`` naming the first origin-destination pair
-    (in sorted order) that no route connects, found by breadth-first
-    search over the edges; nodes outside the network reach nothing."""
-    by_origin: dict[int, list[int]] = {}
-    for origin, dest in sorted(demand.entries):
-        by_origin.setdefault(origin, []).append(dest)
-    for origin, dests in by_origin.items():
-        seen = set()
-        queue = deque()
-        if 1 <= origin <= net.node_count:
-            seen.add(origin)
-            queue.append(origin)
-        while queue:
-            for v, _ in net._out[queue.popleft()]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        for dest in dests:
-            if dest not in seen:
-                raise NoPathError(
-                    f"destination {dest} unreachable from origin {origin}")
-
-
-# Tolerances for calling two route costs "tied": relative plus a small
-# absolute slack so exact-zero distances still admit ties.
-TIE_TOL = 1e-9
-TIE_TOL_ABS = 1e-12
 
 
 def dijkstra(net: Network, weights: np.ndarray,

@@ -5,7 +5,8 @@ scalar schemes emit degenerate intervals with u_lo = u_hi. A run's
 ``CostHistory`` is built once with its scheme and optional initial
 signal, and ``emit_signal`` reads everything from it: it is the one
 signal rule of both the network and the abstract model, which differ
-only in warm-up (see its docstring).
+only in warm-up (see its docstring).  ``edge_weight``, how a type reads
+a signal, is the one choice rule the two models share.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
-    ValidationError, require_finite_nonneg, require_int, require_real)
+    ValidationError, require_finite_nonneg, require_instance, require_int,
+    require_real)
 
 _KINDS = ("now", "mean", "extreme", "full_extreme", "subinterval")
 
@@ -112,7 +114,7 @@ class CostHistory:
                  initial: np.ndarray | None = None):
         m_count = require_int(m_count, "resource count", 1)
         self.m_count = m_count
-        self.scheme = scheme
+        self.scheme = require_instance(scheme, Scheme, "scheme")
         self.initial = (None if initial is None
                         else checked_initial_signal(initial, m_count))
         self.window = scheme.window or 1
@@ -233,3 +235,17 @@ def emit_signal(history: CostHistory) -> np.ndarray:
         signal[:, 0] = mid - half
         signal[:, 1] = mid + half
     return signal
+
+
+def edge_weight(signal: np.ndarray, omega: float) -> np.ndarray:
+    """Collapse a ``(..., n, 2)`` interval signal to ``(..., n)`` scalar
+    weights.
+
+    ``omega = 1`` trusts the lower endpoints, ``omega = 0`` the upper
+    ones, and values in between interpolate linearly.
+    """
+    signal = np.asarray(signal, dtype=float)
+    if signal.ndim < 2 or signal.shape[-1] != 2:
+        raise ValidationError(
+            f"signal must have shape (..., n, 2), got {signal.shape}")
+    return omega * signal[..., 0] + (1.0 - omega) * signal[..., 1]

@@ -14,8 +14,9 @@ destination.
 It keeps its own frozen copy of the heapq Dijkstra, with adjacency lists
 built here from ``net.edges``, so that a change to ``network.dijkstra``
 is never on both sides of a comparison.  From the package it takes only
-the model's tie policy (``TIE_TOL``, ``TIE_TOL_ABS``), the type-weight
-rule ``edge_weight``, the input checks, its data types and its errors.
+the model's tie policy (``assignment.TIE_TOL`` and ``TIE_TOL_ABS``),
+the type-weight rule ``signaling.edge_weight``, the input checks, its
+data types and its errors.
 
 ``sample_period`` is the population draw as a run once made it, one
 period at a time: one rejection loop per period under uniform
@@ -59,11 +60,14 @@ from intervalsig.abstract_model import (
     _play,
     ks_2samp,
 )
-from intervalsig.assignment import LoadPlan, _checked_inputs, edge_weight
-from intervalsig.costs import AbstractCostFn, minimize_scalar_on_interval
-from intervalsig.network import (
+from intervalsig.assignment import (
     TIE_TOL,
     TIE_TOL_ABS,
+    LoadPlan,
+    _checked_inputs,
+)
+from intervalsig.costs import AbstractCostFn, minimize_scalar_on_interval
+from intervalsig.network import (
     DemandTable,
     Network,
     NoPathError,
@@ -79,6 +83,7 @@ from intervalsig.signaling import (
     CostHistory,
     Scheme,
     checked_initial_signal,
+    edge_weight,
     emit_signal,
 )
 

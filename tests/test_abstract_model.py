@@ -1,7 +1,8 @@
-"""Resource-choice model on abstract actions: one period of the model,
-the run against its one-column reference stepper, the running-envelope
-signal recursion, the two-arm flapping construction, and
-the coupled-trajectory convergence check."""
+"""Resource-choice model on abstract actions: the randomized choice
+among tied actions, one period of the model, the run against its
+one-column reference stepper, the running-envelope signal recursion,
+the two-arm flapping construction, and the coupled-trajectory
+convergence check."""
 
 import copy
 import csv
@@ -22,10 +23,10 @@ from intervalsig.abstract_model import (
     convergence_check,
     convergence_demo_config,
     flapping_demo,
+    pick_among_ties,
     records_to_abstract_csv,
     run_abstract,
 )
-from intervalsig.assignment import edge_weight
 from intervalsig.costs import (
     flapping_cost_fn,
     linear_cost_fn,
@@ -42,6 +43,7 @@ from intervalsig.population import (
 )
 from intervalsig.signaling import (
     CostHistory,
+    edge_weight,
     emit_signal,
     extreme_scheme,
     full_extreme_scheme,
@@ -165,6 +167,18 @@ class TestConfigValidation:
         config = dataclasses.replace(config, action_count=np.int64(2))
         assert len(run_abstract(config, 3)) == 3
 
+    @pytest.mark.parametrize("name, value, kind", [
+        ("scheme", "now", "Scheme"),
+        ("renewal", None, "RenewalProcess"),
+        ("types", (0.0, 1.0), "TypeSet")])
+    def test_field_of_the_wrong_type_rejected(self, name, value, kind):
+        # a scheme name used to build and fail in ``run_abstract``, and
+        # the others to fail here with an AttributeError
+        config, _ = convergence_demo_config()
+        with pytest.raises(ValidationError,
+                           match=f"{name} must be a {kind}, got"):
+            dataclasses.replace(config, **{name: value})
+
 
 class TestFrozenConfig:
     """A config cannot change once built, so a seed fixes its run."""
@@ -199,6 +213,153 @@ class TestFrozenConfig:
         config = two_action_config()
         with pytest.raises(ValueError, match="read-only"):
             config.omegas[0] = 1.0
+
+
+class TestChooseActionAbstract:
+    """An abstract agent's choice: ``pick_among_ties`` over the weights
+    its type reads from the signal."""
+
+    SIG = np.array([[1.0, 3.0], [2.0, 2.0]])
+
+    def test_pessimist_picks_tighter_upper_bound(self):
+        assert pick_among_ties(edge_weight(self.SIG, 0.0), 0.3) == 1
+
+    def test_optimist_picks_lower_lower_bound(self):
+        assert pick_among_ties(edge_weight(self.SIG, 1.0), 0.3) == 0
+
+    def test_singleton_argmin_ignores_rng_state(self):
+        picks = {int(pick_among_ties(edge_weight(self.SIG, 0.0), u))
+                 for u in np.random.default_rng(0).random(50)}
+        assert picks == {1}
+
+    def test_tie_breaks_uniformly(self):
+        sig = np.array([[2.0, 4.0], [2.0, 4.0]])
+        u = np.random.default_rng(31).random(10_000)
+        picks = pick_among_ties(np.tile(edge_weight(sig, 0.5), (10_000, 1)),
+                                u)
+        assert abs(picks.mean() - 0.5) <= 0.02
+
+    def test_picks_the_draws_share_of_the_ties(self):
+        weights = np.array([[3.0, 1.0, 2.0, 1.0, 1.0]] * 4)
+        picks = pick_among_ties(weights, np.array([0.0, 0.34, 0.9, 1.0]))
+        assert picks.tolist() == [1, 3, 4, 4]
+
+    @staticmethod
+    def reference_pick(row, u):
+        low = min(row)
+        ties = [i for i, w in enumerate(row) if w == low]
+        return ties[min(int(u * len(ties)), len(ties) - 1)]
+
+    # (500, 2, 3): 1000 rows of 3 entries, counted a plane at a time;
+    # (2, 200): 2 rows of 200 entries, counted with ``cumsum``;
+    # (300, 1): one entry, which every row picks;
+    # (400, 130): a plane at a time, with counts too wide for a byte
+    @pytest.mark.parametrize("shape", [(500, 2, 3), (2, 200), (300, 1),
+                                       (400, 130)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tie_count_matches_python_reference(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(0, 3, shape).astype(float)
+        rows = weights.reshape(-1, shape[-1])
+        rows[0] = 2.0                          # every entry of a row ties
+        rows[-1] = 0.0
+        u = rng.random(shape[:-1])
+        u.flat[0], u.flat[-1], u.flat[1] = 0.0, 1.0, 1.0
+        want = [self.reference_pick(row.tolist(), uu)
+                for row, uu in zip(rows, u.ravel().tolist())]
+        picks = pick_among_ties(weights, u)
+        assert picks.shape == shape[:-1]
+        assert picks.ravel().tolist() == want
+        # an entry-major array passed as a view, as the abstract model does
+        view = np.moveaxis(np.ascontiguousarray(np.moveaxis(weights, -1, 0)),
+                           0, -1)
+        assert pick_among_ties(view, u).ravel().tolist() == want
+
+    # Wide rows (at least as many entries as rows) find the minimizers
+    # by ``argmin``, tall ones by ``min``; either way a tie-free array
+    # skips the tie count, and any tie takes the counting pick.
+    LAYOUTS = {"wide": [(5, 200), (2, 3, 40), (1,)],
+               "tall": [(1000, 2), (50, 20, 3), (300, 1)]}
+
+    def assert_matches_reference(self, weights, u):
+        rows = weights.reshape(-1, weights.shape[-1])
+        draws = np.broadcast_to(u, weights.shape[:-1]).ravel().tolist()
+        want = [self.reference_pick(row.tolist(), uu)
+                for row, uu in zip(rows, draws)]
+        picks = pick_among_ties(weights, u)
+        assert np.shape(picks) == weights.shape[:-1]
+        assert np.ravel(picks).tolist() == want
+        view = np.moveaxis(np.ascontiguousarray(np.moveaxis(weights, -1, 0)),
+                           0, -1)
+        assert np.ravel(pick_among_ties(view, u)).tolist() == want
+        return want
+
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    @pytest.mark.parametrize("case", ["continuous", "one-tied-row",
+                                      "signed-zeros"])
+    @pytest.mark.parametrize("draw", ["random", 0.0, 1.0])
+    def test_layouts_match_python_reference(self, layout, case, draw):
+        rng = np.random.default_rng(11)
+        for shape in self.LAYOUTS[layout]:
+            weights = rng.random(shape)
+            rows = weights.reshape(-1, shape[-1])
+            row = rng.integers(len(rows))
+            if shape[-1] > 1 and case == "one-tied-row":
+                low = rows[row].argmin()
+                rows[row, (low + 1 + rng.integers(shape[-1] - 1))
+                     % shape[-1]] = rows[row, low]
+            elif shape[-1] > 1 and case == "signed-zeros":
+                # 0.0 and -0.0 tie under ==
+                rows[row, -1], rows[row, 0] = 0.0, -0.0
+            u = (rng.random(shape[:-1]) if draw == "random"
+                 else np.full(shape[:-1], draw))
+            want = self.assert_matches_reference(weights, u)
+            ties = np.flatnonzero(rows[row] == rows[row].min())
+            assert len(ties) == (2 if case != "continuous"
+                                 and shape[-1] > 1 else 1)
+            if draw != "random":
+                assert want[row] == ties[0 if draw == 0.0 else -1]
+
+    @pytest.mark.parametrize("shape", [(2,)] + LAYOUTS["wide"][:2]
+                             + LAYOUTS["tall"][:2],
+                             ids=["one-row", "wide", "wide-3d", "tall",
+                                  "tall-3d"])
+    @pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+    def test_nan_weight_is_refused(self, shape, tied):
+        # a NaN row counts no minimal entry, so a tied row elsewhere
+        # would make up the count of a tie-free array
+        weights = np.random.default_rng(3).random(shape)
+        rows = weights.reshape(-1, shape[-1])
+        rows[-1, 1] = np.nan
+        if tied:
+            rows[0, :2] = rows[0].min()
+        with pytest.raises(ValidationError, match="NaN"):
+            pick_among_ties(weights, 0.5)
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0,), ()])
+    def test_no_entries_is_refused(self, shape):
+        with pytest.raises(ValidationError,
+                           match=re.escape(str(shape))):
+            pick_among_ties(np.zeros(shape), 0.5)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_batched_types_match_per_row_loop(self, seed):
+        # (k, T, M) weights drawn from three values, so most rows tie;
+        # u includes both ends of [0, 1].
+        rng = np.random.default_rng(seed)
+        weights = rng.integers(0, 3, (40, 5, 6)).astype(float)
+        weights[0] = 1.0                       # every entry of a row ties
+        u = rng.random((40, 5))
+        u[1], u[2] = 0.0, 1.0
+        picks = pick_among_ties(weights, u)
+        assert picks.shape == (40, 5)
+        for i in range(40):
+            for j in range(5):
+                row = weights[i, j]
+                ties = np.flatnonzero(row == row.min())
+                want = ties[min(int(u[i, j] * len(ties)), len(ties) - 1)]
+                assert picks[i, j] == want
+                assert pick_among_ties(row, u[i, j]) == want
 
 
 class TestStepColumn:

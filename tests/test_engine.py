@@ -209,6 +209,22 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="type count must be >= 2"):
             diamond_config(type_count=1)
 
+    def test_scheme_must_be_a_scheme(self):
+        # a scheme name used to build and fail in ``run`` with an
+        # AttributeError
+        with pytest.raises(ValidationError,
+                           match="scheme must be a Scheme, got 'now'"):
+            diamond_config(scheme="now")
+
+    @pytest.mark.parametrize("capped", ["no", None, 1])
+    def test_capped_must_be_a_bool(self, capped):
+        # "no" used to run capped and None uncapped, with no error
+        with pytest.raises(ValidationError, match="capped must be a bool"):
+            diamond_config(capped=capped)
+
+    def test_numpy_bool_capped_accepted(self):
+        assert diamond_config(capped=np.False_).capped is False
+
     def test_epsilon_must_be_nonnegative(self):
         with pytest.raises(ValidationError):
             diamond_config(epsilon=-0.1)

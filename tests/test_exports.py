@@ -1,7 +1,10 @@
-"""Every name a module exports exists, so ``from ... import *`` works."""
+"""Every name a module exports exists, so ``from ... import *`` works,
+and the package's modules import each other without a cycle."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -18,3 +21,47 @@ def test_all_names_exist(name):
     missing = [attr for attr in getattr(module, "__all__", [])
                if not hasattr(module, attr)]
     assert missing == []
+
+
+def package_imports():
+    """Each package module's name, mapped to the package modules its
+    ``from .x import`` statements name, those inside functions too."""
+    graph = {}
+    for path in Path(intervalsig.__file__).parent.glob("*.py"):
+        imports = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module is None:     # ``from . import x``
+                    imports.update(alias.name for alias in node.names)
+                else:
+                    imports.add(node.module.split(".")[0])
+        graph[path.stem] = imports
+    return graph
+
+
+def test_import_graph_has_no_cycle():
+    graph = package_imports()
+    assert {"abstract_model", "assignment", "network",
+            "signaling"} <= set(graph)
+    done, path = set(), []
+
+    def visit(module):
+        assert module not in path, " -> ".join(path + [module])
+        if module in done:
+            return
+        path.append(module)
+        for name in sorted(graph.get(module, ())):
+            visit(name)
+        path.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
+
+
+def test_each_model_keeps_its_own_choice_rule():
+    # the abstract model's tie-pick and the network's equal split over
+    # tied routes share only ``signaling.edge_weight``
+    graph = package_imports()
+    assert "assignment" not in graph["abstract_model"]
+    assert "abstract_model" not in graph["assignment"]

@@ -17,7 +17,6 @@ from intervalsig.network import (
     parse_network,
     parse_trips,
     require_int,
-    require_reachable,
 )
 
 from .oracle import demand_to_tntp, network_to_tntp, shortest_path_dag
@@ -324,25 +323,6 @@ class TestSerialization:
         again = parse_network(network_to_tntp(net))
         assert again.edges == net.edges
         assert again.node_count == net.node_count
-
-
-class TestRequireReachable:
-    def test_connected_instances_pass(self):
-        require_reachable(parse_network(DIAMOND_NET),
-                          parse_trips(DIAMOND_TRIPS))
-
-    def test_edges_are_followed_forwards_only(self):
-        net = parse_network(DIAMOND_NET)
-        with pytest.raises(NoPathError,
-                           match="destination 1 unreachable from origin 5"):
-            require_reachable(net, DemandTable({(1, 5): 3.0, (5, 1): 2.0}))
-
-    def test_node_outside_network_is_unreachable(self):
-        net = parse_network(DIAMOND_NET)
-        with pytest.raises(NoPathError, match="destination 9"):
-            require_reachable(net, DemandTable({(1, 9): 5.0}))
-        with pytest.raises(NoPathError, match="origin 9"):
-            require_reachable(net, DemandTable({(9, 1): 5.0}))
 
 
 class TestShortestPathDag:

@@ -1,4 +1,5 @@
-"""Cost-history bookkeeping and signal emission under each scheme."""
+"""Cost-history bookkeeping, signal emission under each scheme, and the
+weights a traveller type reads from a signal."""
 
 import math
 
@@ -10,6 +11,7 @@ from intervalsig.signaling import (
     CostHistory,
     Scheme,
     ValidationError,
+    edge_weight,
     emit_signal,
     extreme_scheme,
     full_extreme_scheme,
@@ -45,6 +47,28 @@ def validate_subinterval(signal, costs, r):
                        & (signal[:, 1] <= hi + slack)))
 
 
+class TestEdgeWeight:
+    SIG = np.array([[1.0, 3.0], [2.0, 2.0], [0.0, 4.0]])
+
+    def test_pessimist_reads_upper_endpoints(self):
+        assert edge_weight(self.SIG, 0.0) == pytest.approx([3.0, 2.0, 4.0])
+
+    def test_optimist_reads_lower_endpoints(self):
+        assert edge_weight(self.SIG, 1.0) == pytest.approx([1.0, 2.0, 0.0])
+
+    def test_midpoint_reader(self):
+        assert edge_weight(self.SIG, 0.5) == pytest.approx([2.0, 2.0, 2.0])
+
+    def test_leading_axes_are_batch_axes(self):
+        batch = np.stack([self.SIG, self.SIG[::-1]])
+        assert edge_weight(batch, 0.0).tolist() == [[3.0, 2.0, 4.0],
+                                                   [4.0, 2.0, 3.0]]
+
+    def test_flat_signal_rejected(self):
+        with pytest.raises(ValidationError):
+            edge_weight(np.zeros(4), 0.5)
+
+
 class TestRecord:
     def test_fractional_resource_count_rejected(self):
         # used to fail in ``np.zeros`` with a bare TypeError
@@ -52,6 +76,12 @@ class TestRecord:
                 ValidationError,
                 match="resource count must be an integer, got 2.5"):
             CostHistory(2.5, mean_scheme())
+
+    def test_scheme_must_be_a_scheme(self):
+        # a scheme name used to fail with an AttributeError
+        with pytest.raises(ValidationError,
+                           match="scheme must be a Scheme, got 'now'"):
+            CostHistory(3, "now")
 
     def test_first_record_sets_aggregates(self):
         h = history_of([4.0], extreme_scheme(4))
