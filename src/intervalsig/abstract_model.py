@@ -32,11 +32,11 @@ from .costs import (
 from .engine import Columns, signal_columns, table_csv
 from .network import read_only, require_instance, require_int, require_real
 from .population import (
+    FiniteSupport,
     PopulationProfile,
     RenewalProcess,
     TypeSet,
     derived_rng,
-    finite_support,
     sample_profile,
 )
 from .signaling import (
@@ -110,13 +110,8 @@ class AbstractConfig:
                     f"cost functions must be AbstractCostFn, got {fn!r}")
         object.__setattr__(self, "initial_signal", read_only(
             checked_initial_signal(self.initial_signal, self.action_count)))
-        if (self.renewal.kind == "uniform_perturbation"
-                and self.renewal.type_count != len(self.types)):
+        if self.renewal.type_count != len(self.types):
             raise ValidationError("renewal type count != type set size")
-        # the renewal checked that its atoms share one width
-        if (self.renewal.kind == "finite_support"
-                and len(self.renewal.atoms[0][0].weights) != len(self.types)):
-            raise ValidationError("renewal atom width != type set size")
         object.__setattr__(self, "cost_table", CostTable(self.costs))
         object.__setattr__(self, "omegas",
                            read_only(np.array(self.types.omegas)))
@@ -371,7 +366,7 @@ def flapping_demo(spec: FlappingSpec, horizon: int,
         action_count=2,
         costs=[fn, fn],
         scheme=Scheme("now"),
-        renewal=finite_support([(PopulationProfile((1.0,)), 1.0)]),
+        renewal=FiniteSupport([(PopulationProfile((1.0,)), 1.0)]),
         initial_signal=np.zeros((2, 2)),
         seed=seed,
         types=TypeSet((0.5,)),
@@ -451,7 +446,7 @@ def convergence_demo_config(
     """
     offsets = [0.05 * m for m in range(action_count)]
     costs = [linear_cost_fn(agent_count, offset=off) for off in offsets]
-    renewal = finite_support([
+    renewal = FiniteSupport([
         (PopulationProfile((0.8, 0.2)), 0.5),
         (PopulationProfile((0.2, 0.8)), 0.5),
     ])
@@ -502,7 +497,7 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     if config.scheme.kind != "full_extreme":
         raise ValidationError(
             "the convergence check drives the running-envelope scheme")
-    if config.renewal.kind != "finite_support":
+    if not isinstance(config.renewal, FiniteSupport):
         raise ValidationError(
             "the convergence check needs a finite-support renewal")
     k = require_int(trajectories, "trajectories", 1)

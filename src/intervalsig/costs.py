@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, ValidationError
+from .network import Network, ValidationError, require_real
 
 
 def _c_pow(base: float, exponent: float) -> float:
@@ -109,9 +109,10 @@ class AbstractCostFn:
     kinds: ``polynomial`` (ascending coefficients over n), ``flapping``
     (params (J, N): 1 below the majority threshold, then
     (J+1)^((2n-N)/N)), ``linear_over_N`` (params (N, offset): n/N+offset).
-    An unknown kind, a wrong parameter count, a non-finite parameter, an
-    agent count N below 1 or a flapping magnitude J not above 0 is a
-    ``ValidationError`` at construction.
+    Each parameter is read through ``require_real`` and stored as a
+    float.  An unknown kind, a wrong parameter count, a non-finite
+    parameter, an agent count N below 1 or a flapping magnitude J not
+    above 0 is a ``ValidationError`` at construction.
     """
 
     kind: str
@@ -123,28 +124,29 @@ class AbstractCostFn:
                 f"unknown cost kind {self.kind!r}; "
                 f"expected one of {sorted(_FORMULAS)}")
         try:
-            values = np.array(self.params, dtype=float)
-        except (TypeError, ValueError) as exc:
+            params = tuple(require_real(p, "cost parameter")
+                           for p in self.params)
+        except (TypeError, ValidationError):
             raise ValidationError(
-                f"{self.kind} cost parameters must be numbers: "
-                f"{self.params!r}") from exc
+                f"{self.kind} cost parameters must be a sequence of numbers: "
+                f"{self.params!r}") from None
         arity = _ARITY[self.kind]
-        if values.ndim != 1 or (arity is not None and len(values) != arity):
+        if arity is not None and len(params) != arity:
             raise ValidationError(
-                f"{self.kind} cost takes "
-                f"{'a flat sequence of' if arity is None else arity} "
-                f"parameters, got {self.params!r}")
-        if not np.all(np.isfinite(values)):
+                f"{self.kind} cost takes {arity} parameters, "
+                f"got {self.params!r}")
+        if not all(map(math.isfinite, params)):
             raise ValidationError(
                 f"{self.kind} cost parameters must be finite: "
                 f"{self.params!r}")
         if self.kind in _AGENT_COUNT_AT \
-                and values[_AGENT_COUNT_AT[self.kind]] < 1:
+                and params[_AGENT_COUNT_AT[self.kind]] < 1:
             raise ValidationError(
                 f"{self.kind} cost needs an agent count N >= 1: "
                 f"{self.params!r}")
-        if self.kind == "flapping" and values[0] <= 0:
+        if self.kind == "flapping" and params[0] <= 0:
             raise ValidationError("flapping magnitude must be > 0")
+        object.__setattr__(self, "params", params)
 
     def __call__(self, n):
         out = _FORMULAS[self.kind](self.params, np.asarray(n, dtype=float))
@@ -203,15 +205,15 @@ class CostTable:
 
 
 def polynomial_cost_fn(coefficients) -> AbstractCostFn:
-    return AbstractCostFn("polynomial", tuple(float(c) for c in coefficients))
+    return AbstractCostFn("polynomial", tuple(coefficients))
 
 
-def flapping_cost_fn(j: float, total_agents: int) -> AbstractCostFn:
-    return AbstractCostFn("flapping", (float(j), int(total_agents)))
+def flapping_cost_fn(j: float, total_agents: float) -> AbstractCostFn:
+    return AbstractCostFn("flapping", (j, total_agents))
 
 
-def linear_cost_fn(total_agents: int, offset: float = 0.0) -> AbstractCostFn:
-    return AbstractCostFn("linear_over_N", (int(total_agents), float(offset)))
+def linear_cost_fn(total_agents: float, offset: float = 0.0) -> AbstractCostFn:
+    return AbstractCostFn("linear_over_N", (total_agents, offset))
 
 
 def social_cost_abstract(counts, costs, total_agents: float) -> float:

@@ -37,6 +37,7 @@ from .network import (
     parse_trips,
     require_instance,
     require_int,
+    require_real,
 )
 from .population import (
     TypeSet,
@@ -276,11 +277,14 @@ def summarize(result: RunResult,
     shorter); a window that is not a whole number of periods between 1
     and the run's length is a ``ValidationError``.  Regret is the mean
     cost minus ``reference_cost`` and is omitted when no reference is
-    given; a NaN or infinite reference is a ``ValidationError``.
+    given; a reference that ``require_real`` refuses, or a NaN or
+    infinite one, is a ``ValidationError``.
     """
-    if reference_cost is not None and not math.isfinite(reference_cost):
-        raise ValidationError(
-            f"reference cost must be finite, got {reference_cost}")
+    if reference_cost is not None:
+        reference_cost = require_real(reference_cost, "reference cost")
+        if not math.isfinite(reference_cost):
+            raise ValidationError(
+                f"reference cost must be finite, got {reference_cost}")
     if not len(result):
         raise ValidationError("cannot summarize an empty run")
     if window is None:

@@ -1,20 +1,22 @@
 """Risk types, population profiles, and i.i.d. population renewal.
 
-Each period the population is redrawn: either every type's share is
-jittered uniformly around 1/K (with the last type absorbing the
-remainder), or a profile is drawn from a finite set of atoms.  The
-draws never depend on the signal, so ``sample_profile`` draws a whole
-run's shares in one block.
+Each period the population is redrawn under one of two renewal laws,
+each its own type: ``UniformPerturbation`` jitters every type's share
+uniformly around 1/K (with the last type absorbing the remainder), and
+``FiniteSupport`` draws a profile from a finite set of atoms, whose
+weight matrix and running probabilities it derives once.  The draws
+never depend on the signal, so ``sample_profile``, the one draw entry
+point for both laws, draws a whole run's shares in one block.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import ValidationError, require_int, require_real
+from .network import ValidationError, read_only, require_int, require_real
 
 
 @dataclass(frozen=True)
@@ -24,8 +26,8 @@ class TypeSet:
     omegas: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "omegas",
-                           tuple(float(w) for w in self.omegas))
+        object.__setattr__(self, "omegas", tuple(
+            require_real(w, "risk weight") for w in self.omegas))
         if not self.omegas:
             raise ValidationError("type set cannot be empty")
         if any(not 0.0 <= w <= 1.0 for w in self.omegas):
@@ -50,8 +52,8 @@ class PopulationProfile:
     weights: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights",
-                           tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(
+            require_real(w, "profile weight") for w in self.weights))
         # NaN fails the comparison
         if not all(w >= 0 for w in self.weights):
             raise ValidationError(
@@ -61,63 +63,67 @@ class PopulationProfile:
                 f"profile weights sum to {sum(self.weights)}, expected 1")
 
 
-@dataclass(frozen=True)
 class RenewalProcess:
-    """How the population profile is redrawn each period.
+    """How the population profile is redrawn each period: a
+    ``UniformPerturbation`` or a ``FiniteSupport``.  Both are frozen and
+    checked at construction, and both expose ``type_count``."""
 
-    ``uniform_perturbation`` reads ``type_count`` and ``epsilon`` (each
-    of the first K-1 shares jittered within ``epsilon`` of 1/K);
-    ``finite_support`` reads ``atoms``, a sequence of (profile,
-    probability) pairs, each profile a ``PopulationProfile`` of one
-    common width.  An unknown kind, a missing field, a field of the
-    other kind, a type count that is not an integer or a value out of
-    range is a ``ValidationError`` at construction.
-    """
 
-    kind: str  # "uniform_perturbation" | "finite_support"
-    type_count: int | None = None
-    epsilon: float | None = None
-    atoms: tuple[tuple[PopulationProfile, float], ...] | None = None
+@dataclass(frozen=True)
+class UniformPerturbation(RenewalProcess):
+    """Each of the first K-1 shares jittered within ``epsilon`` of 1/K,
+    the last taking the remainder.  A type count that is not an integer
+    of at least 1, or an epsilon that is not a real number in [0, 1/K),
+    is a ``ValidationError``."""
+
+    type_count: int
+    epsilon: float
 
     def __post_init__(self):
-        if self.kind == "uniform_perturbation":
-            if self.atoms is not None:
-                raise ValidationError(
-                    "uniform_perturbation takes no atoms")
-            if self.type_count is None or self.epsilon is None:
-                raise ValidationError(
-                    "uniform_perturbation needs a type count and an epsilon")
-            object.__setattr__(self, "type_count", require_int(
-                self.type_count, "type count", 1))
-            epsilon = require_real(self.epsilon, "epsilon")
-            if not 0.0 <= epsilon < 1.0 / self.type_count:
-                raise ValidationError(
-                    f"epsilon must lie in [0, 1/{self.type_count}), "
-                    f"got {epsilon}")
-            object.__setattr__(self, "epsilon", epsilon)
-        elif self.kind == "finite_support":
-            if self.type_count is not None or self.epsilon is not None:
-                raise ValidationError(
-                    "finite_support takes no type count or epsilon")
-            if self.atoms is None:
-                raise ValidationError("finite_support needs atoms")
-            atoms = tuple(map(_checked_atom, self.atoms))
-            if not atoms:
-                raise ValidationError(
-                    "finite support needs at least one atom")
-            if len({len(profile.weights) for profile, _ in atoms}) > 1:
-                raise ValidationError(
-                    "finite support atoms must all have the same width")
-            if any(not 0.0 < d <= 1.0 for _, d in atoms):
-                raise ValidationError(
-                    "atom probabilities must lie in (0, 1]")
-            if abs(sum(d for _, d in atoms) - 1.0) > 1e-12:
-                raise ValidationError("atom probabilities must sum to 1")
-            object.__setattr__(self, "atoms", atoms)
-        else:
+        object.__setattr__(self, "type_count", require_int(
+            self.type_count, "type count", 1))
+        epsilon = require_real(self.epsilon, "epsilon")
+        if not 0.0 <= epsilon < 1.0 / self.type_count:
             raise ValidationError(
-                f"unknown renewal kind {self.kind!r}; expected "
-                "'uniform_perturbation' or 'finite_support'")
+                f"epsilon must lie in [0, 1/{self.type_count}), "
+                f"got {epsilon}")
+        object.__setattr__(self, "epsilon", epsilon)
+
+
+@dataclass(frozen=True)
+class FiniteSupport(RenewalProcess):
+    """A profile drawn from ``atoms``, (profile, probability) pairs whose
+    profiles are ``PopulationProfile``s of one width.  No atoms, an atom
+    that is no such pair, atoms of two widths, or probabilities outside
+    (0, 1] or not summing to 1 are a ``ValidationError``.  ``weights``
+    (the ``(atoms, K)`` profile matrix) and ``cumulative`` (the running
+    probabilities) are derived once, read-only and outside equality and
+    ``repr``."""
+
+    atoms: tuple[tuple[PopulationProfile, float], ...]
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
+    cumulative: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        atoms = tuple(map(_checked_atom, self.atoms))
+        if not atoms:
+            raise ValidationError("finite support needs at least one atom")
+        if len({len(profile.weights) for profile, _ in atoms}) > 1:
+            raise ValidationError(
+                "finite support atoms must all have the same width")
+        if any(not 0.0 < d <= 1.0 for _, d in atoms):
+            raise ValidationError("atom probabilities must lie in (0, 1]")
+        if abs(sum(d for _, d in atoms) - 1.0) > 1e-12:
+            raise ValidationError("atom probabilities must sum to 1")
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "weights", read_only(np.array(
+            [profile.weights for profile, _ in atoms])))
+        object.__setattr__(self, "cumulative", read_only(np.cumsum(
+            [d for _, d in atoms])))
+
+    @property
+    def type_count(self) -> int:
+        return self.weights.shape[1]
 
 
 def _checked_atom(atom) -> tuple[PopulationProfile, float]:
@@ -134,13 +140,8 @@ def _checked_atom(atom) -> tuple[PopulationProfile, float]:
     return profile, require_real(probability, "atom probability")
 
 
-def uniform_perturbation(type_count: int, epsilon: float) -> RenewalProcess:
-    return RenewalProcess("uniform_perturbation", type_count=type_count,
-                          epsilon=epsilon)
-
-
-def finite_support(atoms) -> RenewalProcess:
-    return RenewalProcess("finite_support", atoms=atoms)
+# the factory names, which the engine, scripts and benchmark call
+uniform_perturbation, finite_support = UniformPerturbation, FiniteSupport
 
 
 def sample_profile(process: RenewalProcess, rng: np.random.Generator,
@@ -161,10 +162,7 @@ def sample_profile(process: RenewalProcess, rng: np.random.Generator,
     or the last atom when rounding leaves the total below the uniform.
     """
     count = require_int(count, "profile count", 0)
-    if process.kind == "finite_support":
-        weights = np.array([profile.weights
-                            for profile, _ in process.atoms])
-        cumulative = np.cumsum([d for _, d in process.atoms])
+    if isinstance(process, FiniteSupport):
         u = rng.random(count)
         # a row's pick counts the running probabilities at or below its
         # uniform, one pass per atom but the last (the integers of
@@ -172,10 +170,10 @@ def sample_profile(process: RenewalProcess, rng: np.random.Generator,
         # last atom takes every uniform past the one before it, which
         # is the clamp
         picks = np.zeros(count, dtype=np.intp)
-        for c in cumulative[:-1]:
+        for c in process.cumulative[:-1]:
             picks += u >= c
         # ``take`` gathers whole rows many times faster than indexing
-        return np.take(weights, picks, axis=0)
+        return np.take(process.weights, picks, axis=0)
     k = process.type_count
     nominal = 1.0 / k
     shares = np.empty((count, k))

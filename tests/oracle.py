@@ -74,6 +74,7 @@ from intervalsig.network import (
     ValidationError,
 )
 from intervalsig.population import (
+    FiniteSupport,
     RenewalProcess,
     TypeSet,
     derived_rng,
@@ -91,7 +92,7 @@ from intervalsig.signaling import (
 def sample_period(process: RenewalProcess,
                   rng: np.random.Generator) -> tuple[float, ...]:
     """One period's type shares, drawn on their own."""
-    if process.kind == "finite_support":
+    if isinstance(process, FiniteSupport):
         u = rng.random()
         acc = 0.0
         for profile, d in process.atoms:

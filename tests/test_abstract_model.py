@@ -141,9 +141,12 @@ class TestConfigValidation:
         result = run_abstract(config, 3)
         assert result.counts.sum(axis=1).tolist() == [10.5] * 3
 
-    def test_renewal_profile_width_must_match_types(self):
-        wrong = finite_support([(PopulationProfile((0.5, 0.5)), 1.0)])
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize("wrong", [
+        finite_support([(PopulationProfile((0.5, 0.5)), 1.0)]),
+        uniform_perturbation(2, 0.1)], ids=["finite_support", "uniform"])
+    def test_renewal_profile_width_must_match_types(self, wrong):
+        with pytest.raises(ValidationError,
+                           match="renewal type count != type set size"):
             two_action_config(renewal=wrong)
 
     def test_costs_must_be_cost_functions(self):
@@ -784,11 +787,19 @@ class TestConvergenceCheckValidation:
     is played."""
 
     @staticmethod
-    def arms(case):
+    def case(case):
+        """The config and initial signals of ``case``."""
         # three actions, so that a transposed (2, M) signal has the wrong
         # shape rather than a square one
-        _, (a, b) = convergence_demo_config(action_count=3)
-        return {
+        config, (a, b) = convergence_demo_config(action_count=3)
+        if case == "windowed_scheme":
+            return (dataclasses.replace(config, scheme=extreme_scheme(3)),
+                    (a, b))
+        if case == "uniform_renewal":
+            return (dataclasses.replace(
+                config, renewal=uniform_perturbation(len(config.types), 0.0)),
+                (a, b))
+        return config, {
             "inverted": (a, b[:, ::-1]),
             "three_arms": (a, b, a),
             "one_arm": (a,),
@@ -800,17 +811,23 @@ class TestConvergenceCheckValidation:
                                b),
         }[case]
 
-    @pytest.mark.parametrize("case", ["inverted", "three_arms", "one_arm",
-                                      "transposed", "one_action_short",
-                                      "infinite_upper", "negative_lower"])
+    MESSAGES = {
+        "inverted": "lower", "three_arms": "two initial signals",
+        "one_arm": "two initial signals", "transposed": "shape",
+        "one_action_short": "shape", "infinite_upper": "finite",
+        "negative_lower": "finite",
+        "windowed_scheme": "drives the running-envelope scheme",
+        "uniform_renewal": "needs a finite-support renewal"}
+
+    @pytest.mark.parametrize("case", list(MESSAGES))
     def test_rejected_before_period_one(self, case, monkeypatch):
-        config, _ = convergence_demo_config(action_count=3)
+        config, inits = self.case(case)
         played, play = [], abstract_model._play
         monkeypatch.setattr(abstract_model, "_play",
                             lambda *args: played.append(1) or play(*args))
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=self.MESSAGES[case]):
             convergence_check(config, trajectories=4, horizon=3,
-                              initial_signals=self.arms(case), seed=0)
+                              initial_signals=inits, seed=0)
         assert played == []
 
     @pytest.mark.parametrize("counts", [

@@ -224,15 +224,42 @@ class TestAbstractCostFnValidation:
         with pytest.raises(ValidationError, match="finite"):
             AbstractCostFn(kind, params)
 
-    def test_non_numeric_parameters(self):
+    @pytest.mark.parametrize("kind, params", [
+        ("polynomial", ("one",)),
+        # the next three used to build: a string was parsed, so the
+        # table priced an action its own call could not, and a bool was
+        # read as 1
+        ("polynomial", ("1.5", "2")),
+        ("polynomial", (True, 1.0)),
+        ("flapping", (7.0, "3")),
+        ("linear_over_N", (10, None)),
+        ("polynomial", 3.0),
+    ], ids=["word", "numeric_strings", "bool", "string_agent_count",
+            "none_offset", "not_a_sequence"])
+    def test_non_numeric_parameters(self, kind, params):
         with pytest.raises(ValidationError, match="numbers"):
-            AbstractCostFn("polynomial", ("one",))
+            AbstractCostFn(kind, params)
 
     def test_constructors_check_too(self):
         with pytest.raises(ValidationError):
             polynomial_cost_fn([1.0, math.nan])
         with pytest.raises(ValidationError):
             linear_cost_fn(10, offset=math.inf)
+        # a string coefficient used to be parsed
+        with pytest.raises(ValidationError, match="numbers"):
+            polynomial_cost_fn(["1.5"])
+
+    def test_constructors_keep_fractional_agent_counts(self):
+        # N used to go through ``int()``: 20.7 was stored as 20 and 3.9
+        # as 3
+        assert linear_cost_fn(20.7).params == (20.7, 0.0)
+        assert flapping_cost_fn(7.0, 3.9).params == (7.0, 3.9)
+
+    def test_parameters_stored_as_floats(self):
+        for fn in (linear_cost_fn(20), flapping_cost_fn(np.int64(7), 3),
+                   AbstractCostFn("polynomial", (np.float32(0.5), 2))):
+            assert all(type(p) is float for p in fn.params)
+        assert linear_cost_fn(20).params == (20.0, 0.0)
 
     @pytest.mark.parametrize("kind, params", [
         ("flapping", (-3.0, 5)),

@@ -302,6 +302,20 @@ class TestSummarize:
                            match="reference cost must be finite"):
             summarize(fake_records([1.0]), reference_cost=reference)
 
+    @pytest.mark.parametrize("reference", [True, "5", [5.0]],
+                             ids=["bool", "string", "list"])
+    def test_non_real_reference_refused(self, reference):
+        # True used to be read as 1.0, and "5" to escape as a bare
+        # TypeError from ``math.isfinite``
+        with pytest.raises(ValidationError,
+                           match="reference cost must be a real number"):
+            summarize(fake_records([1.0]), reference_cost=reference)
+
+    def test_numpy_reference_read_as_float(self):
+        summary = summarize(fake_records([4.0] * 5),
+                            reference_cost=np.float32(6.0))
+        assert type(summary.regret) is float and summary.regret == -2.0
+
     def test_window_must_fit(self):
         with pytest.raises(ValidationError):
             summarize(fake_records([1.0]), window=2)

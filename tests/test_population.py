@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from intervalsig.population import (
+    FiniteSupport,
     PopulationProfile,
     RenewalProcess,
     TypeSet,
+    UniformPerturbation,
     ValidationError,
     derived_rng,
     finite_support,
@@ -40,6 +42,19 @@ class TestTypeSet:
                            match="type count must be an integer, got 2.5"):
             uniform_type_set(2.5)
 
+    @pytest.mark.parametrize("omegas", [("0.25", "0.5"), (False, True),
+                                        (0.0, None)],
+                             ids=["strings", "bools", "none"])
+    def test_weights_must_be_real_numbers(self, omegas):
+        # a string used to be parsed and a bool read as 0 or 1
+        with pytest.raises(ValidationError,
+                           match="risk weight must be a real number"):
+            TypeSet(omegas)
+
+    def test_numpy_weights_stored_as_floats(self):
+        omegas = TypeSet((np.float32(0.5), np.int64(1))).omegas
+        assert omegas == (0.5, 1.0) and all(type(w) is float for w in omegas)
+
     def test_singleton_custom_set_allowed(self):
         assert TypeSet((0.5,)).omegas == (0.5,)
 
@@ -69,6 +84,15 @@ class TestPopulationProfile:
         with pytest.raises(ValidationError, match="must be >= 0"):
             PopulationProfile(weights)
 
+    @pytest.mark.parametrize("weights", [("0.5", "0.5"), (True, False),
+                                         (1.0, None)],
+                             ids=["strings", "bools", "none"])
+    def test_weights_must_be_real_numbers(self, weights):
+        # a string used to be parsed and a bool read as 0 or 1
+        with pytest.raises(ValidationError,
+                           match="profile weight must be a real number"):
+            PopulationProfile(weights)
+
     def test_valid_profile(self):
         p = PopulationProfile((0.25, 0.75))
         assert p.weights == (0.25, 0.75)
@@ -90,42 +114,28 @@ class TestRenewalValidation:
             finite_support([(eta, 0.0), (eta, 1.0)])
         finite_support([(eta, 1.0)])
 
-    @pytest.mark.parametrize("kwargs", [
-        dict(kind="bogus", type_count=3, epsilon=0.1),
-        dict(kind="uniform_perturbation"),
-        dict(kind="uniform_perturbation", type_count=3),
-        dict(kind="uniform_perturbation", epsilon=0.1),
-        dict(kind="finite_support"),
-        dict(kind="uniform_perturbation", type_count=1, epsilon=0.0,
-             atoms=((PopulationProfile((1.0,)), 1.0),)),
-        dict(kind="finite_support", type_count=1,
-             atoms=((PopulationProfile((1.0,)), 1.0),)),
-        dict(kind="finite_support", epsilon=0.0,
-             atoms=((PopulationProfile((1.0,)), 1.0),)),
-        # the next three used to build and fail in ``sample_profile``,
+    @pytest.mark.parametrize("make", [
+        lambda: UniformPerturbation(2.5, 0.1),
+        lambda: FiniteSupport((((0.5, 0.5), 1.0),)),
+        lambda: FiniteSupport(((PopulationProfile((1.0,)), 0.5),
+                               (PopulationProfile((0.5, 0.5)), 0.5))),
+        lambda: FiniteSupport(()),
+    ], ids=["fractional_type_count", "atom_not_a_profile",
+            "atoms_of_two_widths", "no_atoms"])
+    def test_checked_at_construction(self, make):
+        # the first three used to build and fail in ``sample_profile``,
         # with a TypeError, an AttributeError and numpy's ValueError
-        dict(kind="uniform_perturbation", type_count=2.5, epsilon=0.1),
-        dict(kind="finite_support", atoms=(((0.5, 0.5), 1.0),)),
-        dict(kind="finite_support",
-             atoms=((PopulationProfile((1.0,)), 0.5),
-                    (PopulationProfile((0.5, 0.5)), 0.5))),
-    ], ids=["unknown_kind", "perturbation_bare", "no_epsilon",
-            "no_type_count", "support_bare", "perturbation_with_atoms",
-            "support_with_type_count", "support_with_epsilon",
-            "fractional_type_count", "atom_not_a_profile",
-            "atoms_of_two_widths"])
-    def test_checked_at_construction(self, kwargs):
         with pytest.raises(ValidationError):
-            RenewalProcess(**kwargs)
+            make()
 
     @pytest.mark.parametrize("make", [
-        lambda: uniform_perturbation(2, "0.1"),
-        lambda: uniform_perturbation(2, None),
-        lambda: uniform_perturbation(2, False),
-        lambda: finite_support([(PopulationProfile((1.0,)), "x")]),
-        lambda: finite_support([(PopulationProfile((1.0,)), None)]),
-        lambda: finite_support([PopulationProfile((1.0,))]),
-        lambda: finite_support([(PopulationProfile((1.0,)), 1.0, 0.0)]),
+        lambda: UniformPerturbation(2, "0.1"),
+        lambda: UniformPerturbation(2, None),
+        lambda: UniformPerturbation(2, False),
+        lambda: FiniteSupport([(PopulationProfile((1.0,)), "x")]),
+        lambda: FiniteSupport([(PopulationProfile((1.0,)), None)]),
+        lambda: FiniteSupport([PopulationProfile((1.0,))]),
+        lambda: FiniteSupport([(PopulationProfile((1.0,)), 1.0, 0.0)]),
     ], ids=["epsilon_string", "epsilon_none", "epsilon_bool",
             "probability_string", "probability_none", "atom_not_a_pair",
             "atom_of_three"])
@@ -141,12 +151,36 @@ class TestRenewalValidation:
         (_, probability), = finite_support([(eta, np.int64(1))]).atoms
         assert type(probability) is float and probability == 1.0
 
-    def test_direct_construction_equals_factory(self):
-        eta = PopulationProfile((1.0,))
-        assert RenewalProcess("uniform_perturbation", type_count=5,
-                              epsilon=0.15) == uniform_perturbation(5, 0.15)
-        assert RenewalProcess("finite_support", atoms=[(eta, 1)]) == \
-            finite_support([(eta, 1.0)])
+    def test_both_laws_are_renewal_processes_with_a_type_count(self):
+        support = FiniteSupport([(PopulationProfile((0.2, 0.3, 0.5)), 1.0)])
+        assert isinstance(support, RenewalProcess)
+        assert isinstance(UniformPerturbation(4, 0.1), RenewalProcess)
+        assert support.type_count == 3
+        assert UniformPerturbation(4, 0.1).type_count == 4
+
+
+class TestFiniteSupportArrays:
+    """The weight matrix and running probabilities that ``FiniteSupport``
+    derives once for ``sample_profile``."""
+
+    ATOMS = ((PopulationProfile((0.8, 0.2)), 0.25),
+             (PopulationProfile((0.5, 0.5)), 0.75))
+
+    def test_derived_at_construction(self):
+        support = FiniteSupport(self.ATOMS)
+        assert support.weights.tolist() == [[0.8, 0.2], [0.5, 0.5]]
+        assert support.cumulative.tolist() == [0.25, 1.0]
+
+    def test_read_only(self):
+        support = FiniteSupport(self.ATOMS)
+        for array in (support.weights, support.cumulative):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_kept_out_of_equality_and_repr(self):
+        a, b = FiniteSupport(self.ATOMS), FiniteSupport(list(self.ATOMS))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == f"FiniteSupport(atoms={a.atoms!r})"
 
 
 class TestSampleProfile:
