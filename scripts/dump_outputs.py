@@ -66,6 +66,12 @@ def _raw(*arrays) -> bytes:
                     for a in arrays)
 
 
+def _periods(*columns) -> bytes:
+    """One row per period: that period's entries of each column in turn."""
+    return _raw(np.column_stack([np.reshape(c, (len(c), -1))
+                                 for c in columns]))
+
+
 def _schemes(window: int) -> list:
     return [now_scheme(), mean_scheme(), extreme_scheme(window),
             full_extreme_scheme(), subinterval_scheme(window, 0.5)]
@@ -74,9 +80,9 @@ def _schemes(window: int) -> list:
 def _network_run(out: Path, stem: str, config: RunConfig) -> None:
     records = run(config)
     (out / f"{stem}.csv").write_text(records_to_csv(records))
-    (out / f"{stem}.bin").write_bytes(b"".join(
-        _raw([r.t, r.social_cost, r.total_excess], r.weights, r.flows,
-             r.costs, r.signal) for r in records))
+    (out / f"{stem}.bin").write_bytes(_periods(
+        records.t, records.social_cost, records.total_excess,
+        records.weights, records.flows, records.costs, records.signal))
 
 
 def _system_optimum(out: Path) -> None:
@@ -87,8 +93,8 @@ def _system_optimum(out: Path) -> None:
 
 
 def _abstract_records(records) -> bytes:
-    return b"".join(_raw([r.t, r.social_cost], r.counts, r.costs, r.signal)
-                    for r in records)
+    return _periods(records.t, records.social_cost, records.counts,
+                    records.costs, records.signal)
 
 
 # run_abstract: 30 actions, 500 agents, five types, 120 periods.

@@ -144,8 +144,8 @@ def pick_among_ties(weights: np.ndarray, u) -> np.ndarray:
     Among a row's ``n_ties`` minimal entries the ``int(u * n_ties)``-th
     is returned (clamped to the last), so a uniform ``u`` picks a tie
     uniformly and a unique minimizer is returned whatever ``u`` is.
-    ``u`` broadcasts against the rows, ``weights.shape[:-1]``.  A NaN
-    weight, or rows without entries, are a ``ValidationError``.
+    ``u`` must broadcast to the rows' shape, ``weights.shape[:-1]``.  A
+    NaN weight, or rows without entries, are a ``ValidationError``.
 
     Rows seldom tie, so the pick finds each row's minimum first and
     counts the entries equal to it.  Every row has at least one, so the
@@ -160,17 +160,17 @@ def pick_among_ties(weights: np.ndarray, u) -> np.ndarray:
     copy, many times faster on many short rows than along the last axis.
     ``_play`` passes a ``(types, ..., M)`` view of action-major ``(M,
     types, ...)`` weights, batch axes innermost, so no copy is made.
-    With at least as many entries as rows (``run_abstract``'s),
-    ``argmin`` finds the minimizers, several times faster than ``min``
-    there, and the minima are gathered at them.  With fewer
-    (``convergence_check``'s), ``min`` finds the minima, and a tie-free
-    row's minimizer is its tie flags' index-weighted sum.  The running
-    tie count takes one ``cumsum`` along the entry axis when there are at
-    least as many entries as picks, and one whole-array step per entry
-    but the last otherwise; both give the same integers.  With fewer
-    than 128 entries the tie counts are kept in single bytes, which
-    makes the count and the steps several times cheaper than in 64-bit
-    integers.
+    The layout, entries against rows, picks one of two paths.  With at
+    least as many entries as rows (``run_abstract``'s), ``argmin`` finds
+    the minimizers, several times faster than ``min`` there, the minima
+    are gathered at them, and the running tie count is one ``cumsum``
+    along the entry axis.  With fewer (``convergence_check``'s), ``min``
+    finds the minima, a tie-free row's minimizer is its tie flags'
+    index-weighted sum, and the running tie count takes one whole-array
+    step per entry but the last; both counts give the same integers.
+    With fewer than 128 entries the tie counts are kept in single bytes,
+    which makes the count and the steps several times cheaper than in
+    64-bit integers.
     """
     weights = np.asarray(weights)
     if weights.ndim == 0 or weights.shape[-1] == 0:
@@ -180,8 +180,8 @@ def pick_among_ties(weights: np.ndarray, u) -> np.ndarray:
         weights.transpose(-1, *range(weights.ndim - 1)))
     shape = by_entry.shape[1:]
     rows = by_entry[0].size
-    choice = None
-    if len(by_entry) >= rows:
+    wide = len(by_entry) >= rows
+    if wide:
         flat = by_entry.reshape(len(by_entry), rows)
         choice = flat.argmin(axis=0)
         low = flat[choice, np.arange(rows)].reshape(shape)
@@ -191,19 +191,12 @@ def pick_among_ties(weights: np.ndarray, u) -> np.ndarray:
         raise ValidationError("weights hold a NaN")
     ties = by_entry == low
     if np.count_nonzero(ties) == rows:
-        if choice is None:
-            choice = _lone_tie(ties)
-        choice = choice.reshape(shape)
-        if np.shape(u) != shape:
-            out = np.broadcast_shapes(shape, np.shape(u))
-            if out != shape:
-                choice = np.broadcast_to(choice, out).copy()
         # a scalar for a single row, as the counting pick returns
-        return choice[()]
+        return (choice if wide else _lone_tie(ties)).reshape(shape)[()]
     n_ties = ties.sum(axis=0,
                       dtype=np.int8 if len(by_entry) < 128 else np.intp)
     pick = np.minimum((np.asarray(u) * n_ties).astype(int), n_ties - 1)
-    if len(by_entry) >= pick.size:
+    if wide:
         return (np.cumsum(ties, axis=0) > pick).argmax(axis=0)
     # The pick is the number of entries whose running count is still at
     # most ``pick``: the count never falls and ends at n_ties > pick, so
@@ -236,11 +229,11 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     action that its uniform picks among ties.  The axes between the
     action axis of ``signal`` ``(M, ..., 2)`` and its endpoint axis, and
     the trailing axes of ``shares`` and ``tie_uniforms`` (both
-    ``(types, ...)``, broadcast against those of ``signal``), are batch
-    axes: ``run_abstract`` passes none, ``convergence_check`` an arm
-    axis of length 2, then 1 once its arms coalesce, and a trajectory
-    axis, with draws of length one on the arm axis, since both arms
-    share them.  All types' weights are tie-picked in one
+    ``(types, ...)``, which must broadcast to ``(types,)`` and the batch
+    axes of ``signal``), are batch axes: ``run_abstract`` passes none,
+    ``convergence_check`` an arm axis of length 2, then 1 once its arms
+    coalesce, and a trajectory axis, with draws of length one on the arm
+    axis, since both arms share them.  All types' weights are tie-picked in one
     ``pick_among_ties`` call, which says how they are laid out; the
     types' loads are then added in type order, so each count is the
     same sum as type-by-type loading, and the cost table prices all

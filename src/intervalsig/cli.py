@@ -31,6 +31,7 @@ from .costs import ValidationError
 from .engine import (
     _FLOAT_FMT as _FMT,
     RunConfig,
+    Summary,
     diamond_system_optimum,
     run,
     summarize,
@@ -119,19 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args, scheme) -> RunConfig:
-    sources = {}
-    if args.instance is not None:
-        sources["instance"] = args.instance
-    if args.net is not None:
-        sources["net_path"] = args.net
-    if args.trips is not None:
-        sources["trips_path"] = args.trips
-    return RunConfig(scheme=scheme, horizon=args.horizon, seed=args.seed,
-                     capped=not args.uncapped, type_count=args.types,
-                     epsilon=args.eps, **sources)
-
-
 def _check_references(args) -> None:
     """Refuse a NaN or infinite reference before the first period."""
     for flag, value in (("--ref-capped", args.ref_capped),
@@ -156,13 +144,24 @@ def _summary_line(label: str, args, summary) -> str:
     return " ".join(parts)
 
 
+def _run_scheme(args, scheme, path) -> Summary:
+    """Run ``scheme`` on the flags' instance, write its CSV to ``path``
+    and print its summary line."""
+    records = run(RunConfig(
+        scheme=scheme, horizon=args.horizon, seed=args.seed,
+        capped=not args.uncapped, instance=args.instance,
+        net_path=args.net, trips_path=args.trips, type_count=args.types,
+        epsilon=args.eps))
+    write_csv(records, path)
+    summary = summarize(records, reference_cost=args.ref_capped)
+    print(_summary_line(scheme.label(), args, summary))
+    return summary
+
+
 def _cmd_run(args) -> int:
     _check_references(args)
-    scheme = scheme_from_name(args.scheme, window=args.r, shrink=args.alpha)
-    records = run(_run_config(args, scheme))
-    write_csv(records, args.out)
-    print(_summary_line(scheme.label(), args, summarize(
-        records, reference_cost=args.ref_capped)))
+    _run_scheme(args, scheme_from_name(args.scheme, window=args.r,
+                                       shrink=args.alpha), args.out)
     return 0
 
 
@@ -174,10 +173,7 @@ def _cmd_sweep(args) -> int:
              extreme_scheme(5), extreme_scheme(10), extreme_scheme(20)]
     rows = []
     for scheme in cells:
-        records = run(_run_config(args, scheme))
-        write_csv(records, out_dir / f"{scheme.label()}.csv")
-        summary = summarize(records, reference_cost=args.ref_capped)
-        print(_summary_line(scheme.label(), args, summary))
+        summary = _run_scheme(args, scheme, out_dir / f"{scheme.label()}.csv")
         rows.append([
             scheme.kind.replace("_", "-"),
             "" if scheme.window is None else str(scheme.window),

@@ -66,7 +66,14 @@ class PopulationProfile:
 class RenewalProcess:
     """How the population profile is redrawn each period: a
     ``UniformPerturbation`` or a ``FiniteSupport``.  Both are frozen and
-    checked at construction, and both expose ``type_count``."""
+    checked at construction, and both expose ``type_count``; the bare
+    base is no law, and building it is a ``ValidationError``."""
+
+    def __new__(cls, *args, **kwargs):
+        if cls is RenewalProcess:
+            raise ValidationError("a renewal process is a "
+                                  "UniformPerturbation or a FiniteSupport")
+        return super().__new__(cls)
 
 
 @dataclass(frozen=True)

@@ -280,9 +280,12 @@ class TestChooseActionAbstract:
 
     # Wide rows (at least as many entries as rows) find the minimizers
     # by ``argmin``, tall ones by ``min``; either way a tie-free array
-    # skips the tie count, and any tie takes the counting pick.
-    LAYOUTS = {"wide": [(5, 200), (2, 3, 40), (1,)],
-               "tall": [(1000, 2), (50, 20, 3), (300, 1)]}
+    # skips the tie count, and any tie takes the counting pick.  The
+    # last shape of each is ``convergence_check``'s ``(types, 2, k)``
+    # rows, whose draws are ``(types, 1, k)``: both arms share them.
+    LAYOUTS = {"wide": [(5, 200), (2, 3, 40), (1,), (2, 2, 3, 20)],
+               "tall": [(1000, 2), (50, 20, 3), (300, 1), (5, 2, 40, 2)]}
+    DRAWS = {(2, 2, 3, 20): (2, 1, 3), (5, 2, 40, 2): (5, 1, 40)}
 
     def assert_matches_reference(self, weights, u):
         rows = weights.reshape(-1, weights.shape[-1])
@@ -314,8 +317,9 @@ class TestChooseActionAbstract:
             elif shape[-1] > 1 and case == "signed-zeros":
                 # 0.0 and -0.0 tie under ==
                 rows[row, -1], rows[row, 0] = 0.0, -0.0
-            u = (rng.random(shape[:-1]) if draw == "random"
-                 else np.full(shape[:-1], draw))
+            draws = self.DRAWS.get(shape, shape[:-1])
+            u = (rng.random(draws) if draw == "random"
+                 else np.full(draws, draw))
             want = self.assert_matches_reference(weights, u)
             ties = np.flatnonzero(rows[row] == rows[row].min())
             assert len(ties) == (2 if case != "continuous"

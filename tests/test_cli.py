@@ -179,6 +179,30 @@ class TestSweep:
         assert ((d1 / "summary.csv").read_bytes()
                 == (d2 / "summary.csv").read_bytes())
 
+    @pytest.mark.parametrize("source", ["instance", "files"])
+    def test_each_cell_matches_run(self, source, diamond_files, tmp_path,
+                                   capsys):
+        net, trips = diamond_files
+        flags = (["--instance", "diamond"] if source == "instance"
+                 else ["--net", str(net), "--trips", str(trips)])
+        flags += ["--horizon", "9", "--seed", "6", "--uncapped",
+                  "--ref-capped", "400", "--ref-excess", "1.5"]
+        capsys.readouterr()
+        assert main(["sweep", *flags, "--out-dir",
+                     str(tmp_path / "cells")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        cells = [("now", []), ("mean", []), ("extreme-r5", ["--r", "5"]),
+                 ("extreme-r10", ["--r", "10"]),
+                 ("extreme-r20", ["--r", "20"])]
+        assert len(lines) == len(cells)
+        for (label, window), line in zip(cells, lines):
+            out = tmp_path / f"run-{label}.csv"
+            assert main(["run", *flags, "--scheme", label.split("-")[0],
+                         *window, "--out", str(out)]) == 0
+            assert capsys.readouterr().out == line + "\n"
+            assert (out.read_bytes()
+                    == (tmp_path / "cells" / f"{label}.csv").read_bytes())
+
 
 class TestFlappingDemo:
     def test_prints_gap(self, capsys):

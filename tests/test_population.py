@@ -1,5 +1,8 @@
 """Risk-type sets, population profiles, and the i.i.d. renewal process."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +160,20 @@ class TestRenewalValidation:
         assert isinstance(UniformPerturbation(4, 0.1), RenewalProcess)
         assert support.type_count == 3
         assert UniformPerturbation(4, 0.1).type_count == 4
+
+    def test_bare_base_is_refused(self):
+        # AbstractConfig would take it and fail later, reading its
+        # missing type count
+        with pytest.raises(ValidationError, match="UniformPerturbation"):
+            RenewalProcess()
+
+    @pytest.mark.parametrize("law", [
+        UniformPerturbation(4, 0.1),
+        FiniteSupport([(PopulationProfile((0.2, 0.8)), 1.0)])],
+        ids=["uniform", "finite"])
+    def test_laws_copy_and_pickle(self, law):
+        for twin in (copy.deepcopy(law), pickle.loads(pickle.dumps(law))):
+            assert type(twin) is type(law) and twin == law
 
 
 class TestFiniteSupportArrays:
