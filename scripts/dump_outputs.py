@@ -4,19 +4,23 @@
     PYTHONPATH=src python3 scripts/dump_outputs.py OUT_DIR [--only NAME ...]
 
 The outputs are those a change that must keep every trajectory is
-compared on: the diamond ``run`` under all five schemes, a 500-period
-diamond ``run`` under ``now`` at seed 1 (a benchmark sweep cell), the
-diamond's system optimum (split, uncapped cost, capped cost, excess),
-50-period Sioux Falls runs under ``extreme`` r = 20, ``now`` and
-``mean``, a 150-period one under ``extreme`` r = 5, the ``sioux-falls``
-benchmark's run at seed 1 (``bench-sioux-falls``), ``run_abstract``
-under all five schemes (plus one config mixing every cost kind),
-``flapping_demo`` at J = 7 with N = 3 and 101 and at J = 0.5 with
-N = 29, ``convergence_check`` at M = 2, 3 and 8 (and at M = 3 over six
-periods, which end with arm b still in the batch), and the two calls of the ``abstract-model`` benchmark at seed 1
+compared on: the diamond ``run`` under all five schemes, the one under
+``extreme`` r = 5 again from the ``gen-diamond`` files
+(``diamond-files-extreme-r5``, the same bytes), a 500-period diamond
+``run`` under ``now`` at seed 1 (a benchmark sweep cell), the diamond's
+system optimum (split, uncapped cost, capped cost, excess), 50-period
+Sioux Falls runs under ``extreme`` r = 20, ``now`` and ``mean``, a
+150-period one under ``extreme`` r = 5, the ``sioux-falls`` benchmark's
+run at seed 1 (``bench-sioux-falls``), ``run_abstract`` under all five
+schemes (plus one config mixing every cost kind), ``flapping_demo`` at
+J = 7 with N = 3 and 101 and at J = 0.5 with N = 29,
+``convergence_check`` at M = 2, 3 and 8 (and at M = 3 over six periods,
+which end with arm b still in the batch, and under
+``uniform_perturbation(2, 0.2)``, ``convergence-m3-uniform``), and the
+two calls of the ``abstract-model`` benchmark at seed 1
 (``bench-abstract-extreme-r50``, ``bench-convergence-m2``).  Floats
 are written as raw float64 bytes (``.bin``) and runs that have a CSV
-form also as CSV: 45 files in all.
+form also as CSV: 48 files in all.
 
 The package is imported from ``PYTHONPATH``, so dumping two checkouts
 into two directories and running ``diff -r`` between them shows whether
@@ -28,7 +32,9 @@ outputs alone.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +57,7 @@ from intervalsig.costs import (
     polynomial_cost_fn,
 )
 from intervalsig.engine import records_to_csv
+from intervalsig.instances import diamond_net_text, diamond_trips_text
 from intervalsig.population import uniform_perturbation, uniform_type_set
 from intervalsig.signaling import (
     extreme_scheme,
@@ -83,6 +90,18 @@ def _network_run(out: Path, stem: str, config: RunConfig) -> None:
     (out / f"{stem}.bin").write_bytes(_periods(
         records.t, records.social_cost, records.total_excess,
         records.weights, records.flows, records.costs, records.signal))
+
+
+def _diamond_files_run(out: Path, stem: str, config: RunConfig) -> None:
+    """``config`` run from the texts ``gen-diamond`` writes, as files, in
+    place of its built-in instance."""
+    with tempfile.TemporaryDirectory() as tmp:
+        net_path, trips_path = Path(tmp, "net.txt"), Path(tmp, "trips.txt")
+        net_path.write_text(diamond_net_text())
+        trips_path.write_text(diamond_trips_text())
+        _network_run(out, stem, dataclasses.replace(
+            config, instance=None, net_path=net_path,
+            trips_path=trips_path))
 
 
 def _system_optimum(out: Path) -> None:
@@ -154,9 +173,12 @@ def _flapping(out: Path, stem: str, j: float, n: int) -> None:
 
 
 def _convergence(out: Path, stem: str, m: int, trajectories: int,
-                 horizon: int, seed: int) -> None:
+                 horizon: int, seed: int, renewal=None) -> None:
+    """``renewal`` replaces the demo config's."""
     config, initials = convergence_demo_config(agent_count=20,
                                                action_count=m)
+    if renewal is not None:
+        config = dataclasses.replace(config, renewal=renewal)
     report = convergence_check(config, trajectories=trajectories,
                                horizon=horizon, initial_signals=initials,
                                seed=seed)
@@ -200,6 +222,11 @@ def _outputs() -> dict:
                 out, f"diamond-{s.label()}",
                 RunConfig(scheme=s, horizon=300, seed=0,
                           instance="diamond")))
+    # The same run from the files gen-diamond writes: a file-path plan.
+    outputs["diamond-files-extreme-r5"] = lambda out: _diamond_files_run(
+        out, "diamond-files-extreme-r5",
+        RunConfig(scheme=extreme_scheme(5), horizon=300, seed=0,
+                  instance="diamond"))
     # Under now the diamond's signal keeps returning to a few earlier
     # values, so almost every row's DAG comes from the plan's cache.
     outputs["diamond-now-seed1"] = lambda out: _network_run(
@@ -247,6 +274,10 @@ def _outputs() -> dict:
     # arm b is still in the batch at the horizon.
     outputs["convergence-m3-h6"] = lambda out: _convergence(
         out, "convergence-m3-h6", 3, trajectories=300, horizon=6, seed=0)
+    # A continuous renewal law: every pair coalesces within the horizon.
+    outputs["convergence-m3-uniform"] = lambda out: _convergence(
+        out, "convergence-m3-uniform", 3, trajectories=300, horizon=120,
+        seed=0, renewal=uniform_perturbation(2, 0.2))
     outputs["bench-abstract-extreme-r50"] = lambda out: _bench_abstract(
         out, "bench-abstract-extreme-r50")
     outputs["bench-convergence-m2"] = lambda out: _convergence(

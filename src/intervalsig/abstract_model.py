@@ -484,15 +484,12 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     agree and the distance is 0.0.  Proof: under ``full_extreme`` a
     signal is the running min and max with at most a zero's sign put
     back, so equal signals mean equal histories, and the arms share
-    every later draw, so they play the same counts and costs to the
-    horizon.
+    every later draw, whatever the renewal law, so they play the same
+    counts and costs to the horizon.
     """
     if config.scheme.kind != "full_extreme":
         raise ValidationError(
             "the convergence check drives the running-envelope scheme")
-    if not isinstance(config.renewal, FiniteSupport):
-        raise ValidationError(
-            "the convergence check needs a finite-support renewal")
     k = require_int(trajectories, "trajectories", 1)
     horizon = require_int(horizon, "horizon", 1)
     if len(initial_signals) != 2:

@@ -31,33 +31,35 @@ Under r-window signals either often holds.  It keeps the DAGs as one
 list of kept edges over all rows, sorted by their tail's level, and
 takes path counts and onward loads in one ``np.add.at`` per level.  A
 new signal's distances come from min-plus relaxation, which starts from
-the memo's route sums under the new weights when there is a memo
-(incremental shortest paths: Ramalingam & Reps, J. Algorithms 21(2),
-1996).  Each such bound is some route's left-to-right float sum, and
-float addition is monotone, so relaxing from them reaches the minimum
-over routes bit for bit, as relaxing from inf does; under r-window
-signals last period's routes are often still shortest, and then one
-check pass finds the bounds exact.  A row with a distance plateau takes
-its DAG from ``_row_dag``.  A plan batches when its rows times edges
-reach ``BATCH_CROSSOVER``.
+the memo's route sums under the new weights (incremental shortest
+paths: Ramalingam & Reps, J. Algorithms 21(2), 1996).  Each such bound
+is some route's left-to-right float sum, and float addition is
+monotone, so relaxing from them reaches the minimum over routes bit for
+bit, as relaxing from inf does; under r-window signals last period's
+routes are often still shortest, and then one check pass finds the
+bounds exact.  A row with a distance plateau takes its DAG from
+``_row_dag``.  A plan batches when its rows times edges reach
+``BATCH_CROSSOVER``.
 
-Each plan caches the DAGs that ``_row_dag`` builds, keyed by the row's
-weight vector (its bytes) and then by origin.  Once it holds
-``ROW_DAG_CACHE`` weight vectors it drops the oldest but the first: a
-network run's first signal is the zero warm-up, and period 1 of every
-later run on the same plan (``engine._instance_plan`` shares one per
-built-in instance) loads it again.  A DAG is a pure function of the
-weights, the origin and the network, so a hit gives the bytes a
-rebuild would.  Hits are common: scalar signals (``now``,
-``mean``, the zero warm-up) give every type the same weights, and a
-window min/max signal returns to earlier values whenever no extreme
-enters or leaves the window.
+A network run's first signal is the zero warm-up, so every plan starts
+from it: construction builds each origin's DAG under zero weights, whose
+path counts show every destination reachable, and makes that signal's
+DAGs the memo.  Each plan caches the DAGs that ``_row_dag`` builds,
+keyed by the row's weight vector (its bytes) and then by origin; the
+first entry is the plan's own zero weights.  Once the cache holds
+``ROW_DAG_CACHE`` weight vectors it drops the oldest but that first
+one, which period 1 of every run on the plan reads
+(``engine._instance_plan`` shares one plan per built-in instance).  A
+DAG is a pure function of the weights, the origin and the network, so
+a hit gives the bytes a rebuild would.  Hits are common: scalar signals
+(``now``, ``mean``, the zero warm-up) give every type the same weights,
+and a window min/max signal returns to earlier values whenever no
+extreme enters or leaves the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
@@ -113,10 +115,13 @@ class LoadPlan:
 
     Construction checks the demand once: a node outside
     ``1..node_count`` is a ``ValidationError`` and a pair that no route
-    connects, the first in sorted order, a ``NoPathError``.  Rows are
-    (type, origin) pairs, type-major with origins ascending; a plan with
-    at least ``BATCH_CROSSOVER`` rows times edges loads in whole-array
-    passes (``batched``).
+    connects, the first in sorted order, a ``NoPathError``: one whose
+    destination the origin's zero-weight DAG counts no path to.  Those
+    DAGs are the row-DAG cache's first entry, and the zero warm-up
+    signal's DAGs over all rows the memo.  Rows are (type, origin)
+    pairs, type-major with origins ascending; a plan with at least
+    ``BATCH_CROSSOVER`` rows times edges loads in whole-array passes
+    (``batched``).
 
     All a plan holds is read-only but its memo, which it rebinds and
     never writes into, and its row-DAG cache, which shallow copies of
@@ -134,16 +139,6 @@ class LoadPlan:
                     f"demand pair ({origin}, {dest}) has a node outside "
                     f"1..{net.node_count}")
             by_origin.setdefault(origin, []).append((dest, flow))
-        for origin, dests in by_origin.items():
-            seen, stack = {origin}, [origin]
-            while stack:
-                new = {v for v, _ in net._out[stack.pop()]} - seen
-                seen |= new
-                stack += new
-            for dest, _ in dests:
-                if dest not in seen:
-                    raise NoPathError(
-                        f"destination {dest} unreachable from origin {origin}")
         self.net = net
         self.types = types
         # one row per type
@@ -154,17 +149,27 @@ class LoadPlan:
         self.batched = self.row_count * net.edge_count >= BATCH_CROSSOVER
         self.srcs = tuple(net.srcs.tolist())
         self.dsts = tuple(net.dsts.tolist())
-        self._memo: _Dags | None = None
+        self._layout = _Layout(self)
         # weight bytes -> origin -> ``_row_dag``'s (kept, count)
         self._row_dags: dict[bytes, dict[int, _RowDag]] = {}
-
-    @cached_property
-    def _layout(self) -> _Layout:
-        return _Layout(self)
+        # Under the zero signal every row is a plateau row, so the zero
+        # weights' DAGs are its kept edges.
+        zero = np.zeros(net.edge_count)
+        kept = np.zeros((net.edge_count + 1, self.row_count), dtype=bool)
+        for at, (origin, dests) in enumerate(self.by_origin.items()):
+            edges, count = _row_dag(self, zero, origin)
+            for dest, _ in dests:
+                if count[dest] == 0.0:
+                    raise NoPathError(
+                        f"destination {dest} unreachable from origin {origin}")
+            # the origin's row of every type
+            kept[edges, at::len(self.by_origin)] = True
+        self._memo = replace(_dags(self, kept),
+                             key=np.zeros((net.edge_count, 2)).tobytes())
 
 
 class _Layout:
-    """The index arrays a batched plan gathers by, fixed per plan and
+    """The index arrays the batched loader gathers by, fixed per plan and
     read-only, so that copies of the plan share them.
 
     Per-node arrays are node-major, ``(node_count + 1, rows)``, so that a
@@ -179,7 +184,7 @@ class _Layout:
         origins = list(plan.by_origin)
         self.row_type = np.repeat(np.arange(len(plan.types)), len(origins))
         self.start = np.zeros((nodes, rows))
-        self.start[np.tile(origins, len(plan.types)), np.arange(rows)] = 1.0
+        self.start[origins * len(plan.types), np.arange(rows)] = 1.0
         # The padding edge runs from node 0, never reached.
         into = [[] for _ in range(nodes)]
         for eid, head in enumerate(net.dsts.tolist()):
@@ -367,9 +372,9 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
     """
     key = signal.tobytes()
     dags = plan._memo
-    if dags is None or dags.key != key:
+    if dags.key != key:
         kept = _kept_edges(plan, signal)
-        if dags is None or dags.kept_key != kept.tobytes():
+        if dags.kept_key != kept.tobytes():
             dags = _dags(plan, kept)
         dags = plan._memo = replace(dags, key=key)
     layout = plan._layout
@@ -391,25 +396,21 @@ def _kept_edges(plan: LoadPlan, signal: np.ndarray) -> np.ndarray:
 
     Distances come from min-plus relaxation to a fixed point: like the
     heapq Dijkstra's, each is the minimum over routes of their
-    left-to-right float sums, so the two agree bit for bit.  With a memo
-    the relaxation starts from ``_bounds``, the memo's route sums under
-    the new weights, and reaches the same fixed point (see
-    ``_distances``); without one, on a plan's first signal, it starts
-    from inf.  Heap pops
-    never decrease in distance, so on a tight edge ``(u, v)`` the order
-    test ``order[v] > order[u]`` is ``dist[v] > dist[u]`` unless the two
-    distances are equal.  A row with a tight edge between equal finite
-    distances is a plateau row: ``_row_dag`` keeps its edges by the
-    finalization order itself.
+    left-to-right float sums, so the two agree bit for bit.  The
+    relaxation starts from ``_bounds``, the memo's route sums under the
+    new weights, and reaches the fixed point a start from inf reaches
+    (see ``_distances``).  Heap pops never decrease in distance, so on a
+    tight edge ``(u, v)`` the order test ``order[v] > order[u]`` is
+    ``dist[v] > dist[u]`` unless the two distances are equal.  A row
+    with a tight edge between equal finite distances is a plateau row:
+    ``_row_dag`` keeps its edges by the finalization order itself.
     """
     net, layout = plan.net, plan._layout
     rows = plan.row_count
     weights = edge_weight(signal[None], plan.omegas)
     by_edge = weights.T[:, layout.row_type]                 # (edges, rows)
 
-    dags = plan._memo
-    dist = _distances(layout, by_edge,
-                      None if dags is None else _bounds(layout, dags, by_edge))
+    dist = _distances(layout, by_edge, _bounds(layout, plan._memo, by_edge))
     tail_dist, head_dist = dist[net.srcs], dist[net.dsts]
     tight = ((tail_dist + by_edge
               <= head_dist * (1.0 + TIE_TOL) + TIE_TOL_ABS)
@@ -501,26 +502,24 @@ def _bounds(layout: _Layout, dags: _Dags, by_edge: np.ndarray) -> np.ndarray:
 
 
 def _distances(layout: _Layout, by_edge: np.ndarray,
-               dist: np.ndarray | None = None) -> np.ndarray:
+               dist: np.ndarray) -> np.ndarray:
     """Every row's shortest distances from its origin, node-major
     ``(node_count + 1, rows)``, unreached nodes at inf: min-plus
     relaxation of ``(edges, rows)`` non-negative weights until no
     distance falls.
 
-    The relaxation starts from ``dist`` when given (``_bounds``' route
-    sums, which it lowers in place) and from 0.0 at the origins and inf
-    elsewhere otherwise.  Both reach the same bytes.  Every finite value
-    it holds is some route's left-to-right float sum, so none falls
-    below the minimum over routes; at the fixed point no edge improves
-    on its head's value, and float addition is monotone, so along the
-    best route each value is at most that route's partial sum.  Bounds
-    that no edge improves on are the distances after one pass.
+    The relaxation starts from ``dist``, ``_bounds``' route sums, which
+    it lowers in place; a start of 0.0 at the origins and inf elsewhere
+    reaches the same bytes.  Every finite value it holds is some route's
+    left-to-right float sum, so none falls below the minimum over
+    routes; at the fixed point no edge improves on its head's value, and
+    float addition is monotone, so along the best route each value is at
+    most that route's partial sum.  Bounds that no edge improves on are
+    the distances after one pass.
     """
     # Padding slots clip to a real edge's weight, but their tail is node
     # 0, which stays at inf.
     into = np.take(by_edge, layout.into, axis=0, mode="clip")
-    if dist is None:
-        dist = np.where(layout.start > 0.0, 0.0, np.inf)
     reach = np.empty(into.shape)
     best = np.empty(dist.shape)
     while True:

@@ -7,8 +7,9 @@ realize congestion costs, record them into the history, and write flows,
 costs, social cost and capacity excess into row t of the run's columns.
 
 A built-in instance's loading plan is built once per process and type
-set, and warmed by loading the zero warm-up signal once; every run on it
-loads through a shallow copy, which shares the plan's row-DAG cache.
+set; every run on it loads through a shallow copy, which shares the
+plan's row-DAG cache and starts, as every plan does, from the zero
+warm-up signal's DAGs.
 """
 
 from __future__ import annotations
@@ -119,14 +120,8 @@ def _read_tntp(path: str | Path) -> str:
 @functools.cache
 def _instance_plan(instance: str, types: TypeSet) -> LoadPlan:
     """The built-in ``instance``'s plan for ``types``, built and checked
-    once per process, then warmed by loading the zero warm-up signal,
-    which period 1 of every network run reads: a batched plan's memo
-    holds its DAGs, a per-row plan's row-DAG cache its rows' DAGs, which
-    the cache never drops."""
-    net, demand = load_instance(instance)
-    plan = LoadPlan(net, demand, types)
-    assign(plan, np.zeros((net.edge_count, 2)), np.zeros(len(types)))
-    return plan
+    once per process."""
+    return LoadPlan(*load_instance(instance), types)
 
 
 class Columns(Sequence):

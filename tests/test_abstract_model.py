@@ -799,10 +799,6 @@ class TestConvergenceCheckValidation:
         if case == "windowed_scheme":
             return (dataclasses.replace(config, scheme=extreme_scheme(3)),
                     (a, b))
-        if case == "uniform_renewal":
-            return (dataclasses.replace(
-                config, renewal=uniform_perturbation(len(config.types), 0.0)),
-                (a, b))
         return config, {
             "inverted": (a, b[:, ::-1]),
             "three_arms": (a, b, a),
@@ -820,8 +816,7 @@ class TestConvergenceCheckValidation:
         "one_arm": "two initial signals", "transposed": "shape",
         "one_action_short": "shape", "infinite_upper": "finite",
         "negative_lower": "finite",
-        "windowed_scheme": "drives the running-envelope scheme",
-        "uniform_renewal": "needs a finite-support renewal"}
+        "windowed_scheme": "drives the running-envelope scheme"}
 
     @pytest.mark.parametrize("case", list(MESSAGES))
     def test_rejected_before_period_one(self, case, monkeypatch):
@@ -952,10 +947,12 @@ class TestConvergenceCheckAgainstFullBatch:
         return a, b
 
     @staticmethod
-    def same_bytes(m, trajectories, horizon, inits, seed):
+    def same_bytes(m, trajectories, horizon, inits, seed, renewal=None):
         """Assert the two checks agree; the full batch's coalescence
-        period of every pair."""
+        period of every pair.  ``renewal`` replaces the demo's."""
         config, _ = convergence_demo_config(action_count=m)
+        if renewal is not None:
+            config = dataclasses.replace(config, renewal=renewal)
         report = convergence_check(config, trajectories, horizon, inits,
                                    seed)
         expected, coalesced_at = convergence_check_full_batch(
@@ -999,6 +996,17 @@ class TestConvergenceCheckAgainstFullBatch:
         coalesced_at = self.same_bytes(m, self.TRAJECTORIES, horizon,
                                        inits, 0)
         assert coalesced_at.max() == horizon
+
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_uniform_perturbation_renewal(self, m, seed):
+        # the coalescence rule rests on full_extreme and shared draws,
+        # not on the renewal law: under a continuous one every pair
+        # coalesces at M = 2 and 3, and none does at M = 8
+        inits = convergence_demo_config(action_count=m)[1]
+        coalesced_at = self.same_bytes(m, 200, 60, inits, seed,
+                                       uniform_perturbation(2, 0.2))
+        assert (coalesced_at >= 0).all() if m < 8 else (coalesced_at < 0).all()
 
     @pytest.mark.parametrize("m", [2, 3, 8])
     @pytest.mark.parametrize("pair", ["demo", "perturbed"])

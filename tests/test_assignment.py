@@ -15,6 +15,7 @@ from intervalsig.assignment import (
     TIE_TOL_ABS,
     LoadPlan,
     ValidationError,
+    _dags,
     _load_batched,
     _distances,
     _kept_edges,
@@ -144,16 +145,19 @@ class TestAssign:
 
     @pytest.mark.parametrize("bad", [-1.0, np.inf, np.nan])
     def test_negative_or_nonfinite_signal_rejected(self, bad):
-        # on a batched plan and on a per-row one, before any DAG is built
+        # on a batched plan and on a per-row one, before any DAG is built:
+        # the plan is left as construction made it
         for instance, batched in (("sioux-falls", True), ("diamond", False)):
             net, demand = load_instance(instance)
             plan = LoadPlan(net, demand, FIVE_TYPES)
             assert plan.batched is batched
+            memo, built = plan._memo, row_dag_snapshot(plan)
             signal = np.tile(net.free_flows[:, None], 2)
             signal[3, 1] = bad
             with pytest.raises(ValidationError, match="finite and >= 0"):
                 assign(plan, signal, FLAT)
-            assert plan._memo is None and plan._row_dags == {}
+            assert plan._memo is memo
+            assert row_dag_snapshot(plan) == built
 
     def test_group_shares_reproduce_edge_flows(self):
         net = diamond()
@@ -452,11 +456,18 @@ def plateau_rows(plan, signal):
     return rows
 
 
+def cold_start(layout):
+    """The relaxation's reference start: 0.0 at the origins, inf
+    elsewhere."""
+    return np.where(layout.start > 0.0, 0.0, np.inf)
+
+
 def assert_distances_match_frozen_dijkstra(plan, signal):
     # the cold start, from inf
     layout = plan._layout
     by_edge = edge_weight(signal[None], plan.omegas).T[:, layout.row_type]
-    assert_rows_are_frozen_dijkstra(plan, signal, _distances(layout, by_edge))
+    assert_rows_are_frozen_dijkstra(
+        plan, signal, _distances(layout, by_edge, cold_start(layout)))
 
 
 def count_dag_builds(monkeypatch):
@@ -550,7 +561,8 @@ class TestBatchedMatchesPerRow:
         assert slack.any()
         signal[slack] *= 1.5
         flows = assign(plan, signal, FLAT)
-        assert len(builds) == 1
+        # the construction's zero build and the first signal's
+        assert len(builds) == 2
         assert plan._memo.key == signal.tobytes()
         want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES), signal, FLAT)
         assert flows.tobytes() == want.tobytes()
@@ -565,7 +577,8 @@ class TestBatchedMatchesPerRow:
         edge = int(np.flatnonzero(kept[:-1].any(axis=1))[0])
         signal[edge] += 100.0
         flows = assign(plan, signal, FLAT)
-        assert len(builds) == 2
+        # the construction's zero build and one per signal
+        assert len(builds) == 3
         assert _kept_edges(plan, signal).tobytes() != kept.tobytes()
         want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES), signal, FLAT)
         assert flows.tobytes() == want.tobytes()
@@ -591,10 +604,12 @@ class TestBatchedMatchesPerRow:
                                                             net.edge_count)])
             last = None
             for period in (signal, raised, raised.copy(), other, signal):
+                # built before counting: its construction builds the
+                # zero signal's DAGs
+                reference = LoadPlan(net, demand, FIVE_TYPES)
                 before = len(builds)
                 got = _load_batched(plan, period, shares)
-                want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES),
-                                     period, shares)
+                want = _load_per_row(reference, period, shares)
                 assert got.tobytes() == want.tobytes()
                 if last is not None and period.tobytes() != last:
                     key = "kept" if len(builds) == before else "rebuilt"
@@ -608,15 +623,16 @@ class TestBatchedMatchesPerRow:
         # one plan through the zero warm-up signal (every row a plateau
         # row), free-flow intervals, the same with every edge that no
         # row keeps raised, congested costs, and back
-        builds = count_dag_builds(monkeypatch)
         net, demand = grid_instance(10)
-        plan = LoadPlan(net, demand, FIVE_TYPES)
-        assert plan.batched
+        reference = LoadPlan(net, demand, FIVE_TYPES)
         zero = np.zeros((net.edge_count, 2))
         free = np.column_stack([net.free_flows, 1.5 * net.free_flows])
-        kept = _kept_edges(LoadPlan(net, demand, FIVE_TYPES), free)
+        kept = _kept_edges(reference, free)
         raised = free.copy()
         raised[~kept[:-1].any(axis=1)] *= 2.0
+        builds = count_dag_builds(monkeypatch)
+        plan = LoadPlan(net, demand, FIVE_TYPES)
+        assert plan.batched
         depths = []
         flows = None
         for period, signal in enumerate([zero, free, raised, None, free,
@@ -625,14 +641,17 @@ class TestBatchedMatchesPerRow:
                 costs = edge_costs(net, flows, capped=True)
                 signal = np.column_stack([costs, 1.2 * costs])
             flows = _load_batched(plan, signal, FLAT)
-            want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES), signal,
-                                 FLAT)
+            want = _load_per_row(reference, signal, FLAT)
             assert flows.tobytes() == want.tobytes(), period
             depths.append(len(plan._memo.levels))
             if period == 0:
+                # the construction's zero build serves it
+                assert len(builds) == 1
                 assert (len(plateau_rows(plan, signal))
                         == plan.row_count)
-        assert len(builds) == 5      # ``raised`` kept ``free``'s DAGs
+        # the construction's, then ``free``, the costs, ``free`` and
+        # ``zero``: ``raised`` kept ``free``'s DAGs
+        assert len(builds) == 5
         assert min(depths[1:-1]) >= 15
 
     def test_path_counts_above_2_53(self):
@@ -735,8 +754,8 @@ class TestRowDagCache:
 
     def test_one_dijkstra_per_distinct_signal(self, monkeypatch):
         # under now every type reads the same weights, and the diamond
-        # has one origin; the run builds the shared plan, whose warm-up
-        # loads period 1's zero signal
+        # has one origin; the run builds the shared plan, whose
+        # construction builds period 1's zero weights' DAG
         engine._instance_plan.cache_clear()
         calls = []
         original = assignment.dijkstra
@@ -766,7 +785,9 @@ class TestRowDagCache:
     def test_bounded_keeps_the_first_and_drops_the_oldest_after_it(self):
         plan = LoadPlan(diamond(), diamond_demand(), FIVE_TYPES)
         rng = np.random.default_rng(2)
-        keys = []
+        # the construction's zero weights come first
+        keys = [np.zeros(5).tobytes()]
+        assert list(plan._row_dags) == keys
         for _ in range(ROW_DAG_CACHE // 5 + 4):
             lows = rng.uniform(0.0, 10.0, 5)
             signal = np.column_stack([lows, lows + rng.uniform(1.0, 5.0, 5)])
@@ -797,13 +818,12 @@ class TestRowDagCache:
 
 def record_distances(monkeypatch):
     """Every ``_distances`` call from now on, as copies of its weights,
-    of the bounds it starts from (None on a cold start) and of its
-    result."""
+    of the bounds it starts from and of its result."""
     calls = []
     original = assignment._distances
 
-    def recorded(layout, by_edge, dist=None):
-        start = None if dist is None else dist.copy()
+    def recorded(layout, by_edge, dist):
+        start = dist.copy()
         got = original(layout, by_edge, dist)
         calls.append((by_edge.copy(), start, got.copy()))
         return got
@@ -819,15 +839,17 @@ def warm_branch(start, got):
 
 
 class TestWarmStart:
-    """A plan with a memo starts the relaxation from the memo's route
-    sums under the new weights; its distances stay the frozen Dijkstra's
-    and the cold start's bit for bit."""
+    """A plan starts the relaxation from its memo's route sums under the
+    new weights, the zero signal's DAGs' on its first new signal; its
+    distances stay the frozen Dijkstra's and the cold start's bit for
+    bit."""
 
     def test_random_networks_across_signals(self, monkeypatch):
-        # one plan loads a run of signals: the case's own, again with
-        # every edge that no row keeps raised (the bounds hold), a new
-        # continuous signal, the zero warm-up signal (every row a plateau
-        # row), a new integer one (ties and plateaus) and the first again
+        # one plan loads a run of signals: the case's own (from the
+        # construction's zero DAGs), again with every edge that no row
+        # keeps raised (the bounds hold), a new continuous signal, the
+        # zero warm-up signal (every row a plateau row), a new integer
+        # one (ties and plateaus) and the first again
         calls = record_distances(monkeypatch)
         branches = {"exact": 0, "relaxed": 0}
 
@@ -854,36 +876,86 @@ class TestWarmStart:
                 want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES),
                                      period, shares)
                 assert got.tobytes() == want.tobytes()
-                for _, start, dist in calls[before:]:
+                for by_edge, start, dist in calls[before:]:
                     assert_rows_are_frozen_dijkstra(plan, period, dist)
-                    if start is not None:
-                        branches[warm_branch(start, dist)] += 1
-            # only the plan's first signal starts cold
-            starts = [start for _, start, _ in calls]
-            assert starts[0] is None
-            assert all(start is not None for start in starts[1:])
+                    cold = _distances(plan._layout, by_edge,
+                                      cold_start(plan._layout))
+                    assert dist.tobytes() == cold.tobytes()
+                    branches[warm_branch(start, dist)] += 1
 
         check()
         assert branches["exact"] > 0 and branches["relaxed"] > 0
 
     def test_sioux_falls_trajectory_matches_cold_start(self, monkeypatch):
         # under extreme r = 5 most new signals relax from their bounds;
-        # the run builds the shared plan, whose zero warm-up signal is
-        # the one cold start
-        engine._instance_plan.cache_clear()
+        # each one's distances are the cold start's
         calls = record_distances(monkeypatch)
         run(RunConfig(scheme=extreme_scheme(5), horizon=150, seed=0,
                       instance="sioux-falls"))
         net, demand = load_instance("sioux-falls")
         layout = LoadPlan(net, demand, FIVE_TYPES)._layout
         branches = {"exact": 0, "relaxed": 0}
-        assert calls[0][1] is None
-        for by_edge, start, dist in calls[1:]:
-            cold = _distances(layout, by_edge)
+        assert calls
+        for by_edge, start, dist in calls:
+            cold = _distances(layout, by_edge, cold_start(layout))
             assert dist.tobytes() == cold.tobytes()
             branches[warm_branch(start, dist)] += 1
         assert branches["exact"] > 0
         assert branches["relaxed"] > branches["exact"]
+
+
+class TestZeroMemo:
+    """A plan starts with the zero warm-up signal's DAGs as its memo:
+    those ``_dags`` builds from the mask ``_kept_edges`` gives that signal
+    from the cold start."""
+
+    @staticmethod
+    def cold_bounds(monkeypatch):
+        """Make ``_kept_edges`` relax from the cold start, not from the
+        memo's route sums; return the calls it makes."""
+        calls = []
+
+        def cold(layout, dags, by_edge):
+            calls.append(dags)
+            return cold_start(layout)
+
+        monkeypatch.setattr(assignment, "_bounds", cold)
+        return calls
+
+    @staticmethod
+    def assert_zero_memo(plan):
+        zero = np.zeros((plan.net.edge_count, 2))
+        memo = plan._memo
+        kept = _kept_edges(plan, zero)
+        want = _dags(plan, kept)
+        assert memo.key == zero.tobytes()
+        assert memo.kept_key == want.kept_key == kept.tobytes()
+        assert memo.levels == want.levels
+        for name in ("tail", "head", "kept_at", "tail_count", "entry_count"):
+            got, built = getattr(memo, name), getattr(want, name)
+            assert got.dtype == built.dtype, name
+            assert got.tobytes() == built.tobytes(), name
+
+    def test_sioux_falls_and_grid(self, monkeypatch):
+        calls = self.cold_bounds(monkeypatch)
+        for net, demand in (load_instance("sioux-falls"), grid_instance(10)):
+            plan = LoadPlan(net, demand, FIVE_TYPES)
+            assert plan.batched
+            self.assert_zero_memo(plan)
+        assert len(calls) == 2
+
+    def test_random_networks(self, monkeypatch):
+        # zero weights everywhere, parallel edges and zero-weight cycles
+        calls = self.cold_bounds(monkeypatch)
+
+        @settings(max_examples=200, deadline=None)
+        @given(small_cases())
+        def check(case):
+            net, demand, _, _ = case
+            self.assert_zero_memo(LoadPlan(net, demand, FIVE_TYPES))
+
+        check()
+        assert calls
 
 
 class TestRelaxationMatchesFrozenDijkstra:

@@ -3,6 +3,7 @@ scripts/compare_outputs.py counts and bounds the entries two dumps
 differ in."""
 
 import csv
+import dataclasses
 import hashlib
 import importlib.util
 import shutil
@@ -11,7 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from intervalsig import convergence_demo_config
 from intervalsig.engine import diamond_system_optimum
+from intervalsig.population import uniform_perturbation
+
+from .oracle import convergence_check_full_batch
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -106,10 +111,37 @@ def test_bench_sioux_falls_is_the_benchmark_round(dump_outputs, tmp_path,
 
 
 def test_output_count_matches_the_docstring(dump_outputs):
-    # 27 outputs, 18 of which (the network and run_abstract runs) also
+    # 29 outputs, 19 of which (the network and run_abstract runs) also
     # write a CSV
-    assert len(dump_outputs.OUTPUTS) == 27
-    assert "45 files in all" in " ".join(dump_outputs.__doc__.split())
+    assert len(dump_outputs.OUTPUTS) == 29
+    assert "48 files in all" in " ".join(dump_outputs.__doc__.split())
+
+
+def test_file_run_is_the_built_in_run(dump_outputs, tmp_path, capsys):
+    # a plan built from the gen-diamond files and the built-in
+    # instance's shared plan load the same flows
+    names = ["diamond-extreme-r5", "diamond-files-extreme-r5"]
+    assert dump_outputs.main([str(tmp_path), "--only", *names]) == 0
+    for suffix in (".bin", ".csv"):
+        built_in, files = ((tmp_path / f"{name}{suffix}").read_bytes()
+                           for name in names)
+        assert files and files == built_in, suffix
+
+
+def test_uniform_convergence_is_the_full_batch(dump_outputs, tmp_path,
+                                               capsys):
+    # the oracle plays both arms of every pair to the horizon
+    assert dump_outputs.main([str(tmp_path), "--only",
+                              "convergence-m3-uniform"]) == 0
+    config, inits = convergence_demo_config(agent_count=20, action_count=3)
+    config = dataclasses.replace(config, renewal=uniform_perturbation(2, 0.2))
+    report, coalesced_at = convergence_check_full_batch(config, 300, 120,
+                                                        inits, 0)
+    assert (coalesced_at >= 0).all()
+    assert (tmp_path / "convergence-m3-uniform.bin").read_bytes() == (
+        dump_outputs._raw(report.distance_series, report.sample_a,
+                          report.sample_b,
+                          [report.ks_statistic, report.ks_pvalue]))
 
 
 def test_system_optimum_is_pinned(dump_outputs, tmp_path, capsys):

@@ -33,6 +33,8 @@ from intervalsig.instances import (
     diamond_net_text,
     diamond_trips_text,
     load_instance,
+    sioux_falls_net_text,
+    sioux_falls_trips_text,
 )
 from intervalsig.network import NoPathError, parse_network
 from intervalsig.population import uniform_type_set
@@ -532,14 +534,20 @@ class TestSharedInstancePlan:
             with pytest.raises(TypeError):
                 demand.entries[(1, 2)] = 1.0
 
-    def test_file_configs_read_their_files_on_every_run(self, tmp_path):
+    @pytest.mark.parametrize("scheme", [
+        now_scheme(), mean_scheme(), extreme_scheme(5), extreme_scheme(10),
+        extreme_scheme(20)], ids=lambda scheme: scheme.label())
+    def test_file_configs_read_their_files_on_every_run(self, tmp_path,
+                                                         scheme):
         net_path, trips_path = tmp_path / "net.tntp", tmp_path / "trips.tntp"
         net_path.write_text(diamond_net_text())
         trips_path.write_text(diamond_trips_text())
-        config = diamond_config(instance=None, net_path=net_path,
-                                trips_path=trips_path, horizon=20)
+        config = diamond_config(scheme=scheme, instance=None,
+                                net_path=net_path, trips_path=trips_path,
+                                horizon=20)
         first = columns_sha256(run(config))
-        assert first == columns_sha256(run(diamond_config(horizon=20)))
+        assert first == columns_sha256(run(diamond_config(scheme=scheme,
+                                                          horizon=20)))
         # the upper middle link's capacity doubled
         rewritten = diamond_net_text().replace("2 3 15 0 2", "2 3 30 0 2")
         assert rewritten != diamond_net_text()
@@ -587,11 +595,6 @@ class TestSharedInstancePlan:
         assert copied._memo.key != zero_key
         assert shared._memo.key == zero_key
 
-    def test_per_row_plan_keeps_no_memo(self):
-        plan = engine._instance_plan("diamond", self.FIVE_TYPES)
-        assert not plan.batched and plan._memo is None
-        assert "_layout" not in vars(plan)
-
     def test_second_diamond_run_calls_no_dijkstra(self, monkeypatch):
         # a cleared cache: no other test's entries can push this run's out
         engine._instance_plan.cache_clear()
@@ -628,6 +631,51 @@ class TestSharedInstancePlan:
         assert calls == []
         assert not one.signal.any()
 
+    @pytest.mark.parametrize("instance", [
+        ("diamond", diamond_net_text, diamond_trips_text),
+        ("sioux-falls", sioux_falls_net_text, sioux_falls_trips_text)],
+        ids=lambda instance: instance[0])
+    def test_file_run_builds_nothing_in_period_one(self, monkeypatch,
+                                                   tmp_path, instance):
+        # the plan built from the files starts at the zero warm-up
+        # signal's DAGs, as the shared plan of a built-in instance does
+        name, net_text, trips_text = instance
+        net_path, trips_path = tmp_path / "net.tntp", tmp_path / "trips.tntp"
+        net_path.write_text(net_text())
+        trips_path.write_text(trips_text())
+        calls = {"dijkstra": 0, "dags": 0, "distances": 0}
+        period_one = []
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(assignment, fn.__name__, wrapper)
+
+        counted("dijkstra", assignment.dijkstra)
+        counted("dags", assignment._dags)
+        counted("distances", assignment._distances)
+
+        def first_period(plan, signal, shares):
+            before = dict(calls)
+            flows = assignment.assign(plan, signal, shares)
+            if not period_one:
+                period_one.append({key: calls[key] - before[key]
+                                   for key in calls})
+            return flows
+
+        monkeypatch.setattr(engine, "assign", first_period)
+        config = RunConfig(scheme=extreme_scheme(5), horizon=3, seed=0,
+                           net_path=net_path, trips_path=trips_path)
+        records = run(config)
+        assert period_one == [dict.fromkeys(calls, 0)]
+        assert not records.signal[0].any()
+        # the construction built the zero DAGs before period 1
+        assert calls["dijkstra"] > 0 and calls["dags"] >= 1
+        assert columns_sha256(records) == columns_sha256(
+            run(dataclasses.replace(config, net_path=None, trips_path=None,
+                                    instance=name)))
+
     def test_second_run_builds_nothing_in_period_one(self, monkeypatch):
         engine._instance_plan.cache_clear()
         calls = {"layout": 0, "dijkstra": 0, "dags": 0, "distances": 0}
@@ -645,10 +693,11 @@ class TestSharedInstancePlan:
         config = RunConfig(scheme=extreme_scheme(5), horizon=1, seed=0,
                            instance="sioux-falls")
         cold = run(config)
-        # one Dijkstra per origin: the zero signal gives every type the
-        # same weights, and every row is a plateau row
+        # the plan's construction: one Dijkstra per origin, since the
+        # zero signal gives every type the same weights, and the zero
+        # memo, built from those DAGs with no relaxation
         assert calls == {"layout": 1, "dijkstra": 24, "dags": 1,
-                         "distances": 1}
+                         "distances": 0}
         # a longer run moves its own memo on, not the shared plan's
         run(dataclasses.replace(config, horizon=8))
         assert calls["distances"] > 1
