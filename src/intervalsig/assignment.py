@@ -10,8 +10,6 @@ the edge flows for the period.
 A run holds one ``LoadPlan`` (the network, the demand grouped by
 origin, the type set, all checked once) and calls ``assign(plan,
 signal, shares)`` every period, with the period's share of each type.
-Runs on the same inputs can share one plan through shallow copies: each
-copy moves its own memo on and all of them share the row-DAG cache.
 The loading problem splits into *rows*, one per (type, origin).  Each
 row is loaded in one pass over the origin's tight-edge DAG (Dial's
 STOCH loading, Transp. Res. 5:83, 1971): equal splitting over all tight
@@ -47,10 +45,8 @@ path counts show every destination reachable, and makes that signal's
 DAGs the memo.  Each plan caches the DAGs that ``_row_dag`` builds,
 keyed by the row's weight vector (its bytes) and then by origin; the
 first entry is the plan's own zero weights.  Once the cache holds
-``ROW_DAG_CACHE`` weight vectors it drops the oldest but that first
-one, which period 1 of every run on the plan reads
-(``engine._instance_plan`` shares one plan per built-in instance).  A
-DAG is a pure function of the weights, the origin and the network, so
+``ROW_DAG_CACHE`` weight vectors it drops the oldest.  A DAG is a pure
+function of the weights, the origin and the network, so
 a hit gives the bytes a rebuild would.  Hits are common: scalar signals
 (``now``, ``mean``, the zero warm-up) give every type the same weights,
 and a window min/max signal returns to earlier values whenever no
@@ -98,8 +94,7 @@ __all__ = [
 # 0.6 ms).  No instance lies between the diamond and 300.
 BATCH_CROSSOVER = 400
 
-# Weight vectors whose row DAGs a plan keeps, the oldest but the first
-# dropped first.
+# Weight vectors whose row DAGs a plan keeps, the oldest dropped first.
 ROW_DAG_CACHE = 64
 
 # Tolerances for calling two route costs "tied": relative plus a small
@@ -124,9 +119,9 @@ class LoadPlan:
     (``batched``).
 
     All a plan holds is read-only but its memo, which it rebinds and
-    never writes into, and its row-DAG cache, which shallow copies of
-    the plan share: an entry depends on the weights, the origin and the
-    network alone.
+    never writes into, and its row-DAG cache.  A shallow copy owns both:
+    it starts from this plan's memo and a copy of its cache, so loading
+    the copy leaves this plan as it was.
     """
 
     def __init__(self, net: Network, demand: DemandTable, types: TypeSet):
@@ -166,6 +161,14 @@ class LoadPlan:
             kept[edges, at::len(self.by_origin)] = True
         self._memo = replace(_dags(self, kept),
                              key=np.zeros((net.edge_count, 2)).tobytes())
+
+    def __copy__(self) -> LoadPlan:
+        copied = object.__new__(LoadPlan)
+        vars(copied).update(vars(self))
+        # ``_row_dag`` writes into an entry's per-origin dict
+        copied._row_dags = {key: dict(by_origin)
+                            for key, by_origin in self._row_dags.items()}
+        return copied
 
 
 class _Layout:
@@ -304,10 +307,7 @@ def _row_dag(plan: LoadPlan, weights: np.ndarray, origin: int) -> _RowDag:
     by_origin = cache.get(key)
     if by_origin is None:
         if len(cache) >= ROW_DAG_CACHE:
-            # the plan's first weight vector stays
-            keys = iter(cache)
-            next(keys)
-            del cache[next(keys)]
+            del cache[next(iter(cache))]
         by_origin = cache[key] = {}
     dag = by_origin.get(origin)
     if dag is not None:

@@ -7,9 +7,8 @@ realize congestion costs, record them into the history, and write flows,
 costs, social cost and capacity excess into row t of the run's columns.
 
 A built-in instance's loading plan is built once per process and type
-set; every run on it loads through a shallow copy, which shares the
-plan's row-DAG cache and starts, as every plan does, from the zero
-warm-up signal's DAGs.
+set, and only read after that: every run on it loads through a shallow
+copy of its own.
 """
 
 from __future__ import annotations
@@ -221,8 +220,6 @@ def run(config: RunConfig) -> RunResult:
         plan = LoadPlan(parse_network(_read_tntp(config.net_path)),
                         parse_trips(_read_tntp(config.trips_path)), types)
     else:
-        # the copy moves its own memo on; the shared plan's stays at the
-        # zero warm-up signal for the next run
         plan = copy.copy(_instance_plan(config.instance, types))
     net = plan.net
     renewal = uniform_perturbation(config.type_count, config.epsilon)

@@ -1,6 +1,7 @@
 """Signal-to-flow mapping: demand loading over each type's tight
 routes."""
 
+import copy
 import math
 
 import numpy as np
@@ -782,7 +783,7 @@ class TestRowDagCache:
                            rec.weights)
             assert rec.flows.tobytes() == fresh.tobytes()
 
-    def test_bounded_keeps_the_first_and_drops_the_oldest_after_it(self):
+    def test_bounded_drops_the_oldest(self):
         plan = LoadPlan(diamond(), diamond_demand(), FIVE_TYPES)
         rng = np.random.default_rng(2)
         # the construction's zero weights come first
@@ -796,7 +797,7 @@ class TestRowDagCache:
                      for omega in FIVE_TYPES.omegas]
             assert len(plan._row_dags) <= ROW_DAG_CACHE
         assert len(set(keys)) == len(keys) > ROW_DAG_CACHE
-        assert list(plan._row_dags) == keys[:1] + keys[1 - ROW_DAG_CACHE:]
+        assert list(plan._row_dags) == keys[-ROW_DAG_CACHE:]
 
     def test_loading_leaves_cached_dags_unchanged(self):
         plan = LoadPlan(diamond(), diamond_demand(), FIVE_TYPES)
@@ -814,6 +815,30 @@ class TestRowDagCache:
         for key, by_origin in plan._row_dags.items():
             for origin, dag in by_origin.items():
                 assert dag is dags[key][origin]
+
+    def test_copy_owns_its_cache_and_memo(self):
+        # a copy starts from the plan's memo and cache, and loading it,
+        # evictions included, leaves the plan as it was
+        rng = np.random.default_rng(3)
+        for net, demand in ((diamond(), diamond_demand()),
+                            load_instance("sioux-falls")):
+            plan = LoadPlan(net, demand, FIVE_TYPES)
+            signal = np.tile(net.free_flows[:, None], 2) * [1.0, 1.5]
+            flows = assign(plan, signal, FLAT)
+            memo, built = plan._memo, row_dag_snapshot(plan)
+            copied = copy.copy(plan)
+            assert copied._memo is memo
+            assert row_dag_snapshot(copied) == built
+            for key, by_origin in plan._row_dags.items():
+                assert copied._row_dags[key] is not by_origin
+            for _ in range(ROW_DAG_CACHE // 5 + 4):
+                lows = rng.uniform(0.0, 10.0, net.edge_count)
+                assign(copied, np.column_stack([lows, 1.5 * lows]), FLAT)
+            # only the batched loader moves a memo on
+            assert (copied._memo is not memo) == plan.batched
+            assert plan._memo is memo
+            assert row_dag_snapshot(plan) == built
+            assert assign(copied, signal, FLAT).tobytes() == flows.tobytes()
 
 
 def record_distances(monkeypatch):

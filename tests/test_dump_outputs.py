@@ -6,6 +6,8 @@ import csv
 import dataclasses
 import hashlib
 import importlib.util
+import platform
+import re
 import shutil
 from pathlib import Path
 
@@ -55,59 +57,65 @@ def test_two_dumps_are_identical(dump_outputs, tmp_path, capsys):
         assert first == (tmp_path / "b" / name).read_bytes(), name
 
 
-# What ``perfbench/run.py --workload abstract-model --seed 1`` prints as
-# its digest: the sha256 of one round's run_abstract and
-# convergence_check bytes.
+# Every file a full dump writes, as ``sha256sum`` writes it, and the
+# platform the dump was made on.  The bytes depend on the C library's
+# ``pow`` (see ``costs``), so a mismatch on another platform may be the
+# platform's and not a regression.  A change that means to move bytes
+# rewrites the manifest in the same commit:
+#   PYTHONPATH=src python3 scripts/dump_outputs.py OUT
+#   (cd OUT && LC_ALL=C sha256sum *) > tests/dump_outputs.sha256
+MANIFEST = Path(__file__).with_name("dump_outputs.sha256")
+PLATFORM = MANIFEST.with_suffix(".platform")
+
+# What ``perfbench/run.py --seed 1`` prints as its digest: for
+# ``sioux-falls`` the sha256 of one round's run bytes, for
+# ``abstract-model`` that of one round's run_abstract and
+# convergence_check bytes together.
+SIOUX_FALLS_SEED1 = ("edb0a368a0358b11b6d9de5712f3e1b93b5098bef9f09893858e8b"
+                     "99fed5cadf")
 ABSTRACT_MODEL_SEED1 = ("4fb1b4b4383985bf435ace720f1a8aa677096b146ff51e"
                         "656510e378c1c38838")
 
 
-def test_bench_outputs_are_the_abstract_model_round(dump_outputs, tmp_path,
-                                                    capsys):
-    # so ``diff -r`` of two dumps covers that workload's exact inputs
-    names = ["bench-abstract-extreme-r50", "bench-convergence-m2"]
-    assert dump_outputs.main([str(tmp_path), "--only", *names]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "bench-abstract-extreme-r50.bin", "bench-abstract-extreme-r50.csv",
-        "bench-convergence-m2.bin"]
-    joined = b"".join((tmp_path / f"{name}.bin").read_bytes()
-                      for name in names)
+def platform_record() -> str:
+    """This platform, in ``PLATFORM``'s lines."""
+    return (f"python {platform.python_version()}\n"
+            f"numpy {np.__version__}\n"
+            f"libc {' '.join(platform.libc_ver())}\n"
+            f"machine {platform.machine()}\n")
+
+
+def test_dump_matches_the_manifest(dump_outputs, tmp_path, capsys):
+    assert dump_outputs.main([str(tmp_path)]) == 0
+    want = {name: digest for digest, name in (
+        line.split("  ", 1) for line in MANIFEST.read_text().splitlines())}
+    got = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in tmp_path.iterdir()}
+    differ = sorted(name for name in want.keys() | got.keys()
+                    if want.get(name) != got.get(name))
+    assert not differ, (f"{differ} differ from the manifest, made on\n"
+                        f"{PLATFORM.read_text()}and this platform is\n"
+                        f"{platform_record()}")
+    # so that ``diff -r`` of two dumps covers the benchmark's exact inputs
+    assert got["bench-sioux-falls.bin"] == SIOUX_FALLS_SEED1
+    joined = b"".join((tmp_path / f"{name}.bin").read_bytes() for name in
+                      ["bench-abstract-extreme-r50", "bench-convergence-m2"])
     assert hashlib.sha256(joined).hexdigest() == ABSTRACT_MODEL_SEED1
 
 
-# Outputs whose rows tie in some periods, so that the tie-pick counts
-# ties there: run_abstract over every cost kind (wide rows, a tie in 57
-# of 120 periods) and the convergence check at M = 8 (tall rows, 33 of
-# 120).  The sha256 of each one's bytes.
-TIE_FALLBACK = {
-    "abstract-mixed-extreme-r7": ("422bd45a91ad48d14f840470e0d39633a424e3e4"
-                                  "7d0fc101561ed71cf3b259c8"),
-    "convergence-m8": ("09e44a0c57589e74d0bbcf44a866b7f03ffecfecf859bbf354"
-                       "a47504fc3fea19"),
-}
-
-
-@pytest.mark.parametrize("name", TIE_FALLBACK)
-def test_tied_outputs_are_pinned(dump_outputs, tmp_path, capsys, name):
-    assert dump_outputs.main([str(tmp_path), "--only", name]) == 0
-    assert hashlib.sha256((tmp_path / f"{name}.bin")
-                          .read_bytes()).hexdigest() == TIE_FALLBACK[name]
-
-
-# What ``perfbench/run.py --workload sioux-falls --seed 1`` prints as its
-# digest: the sha256 of one round's run bytes.
-SIOUX_FALLS_SEED1 = ("edb0a368a0358b11b6d9de5712f3e1b93b5098bef9f09893858e8b"
-                     "99fed5cadf")
-
-
-def test_bench_sioux_falls_is_the_benchmark_round(dump_outputs, tmp_path,
-                                                  capsys):
-    assert dump_outputs.main([str(tmp_path), "--only",
-                              "bench-sioux-falls"]) == 0
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "bench-sioux-falls.bin", "bench-sioux-falls.csv"]
-    assert hashlib.sha256((tmp_path / "bench-sioux-falls.bin")
-                          .read_bytes()).hexdigest() == SIOUX_FALLS_SEED1
+def test_manifest_is_sha256sum_output():
+    # so that ``sha256sum -c`` in a dump directory reads it as well
+    lines = MANIFEST.read_text().splitlines()
+    assert len(lines) == 48
+    assert lines == sorted(lines, key=lambda line: line[66:])
+    for line in lines:
+        assert re.fullmatch(r"[0-9a-f]{64}  [\w.-]+", line), line
+    # the record names this platform's fields, so that a failed
+    # comparison prints like for like
+    assert ([line.split(" ", 1)[0] for line in PLATFORM.read_text()
+             .splitlines()]
+            == [line.split(" ", 1)[0]
+                for line in platform_record().splitlines()])
 
 
 def test_output_count_matches_the_docstring(dump_outputs):

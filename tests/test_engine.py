@@ -11,6 +11,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -518,8 +520,9 @@ def columns_sha256(result) -> str:
 
 class TestSharedInstancePlan:
     """A built-in instance and its loading plan are built once per
-    process, on inputs that cannot change; every run takes a shallow copy
-    of the plan, whose memo starts at the zero warm-up signal's DAGs."""
+    process, on inputs that cannot change, and only read after that:
+    every run takes a shallow copy of the plan, which owns its memo and
+    its row-DAG cache, both starting at the zero warm-up signal's DAGs."""
 
     FIVE_TYPES = uniform_type_set(5)
 
@@ -572,10 +575,12 @@ class TestSharedInstancePlan:
         with pytest.raises(TypeError):
             plan.by_origin[1] = ()
 
-    def test_run_copies_share_the_row_dag_cache_not_the_memo(
+    def test_run_copies_share_neither_the_row_dag_cache_nor_the_memo(
             self, monkeypatch):
         shared = engine._instance_plan("sioux-falls", self.FIVE_TYPES)
         zero_key = np.zeros((shared.net.edge_count, 2)).tobytes()
+        zero_weights = np.zeros(shared.net.edge_count).tobytes()
+        zero_dags = dict(shared._row_dags[zero_weights])
         plans = []
 
         def recorded(plan, signal, shares):
@@ -589,17 +594,31 @@ class TestSharedInstancePlan:
         assert all(plan is copied for plan in plans)
         assert copied is not shared
         assert copied._layout is shared._layout
-        assert copied._row_dags is shared._row_dags
+        assert copied._row_dags is not shared._row_dags
+        assert (copied._row_dags[zero_weights]
+                is not shared._row_dags[zero_weights])
         # the run's memo moved on; the shared plan's stays at the zero
         # warm-up signal
         assert copied._memo.key != zero_key
         assert shared._memo.key == zero_key
+        # runs that fill and evict their own caches read the shared plan
+        # and write nothing into it
+        monkeypatch.undo()
+        for scheme in (now_scheme(), mean_scheme(), extreme_scheme(5)):
+            run(RunConfig(scheme=scheme, horizon=100, seed=1,
+                          instance="sioux-falls"))
+            run(diamond_config(scheme=scheme, horizon=100))
+        assert list(shared._row_dags) == [zero_weights]
+        assert shared._row_dags[zero_weights] == zero_dags
+        assert all(dag is zero_dags[origin] for origin, dag
+                   in shared._row_dags[zero_weights].items())
+        assert shared._memo.key == zero_key
 
-    def test_second_diamond_run_calls_no_dijkstra(self, monkeypatch):
-        # a cleared cache: no other test's entries can push this run's out
-        engine._instance_plan.cache_clear()
-        config = diamond_config(horizon=5)
-        first = run(config)
+    def test_period_one_of_a_built_in_run_calls_no_dijkstra(
+            self, monkeypatch):
+        # the shared plan's construction built the zero warm-up's DAG,
+        # and every run's cache starts from it
+        engine._instance_plan("diamond", self.FIVE_TYPES)
         calls = []
         original = assignment.dijkstra
 
@@ -607,10 +626,51 @@ class TestSharedInstancePlan:
             calls.append(args)
             return original(*args)
 
+        periods = []
+
+        def first_period(plan, signal, shares):
+            flows = assignment.assign(plan, signal, shares)
+            if not periods:
+                periods.append(len(calls))
+            return flows
+
         monkeypatch.setattr(assignment, "dijkstra", counted)
-        second = run(config)
-        assert calls == []
-        assert columns_sha256(second) == columns_sha256(first)
+        monkeypatch.setattr(engine, "assign", first_period)
+        records = run(diamond_config(horizon=5))
+        assert periods == [0]
+        assert not records.signal[0].any()
+        # later periods build their own DAGs
+        assert calls
+
+    def test_concurrent_runs_match_their_solo_runs(self):
+        # Threads run on one built-in instance's shared plan; a small
+        # switch interval passes the interpreter lock between them about
+        # every microsecond, inside any read-modify-write they share.
+        configs = [[diamond_config(scheme=scheme, horizon=400, seed=seed)
+                    for scheme in (now_scheme(), mean_scheme(),
+                                   extreme_scheme(5))]
+                   for seed in (0, 1)]
+        solo = {config: columns_sha256(run(config))
+                for seed_configs in configs for config in seed_configs}
+        threads = 6
+        barrier = threading.Barrier(threads)
+
+        def runs(thread):
+            barrier.wait(timeout=60)
+            return {config: columns_sha256(run(config))
+                    for config in configs[thread % 2]}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(threads) as pool:
+                results = [future.result(timeout=120) for future in [
+                    pool.submit(runs, thread) for thread in range(threads)]]
+        finally:
+            sys.setswitchinterval(interval)
+        for thread, digests in enumerate(results):
+            assert digests == {config: solo[config]
+                               for config in configs[thread % 2]}, thread
 
     def test_long_run_keeps_the_warm_up_dags(self, monkeypatch):
         # 500 periods under a short window cache far more than
