@@ -41,16 +41,17 @@ bounds exact.  A row with a distance plateau takes its DAG from
 
 A network run's first signal is the zero warm-up, so every plan starts
 from it: construction builds each origin's DAG under zero weights, whose
-path counts show every destination reachable, and makes that signal's
-DAGs the memo.  Each plan caches the DAGs that ``_row_dag`` builds,
-keyed by the row's weight vector (its bytes) and then by origin; the
-first entry is the plan's own zero weights.  Once the cache holds
-``ROW_DAG_CACHE`` weight vectors it drops the oldest.  A DAG is a pure
-function of the weights, the origin and the network, so
-a hit gives the bytes a rebuild would.  Hits are common: scalar signals
-(``now``, ``mean``, the zero warm-up) give every type the same weights,
-and a window min/max signal returns to earlier values whenever no
-extreme enters or leaves the window.
+path counts show every destination reachable; a batched plan, and no
+other, also holds a ``_Layout`` and a memo that starts as that signal's
+DAGs.  Each plan caches the DAGs that ``_row_dag`` builds, keyed by the
+row's weight vector (its bytes) and then by origin; the first entry is
+the plan's own zero weights.  Once the cache holds ``ROW_DAG_CACHE``
+weight vectors it drops the oldest.  A DAG is a pure function of the
+weights, the origin and the network, so a hit gives the bytes a rebuild
+would.  Hits are common: scalar signals (``now``, ``mean``, the zero
+warm-up) give every type the same weights, and a window min/max signal
+returns to earlier values whenever no extreme enters or leaves the
+window.
 """
 
 from __future__ import annotations
@@ -112,11 +113,11 @@ class LoadPlan:
     ``1..node_count`` is a ``ValidationError`` and a pair that no route
     connects, the first in sorted order, a ``NoPathError``: one whose
     destination the origin's zero-weight DAG counts no path to.  Those
-    DAGs are the row-DAG cache's first entry, and the zero warm-up
-    signal's DAGs over all rows the memo.  Rows are (type, origin)
-    pairs, type-major with origins ascending; a plan with at least
+    DAGs are the row-DAG cache's first entry.  Rows are (type, origin)
+    pairs, type-major with origins ascending.  A plan with at least
     ``BATCH_CROSSOVER`` rows times edges loads in whole-array passes
-    (``batched``).
+    (``batched``); only such a plan holds their ``_Layout`` and memo, the
+    zero warm-up signal's DAGs at first.
 
     All a plan holds is read-only but its memo, which it rebinds and
     never writes into, and its row-DAG cache.  A shallow copy owns both:
@@ -144,7 +145,6 @@ class LoadPlan:
         self.batched = self.row_count * net.edge_count >= BATCH_CROSSOVER
         self.srcs = tuple(net.srcs.tolist())
         self.dsts = tuple(net.dsts.tolist())
-        self._layout = _Layout(self)
         # weight bytes -> origin -> ``_row_dag``'s (kept, count)
         self._row_dags: dict[bytes, dict[int, _RowDag]] = {}
         # Under the zero signal every row is a plateau row, so the zero
@@ -159,8 +159,10 @@ class LoadPlan:
                         f"destination {dest} unreachable from origin {origin}")
             # the origin's row of every type
             kept[edges, at::len(self.by_origin)] = True
-        self._memo = replace(_dags(self, kept),
-                             key=np.zeros((net.edge_count, 2)).tobytes())
+        if self.batched:
+            self._layout = _Layout(self)
+            self._memo = replace(_dags(self, kept),
+                                 key=np.zeros((net.edge_count, 2)).tobytes())
 
     def __copy__(self) -> LoadPlan:
         copied = object.__new__(LoadPlan)

@@ -112,7 +112,9 @@ class AbstractCostFn:
     Each parameter is read through ``require_real`` and stored as a
     float.  An unknown kind, a wrong parameter count, a non-finite
     parameter, an agent count N below 1 or a flapping magnitude J not
-    above 0 is a ``ValidationError`` at construction.
+    above 0 is a ``ValidationError`` at construction.  Its call serves
+    no run, since runs price counts through ``CostTable``: it is the
+    reference that tests hold each table entry to, bit for bit.
     """
 
     kind: str
@@ -161,11 +163,11 @@ class CostTable:
     Built once from a list of ``M`` cost functions; calling it maps
     ``(..., M)`` counts to ``(..., M)`` costs.  Actions are grouped by
     kind, each group's parameters stacked into ``(M_kind,)`` vectors and
-    run through the kind's formula once; polynomial coefficients form
-    an ``(M_kind, degree+1)`` matrix zero-padded at the high end, so a
-    lower-degree action's Horner steps first yield exact zeros and then
-    match its own call step for step.  Every entry equals the action's
-    ``AbstractCostFn`` call bit for bit.
+    run through the kind's formula once.  Each stack is a matrix
+    zero-padded at the high end.  Fixed-arity kinds pad nothing; a
+    lower-degree polynomial's Horner steps first yield exact zeros and
+    then match its own call step for step.  Every entry equals the
+    action's ``AbstractCostFn`` call bit for bit.
     """
 
     def __init__(self, fns):
@@ -175,14 +177,10 @@ class CostTable:
             by_kind.setdefault(fn.kind, []).append(m)
         self._groups = []
         for kind, members in by_kind.items():
-            if kind == "polynomial":
-                width = max(len(fns[m].params) for m in members)
-                matrix = np.zeros((len(members), width))
-                for row, m in enumerate(members):
-                    matrix[row, :len(fns[m].params)] = fns[m].params
-            else:
-                matrix = np.array([fns[m].params for m in members],
-                                  dtype=float)
+            width = max(len(fns[m].params) for m in members)
+            matrix = np.zeros((len(members), width))
+            for row, m in enumerate(members):
+                matrix[row, :len(fns[m].params)] = fns[m].params
             # one contiguous (M_kind,) vector per parameter
             params = list(np.ascontiguousarray(matrix.T))
             self._groups.append((_FORMULAS[kind], params,
@@ -221,10 +219,15 @@ def social_cost_abstract(counts, costs, total_agents: float) -> float:
     ``costs`` holds each action's cost c_m(n_m), already evaluated.
 
     The terms are summed with ``math.fsum``, so the result is their
-    correctly rounded sum whatever their order and Python version."""
+    correctly rounded sum whatever their order and Python version.  A
+    total that ``require_real`` refuses, or one not in ``(0, inf)``, is a
+    ``ValidationError``."""
     counts = np.asarray(counts, dtype=float)
-    if total_agents <= 0:
-        raise ValidationError("total agent count must be positive")
+    total_agents = require_real(total_agents, "total agent count")
+    if not 0.0 < total_agents < math.inf:
+        raise ValidationError(
+            f"total agent count must be positive and finite, "
+            f"got {total_agents}")
     if len(counts) != len(costs):
         raise ValidationError("one count per cost required")
     if abs(counts.sum() - total_agents) > 1e-9 * max(1.0, abs(total_agents)):

@@ -17,6 +17,7 @@ import copy
 import functools
 import itertools
 import math
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -71,7 +72,8 @@ class RunConfig:
     """Everything needed to reproduce one simulation run.
 
     The problem instance comes from exactly one source: a built-in
-    ``instance`` name or a pair of TNTP file paths.
+    ``instance`` name (a ``str``) or a pair of TNTP file paths (each a
+    ``str`` or ``os.PathLike``).
     """
 
     scheme: Scheme
@@ -97,6 +99,13 @@ class RunConfig:
                            require_int(self.type_count, "type count", 2))
         # the renewal that ``run`` builds checks epsilon against 1/K
         uniform_perturbation(self.type_count, self.epsilon)
+        if self.instance is not None:
+            require_instance(self.instance, str, "instance")
+        for what in ("net_path", "trips_path"):
+            path = getattr(self, what)
+            if not isinstance(path, (str, os.PathLike, type(None))):
+                raise ValidationError(
+                    f"{what} must be a str or os.PathLike, got {path!r}")
         paths = self.net_path is not None or self.trips_path is not None
         if (self.instance is not None) == paths:
             raise ValidationError(

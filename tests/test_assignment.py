@@ -52,6 +52,21 @@ def diamond_demand():
     return parse_trips(DIAMOND_TRIPS)
 
 
+def batched_plan(net, demand, types=FIVE_TYPES):
+    """A plan that holds the batched loader's layout and memo whatever
+    its size: ``BATCH_CROSSOVER`` is 0 while it is built.  A context,
+    not the ``monkeypatch`` fixture, so Hypothesis examples can call
+    it."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assignment, "BATCH_CROSSOVER", 0)
+        return LoadPlan(net, demand, types)
+
+
+def memo_of(plan):
+    """The plan's memo, None for a per-row plan, which holds none."""
+    return vars(plan).get("_memo")
+
+
 def interval_signal(rows):
     sig = np.array(rows, dtype=float)
     assert np.all(sig[:, 0] <= sig[:, 1])
@@ -152,12 +167,14 @@ class TestAssign:
             net, demand = load_instance(instance)
             plan = LoadPlan(net, demand, FIVE_TYPES)
             assert plan.batched is batched
-            memo, built = plan._memo, row_dag_snapshot(plan)
+            memo, built = memo_of(plan), row_dag_snapshot(plan)
+            # only a batched plan holds a memo
+            assert (memo is not None) is batched
             signal = np.tile(net.free_flows[:, None], 2)
             signal[3, 1] = bad
             with pytest.raises(ValidationError, match="finite and >= 0"):
                 assign(plan, signal, FLAT)
-            assert plan._memo is memo
+            assert memo_of(plan) is memo
             assert row_dag_snapshot(plan) == built
 
     def test_group_shares_reproduce_edge_flows(self):
@@ -495,8 +512,9 @@ def sequential_sum(rows):
 class TestBatchedMatchesPerRow:
     """``_load_batched`` gives the per-row loop's flows bit for bit.  The
     crossover sends small networks to the per-row loop, so these tests
-    call both loaders directly, each on its own plan: the reference never
-    reads a DAG that the batched side cached."""
+    build their batched side with ``batched_plan`` and call both loaders
+    directly, each on its own plan: the reference never reads a DAG that
+    the batched side cached."""
 
     def test_random_networks(self):
         # each draw also checks the batched distances against the frozen
@@ -507,7 +525,7 @@ class TestBatchedMatchesPerRow:
         @given(small_cases())
         def check(case):
             net, demand, signal, shares = case
-            plan = LoadPlan(net, demand, FIVE_TYPES)
+            plan = batched_plan(net, demand)
             assert_distances_match_frozen_dijkstra(plan, signal)
             want = _load_per_row(LoadPlan(net, demand, FIVE_TYPES), signal,
                                  shares)
@@ -595,8 +613,8 @@ class TestBatchedMatchesPerRow:
         @given(small_cases(), st.integers(0, 2**32 - 1))
         def check(case, seed):
             net, demand, signal, shares = case
-            plan = LoadPlan(net, demand, FIVE_TYPES)
-            kept = _kept_edges(LoadPlan(net, demand, FIVE_TYPES), signal)
+            plan = batched_plan(net, demand)
+            kept = _kept_edges(batched_plan(net, demand), signal)
             raised = signal.copy()
             raised[~kept[:-1].any(axis=1)] += 1.0
             rng = np.random.default_rng(seed)
@@ -605,8 +623,8 @@ class TestBatchedMatchesPerRow:
                                                             net.edge_count)])
             last = None
             for period in (signal, raised, raised.copy(), other, signal):
-                # built before counting: its construction builds the
-                # zero signal's DAGs
+                # built before counting: a case at or above the
+                # crossover builds the zero signal's DAGs
                 reference = LoadPlan(net, demand, FIVE_TYPES)
                 before = len(builds)
                 got = _load_batched(plan, period, shares)
@@ -693,7 +711,7 @@ class TestBatchedMatchesPerRow:
                              | {(1, heads[-1]): 1e16})
         types = TypeSet((0.5,))
         signal = np.ones((net.edge_count, 2))
-        plan = LoadPlan(net, demand, types)
+        plan = batched_plan(net, demand, types)
         got = _load_batched(plan, signal, np.ones(1))
         assert len(plan._memo.levels) == chain + 1
         want = _load_per_row(LoadPlan(net, demand, types), signal,
@@ -825,9 +843,11 @@ class TestRowDagCache:
             plan = LoadPlan(net, demand, FIVE_TYPES)
             signal = np.tile(net.free_flows[:, None], 2) * [1.0, 1.5]
             flows = assign(plan, signal, FLAT)
-            memo, built = plan._memo, row_dag_snapshot(plan)
+            memo, built = memo_of(plan), row_dag_snapshot(plan)
+            # only a batched plan holds a memo
+            assert (memo is not None) == plan.batched
             copied = copy.copy(plan)
-            assert copied._memo is memo
+            assert memo_of(copied) is memo
             assert row_dag_snapshot(copied) == built
             for key, by_origin in plan._row_dags.items():
                 assert copied._row_dags[key] is not by_origin
@@ -835,8 +855,8 @@ class TestRowDagCache:
                 lows = rng.uniform(0.0, 10.0, net.edge_count)
                 assign(copied, np.column_stack([lows, 1.5 * lows]), FLAT)
             # only the batched loader moves a memo on
-            assert (copied._memo is not memo) == plan.batched
-            assert plan._memo is memo
+            assert (memo_of(copied) is not memo) == plan.batched
+            assert memo_of(plan) is memo
             assert row_dag_snapshot(plan) == built
             assert assign(copied, signal, FLAT).tobytes() == flows.tobytes()
 
@@ -864,10 +884,10 @@ def warm_branch(start, got):
 
 
 class TestWarmStart:
-    """A plan starts the relaxation from its memo's route sums under the
-    new weights, the zero signal's DAGs' on its first new signal; its
-    distances stay the frozen Dijkstra's and the cold start's bit for
-    bit."""
+    """A batched plan starts the relaxation from its memo's route sums
+    under the new weights, the zero signal's DAGs' on its first new
+    signal; its distances stay the frozen Dijkstra's and the cold start's
+    bit for bit."""
 
     def test_random_networks_across_signals(self, monkeypatch):
         # one plan loads a run of signals: the case's own (from the
@@ -882,8 +902,8 @@ class TestWarmStart:
         @given(small_cases(), st.integers(0, 2**32 - 1))
         def check(case, seed):
             net, demand, signal, shares = case
-            plan = LoadPlan(net, demand, FIVE_TYPES)
-            kept = _kept_edges(LoadPlan(net, demand, FIVE_TYPES), signal)
+            plan = batched_plan(net, demand)
+            kept = _kept_edges(batched_plan(net, demand), signal)
             raised = signal.copy()
             raised[~kept[:-1].any(axis=1)] += 1.0
             rng = np.random.default_rng(seed)
@@ -930,9 +950,9 @@ class TestWarmStart:
 
 
 class TestZeroMemo:
-    """A plan starts with the zero warm-up signal's DAGs as its memo:
-    those ``_dags`` builds from the mask ``_kept_edges`` gives that signal
-    from the cold start."""
+    """A batched plan starts with the zero warm-up signal's DAGs as its
+    memo: those ``_dags`` builds from the mask ``_kept_edges`` gives that
+    signal from the cold start."""
 
     @staticmethod
     def cold_bounds(monkeypatch):
@@ -977,7 +997,7 @@ class TestZeroMemo:
         @given(small_cases())
         def check(case):
             net, demand, _, _ = case
-            self.assert_zero_memo(LoadPlan(net, demand, FIVE_TYPES))
+            self.assert_zero_memo(batched_plan(net, demand))
 
         check()
         assert calls

@@ -370,6 +370,15 @@ class TestSocialCostAbstract:
             social_cost_abstract(
                 (1, 2), evaluated((1, 2), [CURVE_A, CURVE_B]), 2)
 
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf, 0.0,
+                                       -3.0, "3", None, True])
+    def test_total_must_be_a_positive_finite_number(self, total):
+        # a NaN total used to give NaN, an infinite one 0.0 and a string
+        # a bare TypeError
+        with pytest.raises(ValidationError, match="total agent count"):
+            social_cost_abstract(np.array([1.0, 2.0]), np.array([1.0, 1.0]),
+                                 total)
+
     @settings(max_examples=60, deadline=None)
     @given(st.floats(0, 2, allow_nan=False))
     def test_permutation_invariant_with_equal_costs(self, x):

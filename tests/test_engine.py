@@ -20,6 +20,7 @@ import pytest
 
 import intervalsig
 from intervalsig import assignment, engine
+from intervalsig.cli import main
 from intervalsig.costs import edge_costs
 from intervalsig.engine import (
     RunConfig,
@@ -257,6 +258,21 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             RunConfig(scheme=now_scheme(), horizon=1, seed=0, capped=True,
                       net_path="net.txt")
+
+    @pytest.mark.parametrize("instance", [["diamond"], 3, b"diamond"])
+    def test_instance_must_be_a_str(self, instance):
+        # a list used to build, then fail in ``run`` as unhashable
+        with pytest.raises(ValidationError, match="instance must be a str"):
+            diamond_config(instance=instance)
+
+    @pytest.mark.parametrize("net_path, trips_path", [
+        (3, 3), ("net.txt", 3), (["net.txt"], "trips.txt")])
+    def test_paths_must_be_str_or_path_like(self, net_path, trips_path):
+        # ints used to build, then fail in ``run`` with a bare TypeError
+        with pytest.raises(ValidationError,
+                           match="_path must be a str or os.PathLike"):
+            RunConfig(scheme=now_scheme(), horizon=1, seed=0,
+                      net_path=net_path, trips_path=trips_path)
 
 
 def fake_records(social_costs, excesses=None):
@@ -730,11 +746,53 @@ class TestSharedInstancePlan:
         records = run(config)
         assert period_one == [dict.fromkeys(calls, 0)]
         assert not records.signal[0].any()
-        # the construction built the zero DAGs before period 1
-        assert calls["dijkstra"] > 0 and calls["dags"] >= 1
+        # the construction built the zero DAGs before period 1, and only
+        # the batched plan the batched loader's
+        assert calls["dijkstra"] > 0
+        assert (calls["dags"] > 0) is (name == "sioux-falls")
         assert columns_sha256(records) == columns_sha256(
             run(dataclasses.replace(config, net_path=None, trips_path=None,
                                     instance=name)))
+
+    @pytest.mark.parametrize("source", ["diamond", "gen-diamond"])
+    def test_per_row_plan_builds_no_layout_or_memo(self, monkeypatch,
+                                                   tmp_path, source):
+        # the diamond's plan loads row by row: its construction builds
+        # each origin's zero-weight DAG, for the reachability check and
+        # the row-DAG cache, and nothing that only the batched loader
+        # reads
+        engine._instance_plan.cache_clear()
+        calls = {"layout": 0, "dijkstra": 0, "dags": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(assignment, fn.__name__, wrapper)
+
+        counted("layout", assignment._Layout)
+        counted("dijkstra", assignment.dijkstra)
+        counted("dags", assignment._dags)
+        plans = []
+
+        def recorded(plan, signal, shares):
+            plans.append(plan)
+            return assignment.assign(plan, signal, shares)
+
+        monkeypatch.setattr(engine, "assign", recorded)
+        if source == "gen-diamond":
+            assert main(["gen-diamond", "--dir", str(tmp_path)]) == 0
+            config = RunConfig(scheme=now_scheme(), horizon=1, seed=0,
+                               net_path=tmp_path / "net.txt",
+                               trips_path=tmp_path / "trips.txt")
+        else:
+            config = diamond_config(horizon=1)
+        run(config)
+        # one origin; period 1 reads the zero DAG from the cache
+        assert calls == {"layout": 0, "dijkstra": 1, "dags": 0}
+        plan = plans[0]
+        assert not plan.batched
+        assert "_layout" not in vars(plan) and "_memo" not in vars(plan)
 
     def test_second_run_builds_nothing_in_period_one(self, monkeypatch):
         engine._instance_plan.cache_clear()
