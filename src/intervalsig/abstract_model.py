@@ -291,6 +291,7 @@ def run_abstract(config: AbstractConfig, horizon: int) -> AbstractResult:
 def records_to_abstract_csv(result: AbstractResult) -> str:
     """One ``table_csv`` row per period: t, then per action the counts
     and the signal's lower and upper endpoints, then the social cost."""
+    require_instance(result, AbstractResult, "result")
     if not len(result):
         raise ValidationError("cannot serialize an empty run")
     m = result.counts.shape[1]

@@ -147,19 +147,21 @@ class LoadPlan:
         self.dsts = tuple(net.dsts.tolist())
         # weight bytes -> origin -> ``_row_dag``'s (kept, count)
         self._row_dags: dict[bytes, dict[int, _RowDag]] = {}
-        # Under the zero signal every row is a plateau row, so the zero
-        # weights' DAGs are its kept edges.
         zero = np.zeros(net.edge_count)
-        kept = np.zeros((net.edge_count + 1, self.row_count), dtype=bool)
-        for at, (origin, dests) in enumerate(self.by_origin.items()):
-            edges, count = _row_dag(self, zero, origin)
+        for origin, dests in self.by_origin.items():
+            _, count = _row_dag(self, zero, origin)
             for dest, _ in dests:
                 if count[dest] == 0.0:
                     raise NoPathError(
                         f"destination {dest} unreachable from origin {origin}")
-            # the origin's row of every type
-            kept[edges, at::len(self.by_origin)] = True
         if self.batched:
+            # Under the zero signal every row is a plateau row, so the
+            # zero weights' DAGs, now cached, are its kept edges.
+            kept = np.zeros((net.edge_count + 1, self.row_count), dtype=bool)
+            for at, origin in enumerate(self.by_origin):
+                # the origin's row of every type
+                kept[_row_dag(self, zero, origin)[0],
+                     at::len(self.by_origin)] = True
             self._layout = _Layout(self)
             self._memo = replace(_dags(self, kept),
                                  key=np.zeros((net.edge_count, 2)).tobytes())
@@ -256,6 +258,11 @@ def _checked_inputs(plan: LoadPlan, signal: np.ndarray,
         raise ValidationError(
             f"shares of shape {shares.shape} for "
             f"{len(plan.types)} types")
+    # a plain loop: a few shares, checked on every call
+    for share in shares.tolist():
+        if not 0.0 <= share < np.inf:     # NaN fails both
+            raise ValidationError(
+                f"type shares must be finite and >= 0, got {share}")
     return signal, shares
 
 
@@ -272,8 +279,9 @@ def assign(plan: LoadPlan, signal: np.ndarray, shares) -> np.ndarray:
     ``g[v] = share * q[o, v] / cf[v] + sum of g[w] over kept (v, w)``
     and puts ``cf[u] * g[v]`` on edge ``(u, v)``: the equal split of
     every destination's demand over its tight routes.  ``shares`` holds
-    each type's share of the population, one entry per type.  Flows add
-    the rows one by one, type-major with origins ascending.
+    each type's share of the population, one finite, non-negative entry
+    per type (a ``ValidationError`` otherwise).  Flows add the rows one
+    by one, type-major with origins ascending.
     """
     signal, shares = _checked_inputs(plan, signal, shares)
     if plan.batched:

@@ -43,8 +43,19 @@ def _pow(base, exponent) -> np.ndarray:
     return np.asarray(_pow_ufunc(base, exponent), dtype=float)
 
 
+def _per_edge(net: Network, flows) -> np.ndarray:
+    """``flows`` as an array, checked to hold one flow per edge."""
+    flows = np.asarray(flows)
+    if flows.shape != net.capacities.shape:
+        raise ValidationError(
+            f"expected {net.edge_count} edge flows, got shape {flows.shape}")
+    return flows
+
+
 def edge_costs(net: Network, flows: np.ndarray, capped: bool) -> np.ndarray:
-    """BPR times for all edges at once (file order)."""
+    """BPR times for all edges at once (file order); ``flows`` must hold
+    one flow per edge, or it is a ``ValidationError``."""
+    flows = _per_edge(net, flows)
     ratio = flows / net.capacities
     if capped:
         ratio = np.minimum(ratio, 1.0)
@@ -52,7 +63,9 @@ def edge_costs(net: Network, flows: np.ndarray, capped: bool) -> np.ndarray:
 
 
 def total_excess(net: Network, flows: np.ndarray) -> float:
-    """Sum of per-edge capacity excess."""
+    """Sum of per-edge capacity excess, one flow per edge as in
+    ``edge_costs``."""
+    flows = _per_edge(net, flows)
     return float(np.maximum(flows - net.capacities, 0.0).sum())
 
 
@@ -64,7 +77,10 @@ def _fsum_of_products(a, b) -> float:
 
 def social_cost_network(flows, costs) -> float:
     """Total travel time: sum over edges of flow times cost, already
-    evaluated (``costs``), summed as ``social_cost_abstract`` sums."""
+    evaluated (``costs``), summed as ``social_cost_abstract`` sums, and
+    refused as it refuses them when the lengths differ."""
+    if len(flows) != len(costs):
+        raise ValidationError("one flow per cost required")
     return _fsum_of_products(flows, costs)
 
 

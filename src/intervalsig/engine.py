@@ -279,8 +279,10 @@ def summarize(result: RunResult,
     and the run's length is a ``ValidationError``.  Regret is the mean
     cost minus ``reference_cost`` and is omitted when no reference is
     given; a reference that ``require_real`` refuses, or a NaN or
-    infinite one, is a ``ValidationError``.
+    infinite one, is a ``ValidationError``, and so is a result that is
+    no ``RunResult``.
     """
+    require_instance(result, RunResult, "result")
     if reference_cost is not None:
         reference_cost = require_real(reference_cost, "reference cost")
         if not math.isfinite(reference_cost):
@@ -323,6 +325,7 @@ def records_to_csv(result: RunResult) -> str:
     """One ``table_csv`` row per period: t, social cost, total excess,
     the type weights, then per edge the flows, costs and the signal's
     lower and upper endpoints."""
+    require_instance(result, RunResult, "result")
     if not len(result):
         raise ValidationError("cannot serialize an empty run")
     k = result.weights.shape[1]

@@ -102,12 +102,13 @@ def checked_initial_signal(signal, m_count: int) -> np.ndarray:
 class CostHistory:
     """What one run's signal rule reads: its scheme, its optional initial
     signal and, of every resource's recorded costs, what the scheme
-    reads and nothing else.  ``now``, ``extreme`` and ``subinterval``
-    keep the last ``scheme.window`` periods in a ring buffer (the last
-    one under ``now``), ``mean`` a running sum and ``full_extreme`` a
-    running min and max.  An initial signal under ``full_extreme``
-    starts that min and max, so the envelope never takes it in again.
-    ``restricted`` keeps a chosen subset of the resources.
+    reads and nothing else, in one ``(rows, m_count)`` array whose
+    columns are the resources.  ``now``, ``extreme`` and ``subinterval``
+    keep a ring of the last ``window`` periods' costs (one row under
+    ``now``), ``mean`` one row of running sums and ``full_extreme`` a
+    running-min row and a running-max row.  An initial signal under
+    ``full_extreme`` seeds those two rows, so the envelope never takes
+    it in again.  ``restricted`` keeps a chosen subset of the columns.
     """
 
     def __init__(self, m_count: int, scheme: Scheme,
@@ -119,25 +120,19 @@ class CostHistory:
                         else checked_initial_signal(initial, m_count))
         self.window = scheme.window or 1
         self._periods = 0
-        if scheme.kind == "mean":
-            self._sum = np.zeros(m_count)
-        elif scheme.kind == "full_extreme":
-            if self.initial is None:
-                self._min = np.full(m_count, np.inf)
-                self._max = np.full(m_count, -np.inf)
-            else:
-                self._min = self.initial[:, 0].copy()
-                self._max = self.initial[:, 1].copy()
+        if scheme.kind == "full_extreme":
+            # the running-min row over the running-max row
+            self._rows = (np.tile([[np.inf], [-np.inf]], m_count)
+                          if self.initial is None else self.initial.T.copy())
             # The envelope keeps an endpoint that ties the costs, but a
             # recorded cost replaces an equal running min or max.  Equal
             # numbers differ in their bits only as 0.0 and -0.0, so
             # ``emit_signal`` puts back the zero endpoints that a zero
-            # cost tied.
-            self._zero_lo, self._zero_hi = (
-                np.flatnonzero(self._min == 0.0),
-                np.flatnonzero(self._max == 0.0))
+            # cost tied: per row, the resources whose seed is a zero.
+            self._zeros = [np.flatnonzero(row == 0.0) for row in self._rows]
         else:
-            self._recent = np.empty((self.window, m_count))
+            self._rows = np.zeros(
+                (1 if scheme.kind == "mean" else self.window, m_count))
 
     def restricted(self, resources) -> CostHistory:
         """This history over ``resources`` only, in their order: a fresh
@@ -149,14 +144,7 @@ class CostHistory:
                            None if self.initial is None
                            else self.initial[resources])
         part._periods = self._periods
-        kind = self.scheme.kind
-        if kind == "mean":
-            part._sum = self._sum[resources]
-        elif kind == "full_extreme":
-            part._min = self._min[resources]
-            part._max = self._max[resources]
-        else:
-            part._recent = self._recent[:, resources]
+        part._rows = self._rows[:, resources]
         return part
 
     @property
@@ -171,14 +159,15 @@ class CostHistory:
             raise ValidationError(
                 f"expected {self.m_count} costs, got shape {costs.shape}")
         require_finite_nonneg(costs, "cost")
-        kind = self.scheme.kind
+        kind, rows = self.scheme.kind, self._rows
         if kind == "mean":
-            self._sum += costs
+            rows += costs                     # its one row of sums
         elif kind == "full_extreme":
-            np.minimum(self._min, costs, out=self._min)
-            np.maximum(self._max, costs, out=self._max)
+            lo, hi = rows[0], rows[1]
+            np.minimum(lo, costs, out=lo)
+            np.maximum(hi, costs, out=hi)
         else:
-            self._recent[self._periods % self.window] = costs
+            rows[self._periods % self.window] = costs
         self._periods += 1
 
     def window_extremes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -190,7 +179,7 @@ class CostHistory:
                 f"a {self.scheme.kind} history keeps no window extremes")
         if self._periods == 0:
             raise ValidationError("no period recorded yet")
-        rows = self._recent[:min(self._periods, self.window)]
+        rows = self._rows[:min(self._periods, self.window)]
         return rows.min(axis=0), rows.max(axis=0)
 
 
@@ -211,12 +200,13 @@ def emit_signal(history: CostHistory) -> np.ndarray:
     scalar = scheme.kind in ("now", "mean")
     if initial is None and periods < (1 if scalar else 2):
         return np.zeros((history.m_count, 2))
+    rows = history._rows
     if scheme.kind == "now":
-        lo = hi = history._recent[0]          # a window of one period
+        lo = hi = rows[0]                     # a window of one period
     elif scheme.kind == "mean":
-        lo = hi = history._sum / periods
+        lo = hi = rows[0] / periods
     elif scheme.kind == "full_extreme":
-        lo, hi = history._min, history._max
+        lo, hi = rows[0], rows[1]
     else:
         lo, hi = history.window_extremes()
         if initial is not None and periods < scheme.window:
@@ -225,7 +215,7 @@ def emit_signal(history: CostHistory) -> np.ndarray:
     signal = np.empty((history.m_count, 2))
     signal[:, 0], signal[:, 1] = lo, hi
     if scheme.kind == "full_extreme":
-        for column, zeros in ((0, history._zero_lo), (1, history._zero_hi)):
+        for column, zeros in enumerate(history._zeros):
             if zeros.size:
                 tied = zeros[signal[zeros, column] == 0.0]
                 signal[tied, column] = initial[tied, column]

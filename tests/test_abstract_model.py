@@ -33,6 +33,7 @@ from intervalsig.costs import (
     polynomial_cost_fn,
     social_cost_abstract,
 )
+from intervalsig.engine import RunConfig, run
 from intervalsig.population import (
     PopulationProfile,
     TypeSet,
@@ -1065,3 +1066,9 @@ class TestAbstractCsv:
             assert [float(v) for v in row[3:5]] == list(rec.signal[:, 0])
             assert [float(v) for v in row[5:7]] == list(rec.signal[:, 1])
             assert float(row[7]) == rec.social_cost
+
+    def test_network_result_refused(self):
+        result = run(RunConfig(scheme=now_scheme(), horizon=2, seed=0,
+                               instance="diamond"))
+        with pytest.raises(ValidationError, match="must be an? AbstractResult"):
+            records_to_abstract_csv(result)

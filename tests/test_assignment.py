@@ -177,6 +177,19 @@ class TestAssign:
             assert memo_of(plan) is memo
             assert row_dag_snapshot(plan) == built
 
+    @pytest.mark.parametrize("shares", [
+        [np.nan, 0.25, 0.25, 0.25, 0.25], [-1.0, 1.0, 0.5, 0.25, 0.25],
+        [0.25, 0.25, np.inf, 0.25, 0.25]])
+    def test_negative_or_nonfinite_shares_rejected(self, shares):
+        # without the check a NaN share loads NaN flows and a negative
+        # one finite flows, on either kind of plan
+        for instance, batched in (("sioux-falls", True), ("diamond", False)):
+            net, demand = load_instance(instance)
+            plan = LoadPlan(net, demand, FIVE_TYPES)
+            assert plan.batched is batched
+            with pytest.raises(ValidationError, match="finite and >= 0"):
+                assign(plan, np.zeros((net.edge_count, 2)), shares)
+
     def test_group_shares_reproduce_edge_flows(self):
         net = diamond()
         sig = interval_signal(

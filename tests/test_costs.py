@@ -17,6 +17,7 @@ from intervalsig.costs import (
     minimize_scalar_on_interval,
     polynomial_cost_fn,
     social_cost_abstract,
+    social_cost_network,
     total_excess,
 )
 from intervalsig.engine import RunConfig, run
@@ -117,6 +118,18 @@ class TestEdgeCostsVector:
             alone = Network(net.node_count, [dataclasses.replace(e, id=0)])
             assert capped[i] == pytest.approx(bpr_time_capped(alone, flows[i]))
             assert uncapped[i] == pytest.approx(bpr_time(alone, flows[i]))
+
+    @pytest.mark.parametrize("flows", [
+        np.zeros(4), np.zeros(6), np.zeros((5, 1)), np.float64(1.0)])
+    def test_one_flow_per_edge_required(self, flows):
+        # a wrong length is no numpy broadcast error, and a column or a
+        # scalar does not broadcast into a table of costs
+        net = parse_network(DIAMOND_NET)
+        for capped in (False, True):
+            with pytest.raises(ValidationError, match="5 edge flows"):
+                edge_costs(net, flows, capped=capped)
+        with pytest.raises(ValidationError, match="5 edge flows"):
+            total_excess(net, flows)
 
 
 class TestCPower:
@@ -431,6 +444,13 @@ class TestSocialCostNetwork:
     def test_negative_load_rejected(self, period_social_cost):
         with pytest.raises(ValidationError):
             period_social_cost(FLAT_LINK, "Origin 1\n2 : -1;\n")
+
+    @pytest.mark.parametrize("flows, costs", [([1.0, 2.0], [1.0]),
+                                              ([1.0], [1.0, 2.0])])
+    def test_one_flow_per_cost_required(self, flows, costs):
+        # neither input broadcasts against the other
+        with pytest.raises(ValidationError, match="one flow per cost"):
+            social_cost_network(np.array(flows), np.array(costs))
 
 
 class TestTwoActionMinimizer:

@@ -20,6 +20,7 @@ import pytest
 
 import intervalsig
 from intervalsig import assignment, engine
+from intervalsig.abstract_model import convergence_demo_config, run_abstract
 from intervalsig.cli import main
 from intervalsig.costs import edge_costs
 from intervalsig.engine import (
@@ -349,6 +350,12 @@ class TestSummarize:
         with pytest.raises(ValidationError, match="window must be an integer"):
             summarize(fake_records([1.0, 2.0, 3.0]), window=window)
 
+    def test_abstract_result_refused(self):
+        # an abstract run has no excess column to average
+        config, _ = convergence_demo_config()
+        with pytest.raises(ValidationError, match="must be a RunResult"):
+            summarize(run_abstract(config, 3))
+
 
 def rows_digest(rows) -> str:
     """sha256 prefix of every row's values, read by attribute the way the
@@ -481,6 +488,11 @@ class TestCsv:
         write_csv(run(cfg), p2)
         assert p1.read_bytes() == p2.read_bytes()
         assert p1.read_bytes().startswith(b"t,social_cost")
+
+    def test_abstract_result_refused(self):
+        config, _ = convergence_demo_config()
+        with pytest.raises(ValidationError, match="must be a RunResult"):
+            records_to_csv(run_abstract(config, 3))
 
 
 class TestDiamondOracle:

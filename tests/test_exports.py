@@ -1,5 +1,6 @@
 """Every name a module exports exists, so ``from ... import *`` works,
-and the package's modules import each other without a cycle."""
+the package's modules import each other without a cycle, and every
+entry point the benchmark wraps by name is still there."""
 
 import ast
 import importlib
@@ -65,3 +66,38 @@ def test_each_model_keeps_its_own_choice_rule():
     graph = package_imports()
     assert "assignment" not in graph["abstract_model"]
     assert "abstract_model" not in graph["assignment"]
+
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+# Entry points the benchmark still names but the package dropped: the
+# per-pair tie split lives in ``tests/oracle.py`` now, and the abstract
+# run has no per-period step function.
+DROPPED = {("intervalsig.network", "_tight_split"),
+           ("intervalsig.abstract_model", "step_abstract")}
+
+
+def benchmark_entry_points():
+    """``ENTRY_POINTS`` of the benchmark's ``spans.py``, read from its
+    source: (span name, module, attribute or Class.method) triples."""
+    for node in ast.parse(SPANS.read_text(encoding="utf-8")).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["ENTRY_POINTS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"no ENTRY_POINTS in {SPANS}")
+
+
+@pytest.mark.parametrize(
+    "module_name, attr",
+    [pytest.param(module, attr, id=name)
+     for name, module, attr in benchmark_entry_points()
+     if (module, attr) not in DROPPED])
+def test_benchmark_entry_point_resolves(module_name, attr):
+    # resolved as the benchmark's wrapper finds it: a method must be
+    # the class's own, not inherited
+    module = importlib.import_module(module_name)
+    if "." in attr:
+        cls_name, method = attr.split(".")
+        assert method in vars(getattr(module, cls_name))
+    else:
+        assert getattr(module, attr, None) is not None
