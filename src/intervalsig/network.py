@@ -168,10 +168,14 @@ def require_real(value, what: str) -> float:
 
 
 def require_instance(value, kind: type, what: str):
-    """``value``, checked to be a ``kind`` (``what must be a kind``)."""
+    """``value``, checked to be a ``kind`` (``what must be a kind, got
+    ...``).  The message shows a refused value's ``repr`` when that is
+    short, else only its type, so a refused result is not printed whole."""
     if not isinstance(value, kind):
-        raise ValidationError(
-            f"{what} must be a {kind.__name__}, got {value!r}")
+        got = repr(value)
+        if len(got) > 60:
+            got = f"type {type(value).__name__}"
+        raise ValidationError(f"{what} must be a {kind.__name__}, got {got}")
     return value
 
 

@@ -36,8 +36,9 @@ it gives when fed their draws one period at a time.
 
 ``convergence_check_full_batch`` is ``convergence_check`` without its
 coalescence rule: both arms of every pair are played to the horizon.
-It shares the package's history, signal rule, draws and ``_play``, so a
-comparison tests only the dropping of arm b.
+It shares the package's history, signal rule, draws and ``_play``, and
+takes its KS test from ``scipy.stats``, so a comparison tests only the
+dropping of arm b and the package's own ``ks_2samp``.
 
 ``network_to_tntp`` and ``demand_to_tntp`` write TNTP texts that
 ``parse_network`` and ``parse_trips`` must read back unchanged, and
@@ -53,12 +54,12 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from scipy.stats import ks_2samp
 
 from intervalsig.abstract_model import (
     AbstractConfig,
     ConvergenceReport,
     _play,
-    ks_2samp,
 )
 from intervalsig.assignment import (
     TIE_TOL,

@@ -10,9 +10,11 @@ import dataclasses
 import hashlib
 import io
 import re
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from intervalsig import abstract_model
 from intervalsig.abstract_model import (
@@ -23,6 +25,7 @@ from intervalsig.abstract_model import (
     convergence_check,
     convergence_demo_config,
     flapping_demo,
+    ks_2samp,
     pick_among_ties,
     records_to_abstract_csv,
     run_abstract,
@@ -785,6 +788,76 @@ class TestConvergenceReportBytes:
                     getattr(report, f.name), dtype=float).tobytes()
                 ).hexdigest()[:16]
                 for f in dataclasses.fields(report)} == digests
+
+
+def discrete_pair(rng, n):
+    """Two samples of size ``n`` on a few share levels: a fifth of the
+    pairs identical, and a third of the rest with the second arm one
+    level up."""
+    levels = int(rng.integers(1, 7))
+    a = rng.integers(0, levels, n) / 5
+    if rng.random() < 0.2:
+        return a, a.copy()
+    return a, rng.integers(0, levels, n) / 5 + 0.2 * (rng.random() < 0.3)
+
+
+class TestKs2samp:
+    """The package's KS test against ``scipy.stats.ks_2samp``: the same
+    bits wherever scipy's default is exact and succeeds, p = 1.0 where
+    its exact mode fails, and scipy's ``method="exact"`` above 10,000."""
+
+    def compare(self, rng, sizes):
+        """Compare one draw per size; the p-values of the draws where
+        scipy's exact mode succeeded, and the count where it failed."""
+        pvalues, failed = [], 0
+        for n in sizes:
+            a, b = discrete_pair(rng, n)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                expected = stats.ks_2samp(a, b)
+            statistic, pvalue = ks_2samp(a, b)
+            assert statistic == expected.statistic, n
+            if any("Exact calculation unsuccessful" in str(w.message)
+                   for w in caught):
+                # scipy's rounded 2P landed above 1, so it switched to
+                # the asymptotic formula
+                assert pvalue == 1.0 and expected.pvalue > 0.9999, n
+                failed += 1
+            else:
+                assert pvalue == expected.pvalue, n
+                pvalues.append(pvalue)
+        return pvalues, failed
+
+    def test_matches_scipy_below_400(self):
+        rng = np.random.default_rng(20)
+        pvalues, failed = self.compare(rng, rng.integers(1, 400, 2000))
+        assert failed > 0
+        assert min(pvalues) < 1e-6 and pvalues.count(1.0) > 0
+
+    def test_matches_scipy_up_to_10000(self):
+        rng = np.random.default_rng(21)
+        sizes = np.exp(rng.uniform(np.log(400), np.log(10_000), 40))
+        pvalues, _ = self.compare(rng, [10_000, *sizes.astype(int)])
+        assert min(pvalues) < 1e-6 and len(pvalues) > 30
+
+    @pytest.mark.parametrize("n", [10_001, 20_000])
+    def test_stays_exact_above_10000(self, n):
+        # scipy's default is asymptotic here
+        rng = np.random.default_rng(n)
+        a = rng.integers(0, 10, n) / 5
+        b = np.minimum(rng.integers(0, 10, n) + (rng.random(n) < 0.02),
+                       9) / 5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expected = stats.ks_2samp(a, b, method="exact")
+        assert 0.0 < expected.pvalue < 1.0
+        assert ks_2samp(a, b) == (expected.statistic, expected.pvalue)
+
+    @pytest.mark.parametrize("a, b", [([], []), ([0.2], []),
+                                      ([0.2, 0.4], [0.2])])
+    def test_unequal_or_empty_samples_refused(self, a, b):
+        with pytest.raises(ValidationError, match="one size"):
+            ks_2samp(a, b)
 
 
 class TestConvergenceCheckValidation:

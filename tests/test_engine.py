@@ -356,6 +356,14 @@ class TestSummarize:
         with pytest.raises(ValidationError, match="must be a RunResult"):
             summarize(run_abstract(config, 3))
 
+    def test_long_refused_value_named_by_its_type(self):
+        # the result's repr would hold every column
+        config, _ = convergence_demo_config()
+        with pytest.raises(ValidationError) as caught:
+            summarize(run_abstract(config, 300))
+        assert str(caught.value) == ("result must be a RunResult, got "
+                                     "type AbstractResult")
+
 
 def rows_digest(rows) -> str:
     """sha256 prefix of every row's values, read by attribute the way the

@@ -1,10 +1,14 @@
 """Every name a module exports exists, so ``from ... import *`` works,
-the package's modules import each other without a cycle, and every
-entry point the benchmark wraps by name is still there."""
+the package's modules import each other without a cycle, every entry
+point the benchmark wraps by name is still there, and no run imports
+scipy."""
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,3 +105,37 @@ def test_benchmark_entry_point_resolves(module_name, attr):
         assert method in vars(getattr(module, cls_name))
     else:
         assert getattr(module, attr, None) is not None
+
+
+# Both models' runs, the convergence check, its CLI command and a KS test
+# whose p-value is below 1, then the scipy modules the process holds.
+RUN_PATH = """
+import sys
+from intervalsig.abstract_model import (
+    convergence_check, convergence_demo_config, ks_2samp, run_abstract)
+from intervalsig.cli import main
+from intervalsig.engine import RunConfig, run
+from intervalsig.signaling import extreme_scheme
+for instance in ("diamond", "sioux-falls"):
+    run(RunConfig(scheme=extreme_scheme(5), horizon=3, seed=1,
+                  instance=instance))
+config, inits = convergence_demo_config(action_count=3)
+run_abstract(config, 20)
+convergence_check(config, 50, 40, inits, seed=1)
+assert ks_2samp([0.2, 0.8, 0.8], [0.8, 1.0, 1.0])[1] < 1.0
+assert main(["convergence-check", "--trajectories", "20",
+             "--horizon", "30"]) == 0
+print("scipy modules:", sorted(name for name in sys.modules
+                               if name.partition(".")[0] == "scipy"))
+"""
+
+
+def test_no_run_imports_scipy():
+    # scipy is a test dependency only; run in a fresh process, since
+    # this one has imported it for the tests
+    src = Path(intervalsig.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", RUN_PATH],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+        text=True, check=True, timeout=120).stdout
+    assert out.splitlines()[-1] == "scipy modules: []"
