@@ -157,7 +157,7 @@ class LoadPlan:
         if self.batched:
             # Under the zero signal every row is a plateau row, so the
             # zero weights' DAGs, now cached, are its kept edges.
-            kept = np.zeros((net.edge_count + 1, self.row_count), dtype=bool)
+            kept = np.zeros((net.edge_count, self.row_count), dtype=bool)
             for at, origin in enumerate(self.by_origin):
                 # the origin's row of every type
                 kept[_row_dag(self, zero, origin)[0],
@@ -401,8 +401,8 @@ def _load_batched(plan: LoadPlan, signal: np.ndarray,
 
 
 def _kept_edges(plan: LoadPlan, signal: np.ndarray) -> np.ndarray:
-    """Every row's kept edges under ``signal``, as an ``(edges + 1,
-    rows)`` mask whose last edge (the padding edge) is never kept.
+    """Every row's kept edges under ``signal``, as an ``(edges, rows)``
+    mask.
 
     Distances come from min-plus relaxation to a fixed point: like the
     heapq Dijkstra's, each is the minimum over routes of their
@@ -416,7 +416,6 @@ def _kept_edges(plan: LoadPlan, signal: np.ndarray) -> np.ndarray:
     ``_row_dag`` keeps its edges by the finalization order itself.
     """
     net, layout = plan.net, plan._layout
-    rows = plan.row_count
     weights = edge_weight(signal[None], plan.omegas)
     by_edge = weights.T[:, layout.row_type]                 # (edges, rows)
 
@@ -426,8 +425,7 @@ def _kept_edges(plan: LoadPlan, signal: np.ndarray) -> np.ndarray:
               <= head_dist * (1.0 + TIE_TOL) + TIE_TOL_ABS)
              & (tail_dist < np.inf))
     plateau = (tight & (head_dist == tail_dist)).any(axis=0)
-    kept = np.append(tight & (head_dist > tail_dist) & ~plateau,
-                     np.zeros((1, rows), dtype=bool), axis=0)
+    kept = tight & (head_dist > tail_dist) & ~plateau
     origins = list(plan.by_origin)
     for row in np.flatnonzero(plateau).tolist():
         kind, at = divmod(row, len(origins))
@@ -454,7 +452,8 @@ def _dags(plan: LoadPlan, kept: np.ndarray) -> _Dags:
     rows = plan.row_count
     reached = layout.start > 0.0
     level = np.zeros(reached.size, dtype=np.intp)
-    kept_into = kept[layout.into]
+    # A padding slot clips to a real edge; its tail, node 0, is unreached.
+    kept_into = np.take(kept, layout.into, axis=0, mode="clip")
     steps = np.empty(kept_into.shape, dtype=bool)
     depth = 0
     while True:

@@ -128,9 +128,10 @@ class AbstractCostFn:
     Each parameter is read through ``require_real`` and stored as a
     float.  An unknown kind, a wrong parameter count, a non-finite
     parameter, an agent count N below 1 or a flapping magnitude J not
-    above 0 is a ``ValidationError`` at construction.  Its call serves
-    no run, since runs price counts through ``CostTable``: it is the
-    reference that tests hold each table entry to, bit for bit.
+    above 0 is a ``ValidationError`` at construction.  Runs price counts
+    through ``CostTable``; the call is the reference that tests hold each
+    table entry to, bit for bit, and prices the dump script's idle and
+    full costs.
     """
 
     kind: str

@@ -18,7 +18,6 @@ import functools
 import itertools
 import math
 import os
-from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -132,15 +131,15 @@ def _instance_plan(instance: str, types: TypeSet) -> LoadPlan:
     return LoadPlan(*load_instance(instance), types)
 
 
-class Columns(Sequence):
-    """A run's periods as equal-length columns, one row per period,
-    read as a sequence of ``Row``s.
+class Columns:
+    """A run's periods as equal-length columns, one row per period.
 
     Subclasses are frozen dataclasses whose fields are the columns.
     ``len``, iteration and int (also negative) indexes give ``Row``s; a
-    slice gives the same type over views of the selected rows.  A run
-    returns its result sealed, every column read-only; a deep copy is
-    writable again.
+    slice gives the same type over views of the selected rows.  That row
+    view is kept for the benchmark's readers until they read columns.
+    A run returns its result sealed, every column read-only; a deep copy
+    is writable again.
     """
 
     def __len__(self) -> int:
@@ -176,7 +175,8 @@ class Row:
     """One period of a ``Columns`` result, with an attribute per column:
     a one-dimensional column's entry as a Python number, any other
     column's row as a view.  Setting an attribute writes that row, so a
-    sealed result refuses it."""
+    sealed result refuses it.  Kept, like the row view, for the
+    benchmark's readers only."""
 
     __slots__ = ("_of", "_at")
 

@@ -78,6 +78,12 @@ def two_action_config(**overrides):
     return AbstractConfig(**base)
 
 
+def column_bytes(result) -> list[bytes]:
+    """Every column's bytes, in field order."""
+    return [getattr(result, f.name).tobytes()
+            for f in dataclasses.fields(result)]
+
+
 def fresh_history(config):
     """The history ``run_abstract`` starts ``config`` from."""
     return CostHistory(config.action_count, config.scheme,
@@ -192,10 +198,10 @@ class TestFrozenConfig:
 
     def test_initial_signal_cannot_be_written(self):
         config = two_action_config(scheme=extreme_scheme(3))
-        before = abstract_rows_digest(run_abstract(config, 5))
+        before = column_bytes(run_abstract(config, 5))
         with pytest.raises(ValueError, match="read-only"):
             config.initial_signal[0, 0] = 0.0
-        assert abstract_rows_digest(run_abstract(config, 5)) == before
+        assert column_bytes(run_abstract(config, 5)) == before
 
     def test_initial_signal_is_the_configs_own(self):
         init = np.array([[0.2, 0.5], [0.3, 0.8]])
@@ -440,27 +446,21 @@ class TestRunAbstract:
         config = two_action_config(scheme=now_scheme())
         a = run_abstract(config, horizon=25)
         b = run_abstract(config, horizon=25)
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.counts, rb.counts)
-            assert np.array_equal(ra.signal, rb.signal)
-            assert ra.social_cost == rb.social_cost
+        assert column_bytes(a) == column_bytes(b)
 
     def test_point_signal_echoes_previous_costs(self):
         config = two_action_config(scheme=now_scheme())
-        records = run_abstract(config, horizon=10)
-        for prev, cur in zip(records, records[1:]):
-            assert cur.signal[:, 0] == pytest.approx(prev.costs)
-            assert cur.signal[:, 1] == pytest.approx(prev.costs)
+        result = run_abstract(config, horizon=10)
+        assert result.signal[1:, :, 0] == pytest.approx(result.costs[:-1])
+        assert result.signal[1:, :, 1] == pytest.approx(result.costs[:-1])
 
     def test_mean_signal_is_running_average(self):
         config = two_action_config(scheme=mean_scheme())
-        records = run_abstract(config, horizon=8)
-        sums = np.zeros(2)
-        for t, rec in enumerate(records[:-1], start=1):
-            sums += rec.costs
-            nxt = records[t]
-            assert nxt.signal[:, 0] == pytest.approx(sums / t)
-            assert nxt.signal[:, 1] == pytest.approx(sums / t)
+        result = run_abstract(config, horizon=8)
+        means = (np.cumsum(result.costs[:-1], axis=0)
+                 / np.arange(1, 8)[:, None])
+        assert result.signal[1:, :, 0] == pytest.approx(means)
+        assert result.signal[1:, :, 1] == pytest.approx(means)
 
     def test_envelope_monotone_along_trajectory(self):
         config = two_action_config(
@@ -470,10 +470,9 @@ class TestRunAbstract:
                 (PopulationProfile((0.2, 0.8)), 0.5),
             ]),
         )
-        records = run_abstract(config, horizon=40)
-        for prev, cur in zip(records, records[1:]):
-            assert np.all(cur.signal[:, 0] <= prev.signal[:, 0] + 1e-15)
-            assert np.all(cur.signal[:, 1] >= prev.signal[:, 1] - 1e-15)
+        signal = run_abstract(config, horizon=40).signal
+        assert np.all(signal[1:, :, 0] <= signal[:-1, :, 0] + 1e-15)
+        assert np.all(signal[1:, :, 1] >= signal[:-1, :, 1] - 1e-15)
 
     def test_windowed_envelope_covers_recent_costs(self):
         config = two_action_config(
@@ -484,13 +483,12 @@ class TestRunAbstract:
                 (PopulationProfile((0.2, 0.8)), 0.5),
             ]),
         )
-        records = run_abstract(config, horizon=20)
+        result = run_abstract(config, horizon=20)
         for t in range(4, 20):   # window fully populated, seed washed out
-            recent = np.stack([records[s].costs for s in (t - 3, t - 2,
-                                                          t - 1)])
-            assert records[t].signal[:, 0] == pytest.approx(
+            recent = result.costs[t - 3:t]
+            assert result.signal[t, :, 0] == pytest.approx(
                 recent.min(axis=0))
-            assert records[t].signal[:, 1] == pytest.approx(
+            assert result.signal[t, :, 1] == pytest.approx(
                 recent.max(axis=0))
 
 
@@ -566,7 +564,7 @@ class TestRunAbstractAgainstStepColumn:
 
 def abstract_rows_digest(rows) -> str:
     """sha256 prefix of every row's values, read by attribute the way
-    ``scripts/dump_outputs.py`` reads them."""
+    the benchmark checks read them."""
     h = hashlib.sha256()
     for r in rows:
         assert type(r.t) is int and type(r.social_cost) is float
@@ -608,6 +606,8 @@ class TestAbstractResultContract:
             for name in ("t", "counts", "costs", "social_cost", "signal"):
                 assert np.array_equal(getattr(result[i], name),
                                       getattr(result, name)[i])
+            # a row of the run's own column, no copy
+            assert result[i].counts.base is result.counts
 
     def test_sealed_but_a_deep_copy_writes_through(self, result):
         with pytest.raises(ValueError, match="read-only"):
@@ -685,16 +685,17 @@ class TestFlappingDemo:
     def test_scalar_arm_is_all_or_nothing_and_alternates(self):
         report = flapping_demo(FlappingSpec(gap_target=7.0, agent_count=3),
                                horizon=40)
-        counts = [tuple(rec.counts) for rec in report.scalar_records]
-        for t in range(1, 40):   # all periods from the second on
-            assert sorted(counts[t]) == pytest.approx([0.0, 3.0])
-            assert counts[t] != counts[t - 1]
+        counts = report.scalar_records.counts
+        # all periods from the second on
+        assert np.sort(counts[1:], axis=1) == pytest.approx(
+            np.tile([0.0, 3.0], (39, 1)))
+        assert (counts[1:] != counts[:-1]).any(axis=1).all()
 
     def test_interval_arm_stays_split(self):
         report = flapping_demo(FlappingSpec(gap_target=7.0, agent_count=5),
                                horizon=30)
-        for rec in report.interval_records:
-            assert sorted(rec.counts) == pytest.approx([2.0, 3.0])
+        assert np.sort(report.interval_records.counts, axis=1) == \
+            pytest.approx(np.tile([2.0, 3.0], (30, 1)))
 
     def test_large_population_gap_approaches_target(self):
         report = flapping_demo(FlappingSpec(gap_target=7.0, agent_count=101),
@@ -1128,20 +1129,25 @@ class TestCoalescedPairsLeaveTheBatch:
 class TestAbstractCsv:
     def test_header_and_round_trip(self):
         config = two_action_config(scheme=now_scheme())
-        records = run_abstract(config, horizon=4)
-        rows = list(csv.reader(io.StringIO(records_to_abstract_csv(records))))
+        result = run_abstract(config, horizon=4)
+        rows = list(csv.reader(io.StringIO(records_to_abstract_csv(result))))
         assert rows[0] == ["t", "n_1", "n_2", "ulo_1", "ulo_2",
                            "uhi_1", "uhi_2", "social_cost"]
         assert len(rows) == 5
-        for rec, row in zip(records, rows[1:]):
-            assert int(row[0]) == rec.t
-            assert [float(v) for v in row[1:3]] == list(rec.counts)
-            assert [float(v) for v in row[3:5]] == list(rec.signal[:, 0])
-            assert [float(v) for v in row[5:7]] == list(rec.signal[:, 1])
-            assert float(row[7]) == rec.social_cost
+        table = np.array(rows[1:], dtype=float)
+        assert [int(row[0]) for row in rows[1:]] == result.t.tolist()
+        assert table[:, 1:3].tolist() == result.counts.tolist()
+        assert table[:, 3:5].tolist() == result.signal[:, :, 0].tolist()
+        assert table[:, 5:7].tolist() == result.signal[:, :, 1].tolist()
+        assert table[:, 7].tolist() == result.social_cost.tolist()
 
     def test_network_result_refused(self):
         result = run(RunConfig(scheme=now_scheme(), horizon=2, seed=0,
                                instance="diamond"))
         with pytest.raises(ValidationError, match="must be an? AbstractResult"):
             records_to_abstract_csv(result)
+
+    def test_empty_run_refused(self):
+        with pytest.raises(ValidationError,
+                           match="cannot serialize an empty run"):
+            records_to_abstract_csv(AbstractResult.empty(0, 2))

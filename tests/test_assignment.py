@@ -404,20 +404,20 @@ class TestAgainstPerPairOracle:
             rtol=1e-12, atol=0.0)
 
     def test_pinned_sioux_falls_trajectory_matches_oracle(self):
-        records = run(RunConfig(scheme=extreme_scheme(20), horizon=30,
-                                seed=0, instance="sioux-falls"))
+        result = run(RunConfig(scheme=extreme_scheme(20), horizon=30,
+                               seed=0, instance="sioux-falls"))
         net, demand = load_instance("sioux-falls")
-        for rec in records:
-            state = assign_per_pair(net, demand, rec.signal, rec.weights,
-                                    FIVE_TYPES)
+        for t in range(30):
+            state = assign_per_pair(net, demand, result.signal[t],
+                                    result.weights[t], FIVE_TYPES)
             agents = np.array([load.agents for load in state.path_loads])
             flows = agents @ state.group_shares
-            np.testing.assert_allclose(rec.flows, flows, rtol=1e-12,
+            np.testing.assert_allclose(result.flows[t], flows, rtol=1e-12,
                                        atol=0.0)
             costs = edge_costs(net, flows, capped=True)
             social = float(agents @ (state.group_shares @ costs))
-            assert rec.social_cost == pytest.approx(social, rel=1e-12,
-                                                    abs=0.0)
+            assert result.social_cost[t] == pytest.approx(
+                social, rel=1e-12, abs=0.0)
 
 
 class TestLoadPlan:
@@ -554,30 +554,28 @@ class TestBatchedMatchesPerRow:
     def test_pinned_sioux_falls_trajectory(self):
         # periods 1 and 2 read the zero warm-up signal, whose rows are
         # all plateau rows; later signals repeat now and then
-        records = run(RunConfig(scheme=extreme_scheme(20), horizon=30,
-                                seed=0, instance="sioux-falls"))
+        result = run(RunConfig(scheme=extreme_scheme(20), horizon=30,
+                               seed=0, instance="sioux-falls"))
         net, demand = load_instance("sioux-falls")
         plan = LoadPlan(net, demand, FIVE_TYPES)
-        for rec in records:
-            want = _load_per_row(plan, rec.signal, rec.weights)
-            assert rec.flows.tobytes() == want.tobytes()
-            # a row of the run's own column, no view into a loader buffer
-            assert rec.flows.base is records.flows
-        assert records.flows.flags.owndata
+        want = [_load_per_row(plan, signal, weights)
+                for signal, weights in zip(result.signal, result.weights)]
+        assert result.flows.tobytes() == np.array(want).tobytes()
+        # the run's own column, no view into a loader buffer
+        assert result.flows.flags.owndata
 
     def test_memo_hit_matches_fresh_plan(self):
-        records = run(RunConfig(scheme=extreme_scheme(20), horizon=12,
-                                seed=3, instance="sioux-falls"))
+        result = run(RunConfig(scheme=extreme_scheme(20), horizon=12,
+                               seed=3, instance="sioux-falls"))
         net, demand = load_instance("sioux-falls")
         plan = LoadPlan(net, demand, FIVE_TYPES)
         other = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
-        for rec in records[2:]:
-            assign(plan, rec.signal, FLAT)
+        for signal in result.signal[2:]:
+            assign(plan, signal, FLAT)
             dags = plan._memo
-            again = assign(plan, rec.signal.copy(), other)
+            again = assign(plan, signal.copy(), other)
             assert plan._memo is dags
-            fresh = assign(LoadPlan(net, demand, FIVE_TYPES), rec.signal,
-                           other)
+            fresh = assign(LoadPlan(net, demand, FIVE_TYPES), signal, other)
             assert again.tobytes() == fresh.tobytes()
 
     def test_signal_that_keeps_the_kept_edges_reuses_the_dags(
@@ -589,7 +587,7 @@ class TestBatchedMatchesPerRow:
         assign(plan, signal, FLAT)
         kept = _kept_edges(plan, signal)
         assert not plateau_rows(plan, signal)
-        slack = ~kept[:-1].any(axis=1)
+        slack = ~kept.any(axis=1)
         assert slack.any()
         signal[slack] *= 1.5
         flows = assign(plan, signal, FLAT)
@@ -606,7 +604,7 @@ class TestBatchedMatchesPerRow:
         signal = np.tile(net.free_flows[:, None], 2)
         assign(plan, signal, FLAT)
         kept = _kept_edges(plan, signal)
-        edge = int(np.flatnonzero(kept[:-1].any(axis=1))[0])
+        edge = int(np.flatnonzero(kept.any(axis=1))[0])
         signal[edge] += 100.0
         flows = assign(plan, signal, FLAT)
         # the construction's zero build and one per signal
@@ -629,7 +627,7 @@ class TestBatchedMatchesPerRow:
             plan = batched_plan(net, demand)
             kept = _kept_edges(batched_plan(net, demand), signal)
             raised = signal.copy()
-            raised[~kept[:-1].any(axis=1)] += 1.0
+            raised[~kept.any(axis=1)] += 1.0
             rng = np.random.default_rng(seed)
             lows = rng.uniform(0.0, 10.0, net.edge_count)
             other = np.column_stack([lows, lows + rng.uniform(0.0, 5.0,
@@ -661,7 +659,7 @@ class TestBatchedMatchesPerRow:
         free = np.column_stack([net.free_flows, 1.5 * net.free_flows])
         kept = _kept_edges(reference, free)
         raised = free.copy()
-        raised[~kept[:-1].any(axis=1)] *= 2.0
+        raised[~kept.any(axis=1)] *= 2.0
         builds = count_dag_builds(monkeypatch)
         plan = LoadPlan(net, demand, FIVE_TYPES)
         assert plan.batched
@@ -797,22 +795,22 @@ class TestRowDagCache:
             return original(net, weights, source)
 
         monkeypatch.setattr(assignment, "dijkstra", counted)
-        records = run(RunConfig(scheme=now_scheme(), horizon=5, seed=0,
-                                instance="diamond"))
-        signals = {rec.signal.tobytes() for rec in records}
+        result = run(RunConfig(scheme=now_scheme(), horizon=5, seed=0,
+                               instance="diamond"))
+        signals = {signal.tobytes() for signal in result.signal}
         assert len(calls) == len(set(calls)) == len(signals) < 5
 
     @pytest.mark.parametrize("scheme", [
         now_scheme(), mean_scheme(), extreme_scheme(5), extreme_scheme(10),
         extreme_scheme(20)], ids=lambda scheme: scheme.label())
     def test_cached_run_matches_fresh_plan_per_period(self, scheme):
-        records = run(RunConfig(scheme=scheme, horizon=300, seed=0,
-                                instance="diamond"))
+        result = run(RunConfig(scheme=scheme, horizon=300, seed=0,
+                               instance="diamond"))
         net, demand = load_instance("diamond")
-        for rec in records:
-            fresh = assign(LoadPlan(net, demand, FIVE_TYPES), rec.signal,
-                           rec.weights)
-            assert rec.flows.tobytes() == fresh.tobytes()
+        for t in range(300):
+            fresh = assign(LoadPlan(net, demand, FIVE_TYPES),
+                           result.signal[t], result.weights[t])
+            assert result.flows[t].tobytes() == fresh.tobytes()
 
     def test_bounded_drops_the_oldest(self):
         plan = LoadPlan(diamond(), diamond_demand(), FIVE_TYPES)
@@ -918,7 +916,7 @@ class TestWarmStart:
             plan = batched_plan(net, demand)
             kept = _kept_edges(batched_plan(net, demand), signal)
             raised = signal.copy()
-            raised[~kept[:-1].any(axis=1)] += 1.0
+            raised[~kept.any(axis=1)] += 1.0
             rng = np.random.default_rng(seed)
             m = net.edge_count
             lows = rng.uniform(0.0, 10.0, m)

@@ -383,6 +383,13 @@ class TestSocialCostAbstract:
             social_cost_abstract(
                 (1, 2), evaluated((1, 2), [CURVE_A, CURVE_B]), 2)
 
+    @pytest.mark.parametrize("counts, costs", [((2, 0), [1.0]),
+                                               ((2,), [1.0, 1.0])])
+    def test_one_count_per_cost_required(self, counts, costs):
+        with pytest.raises(ValidationError,
+                           match="one count per cost required"):
+            social_cost_abstract(counts, costs, 2)
+
     @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf, 0.0,
                                        -3.0, "3", None, True])
     def test_total_must_be_a_positive_finite_number(self, total):
@@ -422,9 +429,9 @@ def period_social_cost(tmp_path):
         net_path, trips_path = tmp_path / "net.txt", tmp_path / "trips.txt"
         net_path.write_text(net_text)
         trips_path.write_text(trips_text)
-        record, = run(RunConfig(scheme=now_scheme(), horizon=1, seed=0,
-                                net_path=net_path, trips_path=trips_path))
-        return record.social_cost
+        result = run(RunConfig(scheme=now_scheme(), horizon=1, seed=0,
+                               net_path=net_path, trips_path=trips_path))
+        return result.social_cost.item()
     return social_cost
 
 

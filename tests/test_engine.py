@@ -61,103 +61,91 @@ def diamond_config(**overrides):
 
 class TestRunBasics:
     def test_single_period_uses_warm_up_signal(self):
-        records = run(diamond_config(horizon=1))
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.t == 1
-        assert np.array_equal(rec.signal, np.zeros((5, 2)))
-        assert rec.flows == pytest.approx([30.0, 15.0, 15.0, 15.0, 15.0])
+        result = run(diamond_config(horizon=1))
+        assert len(result) == 1
+        assert result.t.tolist() == [1]
+        assert np.array_equal(result.signal[0], np.zeros((5, 2)))
+        flows, costs = result.flows[0], result.costs[0]
+        assert flows == pytest.approx([30.0, 15.0, 15.0, 15.0, 15.0])
         net = parse_network(diamond_net_text())
-        assert rec.costs == pytest.approx(
-            edge_costs(net, rec.flows, capped=True))
-        assert rec.social_cost == pytest.approx(rec.flows @ rec.costs)
-        assert rec.total_excess == pytest.approx(0.0)
-        assert rec.weights.sum() == pytest.approx(1.0)
-        assert len(rec.weights) == 5
+        assert costs == pytest.approx(edge_costs(net, flows, capped=True))
+        assert result.social_cost[0] == pytest.approx(flows @ costs)
+        assert result.total_excess[0] == pytest.approx(0.0)
+        assert result.weights.shape == (1, 5)
+        assert result.weights[0].sum() == pytest.approx(1.0)
 
     def test_point_signal_flip_flops_on_diamond(self):
-        records = run(diamond_config(horizon=8))
-        middle = [(rec.flows[1], rec.flows[2]) for rec in records]
+        middle = run(diamond_config(horizon=8)).flows[:, 1:3]
         # warm-up splits equally, then the whole population chases last
         # period's cheaper middle link
-        assert middle[0] == pytest.approx((15.0, 15.0))
-        assert middle[1] == pytest.approx((30.0, 0.0))
+        assert middle[0] == pytest.approx([15.0, 15.0])
+        assert middle[1] == pytest.approx([30.0, 0.0])
         for t in range(2, 8):
             assert middle[t] == pytest.approx(
-                (0.0, 30.0) if t % 2 == 0 else (30.0, 0.0))
+                [0.0, 30.0] if t % 2 == 0 else [30.0, 0.0])
 
     def test_degenerate_jitter_gives_flat_weights(self):
-        records = run(diamond_config(horizon=2, epsilon=0.0))
-        for rec in records:
-            assert rec.weights == pytest.approx([0.2] * 5)
+        result = run(diamond_config(horizon=2, epsilon=0.0))
+        assert result.weights == pytest.approx(np.full((2, 5), 0.2))
 
     def test_run_is_deterministic(self):
         a = run(diamond_config(horizon=12, seed=7,
                                scheme=extreme_scheme(3)))
         b = run(diamond_config(horizon=12, seed=7,
                                scheme=extreme_scheme(3)))
-        for ra, rb in zip(a, b):
-            assert np.array_equal(ra.flows, rb.flows)
-            assert np.array_equal(ra.costs, rb.costs)
-            assert np.array_equal(ra.weights, rb.weights)
-            assert np.array_equal(ra.signal, rb.signal)
-            assert ra.social_cost == rb.social_cost
+        for name in ("flows", "costs", "weights", "signal", "social_cost"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
     def test_seed_changes_weights(self):
         a = run(diamond_config(horizon=5, seed=1))
         b = run(diamond_config(horizon=5, seed=2))
-        assert not all(np.array_equal(ra.weights, rb.weights)
-                       for ra, rb in zip(a, b))
+        assert not np.array_equal(a.weights, b.weights)
 
     def test_capped_costs_stay_in_band(self):
-        records = run(diamond_config(horizon=20, scheme=extreme_scheme(5)))
+        costs = run(diamond_config(horizon=20, scheme=extreme_scheme(5))).costs
         net = parse_network(diamond_net_text())
         lo = np.array([e.free_flow for e in net.edges])
         hi = np.array([e.free_flow * (1 + e.b_coeff) for e in net.edges])
-        for rec in records:
-            assert np.all(rec.costs >= lo - 1e-12)
-            assert np.all(rec.costs <= hi + 1e-12)
+        assert np.all(costs >= lo - 1e-12)
+        assert np.all(costs <= hi + 1e-12)
 
     def test_signal_reflects_only_past_costs(self):
-        records = run(diamond_config(horizon=10, scheme=extreme_scheme(2)))
+        result = run(diamond_config(horizon=10, scheme=extreme_scheme(2)))
         for t in range(2, 10):   # full two-period history from t=2 on
-            prev = np.stack([records[t - 1].costs, records[t - 2].costs])
-            assert records[t].signal[:, 0] == pytest.approx(prev.min(axis=0))
-            assert records[t].signal[:, 1] == pytest.approx(prev.max(axis=0))
+            prev = result.costs[t - 2:t]
+            assert result.signal[t, :, 0] == pytest.approx(prev.min(axis=0))
+            assert result.signal[t, :, 1] == pytest.approx(prev.max(axis=0))
 
     def test_point_signal_equals_previous_costs(self):
-        records = run(diamond_config(horizon=6))
+        result = run(diamond_config(horizon=6))
         for t in range(1, 6):
-            assert records[t].signal[:, 0] == pytest.approx(
-                records[t - 1].costs)
-            assert records[t].signal[:, 1] == pytest.approx(
-                records[t - 1].costs)
+            assert result.signal[t, :, 0] == pytest.approx(
+                result.costs[t - 1])
+            assert result.signal[t, :, 1] == pytest.approx(
+                result.costs[t - 1])
 
     def test_running_mean_signal_is_point(self):
-        records = run(diamond_config(horizon=5, scheme=mean_scheme()))
-        for rec in records[1:]:
-            assert rec.signal[:, 0] == pytest.approx(rec.signal[:, 1])
+        signal = run(diamond_config(horizon=5, scheme=mean_scheme())).signal
+        assert signal[1:, :, 0] == pytest.approx(signal[1:, :, 1])
 
     def test_builtin_instance_by_name(self):
-        records = run(RunConfig(scheme=now_scheme(), horizon=1, seed=0,
-                                capped=True, instance="diamond"))
-        assert len(records[0].flows) == 5
+        result = run(RunConfig(scheme=now_scheme(), horizon=1, seed=0,
+                               capped=True, instance="diamond"))
+        assert result.flows.shape == (1, 5)
 
     def test_sioux_falls_single_period(self):
-        records = run(RunConfig(scheme=now_scheme(), horizon=1, seed=0,
-                                capped=True, instance="sioux-falls"))
-        rec = records[0]
-        assert len(rec.flows) == 76
-        assert rec.total_excess >= 0.0
-        assert rec.social_cost > 0.0
-
+        result = run(RunConfig(scheme=now_scheme(), horizon=1, seed=0,
+                               capped=True, instance="sioux-falls"))
+        assert result.flows.shape == (1, 76)
+        assert result.total_excess[0] >= 0.0
+        assert result.social_cost[0] > 0.0
 
     def test_social_cost_is_fsum_of_flows_times_costs(self):
         # the correctly rounded sum, not BLAS's dot product, whose last
         # bit depends on the kernel the CPU picks
-        records = run(diamond_config(horizon=40, scheme=extreme_scheme(5)))
-        for rec in records:
-            assert rec.social_cost == math.fsum(rec.flows * rec.costs)
+        result = run(diamond_config(horizon=40, scheme=extreme_scheme(5)))
+        assert result.social_cost.tolist() == [
+            math.fsum(products) for products in result.flows * result.costs]
 
     def test_non_integral_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be an integer"):
@@ -367,7 +355,7 @@ class TestSummarize:
 
 def rows_digest(rows) -> str:
     """sha256 prefix of every row's values, read by attribute the way the
-    benchmark checks and ``scripts/dump_outputs.py`` read them."""
+    benchmark checks read them."""
     h = hashlib.sha256()
     for r in rows:
         assert type(r.t) is int
@@ -426,6 +414,8 @@ class TestRunResultContract:
             for name in names:
                 assert np.array_equal(getattr(row, name),
                                       getattr(result, name)[i])
+            # a row of the run's own column, no copy
+            assert row.flows.base is result.flows
         assert [r.t for r in result] == list(range(1, horizon + 1))
         assert result[-1].t == horizon
         for i in (horizon, -horizon - 1):
@@ -463,8 +453,7 @@ class TestRunResultContract:
 
 class TestCsv:
     def test_header_and_shape(self):
-        records = run(diamond_config(horizon=3))
-        text = records_to_csv(records)
+        text = records_to_csv(run(diamond_config(horizon=3)))
         rows = list(csv.reader(io.StringIO(text)))
         header = rows[0]
         assert header[:3] == ["t", "social_cost", "total_excess"]
@@ -477,17 +466,17 @@ class TestCsv:
         assert len(rows) == 4
 
     def test_values_round_trip_exactly(self):
-        records = run(diamond_config(horizon=3, seed=5))
-        rows = list(csv.reader(io.StringIO(records_to_csv(records))))
-        for rec, row in zip(records, rows[1:]):
-            assert int(row[0]) == rec.t
-            assert float(row[1]) == rec.social_cost
-            assert float(row[2]) == rec.total_excess
-            assert [float(v) for v in row[3:8]] == list(rec.weights)
-            assert [float(v) for v in row[8:13]] == list(rec.flows)
-            assert [float(v) for v in row[13:18]] == list(rec.costs)
-            assert [float(v) for v in row[18:23]] == list(rec.signal[:, 0])
-            assert [float(v) for v in row[23:28]] == list(rec.signal[:, 1])
+        result = run(diamond_config(horizon=3, seed=5))
+        rows = list(csv.reader(io.StringIO(records_to_csv(result))))
+        table = np.array(rows[1:], dtype=float)
+        assert [int(row[0]) for row in rows[1:]] == result.t.tolist()
+        assert table[:, 1].tolist() == result.social_cost.tolist()
+        assert table[:, 2].tolist() == result.total_excess.tolist()
+        assert table[:, 3:8].tolist() == result.weights.tolist()
+        assert table[:, 8:13].tolist() == result.flows.tolist()
+        assert table[:, 13:18].tolist() == result.costs.tolist()
+        assert table[:, 18:23].tolist() == result.signal[:, :, 0].tolist()
+        assert table[:, 23:28].tolist() == result.signal[:, :, 1].tolist()
 
     def test_identical_runs_identical_bytes(self, tmp_path):
         cfg = diamond_config(horizon=6, seed=9, scheme=extreme_scheme(2))
@@ -501,6 +490,11 @@ class TestCsv:
         config, _ = convergence_demo_config()
         with pytest.raises(ValidationError, match="must be a RunResult"):
             records_to_csv(run_abstract(config, 3))
+
+    def test_empty_run_refused(self):
+        with pytest.raises(ValidationError,
+                           match="cannot serialize an empty run"):
+            records_to_csv(fake_records([]))
 
 
 class TestDiamondOracle:

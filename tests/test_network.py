@@ -51,8 +51,12 @@ def diamond():
 
 
 class TestParseNetwork:
-    def test_single_row_fields(self):
-        net = parse_network("2 3 15 0 2 1 2 0 0 1 ;\n")
+    @pytest.mark.parametrize("row", ["2 3 15 0 2 1 2 0 0 1 ;\n",
+                                     "2 3 15 0 2 1 2 0 0 1;\n"],
+                             ids=["spaced", "attached"])
+    def test_single_row_fields(self, row):
+        # the ';' may stand apart or end the last field
+        net = parse_network(row)
         assert len(net.edges) == 1
         e = net.edges[0]
         assert (e.src, e.dst) == (2, 3)
@@ -115,9 +119,34 @@ class TestParseNetwork:
         with pytest.raises(ValidationError):
             parse_network("2 2 5 0 1 1 1 0 0 1 ;\n")
 
-    def test_missing_end_of_metadata(self):
-        with pytest.raises(ParseError):
-            parse_network("<NUMBER OF NODES> 3\n1 2 5 0 1 1 1 0 0 1 ;\n")
+    @pytest.mark.parametrize("row", ["0 2 5 0 1 1 1 0 0 1 ;\n",
+                                     "1 0 5 0 1 1 1 0 0 1 ;\n"],
+                             ids=["init", "term"])
+    def test_node_id_below_one_rejected(self, row):
+        with pytest.raises(ValidationError,
+                           match="line 1: node ids must be >= 1"):
+            parse_network(row)
+
+    @pytest.mark.parametrize("row", ["1 2 5 0 -1 1 1 0 0 1 ;\n",
+                                     "1 2 5 0 1 -1 1 0 0 1 ;\n",
+                                     "1 2 5 0 1 1 -1 0 0 1 ;\n"],
+                             ids=["free-flow", "B", "power"])
+    def test_negative_cost_parameter_rejected(self, row):
+        with pytest.raises(ValidationError,
+                           match="free-flow time, B and power must be >= 0"):
+            parse_network(row)
+
+    @pytest.mark.parametrize("text, message", [
+        ("<NUMBER OF NODES> 3\n1 2 5 0 1 1 1 0 0 1 ;\n",
+         "line 2: data row before <END OF METADATA>"),
+        ("<NUMBER OF NODES 3\n<END OF METADATA>\n",
+         "line 1: unterminated metadata tag"),
+        ("<END OF METADATA>\n<NUMBER OF NODES> 3\n",
+         "line 2: metadata after <END OF METADATA>"),
+    ], ids=["unclosed", "unterminated-tag", "after-end"])
+    def test_malformed_metadata(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_network(text)
 
     def test_extra_trailing_fields_accepted(self):
         net = parse_network("1 2 5 0 1 1 1 0 0 1 99 ;\n")
@@ -155,6 +184,18 @@ class TestParseTrips:
     def test_entry_before_any_origin_rejected(self):
         with pytest.raises(ParseError):
             parse_trips("2 : 4;\n")
+
+    def test_entry_without_colon_rejected(self):
+        with pytest.raises(ParseError,
+                           match="line 2: expected 'dest : flow'"):
+            parse_trips("Origin 1\n2 4;\n")
+
+    def test_self_demand_dropped_only_when_zero(self):
+        assert parse_trips("Origin 1\n1 : 0; 2 : 4;\n").entries == {
+            (1, 2): 4.0}
+        with pytest.raises(ValidationError,
+                           match="line 2: nonzero self-demand at node 1"):
+            parse_trips("Origin 1\n1 : 3;\n")
 
     def test_total_mismatch_warns_but_parses(self):
         text = "<TOTAL OD FLOW> 100\n<END OF METADATA>\nOrigin 1\n2 : 30;\n"

@@ -61,6 +61,10 @@ class TestTypeSet:
     def test_singleton_custom_set_allowed(self):
         assert TypeSet((0.5,)).omegas == (0.5,)
 
+    def test_empty_set_refused(self):
+        with pytest.raises(ValidationError, match="type set cannot be empty"):
+            TypeSet(())
+
     def test_must_be_strictly_increasing_within_unit_interval(self):
         with pytest.raises(ValidationError):
             TypeSet((0.5, 0.5))
