@@ -15,12 +15,13 @@ run at seed 1 (``bench-sioux-falls``), ``run_abstract`` under all five
 schemes (plus one config mixing every cost kind), ``flapping_demo`` at
 J = 7 with N = 3 and 101 and at J = 0.5 with N = 29,
 ``convergence_check`` at M = 2, 3 and 8 (and at M = 3 over six periods,
-which end with arm b still in the batch, and under
-``uniform_perturbation(2, 0.2)``, ``convergence-m3-uniform``), and the
-two calls of the ``abstract-model`` benchmark at seed 1
-(``bench-abstract-extreme-r50``, ``bench-convergence-m2``).  Floats
-are written as raw float64 bytes (``.bin``) and runs that have a CSV
-form also as CSV: 48 files in all.
+which end with arm b still in the batch, under
+``uniform_perturbation(2, 0.2)``, ``convergence-m3-uniform``, and under
+``extreme`` r = 5), one pair at M = 2 under ``extreme`` r = 2 whose
+signals are equal before its rings are, and the two calls of the
+``abstract-model`` benchmark at seed 1 (``bench-abstract-extreme-r50``,
+``bench-convergence-m2``).  Floats are written as raw float64 bytes
+(``.bin``) and runs that have a CSV form also as CSV: 50 files in all.
 
 The package is imported from ``PYTHONPATH``, so dumping two checkouts
 into two directories and running ``diff -r`` between them shows whether
@@ -173,12 +174,16 @@ def _flapping(out: Path, stem: str, j: float, n: int) -> None:
 
 
 def _convergence(out: Path, stem: str, m: int, trajectories: int,
-                 horizon: int, seed: int, renewal=None) -> None:
-    """``renewal`` replaces the demo config's."""
-    config, initials = convergence_demo_config(agent_count=20,
-                                               action_count=m)
+                 horizon: int, seed: int, renewal=None, scheme=None,
+                 initials=None) -> None:
+    """``renewal``, ``scheme`` and ``initials`` replace the demo's."""
+    config, demo_initials = convergence_demo_config(agent_count=20,
+                                                    action_count=m)
     if renewal is not None:
         config = dataclasses.replace(config, renewal=renewal)
+    if scheme is not None:
+        config = dataclasses.replace(config, scheme=scheme)
+    initials = demo_initials if initials is None else initials
     report = convergence_check(config, trajectories=trajectories,
                                horizon=horizon, initial_signals=initials,
                                seed=seed)
@@ -280,6 +285,17 @@ def _outputs() -> dict:
     outputs["convergence-m3-uniform"] = lambda out: _convergence(
         out, "convergence-m3-uniform", 3, trajectories=300, horizon=120,
         seed=0, renewal=uniform_perturbation(2, 0.2))
+    outputs["convergence-m3-extreme-r5"] = lambda out: _convergence(
+        out, "convergence-m3-extreme-r5", 3, trajectories=300, horizon=120,
+        seed=0, scheme=extreme_scheme(5))
+    # The pair's signals are equal at t = 4 and part again, since its
+    # rings are not: arm b must stay in the batch.
+    outputs["convergence-m2-extreme-r2-unequal-rings"] = lambda out: (
+        _convergence(out, "convergence-m2-extreme-r2-unequal-rings", 2,
+                     trajectories=1, horizon=40, seed=4,
+                     scheme=extreme_scheme(2),
+                     initials=(np.array([[0.6, 0.9], [0.4, 0.9]]),
+                               np.array([[0.6, 0.85], [0.4, 0.85]]))))
     outputs["bench-abstract-extreme-r50"] = lambda out: _bench_abstract(
         out, "bench-abstract-extreme-r50")
     outputs["bench-convergence-m2"] = lambda out: _convergence(

@@ -231,13 +231,12 @@ def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
     the trailing axes of ``shares`` and ``tie_uniforms`` (both
     ``(types, ...)``, which must broadcast to ``(types,)`` and the batch
     axes of ``signal``), are batch axes: ``run_abstract`` passes none,
-    ``convergence_check`` an arm axis of length 2, then 1 once its arms
-    coalesce, and a trajectory axis, with draws of length one on the arm
-    axis, since both arms share them.  All types' weights are tie-picked in one
-    ``pick_among_ties`` call, which says how they are laid out; the
-    types' loads are then added in type order, so each count is the
-    same sum as type-by-type loading, and the cost table prices all
-    actions.
+    ``convergence_check`` an arm axis (of length 1 once arm b has left)
+    and a trajectory axis, with draws of length one on the arm axis.
+    All types' weights are tie-picked in one ``pick_among_ties`` call,
+    which says how they are laid out; the types' loads are then added
+    in type order, so each count is the same sum as type-by-type
+    loading, and the cost table prices all actions.
     """
     batch = signal.shape[1:-1]
     b = len(batch)
@@ -507,20 +506,13 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     trajectories, 2)`` and the period's draws are broadcast over the arm
     axis, since both arms share them.
 
-    Coalescence rule: arm ``b`` leaves the batch whole at the first
-    period in which every pair's two signals are equal entry for entry
-    under ``==``, through one ``CostHistory.restricted`` call (none at
-    the horizon, after which nothing is played); ``arms`` is 2, then 1.
-    From then on arm ``b`` takes arm ``a``'s counts, so the end shares
-    agree and the distance is 0.0.  Proof: under ``full_extreme`` a
-    signal is the running min and max with at most a zero's sign put
-    back, so equal signals mean equal histories, and the arms share
-    every later draw, whatever the renewal law, so they play the same
-    counts and costs to the horizon.
+    Coalescence rule: arm ``b`` leaves the batch whole (``arms`` goes
+    from 2 to 1) at the first period before the horizon in which every
+    pair's two signals are equal and ``CostHistory.coalesced`` finds arm
+    ``b``'s columns coalesced with arm ``a``'s.  The arms share every
+    later draw, so arm ``b`` would play arm ``a``'s counts to the
+    horizon: the end shares agree and the distance is 0.0.
     """
-    if config.scheme.kind != "full_extreme":
-        raise ValidationError(
-            "the convergence check drives the running-envelope scheme")
     k = require_int(trajectories, "trajectories", 1)
     horizon = require_int(horizon, "horizon", 1)
     if len(initial_signals) != 2:
@@ -534,6 +526,8 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     history = CostHistory(2 * k * m, config.scheme,
                           np.repeat(inits, k, axis=1).reshape(-1, 2))
 
+    # each arm's columns, action-major
+    arm_columns = np.arange(2 * k * m).reshape(m, 2, k).swapaxes(0, 1)
     rng = derived_rng(seed, "convergence")
     arms = 2
     distances = []
@@ -545,10 +539,9 @@ def convergence_check(config: AbstractConfig, trajectories: int,
         if t == horizon:
             break
         if arms == 2 and np.array_equal(signal[:, 0], signal[:, 1]):
-            arms = 1
-            history = history.restricted(
-                np.arange(history.m_count).reshape(m, 2, k)[:, 0].ravel())
-            signal = signal[:, :1]
+            kept = history.coalesced(*arm_columns.reshape(2, -1))
+            if kept is not None:
+                arms, history, signal = 1, kept, signal[:, :1]
         shares = sample_profile(config.renewal, rng, k).T   # (types, k)
         tie_u = rng.random((k, len(config.types))).T
         counts, costs = _play(config, signal, shares[:, None],

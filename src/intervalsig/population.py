@@ -198,7 +198,7 @@ def sample_profile(process: RenewalProcess, rng: np.random.Generator,
     return shares
 
 
-def derived_rng(seed: int, label: str, *indices: int) -> np.random.Generator:
+def derived_rng(seed: int, label: str) -> np.random.Generator:
     """Named substream of the master seed; stable across runs and
     platforms (the label enters the seed sequence as its CRC-32).  The
     seed must be a non-negative integer (a numpy integer will do); a
@@ -207,4 +207,4 @@ def derived_rng(seed: int, label: str, *indices: int) -> np.random.Generator:
     seed = require_int(seed, "seed", 0)
     tag = zlib.crc32(label.encode("utf-8"))
     return np.random.default_rng(
-        np.random.SeedSequence([seed, tag, *indices]))
+        np.random.SeedSequence([seed, tag]))

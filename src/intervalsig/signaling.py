@@ -104,11 +104,11 @@ class CostHistory:
     signal and, of every resource's recorded costs, what the scheme
     reads and nothing else, in one ``(rows, m_count)`` array whose
     columns are the resources.  ``now``, ``extreme`` and ``subinterval``
-    keep a ring of the last ``window`` periods' costs (one row under
-    ``now``), ``mean`` one row of running sums and ``full_extreme`` a
-    running-min row and a running-max row.  An initial signal under
+    keep a ring of the last ``window`` periods' costs, grown as periods
+    are recorded, ``mean`` one row of running sums and ``full_extreme``
+    a running-min row and a running-max row.  An initial signal under
     ``full_extreme`` seeds those two rows, so the envelope never takes
-    it in again.  ``restricted`` keeps a chosen subset of the columns.
+    it in again.  ``coalesced`` says when columns have become one.
     """
 
     def __init__(self, m_count: int, scheme: Scheme,
@@ -131,20 +131,23 @@ class CostHistory:
             # cost tied: per row, the resources whose seed is a zero.
             self._zeros = [np.flatnonzero(row == 0.0) for row in self._rows]
         else:
-            self._rows = np.zeros(
-                (1 if scheme.kind == "mean" else self.window, m_count))
+            self._rows = np.zeros((1, m_count))
 
-    def restricted(self, resources) -> CostHistory:
-        """This history over ``resources`` only, in their order: a fresh
-        history of those resources, with their initial signal and its
-        zero endpoints, that has recorded what this one recorded.  The
-        convergence check calls it at most once, when arm b leaves."""
-        resources = np.asarray(resources)
-        part = CostHistory(len(resources), self.scheme,
+    def coalesced(self, kept, dropped) -> CostHistory | None:
+        """This history over the ``kept`` columns alone if the
+        ``dropped`` ones, paired with them in order, will emit equal
+        signals (under ``==``) from now on, given equal costs; else None.
+        They will if each pair's state columns are equal and ``window``
+        periods are recorded: the state is then all that ``emit_signal``
+        reads, but for the sign of an initial signal's zero."""
+        rows = self._rows
+        if (self._periods < self.window
+                or not np.array_equal(rows[:, kept], rows[:, dropped])):
+            return None
+        part = CostHistory(len(kept), self.scheme,
                            None if self.initial is None
-                           else self.initial[resources])
-        part._periods = self._periods
-        part._rows = self._rows[:, resources]
+                           else self.initial[kept])
+        part._periods, part._rows = self._periods, rows[:, kept]
         return part
 
     @property
@@ -167,7 +170,11 @@ class CostHistory:
             np.minimum(lo, costs, out=lo)
             np.maximum(hi, costs, out=hi)
         else:
-            rows[self._periods % self.window] = costs
+            at = self._periods % self.window
+            if at == len(rows):     # double the ring, up to window rows
+                rows = self._rows = np.resize(
+                    rows, (min(2 * at, self.window), self.m_count))
+            rows[at] = costs
         self._periods += 1
 
     def window_extremes(self) -> tuple[np.ndarray, np.ndarray]:

@@ -442,6 +442,14 @@ class TestRunAbstract:
     def test_numpy_integer_horizon_accepted(self):
         assert len(run_abstract(two_action_config(), np.int64(3))) == 3
 
+    def test_window_past_the_horizon_is_the_horizon(self):
+        # the initial signal stays in the envelope to the end of both
+        # runs, and the ring grows with the periods recorded
+        huge, short = (run_abstract(
+            two_action_config(scheme=extreme_scheme(r)), 30)
+            for r in (10 ** 13, 30))
+        assert column_bytes(huge) == column_bytes(short)
+
     def test_deterministic_given_seed(self):
         config = two_action_config(scheme=now_scheme())
         a = run_abstract(config, horizon=25)
@@ -871,9 +879,6 @@ class TestConvergenceCheckValidation:
         # three actions, so that a transposed (2, M) signal has the wrong
         # shape rather than a square one
         config, (a, b) = convergence_demo_config(action_count=3)
-        if case == "windowed_scheme":
-            return (dataclasses.replace(config, scheme=extreme_scheme(3)),
-                    (a, b))
         return config, {
             "inverted": (a, b[:, ::-1]),
             "three_arms": (a, b, a),
@@ -890,8 +895,7 @@ class TestConvergenceCheckValidation:
         "inverted": "lower", "three_arms": "two initial signals",
         "one_arm": "two initial signals", "transposed": "shape",
         "one_action_short": "shape", "infinite_upper": "finite",
-        "negative_lower": "finite",
-        "windowed_scheme": "drives the running-envelope scheme"}
+        "negative_lower": "finite"}
 
     @pytest.mark.parametrize("case", list(MESSAGES))
     def test_rejected_before_period_one(self, case, monkeypatch):
@@ -997,10 +1001,10 @@ class TestConvergenceCheckAgainstStepColumn:
 
 
 class TestConvergenceCheckAgainstFullBatch:
-    """``convergence_check`` drops arm b from its batch at the first
-    period in which every pair's two signals are equal;
-    ``tests/oracle.py``'s full batch plays both arms of every pair to the
-    horizon.  Every report field must have the same bytes."""
+    """``convergence_check`` drops arm b from its batch once every pair's
+    arms have coalesced; ``tests/oracle.py``'s full batch plays both arms
+    of every pair to the horizon.  Every report field must have the same
+    bytes, under every scheme."""
 
     TRAJECTORIES = 50
 
@@ -1022,22 +1026,59 @@ class TestConvergenceCheckAgainstFullBatch:
         return a, b
 
     @staticmethod
-    def same_bytes(m, trajectories, horizon, inits, seed, renewal=None):
+    def same_bytes(m, trajectories, horizon, inits, seed, renewal=None,
+                   scheme=None):
         """Assert the two checks agree; the full batch's coalescence
-        period of every pair.  ``renewal`` replaces the demo's."""
+        period of every pair.  ``renewal`` and ``scheme`` replace the
+        demo's."""
         config, _ = convergence_demo_config(action_count=m)
         if renewal is not None:
             config = dataclasses.replace(config, renewal=renewal)
+        if scheme is not None:
+            config = dataclasses.replace(config, scheme=scheme)
         report = convergence_check(config, trajectories, horizon, inits,
                                    seed)
-        expected, coalesced_at = convergence_check_full_batch(
-            config, trajectories, horizon, inits, seed)
+        with warnings.catch_warnings():
+            # where scipy's exact p-value fails on a few trajectories,
+            # its fallback gives 1.0, as ``ks_2samp`` does
+            warnings.simplefilter("ignore", RuntimeWarning)
+            expected, coalesced_at = convergence_check_full_batch(
+                config, trajectories, horizon, inits, seed)
         for f in dataclasses.fields(report):
             got, want = (np.ascontiguousarray(getattr(r, f.name),
                                               dtype=float).tobytes()
                          for r in (report, expected))
             assert got == want, f.name
         return coalesced_at
+
+    # under a windowed scheme equal signals need not mean equal rings,
+    # nor a history that no longer reads its initial signal, so a
+    # pair's signals can meet and part again
+    @pytest.mark.parametrize("m", [2, 3, 8])
+    @pytest.mark.parametrize("scheme", [
+        extreme_scheme(1), extreme_scheme(2), extreme_scheme(5),
+        subinterval_scheme(3, 0.5), now_scheme(), mean_scheme(),
+        full_extreme_scheme()], ids=lambda s: s.label())
+    def test_every_scheme(self, scheme, m):
+        for seed in range(5):
+            for trajectories in (1, 2, 5):
+                self.same_bytes(m, trajectories, 40,
+                                self.perturbed_pair(m, seed), seed,
+                                scheme=scheme)
+
+    def test_equal_signals_with_unequal_rings(self):
+        # at t = 4 the pair's signals are equal but its rings are not, so
+        # the signals part again: arm b must stay in the batch
+        inits = self.perturbed_pair(2, 4)
+        assert np.array_equal(inits[0], [[0.6, 0.9], [0.4, 0.9]])
+        assert np.array_equal(inits[1], [[0.6, 0.85], [0.4, 0.85]])
+        config, _ = convergence_demo_config(action_count=2)
+        expected, coalesced_at = convergence_check_full_batch(
+            dataclasses.replace(config, scheme=extreme_scheme(2)), 1, 40,
+            inits, 4)
+        assert coalesced_at.tolist() == [4]
+        assert expected.distance_series[4:9].tolist() == [0, 2, 2, 0, 2]
+        self.same_bytes(2, 1, 40, inits, 4, scheme=extreme_scheme(2))
 
     @pytest.mark.parametrize("m", [2, 3, 8])
     @pytest.mark.parametrize("seed", range(4))
@@ -1075,9 +1116,9 @@ class TestConvergenceCheckAgainstFullBatch:
     @pytest.mark.parametrize("m", [2, 3, 8])
     @pytest.mark.parametrize("seed", range(3))
     def test_uniform_perturbation_renewal(self, m, seed):
-        # the coalescence rule rests on full_extreme and shared draws,
-        # not on the renewal law: under a continuous one every pair
-        # coalesces at M = 2 and 3, and none does at M = 8
+        # the coalescence rule rests on shared draws, not on the renewal
+        # law: under a continuous one every pair coalesces at M = 2 and
+        # 3, and none does at M = 8
         inits = convergence_demo_config(action_count=m)[1]
         coalesced_at = self.same_bytes(m, 200, 60, inits, seed,
                                        uniform_perturbation(2, 0.2))
@@ -1092,38 +1133,56 @@ class TestConvergenceCheckAgainstFullBatch:
 
 
 class TestCoalescedPairsLeaveTheBatch:
-    """Arm b leaves the batch whole, by one restriction of the history,
-    at the first period in which every pair has coalesced, and never
-    while some pair has not."""
+    """Arm b leaves the batch whole at the first period in which every
+    pair's signals are equal and ``CostHistory.coalesced`` finds the
+    arms' states equal; the check compares states at no other period."""
 
     @staticmethod
-    def restrictions(monkeypatch, m, trajectories, horizon, seed):
-        calls, restricted = [], CostHistory.restricted
-        monkeypatch.setattr(
-            CostHistory, "restricted",
-            lambda self, resources: calls.append(self.periods)
-            or restricted(self, resources))
-        config, inits = convergence_demo_config(agent_count=20,
-                                                action_count=m)
+    def comparisons(monkeypatch, config, inits, trajectories, horizon,
+                    seed):
+        """The period of every ``coalesced`` call, and of those that
+        kept arm a alone."""
+        calls, kept, coalesced = [], [], CostHistory.coalesced
+
+        def counted(self, *columns):
+            calls.append(self.periods)
+            part = coalesced(self, *columns)
+            if part is not None:
+                kept.append(self.periods)
+            return part
+
+        monkeypatch.setattr(CostHistory, "coalesced", counted)
         convergence_check(config, trajectories, horizon, inits, seed)
-        return calls, config, inits
+        return calls, kept
 
     def test_never_without_coalescence(self, monkeypatch):
-        calls, _, _ = self.restrictions(monkeypatch, 8, 200, 200, 1)
-        assert calls == []
+        config, inits = convergence_demo_config(agent_count=20,
+                                                action_count=8)
+        assert self.comparisons(monkeypatch, config, inits, 200, 200,
+                                1) == ([], [])
 
     @pytest.mark.parametrize("m, trajectories, horizon, seed, period", [
         (3, 500, 200, 5, 13), (2, 5000, 100, 1, 2)])
     def test_once_when_the_last_pair_coalesces(self, monkeypatch, m,
                                                trajectories, horizon, seed,
                                                period):
-        calls, config, inits = self.restrictions(monkeypatch, m,
-                                                 trajectories, horizon, seed)
+        config, inits = convergence_demo_config(agent_count=20,
+                                                action_count=m)
+        calls, kept = self.comparisons(monkeypatch, config, inits,
+                                       trajectories, horizon, seed)
         _, coalesced_at = convergence_check_full_batch(
             config, trajectories, horizon, inits, seed)
         assert (coalesced_at >= 0).all()
         assert coalesced_at.max() == period
-        assert calls == [period]
+        assert calls == kept == [period]
+
+    def test_equal_signals_from_unequal_rings_keep_arm_b(self, monkeypatch):
+        # the pair of ``test_equal_signals_with_unequal_rings``
+        config, _ = convergence_demo_config(action_count=2)
+        config = dataclasses.replace(config, scheme=extreme_scheme(2))
+        inits = TestConvergenceCheckAgainstFullBatch.perturbed_pair(2, 4)
+        calls, kept = self.comparisons(monkeypatch, config, inits, 1, 40, 4)
+        assert calls[0] == 4 and 4 not in kept
 
 
 class TestAbstractCsv:

@@ -61,6 +61,15 @@ class TestRun:
         assert code == 0
         assert out.exists()
 
+    def test_window_past_the_horizon(self, tmp_path, capsys):
+        # a window is no allocation: 10**13 periods write what 30 do
+        outs = [tmp_path / f"r{r}.csv" for r in ("huge", "30")]
+        for r, out in zip(("10000000000000", "30"), outs):
+            assert main(["run", "--instance", "diamond", "--scheme",
+                         "extreme", "--r", r, "--horizon", "30", "--seed",
+                         "0", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_reference_prints_regret(self, tmp_path, capsys):
         out = tmp_path / "d.csv"
         code = main(["run", "--instance", "diamond", "--scheme", "now",

@@ -17,6 +17,7 @@ import pytest
 from intervalsig import convergence_demo_config
 from intervalsig.engine import diamond_system_optimum
 from intervalsig.population import uniform_perturbation
+from intervalsig.signaling import extreme_scheme
 
 from .oracle import convergence_check_full_batch
 
@@ -106,7 +107,7 @@ def test_dump_matches_the_manifest(dump_outputs, tmp_path, capsys):
 def test_manifest_is_sha256sum_output():
     # so that ``sha256sum -c`` in a dump directory reads it as well
     lines = MANIFEST.read_text().splitlines()
-    assert len(lines) == 48
+    assert len(lines) == 50
     assert lines == sorted(lines, key=lambda line: line[66:])
     for line in lines:
         assert re.fullmatch(r"[0-9a-f]{64}  [\w.-]+", line), line
@@ -119,10 +120,10 @@ def test_manifest_is_sha256sum_output():
 
 
 def test_output_count_matches_the_docstring(dump_outputs):
-    # 29 outputs, 19 of which (the network and run_abstract runs) also
+    # 31 outputs, 19 of which (the network and run_abstract runs) also
     # write a CSV
-    assert len(dump_outputs.OUTPUTS) == 29
-    assert "48 files in all" in " ".join(dump_outputs.__doc__.split())
+    assert len(dump_outputs.OUTPUTS) == 31
+    assert "50 files in all" in " ".join(dump_outputs.__doc__.split())
 
 
 def test_file_run_is_the_built_in_run(dump_outputs, tmp_path, capsys):
@@ -147,6 +148,32 @@ def test_uniform_convergence_is_the_full_batch(dump_outputs, tmp_path,
                                                         inits, 0)
     assert (coalesced_at >= 0).all()
     assert (tmp_path / "convergence-m3-uniform.bin").read_bytes() == (
+        dump_outputs._raw(report.distance_series, report.sample_a,
+                          report.sample_b,
+                          [report.ks_statistic, report.ks_pvalue]))
+
+
+# the pair that ``convergence-m2-extreme-r2-unequal-rings`` starts from
+UNEQUAL_RINGS = (np.array([[0.6, 0.9], [0.4, 0.9]]),
+                 np.array([[0.6, 0.85], [0.4, 0.85]]))
+
+
+@pytest.mark.parametrize("name, m, trajectories, horizon, seed, window, "
+                         "inits", [
+    ("convergence-m3-extreme-r5", 3, 300, 120, 0, 5, None),
+    ("convergence-m2-extreme-r2-unequal-rings", 2, 1, 40, 4, 2,
+     UNEQUAL_RINGS)])
+def test_windowed_convergence_is_the_full_batch(dump_outputs, tmp_path,
+                                                capsys, name, m,
+                                                trajectories, horizon, seed,
+                                                window, inits):
+    assert dump_outputs.main([str(tmp_path), "--only", name]) == 0
+    config, demo_inits = convergence_demo_config(agent_count=20,
+                                                 action_count=m)
+    config = dataclasses.replace(config, scheme=extreme_scheme(window))
+    report, _ = convergence_check_full_batch(
+        config, trajectories, horizon, inits or demo_inits, seed)
+    assert (tmp_path / f"{name}.bin").read_bytes() == (
         dump_outputs._raw(report.distance_series, report.sample_a,
                           report.sample_b,
                           [report.ks_statistic, report.ks_pvalue]))

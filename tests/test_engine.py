@@ -60,6 +60,15 @@ def diamond_config(**overrides):
 
 
 class TestRunBasics:
+    def test_window_past_the_horizon_is_the_horizon(self):
+        # the ring grows with the periods recorded, so a window of 10**13
+        # periods holds no more than the 30 recorded
+        huge, short = (run(diamond_config(scheme=extreme_scheme(r),
+                                          horizon=30))
+                       for r in (10 ** 13, 30))
+        assert records_to_csv(huge) == records_to_csv(short)
+        assert columns_sha256(huge) == columns_sha256(short)
+
     def test_single_period_uses_warm_up_signal(self):
         result = run(diamond_config(horizon=1))
         assert len(result) == 1

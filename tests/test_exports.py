@@ -1,7 +1,7 @@
 """Every name a module exports exists, so ``from ... import *`` works,
-the package's modules import each other without a cycle, every entry
-point the benchmark wraps by name is still there, and no run imports
-scipy."""
+the package's modules import each other without a cycle, only
+``signaling`` branches on a scheme's kind, every entry point the
+benchmark wraps by name is still there, and no run imports scipy."""
 
 import ast
 import importlib
@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import intervalsig
+from intervalsig import signaling
 
 MODULES = ["intervalsig"] + [
     f"intervalsig.{info.name}"
@@ -70,6 +71,45 @@ def test_each_model_keeps_its_own_choice_rule():
     graph = package_imports()
     assert "assignment" not in graph["abstract_model"]
     assert "abstract_model" not in graph["assignment"]
+
+
+def scheme_kind_comparisons(source: str) -> list[int]:
+    """The lines of ``source`` that compare a scheme's kind: a comparison
+    with an operand ``scheme.kind`` (``config.scheme.kind`` too), or
+    with ``x.kind`` on one side and a scheme kind's name on the other."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        operands = [node.left, *node.comparators]
+        kind_reads = [o.value for o in operands
+                      if isinstance(o, ast.Attribute) and o.attr == "kind"]
+        names = {c.value for o in operands for c in ast.walk(o)
+                 if isinstance(c, ast.Constant)}
+        on_scheme = any(getattr(base, "id", getattr(base, "attr", None))
+                        == "scheme" for base in kind_reads)
+        if kind_reads and (on_scheme or names & set(signaling._KINDS)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_signaling_compares_a_scheme_kind():
+    # every other module asks the history or the signal rule, so that a
+    # rule that holds for some schemes only lives beside the schemes
+    found = {path.stem: scheme_kind_comparisons(path.read_text("utf-8"))
+             for path in Path(intervalsig.__file__).parent.glob("*.py")}
+    assert found.pop("signaling")
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+@pytest.mark.parametrize("source, compares", [
+    ('if config.scheme.kind != "full_extreme": pass', True),
+    ("x = history.scheme.kind in KINDS", True),
+    ('x = s.kind in ("extreme", "subinterval")', True),
+    ('x = scheme.kind.replace("_", "-")', False),
+    ('x = self.kind == "flapping"', False)])
+def test_scheme_kind_comparisons_are_found(source, compares):
+    assert bool(scheme_kind_comparisons(source)) == compares
 
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import zlib
 
 import numpy as np
 import pytest
@@ -407,10 +408,10 @@ class TestDeterminism:
         b = derived_rng(42, "tie-break")
         assert a.random() != b.random()
 
-    def test_indexed_substreams_are_distinct(self):
-        a = derived_rng(42, "trajectory", 0)
-        b = derived_rng(42, "trajectory", 1)
-        assert a.random() != b.random()
+    def test_stream_is_seeded_by_the_seed_and_the_label_crc(self):
+        want = np.random.default_rng(np.random.SeedSequence(
+            [42, zlib.crc32(b"tie-break")])).random(3)
+        assert derived_rng(42, "tie-break").random(3).tolist() == want.tolist()
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValidationError, match="seed must be >= 0"):

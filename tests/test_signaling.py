@@ -448,9 +448,11 @@ class TestAgainstListReference:
                 h.record_period(periods[p])
 
 
-class TestRestricted:
-    """A history restricted to some resources, fed the same costs after,
-    emits what a fresh history of those resources emits, bit for bit."""
+class TestCoalesced:
+    """``coalesced(kept, dropped)`` keeps the ``kept`` columns alone once
+    the ``dropped`` ones will emit what they emit, and the history it
+    keeps, fed the same costs after, emits what a fresh history of the
+    ``kept`` columns emits, bit for bit."""
 
     @staticmethod
     def check(scheme, m, periods, initial, at, resources):
@@ -461,7 +463,11 @@ class TestRestricted:
         for costs in periods[:at]:
             whole.record_period(costs)
             fresh.record_period(np.array(costs)[resources])
-        part = whole.restricted(resources)
+        # a column agrees with itself once the initial signal is gone
+        part = whole.coalesced(resources, resources)
+        if at < whole.window:
+            assert part is None
+            return
         assert part.periods == fresh.periods == at
         for costs in periods[at:]:
             assert emit_signal(part).tobytes() == emit_signal(fresh).tobytes()
@@ -478,6 +484,64 @@ class TestRestricted:
                                        max_size=m + 1))
         self.check(scheme, m, periods, initial, at, resources)
 
+    @settings(max_examples=300, deadline=None)
+    @given(cost_streams(), st.data())
+    def test_coalesced_columns_emit_equal_signals(self, case, data):
+        # columns m.. record columns 0..'s costs from another initial
+        # signal; under every scheme but full_extreme, whose state holds
+        # the initial signal, the two halves coalesce at window periods
+        scheme, m, periods, initial = case
+        other = None if initial is None else data.draw(st.lists(
+            st.lists(endpoints, min_size=2, max_size=2).map(sorted),
+            min_size=m, max_size=m))
+        both = CostHistory(2 * m, scheme, None if initial is None
+                           else np.array(initial + other))
+        half = np.arange(m)
+        coalesced_at = None
+        for p in range(len(periods) + 1):
+            signal = emit_signal(both)
+            part = both.coalesced(half, half + m)
+            if scheme.kind != "full_extreme":
+                assert (part is not None) == (p >= both.window)
+            if coalesced_at is None and part is not None:
+                coalesced_at = p
+            if coalesced_at is not None:
+                assert (signal[:m] == signal[m:]).all(), (coalesced_at, p)
+            if p < len(periods):
+                both.record_period(periods[p] * 2)
+
+    def test_equal_signals_from_unequal_rings_do_not_agree(self):
+        # both rings hold 1 and 3, in other orders, so the next cost
+        # overwrites the 1 of one and the 3 of the other
+        h = CostHistory(2, extreme_scheme(2))
+        h.record_period([1.0, 3.0])
+        h.record_period([3.0, 1.0])
+        assert emit_signal(h).tolist() == [[1.0, 3.0], [1.0, 3.0]]
+        assert h.coalesced([0], [1]) is None
+        h.record_period([2.0, 2.0])
+        assert emit_signal(h).tolist() == [[2.0, 3.0], [1.0, 2.0]]
+
+    def test_initial_signals_in_the_envelope_do_not_agree(self):
+        # equal rings, but each column's initial signal is still read
+        h = CostHistory(2, extreme_scheme(3),
+                        np.array([[0.0, 1.0], [0.0, 2.0]]))
+        for _ in range(2):
+            h.record_period([0.5, 0.5])
+            assert h.coalesced([0], [1]) is None
+        assert emit_signal(h).tolist() == [[0.0, 1.0], [0.0, 2.0]]
+        h.record_period([0.5, 0.5])
+        assert h.coalesced([0], [1]) is not None
+        assert emit_signal(h).tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+    def test_equal_full_extreme_columns_agree_after_one_period(self):
+        h = CostHistory(2, full_extreme_scheme(),
+                        np.array([[0.2, 0.7], [0.2, 0.7]]))
+        assert h.coalesced([0], [1]) is None
+        h.record_period([0.4, 0.4])
+        part = h.coalesced([0], [1])
+        assert part.m_count == 1 and part.periods == 1
+        assert emit_signal(part).tolist() == [[0.2, 0.7]]
+
     def test_zero_endpoints_follow_their_resources(self):
         # resource 1's -0.0 lower endpoint is resource 0's after the
         # restriction, and a recorded 0.0 ties it
@@ -488,8 +552,9 @@ class TestRestricted:
         whole = CostHistory(3, extreme_scheme(2), np.array(
             [(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]))
         whole.record_period([5.0, 6.0, 7.0])
-        part = whole.restricted([2, 0])
+        whole.record_period([4.0, 6.0, 8.0])
+        part = whole.coalesced([2, 0], [2, 0])
         part.record_period([0.5, 0.5])
-        assert whole.periods == 1
-        assert emit_signal(whole).tolist() == [[0.0, 5.0], [1.0, 6.0],
-                                               [2.0, 7.0]]
+        assert whole.periods == 2
+        assert emit_signal(whole).tolist() == [[4.0, 5.0], [6.0, 6.0],
+                                               [7.0, 8.0]]
