@@ -3,12 +3,19 @@
 Agents of each risk type read the published per-action interval through
 their endpoint weight, pile their whole mass onto a minimizing action
 (uniformly among ties), and realized costs feed the next signal. A run's
-only state is its ``CostHistory``, and ``run_abstract`` writes each
-period straight into its result's columns: the signal ``emit_signal``
-gives, the counts and costs of ``_play`` (one tie-pick over all types'
-weights, then the config's cost table, built once from its cost
-functions, prices every action's count), their social cost; then the
-costs are recorded.  Includes the coupled-trajectory convergence check
+only state is its ``CostHistory``.  Everything ``_play`` reads that
+depends only on the config and the batch shape (the omegas, the
+tie-pick's layout, the bin offsets) is set up once per run in a
+``_PlaySetup``, and ``run_abstract`` turns the whole run's shares into
+loads in one multiply.  A period then writes straight into the result's
+columns: the signal ``emit_signal`` gives, then the counts and costs of
+``_play`` (every type's weights written into the pick's layout, one
+tie-pick over all of them, the loads added up by action, then the
+config's cost table, built once from its cost functions, prices every
+action's count); then the costs are recorded.  After the loop one
+``social_cost_abstract`` call prices every period's social cost from
+the counts and costs columns.  Includes the coupled-trajectory
+convergence check
 (two runs driven by identical draws from different initial signals) and
 the two-arm flapping construction whose scalar arm oscillates while its
 interval arm holds a near-even split.
@@ -43,7 +50,6 @@ from .signaling import (
     CostHistory,
     Scheme,
     checked_initial_signal,
-    edge_weight,
     emit_signal,
     extreme_scheme,
     full_extreme_scheme,
@@ -156,48 +162,72 @@ def pick_among_ties(weights: np.ndarray, u) -> np.ndarray:
     minimizers and read no ``u``; otherwise a running tie count picks in
     every row.
 
-    The reductions run along the first axis of a contiguous ``(n, ...)``
-    copy, many times faster on many short rows than along the last axis.
-    ``_play`` passes a ``(types, ..., M)`` view of action-major ``(M,
-    types, ...)`` weights, batch axes innermost, so no copy is made.
-    The layout, entries against rows, picks one of two paths.  With at
-    least as many entries as rows (``run_abstract``'s), ``argmin`` finds
-    the minimizers, several times faster than ``min`` there, the minima
-    are gathered at them, and the running tie count is one ``cumsum``
-    along the entry axis.  With fewer (``convergence_check``'s), ``min``
-    finds the minima, a tie-free row's minimizer is its tie flags'
-    index-weighted sum, and the running tie count takes one whole-array
-    step per entry but the last; both counts give the same integers.
-    With fewer than 128 entries the tie counts are kept in single bytes,
-    which makes the count and the steps several times cheaper than in
-    64-bit integers.
+    Entries against rows pick one of two layouts, each reduced along
+    its contiguous axes.  With at least as many entries as rows
+    (``run_abstract``'s), the rows stay row-major, ``(..., n)``:
+    ``argmin`` along the contiguous entry axis finds the minimizers, the
+    minima are gathered at them, and the running tie count is one
+    ``cumsum`` along that axis.  With fewer (``convergence_check``'s),
+    the pick reads an entry-major ``(n, ...)`` array, many times faster
+    on many short rows than the last axis: ``min`` finds the minima, a
+    tie-free row's minimizer is its tie flags' index-weighted sum, and
+    the running tie count takes one whole-array step per entry but the
+    last; both counts give the same integers.  With fewer than 128
+    entries the tie counts are kept in single bytes, which makes the
+    count and the steps several times cheaper than in 64-bit integers.
+    Weights not in their layout are copied into it; ``_play`` writes
+    its weights in the layout its run picks in, so it calls the layout's
+    pick itself.
     """
     weights = np.asarray(weights)
     if weights.ndim == 0 or weights.shape[-1] == 0:
         raise ValidationError(
             f"weights of shape {weights.shape} have no entries to pick")
-    by_entry = np.ascontiguousarray(
-        weights.transpose(-1, *range(weights.ndim - 1)))
-    shape = by_entry.shape[1:]
-    rows = by_entry[0].size
-    wide = len(by_entry) >= rows
-    if wide:
-        flat = by_entry.reshape(len(by_entry), rows)
-        choice = flat.argmin(axis=0)
-        low = flat[choice, np.arange(rows)].reshape(shape)
-    else:
-        low = by_entry.min(axis=0)
-    if np.isnan(low).any():
+    if _is_wide(weights.shape[-1], weights.size // weights.shape[-1]):
+        return _pick_by_row(np.ascontiguousarray(weights), u)
+    return _pick_by_entry(np.ascontiguousarray(
+        weights.transpose(-1, *range(weights.ndim - 1))), u)
+
+
+def _is_wide(entries: int, rows: int) -> bool:
+    """Whether the pick reads rows of this many entries row-major."""
+    return entries >= rows
+
+
+def _tie_count_type(entries: int) -> type:
+    """The integer type the tie counts of rows this long are kept in."""
+    return np.int8 if entries < 128 else np.intp
+
+
+def _pick_by_row(weights: np.ndarray, u) -> np.ndarray:
+    """``pick_among_ties`` on C-contiguous ``(..., n)`` weights."""
+    shape, n = weights.shape[:-1], weights.shape[-1]
+    flat = weights.reshape(-1, n)
+    choice = flat.argmin(axis=1)
+    low = flat.take(choice + np.arange(0, flat.size, n))
+    if np.count_nonzero(np.isnan(low)):
+        raise ValidationError("weights hold a NaN")
+    ties = flat == low[:, None]
+    if np.count_nonzero(ties) == len(flat):
+        # a scalar for a single row, as the counting pick returns
+        return choice.reshape(shape)[()]
+    n_ties = ties.sum(axis=1, dtype=_tie_count_type(n)).reshape(shape)
+    pick = np.minimum((np.asarray(u) * n_ties).astype(int), n_ties - 1)
+    return (np.cumsum(ties, axis=1) > pick.reshape(-1, 1)).argmax(
+        axis=1).reshape(shape)[()]
+
+
+def _pick_by_entry(by_entry: np.ndarray, u) -> np.ndarray:
+    """``pick_among_ties`` on C-contiguous entry-major ``(n, ...)``
+    weights."""
+    low = by_entry.min(axis=0)
+    if np.count_nonzero(np.isnan(low)):
         raise ValidationError("weights hold a NaN")
     ties = by_entry == low
-    if np.count_nonzero(ties) == rows:
-        # a scalar for a single row, as the counting pick returns
-        return (choice if wide else _lone_tie(ties)).reshape(shape)[()]
-    n_ties = ties.sum(axis=0,
-                      dtype=np.int8 if len(by_entry) < 128 else np.intp)
+    if np.count_nonzero(ties) == low.size:
+        return _lone_tie(ties)
+    n_ties = ties.sum(axis=0, dtype=_tie_count_type(len(by_entry)))
     pick = np.minimum((np.asarray(u) * n_ties).astype(int), n_ties - 1)
-    if wide:
-        return (np.cumsum(ties, axis=0) > pick).argmax(axis=0)
     # The pick is the number of entries whose running count is still at
     # most ``pick``: the count never falls and ends at n_ties > pick, so
     # the last entry never counts and its plane is skipped.
@@ -221,69 +251,112 @@ def _lone_tie(ties: np.ndarray) -> np.ndarray:
     return choice.astype(np.intp)
 
 
-def _play(config: AbstractConfig, signal: np.ndarray, shares: np.ndarray,
+class _PlaySetup:
+    """What ``_play`` reads that depends only on the config and the
+    batch shape, so that a run sets it up once: the omegas and ``1 -
+    omegas`` in the weights' broadcast shape, the tie-pick's layout
+    with two buffers in it for each period's weights, and the bin
+    offsets of the batch's columns.
+
+    ``batch`` holds the signal's axes between its action axis and its
+    endpoint axis.  The weights are laid out ``(types, ..., M)`` when
+    the actions are at least as many as the rows, types times batch
+    columns, and ``(M, types, ...)`` when fewer (``pick_among_ties``
+    says why).  ``ends_axes`` and ``ends_shape`` move and reshape the
+    signal's axes to match, as a view: ``(..., M, 2)`` and ``(M, 1, ...,
+    2)``.
+    """
+
+    def __init__(self, config: AbstractConfig, batch: tuple[int, ...]):
+        m, types, b = config.action_count, len(config.types), len(batch)
+        self.columns = math.prod(batch)
+        if _is_wide(m, types * self.columns):
+            self.ends_axes = (*range(1, b + 1), 0, b + 1)
+            self.ends_shape = (*batch, m, 2)
+            layout, self.pick = (types, *batch, m), _pick_by_row
+            later = b + 1
+        else:
+            self.ends_axes = tuple(range(b + 2))
+            self.ends_shape = (m, 1, *batch, 2)
+            layout, self.pick = (m, types, *batch), _pick_by_entry
+            later = b
+        # against the layout's type axis, with the axes after it of length 1
+        self.omegas = config.omegas.reshape((types,) + (1,) * later)
+        self.rest = 1.0 - self.omegas
+        self.weights, self.scratch = np.empty(layout), np.empty(layout)
+        self.offsets = np.arange(self.columns).reshape(batch)
+        self.bin_count = m * self.columns
+        self.counts_shape = (m, *batch)
+        # the action axis last, for the cost table, and back first
+        self.to_last, self.to_first = (*range(1, b + 1), 0), (b, *range(b))
+        self.cost_table = config.cost_table
+
+
+def _play(setup: _PlaySetup, signal: np.ndarray, loads: np.ndarray,
           tie_uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One period's counts and realized costs, each ``(M, ...)``.
 
-    Every type piles its share of the agents onto the weight-minimal
-    action that its uniform picks among ties.  The axes between the
-    action axis of ``signal`` ``(M, ..., 2)`` and its endpoint axis, and
-    the trailing axes of ``shares`` and ``tie_uniforms`` (both
-    ``(types, ...)``, which must broadcast to ``(types,)`` and the batch
-    axes of ``signal``), are batch axes: ``run_abstract`` passes none,
+    Every type piles its load onto the weight-minimal action that its
+    uniform picks among ties.  ``setup`` is the run's, for the batch
+    axes of ``signal`` ``(M, ..., 2)``, those between its action axis
+    and its endpoint axis: ``run_abstract`` has none,
     ``convergence_check`` an arm axis (of length 1 once arm b has left)
-    and a trajectory axis, with draws of length one on the arm axis.
-    All types' weights are tie-picked in one ``pick_among_ties`` call,
-    which says how they are laid out; the types' loads are then added
-    in type order, so each count is the same sum as type-by-type
-    loading, and the cost table prices all actions.
+    and a trajectory axis.  ``loads`` holds each type's agents, ``(types,
+    ...)`` with every batch axis; ``tie_uniforms`` must broadcast to
+    that shape (``convergence_check``'s have length one on the arm
+    axis, since both arms share them).
+
+    Each type's weights ``omega * lo + (1 - omega) * hi``, the rule of
+    ``edge_weight``, are written into the setup's buffer in the layout
+    that the pick reduces over, and all types are tie-picked in one
+    call.  The loads are then added in type order, so each count is the
+    same sum as type-by-type loading, and the cost table prices all
+    actions.
     """
-    batch = signal.shape[1:-1]
-    b = len(batch)
-    omegas = config.omegas.reshape((-1,) + (1,) * b)
-    weights = edge_weight(signal[:, None], omegas)     # (M, types, ...)
-    # ``transpose`` moves the action axis last (and below, back first)
-    # as a view; ``np.moveaxis`` costs several times more per call,
-    # which shows on ``run_abstract``'s short periods
-    choice = pick_among_ties(weights.transpose(*range(1, b + 2), 0),
-                             tie_uniforms)             # (types, ...)
+    ends = signal.transpose(setup.ends_axes).reshape(setup.ends_shape)
+    weights = np.multiply(setup.omegas, ends[..., 0], out=setup.weights)
+    np.add(weights, np.multiply(setup.rest, ends[..., 1],
+                                out=setup.scratch), out=weights)
+    choice = setup.pick(weights, tie_uniforms)         # (types, ...)
     # each type's load goes to bin (action, column); ``bincount`` adds a
     # bin's loads in type order to a running sum from 0.0
-    columns = math.prod(batch)
-    bins = choice * columns + np.arange(columns).reshape(batch)
-    # the draws' loads, repeated over any axis they broadcast along
-    loads = np.multiply(shares, config.agent_count,
-                        out=np.empty(choice.shape))
-    counts = np.bincount(
-        bins.ravel(), weights=loads.ravel(),
-        minlength=config.action_count * columns).reshape(
-            (config.action_count,) + batch)
-    costs = config.cost_table(counts.transpose(*range(1, b + 1), 0))
-    return counts, costs.transpose(b, *range(b))
+    bins = choice * setup.columns + setup.offsets
+    counts = np.bincount(bins.ravel(), weights=loads.ravel(),
+                         minlength=setup.bin_count).reshape(
+                             setup.counts_shape)
+    costs = setup.cost_table(counts.transpose(setup.to_last))
+    return counts, costs.transpose(setup.to_first)
 
 
 def run_abstract(config: AbstractConfig, horizon: int) -> AbstractResult:
     """Simulate ``horizon`` periods; deterministic given ``config.seed``.
 
     The whole run's shares and tie uniforms are drawn before period 1,
-    each in one block, with the values one draw per period would give.
-    Each period is written straight into the result's columns.
+    each in one block, with the values one draw per period would give,
+    and the shares are turned into loads in one multiply; ``_play`` is
+    set up once.  Each period writes its signal, counts and costs
+    straight into the result's columns, and the social cost is priced
+    after the loop, one ``social_cost_abstract`` call over the whole
+    run's columns.
     """
     horizon = require_int(horizon, "horizon", 1)
     history = CostHistory(config.action_count, config.scheme,
                           config.initial_signal)
-    shares = sample_profile(config.renewal,
-                            derived_rng(config.seed, "population"), horizon)
+    loads = np.multiply(
+        sample_profile(config.renewal,
+                       derived_rng(config.seed, "population"), horizon),
+        config.agent_count)
     ties = derived_rng(config.seed, "tie-break").random(
         (horizon, len(config.types)))
+    setup = _PlaySetup(config, ())
     result = AbstractResult.empty(horizon, config.action_count)
     for i in range(horizon):
         signal = result.signal[i] = emit_signal(history)
-        counts, costs = _play(config, signal, shares[i], ties[i])
-        result.counts[i], result.costs[i] = counts, costs
-        result.social_cost[i] = social_cost_abstract(counts, costs,
-                                                     config.agent_count)
-        history.record_period(costs)
+        result.counts[i], result.costs[i] = _play(setup, signal, loads[i],
+                                                  ties[i])
+        history.record_period(result.costs[i])
+    result.social_cost[:] = social_cost_abstract(
+        result.counts, result.costs, config.agent_count)
     return result.seal()
 
 
@@ -384,9 +457,9 @@ def flapping_demo(spec: FlappingSpec, horizon: int,
             raise AssertionError(
                 f"interval arm lost its tie at t={i + 1}: {signal!r}")
         costs = interval_records.costs[i] = scalar_config.cost_table(counts)
-        interval_records.social_cost[i] = social_cost_abstract(counts, costs,
-                                                               n)
         history.record_period(costs)
+    interval_records.social_cost[:] = social_cost_abstract(
+        interval_records.counts, interval_records.costs, n)
     interval_records.seal()
 
     # Rescale by the agent count before subtracting: the per-capita costs
@@ -502,9 +575,10 @@ def convergence_check(config: AbstractConfig, trajectories: int,
 
     The arms run as one batch, one history over actions x arms x
     trajectories resources, action-major, so each period is one
-    ``emit_signal`` and one ``_play``: the signal is read as ``(M, arms,
-    trajectories, 2)`` and the period's draws are broadcast over the arm
-    axis, since both arms share them.
+    ``emit_signal`` and one ``_play``, whose setup is made once per
+    batch shape (twice if arm b leaves): the signal is read as ``(M,
+    arms, trajectories, 2)`` and the period's draws are broadcast over
+    the arm axis, since both arms share them.
 
     Coalescence rule: arm ``b`` leaves the batch whole (``arms`` goes
     from 2 to 1) at the first period before the horizon in which every
@@ -529,7 +603,9 @@ def convergence_check(config: AbstractConfig, trajectories: int,
     # each arm's columns, action-major
     arm_columns = np.arange(2 * k * m).reshape(m, 2, k).swapaxes(0, 1)
     rng = derived_rng(seed, "convergence")
-    arms = 2
+    arms, types = 2, len(config.types)
+    setup = _PlaySetup(config, (arms, k))
+    loads = np.empty((types, arms, k))
     distances = []
     for t in range(horizon + 1):
         signal = emit_signal(history).reshape(m, arms, k, 2)
@@ -542,10 +618,13 @@ def convergence_check(config: AbstractConfig, trajectories: int,
             kept = history.coalesced(*arm_columns.reshape(2, -1))
             if kept is not None:
                 arms, history, signal = 1, kept, signal[:, :1]
+                setup = _PlaySetup(config, (arms, k))
+                loads = np.empty((types, arms, k))
         shares = sample_profile(config.renewal, rng, k).T   # (types, k)
-        tie_u = rng.random((k, len(config.types))).T
-        counts, costs = _play(config, signal, shares[:, None],
-                              tie_u[:, None])
+        tie_u = rng.random((k, types)).T
+        # the period's loads, repeated over the arm axis
+        np.multiply(shares[:, None], config.agent_count, out=loads)
+        counts, costs = _play(setup, signal, loads, tie_u[:, None])
         history.record_period(costs.ravel())
 
     sample_a = counts[0, 0] / config.agent_count

@@ -11,6 +11,11 @@ Two numeric choices are made here once for both models, so the bytes a
 seed produces depend on the C library and not on the CPU: every power
 is C's ``pow``, taken element by element (``_pow``), and every social
 cost is a ``math.fsum`` of its terms.
+
+Both models' runs price after their loop: ``social_cost_abstract``,
+``social_cost_network`` and ``total_excess`` each take a run's ``(T,
+n)`` columns as well as one period's ``(n,)`` row, and give each period
+the bytes of its own call.
 """
 
 from __future__ import annotations
@@ -43,10 +48,13 @@ def _pow(base, exponent) -> np.ndarray:
     return np.asarray(_pow_ufunc(base, exponent), dtype=float)
 
 
-def _per_edge(net: Network, flows) -> np.ndarray:
-    """``flows`` as an array, checked to hold one flow per edge."""
+def _per_edge(net: Network, flows, columns: bool = False) -> np.ndarray:
+    """``flows`` as an array, checked to hold one flow per edge, or with
+    ``columns`` a ``(T, E)`` run of them."""
     flows = np.asarray(flows)
-    if flows.shape != net.capacities.shape:
+    edges = net.capacities.shape
+    if not (flows.shape == edges
+            or (columns and flows.ndim == 2 and flows.shape[1:] == edges)):
         raise ValidationError(
             f"expected {net.edge_count} edge flows, got shape {flows.shape}")
     return flows
@@ -62,26 +70,36 @@ def edge_costs(net: Network, flows: np.ndarray, capped: bool) -> np.ndarray:
     return net.free_flows * (1.0 + net.b_coeffs * _pow(ratio, net.powers))
 
 
-def total_excess(net: Network, flows: np.ndarray) -> float:
+def total_excess(net: Network, flows: np.ndarray) -> float | np.ndarray:
     """Sum of per-edge capacity excess, one flow per edge as in
-    ``edge_costs``."""
-    flows = _per_edge(net, flows)
-    return float(np.maximum(flows - net.capacities, 0.0).sum())
+    ``edge_costs``; a float, or of ``(T, E)`` flows one per row, each the
+    same sum as the row's own."""
+    flows = _per_edge(net, flows, columns=True)
+    excess = np.maximum(flows - net.capacities, 0.0).sum(axis=-1)
+    return float(excess) if excess.ndim == 0 else excess
 
 
-def _fsum_of_products(a, b) -> float:
-    """Correctly rounded sum of the element-wise products ``a * b``,
-    whatever their order, the BLAS build, the CPU and Python version."""
-    return math.fsum(np.multiply(a, b).tolist())
+def _fsum_rows(terms: np.ndarray) -> float | np.ndarray:
+    """Correctly rounded sum of ``terms`` along the last axis, whatever
+    their order, the BLAS build, the CPU and Python version: a float for
+    a vector, and for ``(T, n)`` columns an array of one sum per row,
+    each summed from that row alone.  ``math.fsum`` reads each row
+    through a ``memoryview``, which hands it the row's numbers one
+    Python float at a time, with no list of them built."""
+    if terms.ndim == 1:
+        return math.fsum(memoryview(terms))
+    return np.fromiter(map(math.fsum, map(memoryview, terms)), dtype=float,
+                       count=len(terms))
 
 
-def social_cost_network(flows, costs) -> float:
+def social_cost_network(flows, costs) -> float | np.ndarray:
     """Total travel time: sum over edges of flow times cost, already
     evaluated (``costs``), summed as ``social_cost_abstract`` sums, and
-    refused as it refuses them when the lengths differ."""
-    if len(flows) != len(costs):
+    refused as it refuses them when the shapes differ.  ``(E,)`` inputs
+    give a float, a run's ``(T, E)`` columns one cost per period."""
+    if np.ndim(flows) not in (1, 2) or np.shape(flows) != np.shape(costs):
         raise ValidationError("one flow per cost required")
-    return _fsum_of_products(flows, costs)
+    return _fsum_rows(np.multiply(flows, costs))
 
 
 # Each kind's formula, written once.  ``params`` holds the kind's
@@ -231,26 +249,35 @@ def linear_cost_fn(total_agents: float, offset: float = 0.0) -> AbstractCostFn:
     return AbstractCostFn("linear_over_N", (total_agents, offset))
 
 
-def social_cost_abstract(counts, costs, total_agents: float) -> float:
+def social_cost_abstract(counts, costs,
+                         total_agents: float) -> float | np.ndarray:
     """Population-weighted cost: sum over actions of (n_m/N) c_m, where
     ``costs`` holds each action's cost c_m(n_m), already evaluated.
 
-    The terms are summed with ``math.fsum``, so the result is their
-    correctly rounded sum whatever their order and Python version.  A
-    total that ``require_real`` refuses, or one not in ``(0, inf)``, is a
-    ``ValidationError``."""
+    ``(M,)`` counts and costs give a float; a run's ``(T, M)`` columns
+    give one social cost per period, each the same float as that
+    period's own call, so a run prices its periods after its loop.  The
+    terms are summed with ``math.fsum``, one period's row at a time, so
+    each result is their correctly rounded sum whatever their order and
+    Python version.  A total that ``require_real`` refuses, or one not
+    in ``(0, inf)``, is a ``ValidationError``, and so are counts and
+    costs of different shapes, or a period whose counts do not sum to
+    the total (the first such period is named by its sum)."""
     counts = np.asarray(counts, dtype=float)
     total_agents = require_real(total_agents, "total agent count")
     if not 0.0 < total_agents < math.inf:
         raise ValidationError(
             f"total agent count must be positive and finite, "
             f"got {total_agents}")
-    if len(counts) != len(costs):
+    if counts.ndim not in (1, 2) or counts.shape != np.shape(costs):
         raise ValidationError("one count per cost required")
-    if abs(counts.sum() - total_agents) > 1e-9 * max(1.0, abs(total_agents)):
+    sums = counts.sum(axis=-1)
+    off = np.abs(sums - total_agents) > 1e-9 * max(1.0, abs(total_agents))
+    if off.any():
         raise ValidationError(
-            f"counts sum to {counts.sum()}, expected {total_agents}")
-    return _fsum_of_products(counts / total_agents, costs)
+            f"counts sum to {sums[off][0]}, expected {total_agents}")
+    terms = np.divide(counts, total_agents)
+    return _fsum_rows(np.multiply(terms, costs, out=terms))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0

@@ -3,8 +3,11 @@
 Each period: take that period's population mix (the whole run's mixes
 are drawn before period 1), publish a per-edge signal computed from the
 cost history, route every agent by its signal-weighted shortest paths,
-realize congestion costs, record them into the history, and write flows,
-costs, social cost and capacity excess into row t of the run's columns.
+realize congestion costs, record them into the history, and write the
+signal, flows and costs into row t of the run's columns.  After the loop
+the social cost and the capacity excess of every period are priced from
+those columns, one call each, as ``run_abstract`` prices its social
+cost.
 
 A built-in instance's loading plan is built once per process and type
 set, and only read after that: every run on it loads through a shallow
@@ -254,8 +257,8 @@ def run(config: RunConfig) -> RunResult:
         result.signal[i] = signal
         result.flows[i] = flows
         result.costs[i] = costs
-        result.social_cost[i] = social_cost_network(flows, costs)
-        result.total_excess[i] = total_excess(net, flows)
+    result.social_cost[:] = social_cost_network(result.flows, result.costs)
+    result.total_excess[:] = total_excess(net, result.flows)
     return result.seal()
 
 

@@ -6,7 +6,9 @@ scalar schemes emit degenerate intervals with u_lo = u_hi. A run's
 signal, and ``emit_signal`` reads everything from it: it is the one
 signal rule of both the network and the abstract model, which differ
 only in warm-up (see its docstring).  ``edge_weight``, how a type reads
-a signal, is the one choice rule the two models share.
+a signal, is the one choice rule the two models share; the abstract
+model's ``_play`` takes the same two products and their sum into
+buffers it sets up once per run.
 """
 
 from __future__ import annotations
@@ -180,14 +182,15 @@ class CostHistory:
     def window_extremes(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-resource min and max over the min(window, recorded) most
         recent periods; there must be at least one, and the scheme must
-        be ``extreme`` or ``subinterval``, the two that read them."""
+        be ``extreme`` or ``subinterval``, the two that read them.  Each
+        is one ufunc reduction over the ring's rows."""
         if self.scheme.kind not in ("extreme", "subinterval"):
             raise ValidationError(
                 f"a {self.scheme.kind} history keeps no window extremes")
         if self._periods == 0:
             raise ValidationError("no period recorded yet")
         rows = self._rows[:min(self._periods, self.window)]
-        return rows.min(axis=0), rows.max(axis=0)
+        return np.minimum.reduce(rows), np.maximum.reduce(rows)
 
 
 def emit_signal(history: CostHistory) -> np.ndarray:

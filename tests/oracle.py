@@ -30,15 +30,19 @@ down to the sign of a zero.
 
 ``step_column`` plays one period of the abstract model for one column,
 given that period's type shares and tie uniforms: emit the signal from
-the history, ``_play`` it, record the costs.  ``run_abstract`` and each
-trajectory of ``convergence_check`` must give, period by period, what
-it gives when fed their draws one period at a time.
+the history, play it in Python floats, type by type (``_python_play``,
+the same IEEE operations as the package's ``_play`` but none of its
+code), record the costs.  ``run_abstract`` and each trajectory of
+``convergence_check`` must give, period by period, what it gives when
+fed their draws one period at a time.
 
 ``convergence_check_full_batch`` is ``convergence_check`` without its
 coalescence rule: both arms of every pair are played to the horizon.
 It shares the package's history, signal rule, draws and ``_play``, and
 takes its KS test from ``scipy.stats``, so a comparison tests only the
-dropping of arm b and the package's own ``ks_2samp``.
+dropping of arm b and the package's own ``ks_2samp``.  Per pair it
+reports the first period at which ``CostHistory.coalesced``'s rule
+holds, compared pair by pair on the history's state.
 
 ``network_to_tntp`` and ``demand_to_tntp`` write TNTP texts that
 ``parse_network`` and ``parse_trips`` must read back unchanged, and
@@ -60,6 +64,7 @@ from intervalsig.abstract_model import (
     AbstractConfig,
     ConvergenceReport,
     _play,
+    _PlaySetup,
 )
 from intervalsig.assignment import (
     TIE_TOL,
@@ -179,6 +184,23 @@ def signal_sequence(scheme: Scheme, m_count: int, periods,
     return signals
 
 
+def _python_play(config: AbstractConfig, signal,
+                 shares, tie_uniforms) -> tuple[list[float], list[float]]:
+    """One period's counts and costs from one column's ``(lo, hi)``
+    pairs, in Python floats, type by type: each type's weights, its
+    minimal actions and the tie its uniform picks, its load added to
+    counts that start at 0.0, then each action's own cost call."""
+    counts = [0.0] * config.action_count
+    for omega, share, u in zip(config.types.omegas, shares, tie_uniforms):
+        weights = [omega * lo + (1.0 - omega) * hi for lo, hi in signal]
+        low = min(weights)
+        ties = [m for m, w in enumerate(weights) if w == low]
+        n = len(ties)
+        counts[ties[min(int(float(u) * n), n - 1)]] += (
+            float(share) * config.agent_count)
+    return counts, [fn(n) for fn, n in zip(config.costs, counts)]
+
+
 def step_column(history: CostHistory, config: AbstractConfig, shares,
                 tie_uniforms) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Play period ``history.periods + 1`` of one column and record its
@@ -187,24 +209,28 @@ def step_column(history: CostHistory, config: AbstractConfig, shares,
     ``history`` is the column's ``CostHistory`` under ``config.scheme``;
     ``shares`` holds each type's share of the period and
     ``tie_uniforms`` one uniform per type, which decides only if that
-    type ties.
+    type ties.  The play is ``_python_play``, which shares no code with
+    the package's ``_play``.
     """
     signal = emit_signal(history)
-    counts, costs = _play(config, signal, np.asarray(shares, dtype=float),
-                          np.asarray(tie_uniforms, dtype=float))
+    counts, costs = _python_play(config, signal.tolist(), shares,
+                                 tie_uniforms)
     history.record_period(costs)
-    return signal, counts, costs
+    return signal, np.array(counts), np.array(costs)
 
 
 def convergence_check_full_batch(
         config: AbstractConfig, trajectories: int, horizon: int,
         initial_signals, seed: int) -> tuple[ConvergenceReport, np.ndarray]:
     """The report ``convergence_check`` must give, and per pair the first
-    period whose two signals are equal entry for entry (-1 if none is).
+    period at which it has coalesced (-1 if it never does).
 
-    One history over actions x arms x trajectories resources,
-    action-major; each period both arms of every pair are played, with
-    the period's draws broadcast over the arm axis.
+    A pair has coalesced by ``CostHistory.coalesced``'s rule: its two
+    signals are equal entry for entry, its two arms' state columns are
+    equal, and at least ``window`` periods are recorded.  One history
+    over actions x arms x trajectories resources, action-major; each
+    period both arms of every pair are played, with the period's draws
+    broadcast over the arm axis.
     """
     k, m = trajectories, config.action_count
     arms = np.stack([checked_initial_signal(init, m)
@@ -212,20 +238,24 @@ def convergence_check_full_batch(
     history = CostHistory(2 * k * m, config.scheme,
                           np.repeat(arms, k, axis=1).reshape(-1, 2))
     rng = derived_rng(seed, "convergence")
+    setup = _PlaySetup(config, (2, k))
     coalesced_at = np.full(k, -1)
     distances = []
     for t in range(horizon + 1):
         signal = emit_signal(history).reshape(m, 2, k, 2)
-        same = np.all(signal[:, 0] == signal[:, 1], axis=(0, 2))
-        coalesced_at[same & (coalesced_at < 0)] = t
+        if history.periods >= history.window:
+            rows = history._rows.reshape(-1, m, 2, k)
+            same = (np.all(signal[:, 0] == signal[:, 1], axis=(0, 2))
+                    & np.all(rows[:, :, 0] == rows[:, :, 1], axis=(0, 1)))
+            coalesced_at[same & (coalesced_at < 0)] = t
         gap = np.abs(signal[:, 0, 0] - signal[:, 1, 0])  # the first pair
         distances.append(float(gap[:, 0].sum() + gap[:, 1].sum()))
         if t == horizon:
             break
         shares = sample_profile(config.renewal, rng, k).T   # (types, k)
         tie_u = rng.random((k, len(config.types))).T
-        counts, costs = _play(config, signal, shares[:, None],
-                              tie_u[:, None])
+        loads = np.repeat(shares[:, None] * config.agent_count, 2, axis=1)
+        counts, costs = _play(setup, signal, loads, tie_u[:, None])
         history.record_period(costs.ravel())
 
     sample_a = counts[0, 0] / config.agent_count

@@ -188,6 +188,45 @@ class TestExcess:
         assert (excess(NET_23, flow) > 0) == (flow > EDGE_23.capacity)
 
 
+def parallel_links(edges: int, seed: int) -> Network:
+    """``edges`` parallel links from node 1 to node 2 with random
+    capacities."""
+    capacities = np.random.default_rng(seed).uniform(1.0, 100.0, edges)
+    return parse_network("".join(f"1 2 {c!r} 0 2 0.15 4 0 0 1 ;\n"
+                                 for c in capacities.tolist()))
+
+
+class TestRunColumns:
+    """A run's ``(T, E)`` flows and costs, priced in one call each, give
+    every period the bytes of that period's own call."""
+
+    @pytest.mark.parametrize("edges", [5, 76, 200, 1000, 4097])
+    def test_each_row_is_its_own_call(self, edges):
+        net = parallel_links(edges, edges)
+        rng = np.random.default_rng(edges)
+        flows = rng.uniform(0.0, 200.0, (300, edges))
+        flows[rng.random(flows.shape) < 0.3] = 0.0
+        costs = edge_costs(net, flows[0], capped=False) * rng.random(
+            (300, edges))
+        excesses = total_excess(net, flows)
+        social = social_cost_network(flows, costs)
+        assert excesses.shape == social.shape == (300,)
+        assert excesses.tobytes() == np.array(
+            [total_excess(net, row) for row in flows]).tobytes()
+        assert social.tobytes() == np.array(
+            [social_cost_network(f, c) for f, c in zip(flows, costs)
+             ]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3, 5), (5, 3)])
+    def test_excess_columns_need_one_flow_per_edge(self, shape):
+        with pytest.raises(ValidationError, match="5 edge flows"):
+            total_excess(parse_network(DIAMOND_NET), np.zeros(shape))
+
+    def test_social_cost_columns_need_one_cost_per_flow(self):
+        with pytest.raises(ValidationError, match="one flow per cost"):
+            social_cost_network(np.ones((3, 5)), np.ones((3, 4)))
+
+
 class TestAbstractCostFn:
     def test_polynomial_eval(self):
         assert CURVE_A(1.0) == pytest.approx(9.2)
@@ -406,6 +445,31 @@ class TestSocialCostAbstract:
         a = social_cost_abstract((x, 2 - x), evaluated((x, 2 - x), fns), 2)
         b = social_cost_abstract((2 - x, x), evaluated((2 - x, x), fns), 2)
         assert a == pytest.approx(b)
+
+    @pytest.mark.parametrize("actions", [1, 2, 200])
+    def test_columns_give_each_periods_cost(self, actions):
+        rng = np.random.default_rng(actions)
+        counts = rng.dirichlet(np.ones(actions), 300) * 1000.0
+        costs = rng.uniform(1.0, 5.0, (300, actions))
+        got = social_cost_abstract(counts, costs, 1000)
+        assert got.shape == (300,)
+        assert got.tobytes() == np.array(
+            [social_cost_abstract(n, c, 1000) for n, c in zip(counts, costs)
+             ]).tobytes()
+
+    def test_columns_name_the_first_period_off_the_total(self):
+        counts = np.array([[1.0, 1.0], [1.0, 2.0], [0.5, 0.0], [2.0, 0.0]])
+        with pytest.raises(ValidationError,
+                           match=r"counts sum to 3\.0, expected 2"):
+            social_cost_abstract(counts, np.ones((4, 2)), 2)
+
+    @pytest.mark.parametrize("counts, costs", [
+        (np.ones((3, 2)), np.ones((3, 3))), (np.ones((3, 2)), np.ones(2)),
+        (np.ones((2, 3, 2)), np.ones((2, 3, 2)))])
+    def test_columns_need_one_count_per_cost(self, counts, costs):
+        with pytest.raises(ValidationError,
+                           match="one count per cost required"):
+            social_cost_abstract(counts, costs, 2)
 
     def test_sum_is_correctly_rounded(self):
         # The terms are 1, 1e-16 and 1e-16 exactly; adding them left to
